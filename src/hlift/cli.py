@@ -97,9 +97,15 @@ def _need(cond: bool, message: str) -> None:
 
 
 def _as_float(value, where: str) -> float:
-    _need(isinstance(value, (int, float)) and not isinstance(value, bool),
-          f"{where} must be a number, got {value!r}")
-    return float(value)
+    # JSON admits NaN, Infinity and integers beyond the float range
+    out = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            pass
+    _need(math.isfinite(out), f"{where} must be a finite number, got {value!r}")
+    return out
 
 
 def load_scenario(path: str) -> dict:
@@ -211,6 +217,10 @@ def build_context(scn: dict) -> ScenarioContext:
             cfg.rtol = _as_float(integ["rtol"], "integrator.rtol")
         if "atol" in integ:
             cfg.atol = _as_float(integ["atol"], "integrator.atol")
+        _need(cfg.rtol >= 0.0 and cfg.atol >= 0.0,
+              "integrator.rtol and integrator.atol must not be negative")
+        _need(cfg.rtol > 0.0 or cfg.atol > 0.0,
+              "integrator.rtol and integrator.atol must not both be zero")
         if "max_steps" in integ:
             ms = integ["max_steps"]
             _need(isinstance(ms, int) and ms > 0,
@@ -357,10 +367,11 @@ def _check_equivalence(ctx, cache, gen_name):
 
 
 def _check_reparam(ctx, cache, gen_name):
-    # tighter stepping than the scenario default: the comparison target
-    # sits near the integration accuracy itself
-    cfg = IntegratorConfig(rtol=min(ctx.config.rtol, 1e-11),
-                           atol=min(ctx.config.atol, 1e-13),
+    # tighter stepping than the scenario default: the three views must
+    # agree to 1e-9, and at rtol 1e-11 their integration error alone
+    # reaches 2e-9 on generic coupled starts
+    cfg = IntegratorConfig(rtol=min(ctx.config.rtol, 1e-13),
+                           atol=min(ctx.config.atol, 1e-15),
                            max_steps=ctx.config.max_steps)
     views = []
     for udot0 in (0.5, 1.0, 2.0):

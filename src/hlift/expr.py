@@ -18,11 +18,15 @@ must be a declared parameter.
 
 Evaluation is generic over float and Dual scalars, so one expression
 serves both plain evaluation and forward-mode differentiation.
+compile_forward turns the fields of a system into one straight-line
+float function that returns the same values and partials as the seeded
+Dual evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -33,8 +37,8 @@ from .errors import (ExprEvalError, ExprSyntaxError, FieldEvalError,
 
 __all__ = [
     "Num", "Var", "Unary", "Binary", "Call", "Ast",
-    "parse", "to_text", "eval_ast", "compile_ast", "free_names",
-    "validate_identifiers", "Field", "as_field",
+    "parse", "to_text", "eval_ast", "compile_ast", "compile_forward",
+    "free_names", "validate_identifiers", "Field", "as_field",
 ]
 
 FUNCTIONS = {
@@ -443,6 +447,315 @@ def compile_ast(node: Ast, n: int, params: Optional[Mapping] = None):
     ns = dict(_COMPILE_GLOBALS)
     exec(f"def _compiled(x, u, w):\n    return {body}", ns)
     return ns["_compiled"]
+
+
+# -- forward mode by source transformation -----------------------------
+#
+# compile_forward turns the ASTs of several fields into one straight-line
+# function on plain floats.  Every operation mirrors the matching formula
+# of autodiff.Dual component by component (same operations, same order);
+# with derivatives=False it mirrors the float branch of autodiff instead,
+# which is what a plain field evaluation runs.  Partials that are
+# structurally zero are never computed, and coordinate-free subtrees are
+# folded once at compile time by the interpreter itself.
+#
+# The generated code raises nothing of its own.  It returns None when a
+# coordinate is not finite, when a guard of the Dual path would trip
+# (log/sqrt domain, powx rules, zero divisor, overflow, asymmetric pair),
+# or when a computed output is not finite: a dropped zero partial could
+# hide a nan that the Dual path carries.  The caller then reruns the Dual
+# path, which raises the existing error or returns the same numbers.
+
+_FORWARD_GLOBALS = {
+    "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
+    "_sin": math.sin, "_cos": math.cos, "_tan": math.tan,
+    "_sinh": math.sinh, "_cosh": math.cosh, "_tanh": math.tanh,
+    "_abs": abs,
+}
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": operator.truediv}
+# f'(x) given x and v = f(x), written as autodiff's Dual branch computes it
+# (exp is its own slope)
+_SLOPE = {
+    "log": "1.0 / {x}", "sqrt": "0.5 / {v}",
+    "sin": "_cos({x})", "cos": "-_sin({x})",
+    "tan": "1.0 / (_cos({x}) * _cos({x}))",
+    "sinh": "_cosh({x})", "cosh": "_sinh({x})", "tanh": "1.0 - {v} * {v}",
+    # abs: Dual's -grad, 0.0 * grad (at the kink) and grad as k * grad
+    "abs": "-1.0 if {x} < 0.0 else (0.0 if {x} == 0.0 else 1.0)",
+}
+
+
+class _AlwaysFails(Exception):
+    """A coordinate-free part of the fields fails at every point."""
+
+
+class _ForwardEmitter:
+    """Straight-line code for a list of fields; see compile_forward.
+
+    A node is (val, grad): val is a float constant or the name of a
+    local, grad is None for constants (and everywhere without
+    derivatives), else one entry per coordinate that is None for a
+    structural zero, a float constant or a local name.
+    """
+
+    def __init__(self, n: int, derivatives: bool):
+        self.m = n + 2
+        self.coords = [f"x{i + 1}" for i in range(n)] + ["u", "w"]
+        self.derivatives = derivatives
+        self.lines: list = []
+        self.temps: dict = {}
+        self.consts: dict = {}
+
+    # -- scalar code ---------------------------------------------------
+
+    def ref(self, s) -> str:
+        if isinstance(s, str):
+            return s
+        if math.isfinite(s):
+            return f"({s!r})"
+        key = repr(s)
+        if key not in self.consts:
+            self.consts[key] = f"_k{len(self.consts)}"
+        return self.consts[key]
+
+    def let(self, expr: str) -> str:
+        # identical expressions of identical locals give identical bits
+        name = self.temps.get(expr)
+        if name is None:
+            name = f"_t{len(self.temps)}"
+            self.temps[expr] = name
+            self.lines.append(f"{name} = {expr}")
+        return name
+
+    def guard(self, cond: str) -> None:
+        line = f"if {cond}: return None"
+        if line not in self.lines:
+            self.lines.append(line)
+
+    def op(self, a, sym: str, b):
+        """a sym b, folded when both are constants."""
+        if sym == "*" and isinstance(a, float) and a == 1.0:
+            return b  # 1.0 * x is x in every bit, nan and signed zero included
+        if sym == "*" and isinstance(b, float) and b == 1.0:
+            return a
+        if not (isinstance(a, str) or isinstance(b, str)):
+            return _FOLD[sym](a, b)
+        return self.let(f"{self.ref(a)} {sym} {self.ref(b)}")
+
+    def neg(self, a):
+        return -a if not isinstance(a, str) else self.let(f"-{a}")
+
+    # -- partials (None is a structural zero) --------------------------
+
+    def gadd(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return self.op(a, "+", b)
+
+    def gsub(self, a, b):
+        if b is None:
+            return a
+        if a is None:
+            return self.neg(b)
+        return self.op(a, "-", b)
+
+    def scale(self, k, g: list) -> list:
+        return [None if gc is None else self.op(k, "*", gc) for gc in g]
+
+    # -- nodes ---------------------------------------------------------
+
+    def node(self, ast: Ast, params: Mapping):
+        if not (free_names(ast) & set(self.coords)):
+            try:
+                return float(eval_ast(ast, {}, params)), None
+            except (ExprEvalError, NonFiniteError, ArithmeticError, ValueError):
+                raise _AlwaysFails() from None
+        if isinstance(ast, Var):
+            if not self.derivatives:
+                return ast.name, None
+            k = self.coords.index(ast.name)
+            return ast.name, [1.0 if c == k else None for c in range(self.m)]
+        if isinstance(ast, Unary):
+            v, g = self.node(ast.operand, params)
+            return self.neg(v), (None if g is None
+                                 else [None if gc is None else self.neg(gc)
+                                       for gc in g])
+        if isinstance(ast, Binary):
+            a = self.node(ast.left, params)
+            b = self.node(ast.right, params)
+            op = {"+": self.op_add, "-": self.op_sub, "*": self.op_mul,
+                  "/": self.op_div, "^": self.op_pow}[ast.op]
+            return op(a, b)
+        if isinstance(ast, Call):
+            args = [self.node(a, params) for a in ast.args]
+            if ast.name == "pow":
+                return self.op_pow(args[0], args[1])
+            return self.op_fn(ast.name, args[0])
+        raise TypeError(f"not an Ast node: {ast!r}")
+
+    def op_add(self, a, b):
+        v = self.op(a[0], "+", b[0])
+        if a[1] is None and b[1] is None:
+            return v, None
+        if a[1] is None:
+            return v, b[1]
+        if b[1] is None:
+            return v, a[1]
+        return v, [self.gadd(x, y) for x, y in zip(a[1], b[1])]
+
+    def op_sub(self, a, b):
+        v = self.op(a[0], "-", b[0])
+        if b[1] is None:
+            return v, a[1]
+        if a[1] is None:
+            return v, [None if y is None else self.neg(y) for y in b[1]]
+        return v, [self.gsub(x, y) for x, y in zip(a[1], b[1])]
+
+    def op_mul(self, a, b):
+        v = self.op(a[0], "*", b[0])
+        if a[1] is None and b[1] is None:
+            return v, None
+        if b[1] is None:
+            return v, self.scale(b[0], a[1])
+        if a[1] is None:
+            return v, self.scale(a[0], b[1])
+        # a.val * b.grad + b.val * a.grad
+        return v, [self.gadd(None if y is None else self.op(a[0], "*", y),
+                             None if x is None else self.op(b[0], "*", x))
+                   for x, y in zip(a[1], b[1])]
+
+    def op_div(self, a, b):
+        if b[1] is None and b[0] == 0.0:
+            raise _AlwaysFails()
+        v = self.op(a[0], "/", b[0])
+        if a[1] is None and b[1] is None:
+            return v, None
+        if b[1] is None:
+            return v, [None if x is None else self.op(x, "/", b[0]) for x in a[1]]
+        if a[1] is None:
+            # -c / (v*v) * grad
+            k = self.op(-a[0], "/", self.op(b[0], "*", b[0]))
+            return v, self.scale(k, b[1])
+        # inv * a.grad - (a.val * inv * inv) * b.grad
+        inv = self.op(1.0, "/", b[0])
+        k = self.op(self.op(a[0], "*", inv), "*", inv)
+        return v, [self.gsub(None if x is None else self.op(inv, "*", x),
+                             None if y is None else self.op(k, "*", y))
+                   for x, y in zip(a[1], b[1])]
+
+    def op_pow(self, a, b):
+        base, e = a[0], b[0]
+        if not self.derivatives:
+            if isinstance(e, str):
+                self.guard(f"{self.ref(base)} < 0.0 and {e} != int({e})")
+            elif not (math.isfinite(e) and e == int(e)):
+                self.guard(f"{self.ref(base)} < 0.0")
+            return self.op(base, "**", e), None
+        if b[1] is not None:
+            # exp(e * log(b))
+            return self.op_fn("exp", self.op_mul(b, self.op_fn("log", a)))
+        if not math.isfinite(e):
+            raise _AlwaysFails()
+        if e != int(e):
+            self.guard(f"{base} < 0.0")
+        # b ** e and (e * b ** (e - 1.0)) * grad, with powx's own values
+        # at b == 0 where it has them; its other zero cases raise here too
+        pv = f"{base} ** {self.ref(e)}"
+        pd = f"{base} ** {self.ref(e - 1.0)}"
+        if e == 0.0:
+            v = self.let(pv)
+            dv = self.let(f"0.0 if {base} == 0.0 else 0.0 * {pd}")
+        elif e > 1.0:
+            v = self.let(f"0.0 if {base} == 0.0 else {pv}")
+            dv = self.let(f"0.0 if {base} == 0.0 else {self.ref(e)} * {pd}")
+        else:
+            v = self.let(pv)
+            dv = self.op(e, "*", self.let(pd))
+        return v, self.scale(dv, a[1])
+
+    def op_fn(self, name: str, a):
+        x, g = a
+        if isinstance(x, float):
+            try:
+                return float(_FN[name](x)), None
+            except (NonFiniteError, ArithmeticError, ValueError):
+                raise _AlwaysFails() from None
+        v = self.let(f"_{name}({x})")
+        if not self.derivatives:
+            return v, None
+        k = v if name == "exp" else self.let(_SLOPE[name].format(x=x, v=v))
+        return v, self.scale(k, g)
+
+    def pair(self, a, b, tol: float):
+        """0.5 * (a + b) with the asymmetry guard of HerglotzSystem."""
+        if isinstance(a[0], float) and isinstance(b[0], float):
+            if abs(a[0] - b[0]) > tol:
+                raise _AlwaysFails()
+        elif a[0] != b[0]:
+            self.guard(f"abs({self.ref(a[0])} - {self.ref(b[0])}) > {tol!r}")
+        return self.op_mul((0.5, None), self.op_add(a, b))
+
+
+def compile_forward(entries: Sequence, n: int, derivatives: bool,
+                    pair_tol: float, name: str):
+    """One straight-line function over the fields in `entries`.
+
+    Each entry is a Field, or a pair (Field, Field) that stands for the
+    symmetrized mean 0.5*(a + b), guarded like HerglotzSystem's h: the
+    pass fails if the two values differ by more than `pair_tol`.
+
+    Returns f(x1, ..., xn, u, w) on plain floats, or None when some field
+    wraps a Python callable.  f returns None when the seeded Dual path
+    (or, without derivatives, the plain float path) would raise or could
+    differ; otherwise a flat tuple of K values followed, with
+    derivatives, by the (n+2) x K partials in row-major order (row c
+    holds the c-th coordinate partial of every entry), where K is
+    len(entries).  Values equal the fields' own evaluation, and partials
+    the seeded Dual pass, under np.array_equal.  `name` labels the
+    generated code in tracebacks.
+    """
+    fields = [f for e in entries for f in (e if isinstance(e, tuple) else (e,))]
+    if any(f._fn is not None for f in fields):
+        return None
+    em = _ForwardEmitter(n, derivatives)
+    args = ", ".join(em.coords)
+    try:
+        nodes = []
+        for e in entries:
+            if isinstance(e, tuple):
+                a, b = (em.node(f._ast, _float_params(f)) for f in e)
+                nodes.append(em.pair(a, b, pair_tol))
+            else:
+                nodes.append(em.node(e._ast, _float_params(e)))
+    except _AlwaysFails:
+        return lambda *coords: None
+    out = [em.ref(v) for v, _ in nodes]
+    body = []
+    if derivatives:
+        # a non-finite coordinate cannot be seeded; the overflow of a
+        # finite sum only sends the call down the Dual path
+        body += [f"_s = {' + '.join(em.coords)}", "if _s - _s != 0.0: return None"]
+        grads = [g if g is not None else [None] * em.m for _, g in nodes]
+        out += [em.ref(0.0 if g[c] is None else g[c])
+                for c in range(em.m) for g in grads]
+    body += ["try:"] + [f"    {line}" for line in em.lines or ["pass"]]
+    body += ["except (ArithmeticError, ValueError):", "    return None"]
+    computed = list(dict.fromkeys(s for s in out if s.startswith("_t")))
+    if derivatives and computed:
+        body += [f"_s = {' + '.join(computed)}", "if _s - _s != 0.0: return None"]
+    body.append(f"return ({', '.join(out)},)")
+    src = f"def _forward({args}):\n" + "\n".join(f"    {line}" for line in body)
+    ns = dict(_FORWARD_GLOBALS)
+    ns.update({v: float(k) for k, v in em.consts.items()})
+    exec(compile(src, f"<forward {name}>", "exec"), ns)
+    return ns["_forward"]
+
+
+def _float_params(field: "Field") -> dict:
+    return {k: float(v) for k, v in field._params.items()}
 
 
 # -- fields ------------------------------------------------------------

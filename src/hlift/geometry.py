@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Dual, Scalar
 from .errors import AsymmetricMetricError, SingularMetricError
-from .expr import Field, as_field
+from .expr import Field, as_field, compile_forward
 
 __all__ = [
     "Point", "HerglotzSystem", "FieldBundle", "BrinkmannMetric",
@@ -92,6 +92,11 @@ class HerglotzSystem:
     h is symmetrized on evaluation; if the two off-diagonal entries ever
     disagree by more than 1e-12 the evaluation raises
     AsymmetricMetricError, since that signals a typo rather than noise.
+
+    eval_values and eval_bundle run one compiled straight-line pass over
+    all fields (expr.compile_forward).  The Dual evaluation of
+    eval_fields stays as their error path and as the path for systems
+    with callable fields.
     """
 
     def __init__(self, n: int, h, A, V, params=None, name: str = ""):
@@ -110,6 +115,23 @@ class HerglotzSystem:
         self.A = [as_field(a, n, self.params, f"A{i + 1}")
                   for i, a in enumerate(A)]
         self.V = as_field(V, n, self.params, "V")
+        # the compiled passes cover h (row-major; each off-diagonal entry
+        # is the guarded symmetric pair of the upper triangle), A and V
+        pairs = {(i, j): (self.h[i][j], self.h[j][i])
+                 for i in range(n) for j in range(i + 1, n)}
+        self._entries = [self.h[i][i] if i == j else pairs[min(i, j), max(i, j)]
+                         for i in range(n) for j in range(n)]
+        self._entries += self.A + [self.V]
+        self._passes = {}
+
+    def _compiled(self, derivatives: bool):
+        """The compiled forward (or values-only) pass, built on first use;
+        None if some field wraps a Python callable, which leaves the Dual
+        path in charge."""
+        if derivatives not in self._passes:
+            self._passes[derivatives] = compile_forward(
+                self._entries, self.n, derivatives, _ASYMMETRY_TOL, self.name)
+        return self._passes[derivatives]
 
     # -- raw field evaluation (generic over float/Dual coords) ---------
 
@@ -138,13 +160,42 @@ class HerglotzSystem:
 
     def eval_values(self, point: Point):
         """(h, A, V) as plain float arrays at a point."""
+        fn = self._compiled(False)
+        if fn is not None:
+            out = fn(*point.x.tolist(), float(point.u), float(point.w))
+            if out is not None:
+                n2 = self.n * self.n
+                a = np.array(out)
+                return a[:n2].reshape(self.n, self.n), a[n2:-1], out[-1]
         hs, As, V = self.eval_fields(list(point.x), point.u, point.w)
         h = np.array([[ad.value(v) for v in row] for row in hs])
         A = np.array([ad.value(a) for a in As])
         return h, A, ad.value(V)
 
     def eval_bundle(self, point: Point) -> FieldBundle:
-        """Values plus all first coordinate derivatives, one seeded pass."""
+        """Values plus all first coordinate derivatives, one forward pass.
+
+        The compiled pass gives the numbers of the seeded Dual pass; the
+        Dual pass runs instead when the compiled one declines the point,
+        and raises the error that belongs to it.
+        """
+        n = self.n
+        fn = self._compiled(True)
+        if fn is not None:
+            out = fn(*point.x.tolist(), float(point.u), float(point.w))
+            if out is not None:
+                n2 = n * n
+                k = n2 + n + 1
+                a = np.array(out)
+                g = a[k:].reshape(n + 2, k)
+                return FieldBundle(a[:n2].reshape(n, n),
+                                   g[:, :n2].reshape(n + 2, n, n),
+                                   a[n2:k - 1], g[:, n2:k - 1],
+                                   out[k - 1], g[:, k - 1])
+        return self._dual_bundle(point)
+
+    def _dual_bundle(self, point: Point) -> FieldBundle:
+        """eval_bundle by seeded Dual arithmetic: the error path and oracle."""
         n = self.n
         m = n + 2
         coords = ad.seed(point.coords())

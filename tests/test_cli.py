@@ -1,9 +1,11 @@
 """Scenario CLI: exit codes, file outputs, and reproducibility."""
 
 import json
+import math
 
 import pytest
 
+from hlift import cli
 from hlift.cli import main
 
 BASE = {
@@ -78,6 +80,26 @@ def test_run_free_system_defaults(tmp_path):
 
 
 # ------------------------------------------------------------------ config errors
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"span": {"from": 0.0, "to": math.inf}}, "span.to"),
+    ({"integrator": {"rtol": math.nan}}, "integrator.rtol"),
+    ({"integrator": {"rtol": 0.0, "atol": 0.0}}, "both be zero"),
+    ({"integrator": {"rtol": -1e-10}}, "must not be negative"),
+], ids=["infinite-span", "nan-rtol", "zero-tolerances", "negative-rtol"])
+def test_invalid_numbers_rejected_at_load(tmp_path, capsys, monkeypatch,
+                                          overrides, where):
+    # json.dumps writes Infinity and NaN, which json.load reads back;
+    # rejection must come before any integration starts
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", no_integration)
+    monkeypatch.setattr(cli, "integrate_herglotz", no_integration)
+    path = write_scenario(tmp_path, overrides)
+    assert main(["check", path, "null-drift", "equivalence"]) == 2
+    assert where in capsys.readouterr().err
+
 
 def test_unknown_top_level_key(tmp_path, capsys):
     path = write_scenario(tmp_path, {"spam": 1})
@@ -178,6 +200,22 @@ def test_check_pass_and_report(tmp_path):
     assert by_name["noether-charge:time-shift"]["status"] == "info"
     assert by_name["noether-charge:time-shift"]["tol"] is None
     assert all(r["seconds"] >= 0 for r in rows)
+
+
+def test_reparam_passes_on_a_generic_coupled_start(tmp_path):
+    # a Halton start on which the three udot0 views differed by 2.0e-9
+    # when the check stepped at rtol 1e-11 (tolerance 1e-9)
+    u0 = 0.5454545454545454
+    path = write_scenario(tmp_path, {
+        "system": "coupled", "params": {}, "checks": ["reparam"],
+        "initial": {"x": [1.0, -1.5555555555555556],
+                    "xp": [0.40000000000000036, -0.2857142857142858],
+                    "u": u0, "w": -0.5384615384615384},
+        "span": {"from": u0, "to": u0 + 10.0}, "out_dir": str(tmp_path / "o"),
+    }, drop=("integrator",))
+    assert main(["check", path]) == 0
+    row = json.loads((tmp_path / "o" / "report.jsonl").read_text())
+    assert row["status"] == "pass" and row["residual"] < 1e-10
 
 
 def test_check_cli_names_override_scenario(tmp_path):

@@ -16,7 +16,7 @@ from hlift.errors import (BlowUpError, MonotonicityViolationError,
 from hlift.geometry import BrinkmannMetric, Point
 from hlift.systems import (coupled_curved, custom_system,
                            damped_action_dependent, free_particle,
-                           harmonic_oscillator)
+                           harmonic_oscillator, standard_catalog)
 
 TIGHT = IntegratorConfig(rtol=1e-10, atol=1e-12)
 
@@ -154,6 +154,35 @@ def test_integrator_diagnostics():
     assert np.all(rt.traj.step_sizes > 0)
     assert rt.u0 == 0.0
     assert rt.u_end == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("key", ["free", "harmonic", "damped-time",
+                                 "damped-action", "coupled"])
+def test_recorded_w_slope_is_the_reduced_lagrangian(key):
+    # dw/du of every accepted sample is L of that sample
+    ent = standard_catalog()[key]
+    n = ent.system.n
+    rt = integrate_herglotz(ent.system, ent.default_state, (0.0, 5.0),
+                            config=TIGHT)
+    for k in range(len(rt)):
+        lag = reduced_lagrangian(ent.system, rt.sample_state(k))
+        assert abs(lag - rt.traj.f[k, 2 * n]) <= 1e-12 * max(1.0, abs(lag))
+
+
+@pytest.mark.parametrize("key", ["harmonic", "damped-action", "coupled"])
+def test_recorded_null_residual_is_the_sample_residual(key):
+    # the stepper reuses its FSAL field pass, which sees the sample exactly
+    ent = standard_catalog()[key]
+    n = ent.system.n
+    m = n + 2
+    met = BrinkmannMetric(ent.system)
+    traj = integrate_geodesic(met, lift_state(ent.system, ent.default_state),
+                              (0.0, math.inf), config=TIGHT, stop_at_u=4.0)
+    nulls = traj.diagnostics["null_residual"]
+    assert len(nulls) == len(traj)
+    for k, y in enumerate(traj.y):
+        gs = GeodesicState(Point(y[:n], y[n], y[n + 1]), y[m:])
+        assert nulls[k] == null_residual(met, gs)
 
 
 def test_step_limit():
