@@ -245,9 +245,11 @@ def log(x: Scalar) -> Scalar:
 
 def sqrt(x: Scalar) -> Scalar:
     if isinstance(x, Dual):
+        if x.val < 0.0:
+            raise NonFiniteError(f"sqrt of negative value {x.val!r}")
         # the derivative blows up at 0, so 0 is rejected for duals
-        if x.val <= 0.0:
-            raise NonFiniteError(f"sqrt of non-positive value {x.val!r}")
+        if x.val == 0.0:
+            raise NonFiniteError("derivative of sqrt is unbounded at 0.0")
         v = math.sqrt(x.val)
         return Dual(v, (0.5 / v) * x.grad)
     if x < 0.0:

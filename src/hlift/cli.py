@@ -496,17 +496,13 @@ def run_check(ctx: ScenarioContext, cache: _RunCache, name: str) -> List[dict]:
         status = None
         if base == "conformal-pair":
             row_tol = 1e-12 if subs[i] == "pullback" else 1e-6
-        if base == "noether-charge" and _system_w_dependent(ctx):
+        if base == "noether-charge" and ctx.system.w_dependent:
             # the plain charge legitimately drifts here; report only
             status = "info"
             row_tol = None
         rows.append(_row(label, float(res), row_tol, seconds / len(residuals),
                          certifies, status))
     return rows
-
-
-def _system_w_dependent(ctx: ScenarioContext) -> bool:
-    return ctx.system.w_dependent(point_cloud(ctx.system.n, 8))
 
 
 # ---------------------------------------------------------------------

@@ -16,11 +16,13 @@ Builtin functions: sin cos tan sinh cosh tanh exp log sqrt abs pow(a,b).
 Builtin constants: pi, e.  Variables are x1..xn, u, w; any other name
 must be a declared parameter.
 
-Evaluation is generic over float and Dual scalars, so one expression
-serves both plain evaluation and forward-mode differentiation.
-compile_forward turns the fields of a system into one straight-line
-float function that returns the same values and partials as the seeded
-Dual evaluation.
+A field is evaluated one of two ways.  compile_forward turns a list of
+fields into one straight-line float function that returns their values
+and, optionally, all n+2 partials; it is the evaluator of every system,
+generator and coordinate map.  eval_ast (through Field.__call__) is the
+interpreter, generic over float and Dual scalars: it reports errors with
+the span of the failing subexpression, serves as the seeded-Dual oracle
+of the compiled pass, and evaluates Duals seeded outside the coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from . import autodiff as ad
 from .errors import (ExprEvalError, ExprSyntaxError, FieldEvalError,
@@ -37,7 +39,7 @@ from .errors import (ExprEvalError, ExprSyntaxError, FieldEvalError,
 
 __all__ = [
     "Num", "Var", "Unary", "Binary", "Call", "Ast",
-    "parse", "to_text", "eval_ast", "compile_ast", "compile_forward",
+    "parse", "to_text", "eval_ast", "compile_forward",
     "free_names", "validate_identifiers", "Field", "as_field",
 ]
 
@@ -196,7 +198,10 @@ class _Parser:
     def atom(self) -> Ast:
         kind, text, off = self.take()
         if kind == "num":
-            return Num(float(text), (off, off + len(text)))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError("number out of range", off)
+            return Num(value, (off, off + len(text)))
         if kind == "name":
             nxt_kind, nxt_text, _ = self.peek()
             if nxt_kind == "op" and nxt_text == "(":
@@ -237,9 +242,9 @@ def _respan(node: Ast, span: Span) -> Ast:
 def parse(text: str) -> Ast:
     """Parse expression text into an Ast.
 
-    Raises ExprSyntaxError (with byte offset) on malformed input and
-    UnknownIdentifierError when a call uses a name that is not a builtin
-    function.
+    Raises ExprSyntaxError (with byte offset) on malformed input or a
+    literal beyond the float range, and UnknownIdentifierError when a call
+    uses a name that is not a builtin function.
     """
     return _Parser(text).parse()
 
@@ -344,8 +349,8 @@ _FN = {
 def eval_ast(node: Ast, variables: Mapping, params: Optional[Mapping] = None):
     """Evaluate an Ast.  `variables` maps names to scalars (float or Dual),
     `params` maps names to reals.  Division by zero, log/sqrt domain
-    faults and unbound names raise ExprEvalError carrying the span of the
-    failing subexpression."""
+    faults, overflow and unbound names raise ExprEvalError carrying the
+    span of the failing subexpression."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -374,6 +379,8 @@ def eval_ast(node: Ast, variables: Mapping, params: Optional[Mapping] = None):
             return ad.powx(a, b)
         except ZeroDivisionError:
             raise ExprEvalError("division by zero", node.span) from None
+        except OverflowError:
+            raise ExprEvalError("overflow", node.span) from None
         except NonFiniteError as err:
             raise ExprEvalError(str(err), node.span) from None
     if isinstance(node, Call):
@@ -384,69 +391,11 @@ def eval_ast(node: Ast, variables: Mapping, params: Optional[Mapping] = None):
             return _FN[node.name](args[0])
         except ZeroDivisionError:
             raise ExprEvalError("division by zero", node.span) from None
+        except OverflowError:
+            raise ExprEvalError("overflow", node.span) from None
         except NonFiniteError as err:
             raise ExprEvalError(str(err), node.span) from None
     raise TypeError(f"not an Ast node: {node!r}")
-
-
-# -- compilation to a plain Python closure -----------------------------
-#
-# Interpretation dominates the integrator hot path, so expression fields
-# are compiled once into a closure over the same ad.* functions the
-# interpreter uses.  Both paths execute the identical operation tree in
-# the identical order, so results match the interpreter bit for bit; the
-# interpreter remains the error-reporting path (it knows spans).
-
-_COMPILED_FN = {
-    "sin": "_f_sin", "cos": "_f_cos", "tan": "_f_tan",
-    "sinh": "_f_sinh", "cosh": "_f_cosh", "tanh": "_f_tanh",
-    "exp": "_f_exp", "log": "_f_log", "sqrt": "_f_sqrt", "abs": "abs",
-}
-_COMPILE_GLOBALS = {
-    "_f_sin": ad.sin, "_f_cos": ad.cos, "_f_tan": ad.tan,
-    "_f_sinh": ad.sinh, "_f_cosh": ad.cosh, "_f_tanh": ad.tanh,
-    "_f_exp": ad.exp, "_f_log": ad.log, "_f_sqrt": ad.sqrt,
-    "_f_pow": ad.powx, "abs": abs,
-}
-
-
-def _emit(node: Ast, slots: Mapping, params: Optional[Mapping]) -> str:
-    if isinstance(node, Num):
-        return f"({node.value!r})"
-    if isinstance(node, Var):
-        name = node.name
-        if name in slots:
-            return slots[name]
-        if params is not None and name in params:
-            return f"({float(params[name])!r})"
-        if name in CONSTANTS:
-            return f"({CONSTANTS[name]!r})"
-        raise ExprEvalError(f"unbound name '{name}'", node.span)
-    if isinstance(node, Unary):
-        return f"(-{_emit(node.operand, slots, params)})"
-    if isinstance(node, Binary):
-        a = _emit(node.left, slots, params)
-        b = _emit(node.right, slots, params)
-        if node.op == "^":
-            return f"_f_pow({a}, {b})"
-        return f"({a} {node.op} {b})"
-    if isinstance(node, Call):
-        args = [_emit(a, slots, params) for a in node.args]
-        if node.name == "pow":
-            return f"_f_pow({args[0]}, {args[1]})"
-        return f"{_COMPILED_FN[node.name]}({args[0]})"
-    raise TypeError(f"not an Ast node: {node!r}")
-
-
-def compile_ast(node: Ast, n: int, params: Optional[Mapping] = None):
-    """Closure f(x, u, w) evaluating the Ast; params are inlined exactly."""
-    slots = {f"x{i + 1}": f"x[{i}]" for i in range(n)}
-    slots["u"] = "u"
-    slots["w"] = "w"
-    body = _emit(node, slots, params)
-    ns = dict(_COMPILE_GLOBALS)
-    exec(f"def _compiled(x, u, w):\n    return {body}", ns)
-    return ns["_compiled"]
 
 
 # -- forward mode by source transformation -----------------------------
@@ -463,8 +412,9 @@ def compile_ast(node: Ast, n: int, params: Optional[Mapping] = None):
 # coordinate is not finite, when a guard of the Dual path would trip
 # (log/sqrt domain, powx rules, zero divisor, overflow, asymmetric pair),
 # or when a computed output is not finite: a dropped zero partial could
-# hide a nan that the Dual path carries.  The caller then reruns the Dual
-# path, which raises the existing error or returns the same numbers.
+# hide a nan that the Dual path carries.  The caller then reruns the
+# interpreter (on seeded Duals, or on plain floats without derivatives),
+# which raises the existing error or returns the same numbers.
 
 _FORWARD_GLOBALS = {
     "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
@@ -593,7 +543,7 @@ class _ForwardEmitter:
             args = [self.node(a, params) for a in ast.args]
             if ast.name == "pow":
                 return self.op_pow(args[0], args[1])
-            return self.op_fn(ast.name, args[0])
+            return self.op_call(ast.name, args[0])
         raise TypeError(f"not an Ast node: {ast!r}")
 
     def op_add(self, a, b):
@@ -656,7 +606,7 @@ class _ForwardEmitter:
             return self.op(base, "**", e), None
         if b[1] is not None:
             # exp(e * log(b))
-            return self.op_fn("exp", self.op_mul(b, self.op_fn("log", a)))
+            return self.op_call("exp", self.op_mul(b, self.op_call("log", a)))
         if not math.isfinite(e):
             raise _AlwaysFails()
         if e != int(e):
@@ -676,7 +626,7 @@ class _ForwardEmitter:
             dv = self.op(e, "*", self.let(pd))
         return v, self.scale(dv, a[1])
 
-    def op_fn(self, name: str, a):
+    def op_call(self, name: str, a):
         x, g = a
         if isinstance(x, float):
             try:
@@ -707,29 +657,25 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
     symmetrized mean 0.5*(a + b), guarded like HerglotzSystem's h: the
     pass fails if the two values differ by more than `pair_tol`.
 
-    Returns f(x1, ..., xn, u, w) on plain floats, or None when some field
-    wraps a Python callable.  f returns None when the seeded Dual path
-    (or, without derivatives, the plain float path) would raise or could
-    differ; otherwise a flat tuple of K values followed, with
-    derivatives, by the (n+2) x K partials in row-major order (row c
-    holds the c-th coordinate partial of every entry), where K is
-    len(entries).  Values equal the fields' own evaluation, and partials
+    Returns f(x1, ..., xn, u, w) on plain floats.  f returns None when
+    the seeded Dual path (or, without derivatives, the plain float path)
+    would raise or could differ; otherwise a flat tuple of K values
+    followed, with derivatives, by the (n+2) x K partials in row-major
+    order (row c holds the c-th coordinate partial of every entry), where
+    K is len(entries).  Values equal the fields' own evaluation, and partials
     the seeded Dual pass, under np.array_equal.  `name` labels the
     generated code in tracebacks.
     """
-    fields = [f for e in entries for f in (e if isinstance(e, tuple) else (e,))]
-    if any(f._fn is not None for f in fields):
-        return None
     em = _ForwardEmitter(n, derivatives)
     args = ", ".join(em.coords)
     try:
         nodes = []
         for e in entries:
             if isinstance(e, tuple):
-                a, b = (em.node(f._ast, _float_params(f)) for f in e)
+                a, b = (em.node(f.ast, f._params) for f in e)
                 nodes.append(em.pair(a, b, pair_tol))
             else:
-                nodes.append(em.node(e._ast, _float_params(e)))
+                nodes.append(em.node(e.ast, e._params))
     except _AlwaysFails:
         return lambda *coords: None
     out = [em.ref(v) for v, _ in nodes]
@@ -754,90 +700,52 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
     return ns["_forward"]
 
 
-def _float_params(field: "Field") -> dict:
-    return {k: float(v) for k, v in field._params.items()}
-
-
 # -- fields ------------------------------------------------------------
 
 class Field:
     """Scalar field over (x1..xn, u, w), generic over float/Dual inputs.
 
-    Wraps either a parsed expression (with bound parameters) or a plain
-    Python callable f(x, u, w).  Evaluation failures surface as
-    FieldEvalError with the field name in the message.
+    Wraps a parsed expression with its parameters bound as floats.
+    Calling a Field interprets the expression; evaluation failures
+    surface as FieldEvalError with the field name in the message.
     """
 
-    __slots__ = ("n", "name", "_ast", "_fn", "_params", "_names", "_compiled")
+    __slots__ = ("n", "name", "ast", "_params", "_coords")
 
     def __init__(self, n: int, source, params: Optional[Mapping] = None,
                  name: str = "field"):
         self.n = n
         self.name = name
-        self._params = dict(params or {})
-        self._ast = None
-        self._fn = None
-        self._compiled = None
+        self._params = {k: float(v) for k, v in (params or {}).items()}
+        self._coords = [f"x{i + 1}" for i in range(n)]
         if isinstance(source, str):
-            ast = parse(source)
-            allowed = {f"x{i + 1}" for i in range(n)} | {"u", "w"}
-            allowed |= set(self._params)
-            validate_identifiers(ast, allowed)
-            self._ast = ast
-            self._names = [f"x{i + 1}" for i in range(n)]
-            self._compiled = compile_ast(ast, n, self._params)
+            self.ast = parse(source)
+            validate_identifiers(self.ast,
+                                 {*self._coords, "u", "w", *self._params})
         elif isinstance(source, (int, float)):
-            self._fn = None
-            self._ast = Num(float(source), (0, 0))
-            self._names = []
+            self.ast = Num(float(source), (0, 0))
         elif isinstance(source, Field):
-            self._ast = source._ast
-            self._fn = source._fn
+            self.ast = source.ast
             self._params = dict(source._params)
-            self._names = getattr(source, "_names", [])
-            self._compiled = source._compiled
-        elif callable(source):
-            self._fn = source
-            self._names = []
         else:
             raise TypeError(f"cannot build a field from {type(source).__name__}")
 
-    def _interp(self, x: Sequence, u, w):
-        env = {self._names[i]: x[i] for i in range(self.n)}
+    def __call__(self, x: Sequence, u, w):
+        env = dict(zip(self._coords, x))
         env["u"] = u
         env["w"] = w
-        return eval_ast(self._ast, env, self._params)
-
-    def __call__(self, x: Sequence, u, w):
-        fn = self._compiled
-        if fn is not None:
-            try:
-                return fn(x, u, w)
-            except (ZeroDivisionError, NonFiniteError, OverflowError) as err:
-                # rerun through the interpreter: same math, but it knows
-                # which subexpression failed
-                try:
-                    self._interp(x, u, w)
-                except (ExprEvalError, NonFiniteError, ZeroDivisionError) as err2:
-                    raise FieldEvalError(f"{self.name}: {err2}") from err2
-                raise FieldEvalError(f"{self.name}: {err}") from err
         try:
-            if self._fn is not None:
-                return self._fn(x, u, w)
-            if isinstance(self._ast, Num):
-                return self._ast.value
-            return self._interp(x, u, w)
-        except (ExprEvalError, NonFiniteError, ZeroDivisionError) as err:
+            return eval_ast(self.ast, env, self._params)
+        except ExprEvalError as err:
             raise FieldEvalError(f"{self.name}: {err}") from err
 
     def __repr__(self):
-        body = to_text(self._ast) if self._ast is not None else repr(self._fn)
-        return f"Field({self.name!r}, {body})"
+        return f"Field({self.name!r}, {to_text(self.ast)})"
 
 
 def as_field(source, n: int, params: Optional[Mapping] = None,
              name: str = "field") -> Field:
-    """Coerce an expression string, number, callable or Field to a Field."""
+    """Coerce an expression string, number or Field to a Field."""
     if isinstance(source, Field):
         return source
     return Field(n, source, params, name)

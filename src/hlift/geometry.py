@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Dual, Scalar
 from .errors import AsymmetricMetricError, SingularMetricError
-from .expr import Field, as_field, compile_forward
+from .expr import as_field, compile_forward, free_names
 
 __all__ = [
     "Point", "HerglotzSystem", "FieldBundle", "BrinkmannMetric",
@@ -82,10 +82,30 @@ class FieldBundle:
     dV: np.ndarray   # (n+2,)
 
 
+class FieldPasses:
+    """The compiled passes (expr.compile_forward) over a fixed list of
+    field entries, each built on first use: a catalog builds many
+    systems and generators and evaluates few of them."""
+
+    def __init__(self, entries: Sequence, n: int, name: str):
+        self.entries = list(entries)
+        self.n = n
+        self.name = name
+        self._fns = {}
+
+    def run(self, point: Point, derivatives: bool):
+        """The pass's flat tuple at the point, or None where it declines."""
+        fn = self._fns.get(derivatives)
+        if fn is None:
+            fn = self._fns[derivatives] = compile_forward(
+                self.entries, self.n, derivatives, _ASYMMETRY_TOL, self.name)
+        return fn(*point.x.tolist(), float(point.u), float(point.w))
+
+
 class HerglotzSystem:
     """Field data (h, A, V) of an n-dimensional action-dependent system.
 
-    `h` is an n x n nest of field sources (strings, numbers, callables or
+    `h` is an n x n nest of field sources (expression strings, numbers or
     Fields), `A` a length-n list, `V` a single source.  Expression
     sources may reference x1..xn, u, w and any name in `params`.
 
@@ -94,9 +114,9 @@ class HerglotzSystem:
     AsymmetricMetricError, since that signals a typo rather than noise.
 
     eval_values and eval_bundle run one compiled straight-line pass over
-    all fields (expr.compile_forward).  The Dual evaluation of
-    eval_fields stays as their error path and as the path for systems
-    with callable fields.
+    all fields (expr.compile_forward).  The interpreted evaluation of
+    eval_fields, on plain floats or seeded Duals, is their error path.
+    `w_dependent` is True when some field's expression mentions w.
     """
 
     def __init__(self, n: int, h, A, V, params=None, name: str = ""):
@@ -119,19 +139,11 @@ class HerglotzSystem:
         # is the guarded symmetric pair of the upper triangle), A and V
         pairs = {(i, j): (self.h[i][j], self.h[j][i])
                  for i in range(n) for j in range(i + 1, n)}
-        self._entries = [self.h[i][i] if i == j else pairs[min(i, j), max(i, j)]
-                         for i in range(n) for j in range(n)]
-        self._entries += self.A + [self.V]
-        self._passes = {}
-
-    def _compiled(self, derivatives: bool):
-        """The compiled forward (or values-only) pass, built on first use;
-        None if some field wraps a Python callable, which leaves the Dual
-        path in charge."""
-        if derivatives not in self._passes:
-            self._passes[derivatives] = compile_forward(
-                self._entries, self.n, derivatives, _ASYMMETRY_TOL, self.name)
-        return self._passes[derivatives]
+        entries = [self.h[i][i] if i == j else pairs[min(i, j), max(i, j)]
+                   for i in range(n) for j in range(n)]
+        self._passes = FieldPasses(entries + self.A + [self.V], n, self.name)
+        fields = [f for row in self.h for f in row] + self.A + [self.V]
+        self.w_dependent = any("w" in free_names(f.ast) for f in fields)
 
     # -- raw field evaluation (generic over float/Dual coords) ---------
 
@@ -160,17 +172,14 @@ class HerglotzSystem:
 
     def eval_values(self, point: Point):
         """(h, A, V) as plain float arrays at a point."""
-        fn = self._compiled(False)
-        if fn is not None:
-            out = fn(*point.x.tolist(), float(point.u), float(point.w))
-            if out is not None:
-                n2 = self.n * self.n
-                a = np.array(out)
-                return a[:n2].reshape(self.n, self.n), a[n2:-1], out[-1]
-        hs, As, V = self.eval_fields(list(point.x), point.u, point.w)
-        h = np.array([[ad.value(v) for v in row] for row in hs])
-        A = np.array([ad.value(a) for a in As])
-        return h, A, ad.value(V)
+        out = self._passes.run(point, False)
+        if out is not None:
+            n2 = self.n * self.n
+            a = np.array(out)
+            return a[:n2].reshape(self.n, self.n), a[n2:-1], out[-1]
+        hs, As, V = self.eval_fields(point.x.tolist(), float(point.u),
+                                     float(point.w))
+        return np.array(hs, dtype=float), np.array(As, dtype=float), V
 
     def eval_bundle(self, point: Point) -> FieldBundle:
         """Values plus all first coordinate derivatives, one forward pass.
@@ -180,19 +189,15 @@ class HerglotzSystem:
         and raises the error that belongs to it.
         """
         n = self.n
-        fn = self._compiled(True)
-        if fn is not None:
-            out = fn(*point.x.tolist(), float(point.u), float(point.w))
-            if out is not None:
-                n2 = n * n
-                k = n2 + n + 1
-                a = np.array(out)
-                g = a[k:].reshape(n + 2, k)
-                return FieldBundle(a[:n2].reshape(n, n),
-                                   g[:, :n2].reshape(n + 2, n, n),
-                                   a[n2:k - 1], g[:, n2:k - 1],
-                                   out[k - 1], g[:, k - 1])
-        return self._dual_bundle(point)
+        out = self._passes.run(point, True)
+        if out is None:
+            return self._dual_bundle(point)
+        n2 = n * n
+        k = n2 + n + 1
+        a = np.array(out)
+        g = a[k:].reshape(n + 2, k)
+        return FieldBundle(a[:n2].reshape(n, n), g[:, :n2].reshape(n + 2, n, n),
+                           a[n2:k - 1], g[:, n2:k - 1], out[k - 1], g[:, k - 1])
 
     def _dual_bundle(self, point: Point) -> FieldBundle:
         """eval_bundle by seeded Dual arithmetic: the error path and oracle."""
@@ -215,17 +220,6 @@ class HerglotzSystem:
             dA[:, i] = g
         V, dV = ad.value_and_grad(Vs, m)
         return FieldBundle(h, dh, A, dA, V, np.asarray(dV))
-
-    def w_dependent(self, probes: Sequence[Point]) -> bool:
-        """True if any field shows w-dependence at the probe points."""
-        n = self.n
-        for p in probes:
-            b = self.eval_bundle(p)
-            if (np.max(np.abs(b.dh[n + 1])) > 1e-13
-                    or np.max(np.abs(b.dA[n + 1])) > 1e-13
-                    or abs(b.dV[n + 1]) > 1e-13):
-                return True
-        return False
 
 
 def _min_abs_eigenvalue(h: np.ndarray) -> float:
@@ -366,12 +360,22 @@ class BrinkmannMetric:
 
 # -- vector fields over the lifted space -------------------------------
 
-def eval_vector_fields(fields: Sequence, point: Point, n: int):
-    """Values and coordinate gradients of a list of fields over (x, u, w).
+def eval_vector_fields(fields, point: Point, n: int):
+    """Values and coordinate gradients of fields over (x, u, w).
 
+    `fields` is a FieldPasses, whose compiled pass gives the numbers, or a
+    list of Fields.  Seeded Duals interpret a list, and the entries of a
+    pass that declines the point, raising the error that belongs to it.
     Returns (vals, grads) with grads[c, k] the c-th partial of field k.
     """
     m = n + 2
+    if isinstance(fields, FieldPasses):
+        out = fields.run(point, True)
+        if out is not None:
+            k = len(fields.entries)
+            a = np.array(out)
+            return a[:k], a[k:].reshape(m, k)
+        fields = fields.entries
     coords = ad.seed(point.coords())
     x, u, w = coords[:n], coords[n], coords[n + 1]
     vals = np.empty(len(fields))
@@ -389,7 +393,7 @@ def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point) -> np.ndarray
     system = metric.system
     b = system.eval_bundle(point)
     g, dg = metric.eval_with_derivatives(point, b)
-    K, dK = eval_vector_fields(gen.component_fields(), point, system.n)
+    K, dK = gen.components_at(point)
     K_low = g @ K
     dK_low = np.einsum("mns,s->mn", dg, K) + np.einsum("ns,ms->mn", g, dK)
     gamma = metric.christoffel(point, b)
@@ -415,7 +419,7 @@ def conformal_factor_closed_form(system: HerglotzSystem, gen, point: Point) -> f
     identities.  Compared against conformal_factor only in tests."""
     n = system.n
     _, A, _ = system.eval_values(point)
-    _, dK = eval_vector_fields(gen.component_fields(), point, n)
+    _, dK = gen.components_at(point)
     return float(dK[n, n] + dK[n + 1, n + 1] - A @ dK[n + 1, :n])
 
 
@@ -425,7 +429,8 @@ class CoordinateMap:
     """A smooth map of the lifted space, one field per output coordinate.
 
     Components are field sources over (x1..xn, u, w); the output has the
-    same dimension n+2.
+    same dimension n+2.  They are evaluated by one compiled pass, with
+    derivatives for the Jacobian and without for the image alone.
     """
 
     def __init__(self, n: int, components, params=None, name: str = "map"):
@@ -436,15 +441,18 @@ class CoordinateMap:
         self.components = [as_field(c, n, params, f"{name}[{k}]")
                            for k, c in enumerate(components)]
         self.name = name
+        self._passes = FieldPasses(self.components, n, name)
 
     def __call__(self, point: Point) -> Point:
-        x, u, w = list(point.x), point.u, point.w
-        vals = [ad.value(c(x, u, w)) for c in self.components]
+        vals = self._passes.run(point, False)
+        if vals is None:
+            x, u, w = point.x.tolist(), float(point.u), float(point.w)
+            vals = [c(x, u, w) for c in self.components]
         return Point.from_coords(vals, self.n)
 
     def value_and_jacobian(self, point: Point):
         """(image coords, J) with J[out, in] = d out / d in."""
-        vals, grads = eval_vector_fields(self.components, point, self.n)
+        vals, grads = eval_vector_fields(self._passes, point, self.n)
         return vals, grads.T
 
 

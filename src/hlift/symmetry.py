@@ -29,8 +29,9 @@ from .dynamics import (ReducedState, ReducedTrajectory, lagrangian_w_slope,
                        reduced_lagrangian)
 from .errors import SingularJacobianError
 from .expr import as_field
-from .geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem, Point,
-                       covariant_sym_grad, eval_vector_fields)
+from .geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
+                       HerglotzSystem, Point, covariant_sym_grad,
+                       eval_vector_fields)
 
 __all__ = [
     "SymmetryGenerator", "killing_residual", "conformal_killing_residual",
@@ -44,7 +45,8 @@ class SymmetryGenerator:
     """Vector field (dx, du, dw) over (x1..xn, u, w).
 
     Components accept the same sources as system fields: expression
-    strings, numbers, callables or Field objects.
+    strings, numbers or Field objects.  components_at evaluates them all
+    by one compiled pass with derivatives, built on first use.
     """
 
     def __init__(self, n: int, dx, du, dw, params=None, name: str = "generator"):
@@ -57,13 +59,14 @@ class SymmetryGenerator:
                    for i, s in enumerate(dx)]
         self.du = as_field(du, n, params, f"{name}.du")
         self.dw = as_field(dw, n, params, f"{name}.dw")
+        self._passes = FieldPasses(self.component_fields(), self.n, name)
 
     def component_fields(self):
         return [*self.dx, self.du, self.dw]
 
     def components_at(self, point: Point):
         """(values, grads) with grads[c, k] the c-th partial of component k."""
-        return eval_vector_fields(self.component_fields(), point, self.n)
+        return eval_vector_fields(self._passes, point, self.n)
 
 
 # ---------------------------------------------------------------------

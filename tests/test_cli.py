@@ -81,12 +81,18 @@ def test_run_free_system_defaults(tmp_path):
 
 # ------------------------------------------------------------------ config errors
 
+def _custom(V):
+    return {"system": {"n": 1, "h": [["1"]], "A": ["0"], "V": V}, "params": {}}
+
+
 @pytest.mark.parametrize("overrides, where", [
     ({"span": {"from": 0.0, "to": math.inf}}, "span.to"),
     ({"integrator": {"rtol": math.nan}}, "integrator.rtol"),
     ({"integrator": {"rtol": 0.0, "atol": 0.0}}, "both be zero"),
     ({"integrator": {"rtol": -1e-10}}, "must not be negative"),
-], ids=["infinite-span", "nan-rtol", "zero-tolerances", "negative-rtol"])
+    (_custom("0.5*x1^2 + 1e999"), "number out of range"),
+], ids=["infinite-span", "nan-rtol", "zero-tolerances", "negative-rtol",
+        "out-of-range-literal"])
 def test_invalid_numbers_rejected_at_load(tmp_path, capsys, monkeypatch,
                                           overrides, where):
     # json.dumps writes Infinity and NaN, which json.load reads back;
@@ -179,6 +185,12 @@ def test_unknown_generator_listed(tmp_path, capsys):
 def test_numerical_failure_exit(tmp_path, capsys):
     path = write_scenario(tmp_path, {"integrator": {"max_steps": 10}})
     assert main(["run", path]) == 3
+
+
+def test_field_overflow_is_a_numerical_failure(tmp_path, capsys):
+    path = write_scenario(tmp_path, _custom("(10*x1)^400"))
+    assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 3
+    assert "numerical failure: V: overflow" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ check

@@ -8,8 +8,8 @@ import pytest
 from hlift import autodiff as ad
 from hlift.errors import (ExprEvalError, ExprSyntaxError, FieldEvalError,
                           UnknownIdentifierError)
-from hlift.expr import (Field, as_field, compile_ast, eval_ast, free_names,
-                        parse, to_text, validate_identifiers)
+from hlift.expr import (Field, as_field, compile_forward, eval_ast,
+                        free_names, parse, to_text, validate_identifiers)
 
 ENV = {"x1": 0.3, "x2": -1.2, "u": 0.4, "w": 0.1}
 
@@ -71,6 +71,12 @@ def test_syntax_errors_carry_location():
                       ("1 2", "2")]:
         with pytest.raises(ExprSyntaxError):
             parse(src)
+
+
+def test_out_of_range_literal_rejected_at_parse():
+    with pytest.raises(ExprSyntaxError, match="number out of range") as err:
+        parse("x1 + 1e999")
+    assert err.value.offset == 5
 
 
 def test_unknown_function_and_identifier():
@@ -137,8 +143,9 @@ def test_field_unknown_param_rejected_at_build():
 def test_field_from_number_and_callable():
     c = as_field(2.5, 2)
     assert c([0.0, 0.0], 9.0, -1.0) == 2.5
-    g = as_field(lambda x, u, w: x[0] * u + w, 1)
-    assert g([3.0], 2.0, 1.0) == 7.0
+    # fields are expressions; a Python callable is not a field source
+    with pytest.raises(TypeError):
+        as_field(lambda x, u, w: x[0] * u + w, 1)
 
 
 def test_field_eval_error_names_field():
@@ -146,6 +153,15 @@ def test_field_eval_error_names_field():
     with pytest.raises(FieldEvalError) as err:
         f([0.0], 0.0, 0.0)
     assert "kinetic" in str(err.value)
+
+
+@pytest.mark.parametrize("src", ["(10*x1)^400", "pow(10*x1, 400)"])
+def test_field_overflow_is_a_field_error(src):
+    f = as_field(src, 1, name="V")
+    x, u, w = ad.seed([1.0, 0.0, 0.0])
+    for args in (([1.0], 0.0, 0.0), ([x], u, w)):
+        with pytest.raises(FieldEvalError, match=r"^V: overflow \(span 0\.\."):
+            f(*args)
 
 
 def test_field_accepts_duals():
@@ -172,19 +188,19 @@ CORPUS = [
 
 @pytest.mark.parametrize("src", CORPUS)
 def test_compiled_matches_interpreter_bitwise(src):
-    # compiled closures must reproduce the tree walk exactly, floats and duals
+    # the compiled pass must reproduce the tree walk exactly, on floats
+    # without derivatives and on seeded duals with them
     ast = parse(src)
-    fn = compile_ast(ast, 1, None)
+    field = Field(1, src)
+    values = compile_forward([field], 1, False, 0.0, src)
+    forward = compile_forward([field], 1, True, 0.0, src)
     rng = np.random.default_rng(7)
     for _ in range(20):
-        x, u, w = rng.uniform(-1.5, 1.5, size=3)
-        interp = eval_ast(ast, {"x1": x, "u": u, "w": w})
-        assert fn([x], u, w) == interp
+        x, u, w = rng.uniform(-1.5, 1.5, size=3).tolist()
+        assert values(x, u, w) == (eval_ast(ast, {"x1": x, "u": u, "w": w}),)
         xs = ad.seed([x, u, w])
-        a = fn([xs[0]], xs[1], xs[2])
         b = eval_ast(ast, {"x1": xs[0], "u": xs[1], "w": xs[2]})
-        assert a.val == b.val
-        assert np.array_equal(a.grad, b.grad)
+        assert np.array_equal(forward(x, u, w), [b.val, *b.grad])
 
 
 @pytest.mark.parametrize("src", CORPUS)

@@ -1,4 +1,4 @@
-"""The compiled forward pass against the seeded Dual path it replaces."""
+"""The compiled forward pass against the seeded Dual interpretation."""
 
 import math
 
@@ -8,8 +8,10 @@ import pytest
 from hlift import autodiff as ad
 from hlift.cloud import point_cloud
 from hlift.expr import FUNCTIONS, Field, compile_forward
-from hlift.geometry import HerglotzSystem, Point
-from hlift.systems import conformal_pair, standard_catalog
+from hlift.geometry import (CoordinateMap, HerglotzSystem, Point,
+                            eval_vector_fields)
+from hlift.systems import (conformal_pair, damped_conformal_map,
+                           standard_catalog)
 
 
 def _dual_pass(field, coords):
@@ -109,6 +111,7 @@ GUARDS = [
     ("x1 + log(-1)", 1.0),
     ("x1 + 1/(2 - 2)", 1.0),
     ("(1e200*x1)^2", 1.0),
+    ("pow(10*x1, 400)", 1.0),
 ]
 
 
@@ -119,8 +122,7 @@ def _raised(fn, *args):
 
 
 def _assert_same_failure(system, point):
-    coords = [*point.x.tolist(), point.u, point.w]
-    assert system._compiled(True)(*coords) is None
+    assert system._passes.run(point, True) is None
     assert _raised(system.eval_bundle, point) == _raised(system._dual_bundle, point)
 
 
@@ -129,13 +131,15 @@ def test_guards_raise_the_dual_path_error(V, x1):
     system = HerglotzSystem(1, [["1"]], ["0"], V, name="guarded")
     _assert_same_failure(system, Point([x1], 0.5, 0.25))
     # the values-only pass declines exactly where the plain float path
-    # fails, and otherwise returns its numbers
+    # fails, and otherwise returns its numbers; where both fail, values
+    # and bundle fail alike
     point = Point([x1], 0.5, 0.25)
     try:
-        expected = system.eval_fields(list(point.x), 0.5, 0.25)[2]
+        expected = system.eval_fields([x1], 0.5, 0.25)[2]
     except Exception as err:
-        assert system._compiled(False)(x1, 0.5, 0.25) is None
+        assert system._passes.run(point, False) is None
         assert _raised(system.eval_values, point) == (type(err), str(err))
+        assert _raised(system.eval_bundle, point) == (type(err), str(err))
     else:
         assert system.eval_values(point)[2] == expected
 
@@ -154,25 +158,29 @@ def test_non_finite_coordinate_raises_the_dual_path_error():
         _assert_same_failure(system, Point([0.1, bad], 0.0, 0.0))
 
 
-def test_callable_fields_keep_the_dual_path():
-    system = HerglotzSystem(1, [[lambda x, u, w: 1.0 + x[0] * x[0]]], ["0"],
-                            "x1^2")
-    assert system._compiled(True) is None and system._compiled(False) is None
-    b = system.eval_bundle(Point([0.5], 0.0, 0.0))
-    assert b.h[0, 0] == 1.25 and b.dh[0, 0, 0] == 1.0
-
-
 # ------------------------------------------------------------------ catalog
 
-def _systems():
+def _subjects():
+    """Every catalog system, generator and coordinate map."""
+    catalog = standard_catalog()
     pair = conformal_pair(0.2, 1.0, 2)
-    return [e.system for e in standard_catalog().values()] + [
-        pair[0].system, pair[1].system]
+    out = [e.system for e in catalog.values()] + [pair[0].system,
+                                                   pair[1].system]
+    for e in catalog.values():
+        gens = list(e.generators.values())
+        gens += [g for g, _ in e.conformal.values()]
+        out += [pytest.param(g, id=f"{e.key}:{g.name}") for g in gens]
+    out += [pytest.param(damped_conformal_map(0.2, n)[0], id=f"map-n{n}")
+            for n in (1, 2)]
+    return out
 
 
-@pytest.mark.parametrize("system", _systems(), ids=lambda s: s.name)
+@pytest.mark.parametrize("system", _subjects(), ids=lambda s: s.name)
 def test_bundles_equal_the_dual_path_over_a_cloud(system):
     n = system.n
+    if not isinstance(system, HerglotzSystem):
+        _assert_components_equal_the_dual_path(system)
+        return
     for p in point_cloud(n, 200):
         got, want = system.eval_bundle(p), system._dual_bundle(p)
         for name in ("h", "dh", "A", "dA", "dV"):
@@ -182,3 +190,22 @@ def test_bundles_equal_the_dual_path_over_a_cloud(system):
         h, A, V2 = system.eval_values(p)
         assert np.array_equal(h, np.array(hs, dtype=float))
         assert np.array_equal(A, np.array(As, dtype=float)) and V2 == V
+
+
+def _assert_components_equal_the_dual_path(subject):
+    """A generator's or map's compiled components against the seeded
+    Dual interpretation of its fields (and a map's image against the
+    plain float one)."""
+    is_map = isinstance(subject, CoordinateMap)
+    fields = subject.components if is_map else subject.component_fields()
+    for p in point_cloud(subject.n, 200):
+        want = eval_vector_fields(fields, p, subject.n)
+        if is_map:
+            vals, J = subject.value_and_jacobian(p)
+            got = vals, J.T
+            image = [f(p.x.tolist(), p.u, p.w) for f in fields]
+            assert np.array_equal(subject(p).coords(), image)
+        else:
+            got = subject.components_at(p)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])

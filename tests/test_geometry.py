@@ -223,12 +223,11 @@ def test_solve_kinetic_matches_direct_solve():
 
 def test_w_dependence_probe():
     cat = standard_catalog()
-    probes = [Point(np.full(e.system.n, 0.3), 0.5, 0.7) for e in cat.values()]
-    assert not cat["free"].system.w_dependent([probes[0]])
-    assert not cat["harmonic"].system.w_dependent([probes[1]])
-    assert not cat["damped-time"].system.w_dependent([probes[2]])
-    assert cat["damped-action"].system.w_dependent([probes[3]])
-    assert cat["coupled"].system.w_dependent([probes[4]])
+    assert not cat["free"].system.w_dependent
+    assert not cat["harmonic"].system.w_dependent
+    assert not cat["damped-time"].system.w_dependent
+    assert cat["damped-action"].system.w_dependent
+    assert cat["coupled"].system.w_dependent
 
 
 def test_vector_field_eval():

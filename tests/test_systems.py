@@ -156,9 +156,8 @@ def test_conformal_pair_w_histories_related():
 def test_conformal_pair_orientation():
     # entry a carries the explicit time factor, entry b the action coupling
     ent_a, ent_b, cmap, factor = conformal_pair(0.3, 1.0, 1)
-    probe = [ReducedState([0.5], [0.0], 0.3, 0.7).point()]
-    assert not ent_a.system.w_dependent(probe)
-    assert ent_b.system.w_dependent(probe)
+    assert not ent_a.system.w_dependent
+    assert ent_b.system.w_dependent
     assert factor([0.0], 2.0, 0.0) == pytest.approx(math.exp(-0.6), rel=1e-14)
 
 
