@@ -25,9 +25,9 @@ import numpy as np
 from .errors import NonFiniteError
 
 __all__ = [
-    "Dual", "Scalar", "seed", "variable", "value", "value_and_grad",
-    "gradient", "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh",
-    "sqrt", "powx",
+    "Dual", "Scalar", "finite_coords", "seed", "variable", "value",
+    "value_and_grad", "gradient", "exp", "log", "sin", "cos", "tan", "sinh",
+    "cosh", "tanh", "sqrt", "powx",
 ]
 
 _ZERO_GRADS: dict = {}
@@ -175,15 +175,22 @@ def _unit_rows(m: int):
     return rows
 
 
+def finite_coords(point: Sequence[float]) -> list:
+    """The coordinates of `point` as floats; NonFiniteError if any is
+    not finite, because it cannot be seeded."""
+    pt = [float(c) for c in point]
+    for c in pt:
+        if not math.isfinite(c):
+            raise NonFiniteError(f"cannot seed non-finite coordinate {c!r}")
+    return pt
+
+
 def seed(point: Sequence[float]) -> list:
     """Duals for every coordinate of `point`, with unit gradient rows.
 
     Raises NonFiniteError if any coordinate is not finite.
     """
-    pt = [float(c) for c in point]
-    for c in pt:
-        if not math.isfinite(c):
-            raise NonFiniteError(f"cannot seed non-finite coordinate {c!r}")
+    pt = finite_coords(point)
     rows = _unit_rows(len(pt))
     return [Dual(c, rows[i]) for i, c in enumerate(pt)]
 

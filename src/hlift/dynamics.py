@@ -30,17 +30,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Dual
 from .errors import (BlowUpError, MonotonicityViolationError,
-                     NonPositiveUdotError, SingularMetricError,
+                     NonPositiveUdotError, SigmaInversionError,
                      StepLimitExceededError, ZeroUdotError)
-from .geometry import (BrinkmannMetric, FieldBundle, HerglotzSystem, Point,
-                       solve_kinetic)
+from .geometry import (BrinkmannMetric, HerglotzSystem, Point,
+                       emit_kinetic_solve, solve_kinetic, tail_bundle)
 
 __all__ = [
     "GeodesicState", "ReducedState", "IntegratorConfig", "Trajectory",
     "ReducedTrajectory", "reduced_lagrangian", "lagrangian_w_slope",
     "lift_state", "null_residual", "geodesic_rhs", "integrate_geodesic",
-    "reduce_trajectory", "herglotz_rhs", "integrate_herglotz",
-    "u_equation_residual", "w_equation_residual", "homogeneity_residual",
+    "reduce_trajectory", "herglotz_rhs", "reduced_function",
+    "integrate_herglotz", "u_equation_residual", "w_equation_residual",
+    "homogeneity_residual",
 ]
 
 _BLOWUP_NORM = 1e12
@@ -116,12 +117,18 @@ def lift_state(system: HerglotzSystem, rs: ReducedState,
 
 def null_residual(metric: BrinkmannMetric, gs: GeodesicState) -> float:
     """(1/2) g_{mu nu} xdot^mu xdot^nu; zero on the null cone."""
-    n = metric.system.n
     h, A, V = metric.system.eval_values(gs.point)
-    xd = gs.velocity[:n]
-    ud = gs.velocity[n]
-    wd = gs.velocity[n + 1]
-    return float(0.5 * xd @ h @ xd + (A @ xd) * ud - V * ud * ud - ud * wd)
+    return _null_form(h.tolist(), A.tolist(), V, gs.velocity.tolist())
+
+
+def _null_form(h: list, A: list, V: float, v: list) -> float:
+    """(1/2) g(v, v) on Python floats, term for term as the compiled
+    geodesic function computes it, so that the two agree bit for bit."""
+    n = len(A)
+    xd, ud, wd = v[:n], v[n], v[n + 1]
+    quad = sum(sum(h[i][j] * xd[j] for j in range(n)) * xd[i] for i in range(n))
+    lin = sum(A[i] * xd[i] for i in range(n))
+    return float(0.5 * quad + lin * ud - V * ud * ud - ud * wd)
 
 
 def geodesic_rhs(metric: BrinkmannMetric, gs: GeodesicState) -> np.ndarray:
@@ -182,16 +189,23 @@ class Trajectory:
     Stores parameter values, states and state derivatives per accepted
     step; evaluation between samples uses the cubic Hermite interpolant
     of the containing step, which matches the endpoint samples exactly.
+
+    Counters: `rejected` steps, `nfev` right-hand side calls (the
+    initial-step probe included), and `declined`, the calls the compiled
+    right-hand side handed to the numpy path.
     """
 
     def __init__(self, t, y, f, kind: str, n: int, rejected: int,
-                 diagnostics: Optional[dict] = None, owner=None):
+                 diagnostics: Optional[dict] = None, owner=None,
+                 nfev: int = 0, declined: int = 0):
         self.t = np.asarray(t)
         self.y = np.asarray(y)
         self.f = np.asarray(f)
         self.kind = kind
         self.n = n
         self.rejected = rejected
+        self.nfev = nfev
+        self.declined = declined
         self.diagnostics = diagnostics or {}
         self.owner = owner            # the metric or system that produced it
         if not np.all(np.diff(self.t) > 0):
@@ -207,7 +221,7 @@ class Trajectory:
     def _locate(self, tq: float) -> int:
         t = self.t
         pad = 1e-9 * max(1.0, abs(t[0]), abs(t[-1]))
-        if tq < t[0] - pad or tq > t[-1] + pad:
+        if not (t[0] - pad <= tq <= t[-1] + pad):      # nan included
             raise ValueError(
                 f"parameter {tq!r} outside trajectory range [{t[0]!r}, {t[-1]!r}]")
         k = int(np.searchsorted(t, tq, side="right")) - 1
@@ -233,7 +247,7 @@ def _adaptive_rk(f: Callable, t0: float, y0: np.ndarray, t_end: float,
                  cfg: IntegratorConfig,
                  stop: Optional[Callable] = None,
                  on_accept: Optional[Callable] = None):
-    """Core stepper; returns (ts, ys, fs, rejected).
+    """Core stepper; returns (ts, ys, fs, rejected, nfev).
 
     on_accept(t, y, f(t, y)) runs for the initial state and for every
     accepted step, each time right after the call of f at exactly that
@@ -248,6 +262,7 @@ def _adaptive_rk(f: Callable, t0: float, y0: np.ndarray, t_end: float,
         on_accept(t, y, k1)
     span = t_end - t
     h = _initial_step(f, t, y, k1, cfg, span)
+    nfev = 2
     ts = [t]
     ys = [y.copy()]
     fs = [k1.copy()]
@@ -279,6 +294,7 @@ def _adaptive_rk(f: Callable, t0: float, y0: np.ndarray, t_end: float,
                 ok = False
                 break
             K[i] = f(t + _DP_C[i] * h, yi)
+            nfev += 1
         if ok:
             y_new = y + h * (_DP_B @ K[:6])
             err_vec = h * (_DP_E @ K)
@@ -321,28 +337,37 @@ def _adaptive_rk(f: Callable, t0: float, y0: np.ndarray, t_end: float,
             just_rejected = True
             factor = _SAFETY * err ** (-_ORDER_EXP)
             h = h * max(_MIN_FACTOR, factor)
-    return np.array(ts), np.array(ys), np.array(fs), rejected
+    return np.array(ts), np.array(ys), np.array(fs), rejected, nfev
 
 
 # ---------------------------------------------------------------------
 # geodesic pipeline
 
-def _geodesic_ode(metric: BrinkmannMetric):
+def _geodesic_ode(metric: BrinkmannMetric, declined: list):
     """(f, latest): the first-order geodesic system and a one-slot list
-    holding the field bundle of f's most recent call."""
-    n = metric.system.n
+    holding the null residual at f's most recent call.
+
+    f runs the compiled geodesic function; where it declines, f counts
+    the call in `declined` and runs the numpy path (eval_bundle and
+    accelerations), which raises or warns as its own.
+    """
+    system = metric.system
+    n = system.n
     m = n + 2
-    latest = [None]
+    fn = metric.geodesic_function()
+    latest = [0.0]
 
     def f(sigma, y):
+        out = fn(*y.tolist())
+        if out is not None:
+            latest[0] = out[-1]
+            return np.array(out[:-1])
+        declined[0] += 1
         point = Point(y[:n], y[n], y[n + 1])
-        b = metric.system.eval_bundle(point)
-        latest[0] = b
+        b = system.eval_bundle(point)
         v = y[m:]
-        out = np.empty(2 * m)
-        out[:m] = v
-        out[m:] = metric.accelerations(point, v, b)
-        return out
+        latest[0] = _null_form(b.h.tolist(), b.A.tolist(), b.V, v.tolist())
+        return np.concatenate([v, metric.accelerations(point, v, b)])
 
     return f, latest
 
@@ -358,28 +383,25 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
     """
     cfg = config or IntegratorConfig()
     n = metric.system.n
-    m = n + 2
     s0, s1 = float(sigma_span[0]), float(sigma_span[1])
     y0 = np.concatenate([gs0.point.coords(), gs0.velocity])
-    f, latest = _geodesic_ode(metric)
+    declined = [0]
+    f, latest = _geodesic_ode(metric, declined)
     nulls = []
 
     def record(t, y, fy):
         # the stepper's last call of f was at this very state
-        b = latest[0]
-        xd, ud, wd = y[m:m + n], y[m + n], y[m + n + 1]
-        nulls.append(float(0.5 * xd @ b.h @ xd + (b.A @ xd) * ud
-                           - b.V * ud * ud - ud * wd))
+        nulls.append(latest[0])
 
     stop = None
     if stop_at_u is not None:
         target = float(stop_at_u)
         stop = lambda t, y: y[n] >= target
-    ts, ys, fs, rej = _adaptive_rk(f, s0, y0, s1, cfg, stop=stop,
-                                   on_accept=record)
+    ts, ys, fs, rej, nfev = _adaptive_rk(f, s0, y0, s1, cfg, stop=stop,
+                                         on_accept=record)
     return Trajectory(ts, ys, fs, kind="geodesic", n=n, rejected=rej,
                       diagnostics={"null_residual": np.array(nulls)},
-                      owner=metric)
+                      owner=metric, nfev=nfev, declined=declined[0])
 
 
 class ReducedTrajectory:
@@ -388,10 +410,12 @@ class ReducedTrajectory:
     Backed either by a direct reduced integration (parameter is u) or by
     a geodesic trajectory reparametrized through u(sigma); in the latter
     case evaluation root-finds sigma for the requested u with a
-    bisection-guarded Newton iteration, to 1e-13 in sigma.
+    bisection-guarded Newton iteration, to 1e-13 in sigma, and raises
+    SigmaInversionError when 100 iterations do not get there.
     """
 
     _SIGMA_TOL = 1e-13
+    _SIGMA_ITERS = 100
 
     def __init__(self, traj: Trajectory, source: str):
         self.traj = traj
@@ -444,7 +468,7 @@ class ReducedTrajectory:
         m = n + 2
         u = self.u
         pad = 1e-9 * max(1.0, abs(u[0]), abs(u[-1]))
-        if u_target < u[0] - pad or u_target > u[-1] + pad:
+        if not (u[0] - pad <= u_target <= u[-1] + pad):      # nan included
             raise ValueError(
                 f"u = {u_target!r} outside covered range [{u[0]!r}, {u[-1]!r}]")
         k = int(np.searchsorted(u, u_target, side="right")) - 1
@@ -453,7 +477,7 @@ class ReducedTrajectory:
         # linear seed inside the bracket
         du = u[k + 1] - u[k]
         s = lo + (hi - lo) * ((u_target - u[k]) / du if du > 0 else 0.5)
-        for _ in range(100):
+        for _ in range(self._SIGMA_ITERS):
             y = traj.eval(s)
             fval = y[n] - u_target
             if fval > 0:
@@ -470,7 +494,9 @@ class ReducedTrajectory:
             if abs(s_new - s) <= self._SIGMA_TOL:
                 return float(s_new)
             s = s_new
-        return float(s)
+        raise SigmaInversionError(
+            f"sigma for u = {u_target!r} not found to {self._SIGMA_TOL:g} in "
+            f"{self._SIGMA_ITERS} iterations (last sigma = {s!r})")
 
     def state_at(self, u_target: float) -> ReducedState:
         n = self.n
@@ -505,7 +531,8 @@ def reduce_trajectory(traj: Trajectory) -> ReducedTrajectory:
 # ---------------------------------------------------------------------
 # reduced pipeline
 
-def herglotz_rhs(system: HerglotzSystem, rs: ReducedState):
+def herglotz_rhs(system: HerglotzSystem, rs: ReducedState,
+                 declined: Optional[list] = None):
     """(x'', dw/du) of the reduced dynamics at a reduced state.
 
     x'' solves  h_kj x''^j = -( G_k + d_k V + F_ik x'^i
@@ -514,7 +541,33 @@ def herglotz_rhs(system: HerglotzSystem, rs: ReducedState):
     with G_k the kinetic quadratic term built from x-partials of h,
     F_ik = d_i A_k - d_k A_i, and L the reduced Lagrangian; dw/du = L.
     Everything comes from first derivatives of (h, A, V) at the point.
+
+    The system's compiled reduced function evaluates the formula; where
+    it declines, the numpy path (_herglotz_rhs_numpy) runs instead and
+    raises or warns as its own, and the call is counted in `declined`,
+    a one-slot list, when given.
     """
+    n = system.n
+    out = reduced_function(system)(float(rs.u), *rs.x.tolist(),
+                                   *rs.xp.tolist(), float(rs.w))
+    if out is not None:
+        return np.array(out[n:2 * n]), out[2 * n]
+    if declined is not None:
+        declined[0] += 1
+    return _herglotz_rhs_numpy(system, rs)
+
+
+def reduced_function(system: HerglotzSystem):
+    """The compiled reduced right-hand side of z = (x, x', w):
+    f(u, z_0, ..., z_2n) returns (zdot_0, ..., zdot_2n) = (x', x'', L),
+    herglotz_rhs's formula, or None where the field pass or the kinetic
+    solve declines or an output is not finite.  Built on first use and
+    cached with the system's field passes."""
+    return system.pipeline("reduced", _reduced_tail)
+
+
+def _herglotz_rhs_numpy(system: HerglotzSystem, rs: ReducedState):
+    """herglotz_rhs by numpy from eval_bundle: the error path and oracle."""
     n = system.n
     b = system.eval_bundle(rs.point())
     xp = rs.xp
@@ -534,6 +587,34 @@ def herglotz_rhs(system: HerglotzSystem, rs: ReducedState):
     return xpp, lag
 
 
+def _reduced_tail(em, nodes):
+    """herglotz_rhs's formula as a pipeline tail (expr.compile_forward):
+    (u, x1..xn, x'1..x'n, w) -> (x', x'', L)."""
+    m = em.m
+    n = m - 2
+    w = n + 1
+    xp = [f"_p{i}" for i in range(n)]
+    h, dh, A, dA, V, dV = tail_bundle(nodes, n)
+    # D[c][k] = d_c h_kj x'^j
+    D = [[em.dot(dh[c][k], xp) for k in range(n)] for c in range(m)]
+    hx = [em.dot(row, xp) for row in h]
+    lag = em.sub(em.add(em.mul(0.5, em.dot(hx, xp)), em.dot(A, xp)), V)
+    dwL = em.sub(em.add(em.mul(0.5, em.dot(D[w], xp)), em.dot(dA[w], xp)), dV[w])
+    rhs = []
+    for k in range(n):
+        gterm = em.sub(em.dot(xp, [D[i][k] for i in range(n)]),
+                       em.mul(0.5, em.dot(xp, D[k])))
+        fterm = em.sub(em.dot(xp, [dA[i][k] for i in range(n)]),
+                       em.dot(dA[k], xp))
+        du_vec = em.add(D[n][k], dA[n][k])
+        dw_vec = em.add(D[w][k], dA[w][k])
+        p = em.add(hx[k], A[k])
+        inner = em.total([gterm, dV[k], fterm, du_vec, em.mul(dw_vec, lag)])
+        rhs.append(em.sub(None, em.sub(inner, em.mul(p, dwL))))
+    (xpp,) = emit_kinetic_solve(em, h, [rhs])
+    return ["u", *em.coords[:n], *xp, "w"], xp + xpp + [lag]
+
+
 def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
                        config: Optional[IntegratorConfig] = None
                        ) -> ReducedTrajectory:
@@ -543,17 +624,22 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
     """
     cfg = config or IntegratorConfig()
     n = system.n
+    declined = [0]
 
     def f(u, z):
         rs = ReducedState(z[:n], z[n:2 * n], u, z[2 * n])
-        xpp, lag = herglotz_rhs(system, rs)
-        return np.concatenate([z[n:2 * n], xpp, [lag]])
+        xpp, lag = herglotz_rhs(system, rs, declined)
+        zdot = np.empty(2 * n + 1)
+        zdot[:n] = rs.xp
+        zdot[n:2 * n] = xpp
+        zdot[2 * n] = lag
+        return zdot
 
     z0 = np.concatenate([rs0.x, rs0.xp, [rs0.w]])
-    ts, ys, fs, rej = _adaptive_rk(f, float(u_span[0]), z0, float(u_span[1]),
-                                   cfg)
+    ts, ys, fs, rej, nfev = _adaptive_rk(f, float(u_span[0]), z0,
+                                         float(u_span[1]), cfg)
     traj = Trajectory(ts, ys, fs, kind="reduced", n=n, rejected=rej,
-                      owner=system)
+                      owner=system, nfev=nfev, declined=declined[0])
     return ReducedTrajectory(traj, source="herglotz")
 
 

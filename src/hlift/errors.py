@@ -78,6 +78,11 @@ class MonotonicityViolationError(HliftError):
         self.sigma = sigma
 
 
+class SigmaInversionError(HliftError):
+    """The root finder for the sigma at which a geodesic trajectory
+    reaches a given u did not converge."""
+
+
 class NonPositiveUdotError(HliftError):
     """Lifting a reduced state requires a strictly positive du/dsigma."""
 

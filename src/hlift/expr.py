@@ -27,6 +27,8 @@ of the compiled pass, and evaluates Duals seeded outside the coordinates.
 
 from __future__ import annotations
 
+import hashlib
+import linecache
 import math
 import operator
 import re
@@ -35,7 +37,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from . import autodiff as ad
 from .errors import (ExprEvalError, ExprSyntaxError, FieldEvalError,
-                     NonFiniteError, UnknownIdentifierError)
+                     HliftError, NonFiniteError, UnknownIdentifierError)
 
 __all__ = [
     "Num", "Var", "Unary", "Binary", "Call", "Ast",
@@ -349,8 +351,9 @@ _FN = {
 def eval_ast(node: Ast, variables: Mapping, params: Optional[Mapping] = None):
     """Evaluate an Ast.  `variables` maps names to scalars (float or Dual),
     `params` maps names to reals.  Division by zero, log/sqrt domain
-    faults, overflow and unbound names raise ExprEvalError carrying the
-    span of the failing subexpression."""
+    faults (math's own, such as sin of inf, included), overflow and
+    unbound names raise ExprEvalError carrying the span of the failing
+    subexpression."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -395,6 +398,11 @@ def eval_ast(node: Ast, variables: Mapping, params: Optional[Mapping] = None):
             raise ExprEvalError("overflow", node.span) from None
         except NonFiniteError as err:
             raise ExprEvalError(str(err), node.span) from None
+        except ValueError as err:
+            if node.name == "pow":     # Duals of mixed seeds: a programming error
+                raise
+            # math's own domain error, such as sin of inf
+            raise ExprEvalError(str(err), node.span) from None
     raise TypeError(f"not an Ast node: {node!r}")
 
 
@@ -415,12 +423,18 @@ def eval_ast(node: Ast, variables: Mapping, params: Optional[Mapping] = None):
 # hide a nan that the Dual path carries.  The caller then reruns the
 # interpreter (on seeded Duals, or on plain floats without derivatives),
 # which raises the existing error or returns the same numbers.
+#
+# A pipeline extends the pass with a tail: more straight-line code over
+# the fields' values and partials (a right-hand side built from them),
+# emitted by the same emitter, so structural zeros drop out of it too.
 
 _FORWARD_GLOBALS = {
     "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
     "_sin": math.sin, "_cos": math.cos, "_tan": math.tan,
     "_sinh": math.sinh, "_cosh": math.cosh, "_tanh": math.tanh,
     "_abs": abs,
+    # what a call in the generated code may raise; the function declines
+    "_Declined": (ArithmeticError, ValueError, HliftError),
 }
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
          "/": operator.truediv}
@@ -440,6 +454,10 @@ class _AlwaysFails(Exception):
     """A coordinate-free part of the fields fails at every point."""
 
 
+def _is_zero(a) -> bool:
+    return a is None or (isinstance(a, float) and a == 0.0)
+
+
 class _ForwardEmitter:
     """Straight-line code for a list of fields; see compile_forward.
 
@@ -449,13 +467,16 @@ class _ForwardEmitter:
     structural zero, a float constant or a local name.
     """
 
-    def __init__(self, n: int, derivatives: bool):
+    def __init__(self, n: int, derivatives: bool, name: str):
         self.m = n + 2
         self.coords = [f"x{i + 1}" for i in range(n)] + ["u", "w"]
         self.derivatives = derivatives
         self.lines: list = []
         self.temps: dict = {}
         self.consts: dict = {}
+        self.globals: dict = {}    # names a pipeline tail calls
+        self.negated: dict = {}    # local -> the local it negates
+        self.name = name
 
     # -- scalar code ---------------------------------------------------
 
@@ -483,6 +504,14 @@ class _ForwardEmitter:
         if line not in self.lines:
             self.lines.append(line)
 
+    def guard_finite(self, values) -> None:
+        """Decline unless each of `values` is finite (x * 0.0 is nan
+        exactly for a non-finite x, and never overflows)."""
+        refs = [self.ref(v) for v in dict.fromkeys(values) if v is not None]
+        refs = [r for r in refs if not r.startswith("(")]
+        if refs:
+            self.guard(" + ".join(f"{r} * 0.0" for r in refs) + " != 0.0")
+
     def op(self, a, sym: str, b):
         """a sym b, folded when both are constants."""
         if sym == "*" and isinstance(a, float) and a == 1.0:
@@ -490,11 +519,20 @@ class _ForwardEmitter:
         if sym == "*" and isinstance(b, float) and b == 1.0:
             return a
         if not (isinstance(a, str) or isinstance(b, str)):
-            return _FOLD[sym](a, b)
+            try:
+                return _FOLD[sym](a, b)
+            except ZeroDivisionError:
+                raise _AlwaysFails() from None
         return self.let(f"{self.ref(a)} {sym} {self.ref(b)}")
 
     def neg(self, a):
-        return -a if not isinstance(a, str) else self.let(f"-{a}")
+        if not isinstance(a, str):
+            return -a
+        if a in self.negated:      # -(-x) is x in every bit
+            return self.negated[a]
+        name = self.let(f"-{a}")
+        self.negated[name] = a
+        return name
 
     # -- partials (None is a structural zero) --------------------------
 
@@ -514,6 +552,37 @@ class _ForwardEmitter:
 
     def scale(self, k, g: list) -> list:
         return [None if gc is None else self.op(k, "*", gc) for gc in g]
+
+    # -- pipeline tails (None and a constant 0.0 are structural zeros) --
+
+    def mul(self, a, b):
+        if _is_zero(a) or _is_zero(b):
+            return None
+        return self.op(a, "*", b)
+
+    def add(self, a, b):
+        if _is_zero(b):
+            return a
+        return b if _is_zero(a) else self.op(a, "+", b)
+
+    def sub(self, a, b):
+        if _is_zero(b):
+            return a
+        return self.neg(b) if _is_zero(a) else self.op(a, "-", b)
+
+    def div(self, a, b):
+        """a / b for a divisor the tail has guarded against zero."""
+        return None if _is_zero(a) else self.op(a, "/", b)
+
+    def total(self, terms):
+        """Left-to-right sum of the terms that are not structural zeros."""
+        out = None
+        for t in terms:
+            out = self.add(out, t)
+        return out
+
+    def dot(self, a, b):
+        return self.total([self.mul(x, y) for x, y in zip(a, b)])
 
     # -- nodes ---------------------------------------------------------
 
@@ -650,7 +719,7 @@ class _ForwardEmitter:
 
 
 def compile_forward(entries: Sequence, n: int, derivatives: bool,
-                    pair_tol: float, name: str):
+                    pair_tol: float, name: str, tail=None):
     """One straight-line function over the fields in `entries`.
 
     Each entry is a Field, or a pair (Field, Field) that stands for the
@@ -664,10 +733,21 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
     order (row c holds the c-th coordinate partial of every entry), where
     K is len(entries).  Values equal the fields' own evaluation, and partials
     the seeded Dual pass, under np.array_equal.  `name` labels the
-    generated code in tracebacks.
+    generated code, whose source linecache serves under the function's
+    `<forward name ...>` file name, in tracebacks, profiles and
+    inspect.getsource.
+
+    With a `tail` (derivatives only), f is a pipeline:
+    tail(emitter, nodes), given one (value, partials) node per entry,
+    emits more code with the emitter and returns (params, outputs): f's
+    parameter names, among them the coordinates, and the values it
+    returns instead of the flat tuple.  The tail may add guards, and
+    names it calls to `emitter.globals`; whatever such a call raises, f
+    declines.  f also returns None where the pass itself would, and
+    where an output is not finite.
     """
-    em = _ForwardEmitter(n, derivatives)
-    args = ", ".join(em.coords)
+    em = _ForwardEmitter(n, derivatives, name)
+    params = em.coords
     try:
         nodes = []
         for e in entries:
@@ -676,28 +756,51 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
                 nodes.append(em.pair(a, b, pair_tol))
             else:
                 nodes.append(em.node(e.ast, e._params))
+        n_field_lines = len(em.lines)
+        if tail is not None:
+            params, outputs = tail(em, nodes)
     except _AlwaysFails:
-        return lambda *coords: None
+        return lambda *args: None
     out = [em.ref(v) for v, _ in nodes]
+    if derivatives:
+        grads = [g if g is not None else [None] * em.m for _, g in nodes]
+        out += [em.ref(0.0 if g[c] is None else g[c])
+                for c in range(em.m) for g in grads]
     body = []
     if derivatives:
         # a non-finite coordinate cannot be seeded; the overflow of a
         # finite sum only sends the call down the Dual path
-        body += [f"_s = {' + '.join(em.coords)}", "if _s - _s != 0.0: return None"]
-        grads = [g if g is not None else [None] * em.m for _, g in nodes]
-        out += [em.ref(0.0 if g[c] is None else g[c])
-                for c in range(em.m) for g in grads]
-    body += ["try:"] + [f"    {line}" for line in em.lines or ["pass"]]
-    body += ["except (ArithmeticError, ValueError):", "    return None"]
-    computed = list(dict.fromkeys(s for s in out if s.startswith("_t")))
-    if derivatives and computed:
-        body += [f"_s = {' + '.join(computed)}", "if _s - _s != 0.0: return None"]
+        body += _finite_check(em.coords)
+    body += _guarded(em.lines[:n_field_lines])
+    if derivatives:
+        body += _finite_check([r for r in out if r.startswith("_t")])
+    if tail is not None:
+        out = [em.ref(0.0 if v is None else v) for v in outputs]
+        body += _guarded(em.lines[n_field_lines:])
+        body += _finite_check([r for r in out if not r.startswith("(")])
     body.append(f"return ({', '.join(out)},)")
-    src = f"def _forward({args}):\n" + "\n".join(f"    {line}" for line in body)
+    src = (f"def _forward({', '.join(params)}):\n"
+           + "\n".join(f"    {line}" for line in body) + "\n")
+    filename = f"<forward {name} {hashlib.sha1(src.encode()).hexdigest()[:8]}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     ns = dict(_FORWARD_GLOBALS)
+    ns.update(em.globals)
     ns.update({v: float(k) for k, v in em.consts.items()})
-    exec(compile(src, f"<forward {name}>", "exec"), ns)
+    exec(compile(src, filename, "exec"), ns)
     return ns["_forward"]
+
+
+def _guarded(lines: list) -> list:
+    return (["try:"] + [f"    {line}" for line in lines or ["pass"]]
+            + ["except _Declined:", "    return None"])
+
+
+def _finite_check(names: list) -> list:
+    """Return None unless every one of the locals `names` is finite."""
+    names = list(dict.fromkeys(names))
+    if not names:
+        return []
+    return [f"_s = {' + '.join(names)}", "if _s - _s != 0.0: return None"]
 
 
 # -- fields ------------------------------------------------------------

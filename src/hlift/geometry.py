@@ -84,8 +84,9 @@ class FieldBundle:
 
 class FieldPasses:
     """The compiled passes (expr.compile_forward) over a fixed list of
-    field entries, each built on first use: a catalog builds many
-    systems and generators and evaluates few of them."""
+    field entries, and the pipelines that extend them, each built on
+    first use: a catalog builds many systems and generators and
+    evaluates few of them."""
 
     def __init__(self, entries: Sequence, n: int, name: str):
         self.entries = list(entries)
@@ -100,6 +101,16 @@ class FieldPasses:
             fn = self._fns[derivatives] = compile_forward(
                 self.entries, self.n, derivatives, _ASYMMETRY_TOL, self.name)
         return fn(*point.x.tolist(), float(point.u), float(point.w))
+
+    def pipeline(self, kind: str, tail):
+        """The derivative pass extended by `tail` into the pipeline
+        function `kind` (expr.compile_forward), built on first use."""
+        fn = self._fns.get(kind)
+        if fn is None:
+            fn = self._fns[kind] = compile_forward(
+                self.entries, self.n, True, _ASYMMETRY_TOL,
+                f"{self.name} {kind}", tail)
+        return fn
 
 
 class HerglotzSystem:
@@ -116,6 +127,7 @@ class HerglotzSystem:
     eval_values and eval_bundle run one compiled straight-line pass over
     all fields (expr.compile_forward).  The interpreted evaluation of
     eval_fields, on plain floats or seeded Duals, is their error path.
+    `pipeline` extends the pass into a compiled right-hand side.
     `w_dependent` is True when some field's expression mentions w.
     """
 
@@ -177,8 +189,11 @@ class HerglotzSystem:
             n2 = self.n * self.n
             a = np.array(out)
             return a[:n2].reshape(self.n, self.n), a[n2:-1], out[-1]
-        hs, As, V = self.eval_fields(point.x.tolist(), float(point.u),
-                                     float(point.w))
+        # where the pass declines, a non-finite coordinate fails as it
+        # does in eval_bundle
+        coords = ad.finite_coords(point.coords())
+        n = self.n
+        hs, As, V = self.eval_fields(coords[:n], coords[n], coords[n + 1])
         return np.array(hs, dtype=float), np.array(As, dtype=float), V
 
     def eval_bundle(self, point: Point) -> FieldBundle:
@@ -198,6 +213,11 @@ class HerglotzSystem:
         g = a[k:].reshape(n + 2, k)
         return FieldBundle(a[:n2].reshape(n, n), g[:, :n2].reshape(n + 2, n, n),
                            a[n2:k - 1], g[:, n2:k - 1], out[k - 1], g[:, k - 1])
+
+    def pipeline(self, kind: str, tail):
+        """The compiled pipeline function `kind`, which `tail` builds on
+        first use (FieldPasses.pipeline); cached with the field passes."""
+        return self._passes.pipeline(kind, tail)
 
     def _dual_bundle(self, point: Point) -> FieldBundle:
         """eval_bundle by seeded Dual arithmetic: the error path and oracle."""
@@ -234,41 +254,86 @@ def _min_abs_eigenvalue(h: np.ndarray) -> float:
     return float(np.min(np.abs(np.linalg.eigvalsh(h))))
 
 
-def _h_inverse(h: np.ndarray, context: str) -> np.ndarray:
+def solve_kinetic(h: np.ndarray, rhs: Optional[np.ndarray], context: str
+                  ) -> np.ndarray:
+    """h^{-1} rhs, or h^{-1} itself when rhs is None: the one guarded
+    kinetic solve.
+
+    Warns NearlySingularKineticWarning when min |eig h| < 1e-8 and raises
+    SingularMetricError where h cannot be inverted.  For n <= 2 the
+    closed-form inverse dodges LAPACK dispatch; emit_kinetic_solve is its
+    compiled form.
+    """
     if _min_abs_eigenvalue(h) < _EIGEN_WARN:
         warnings.warn("kinetic block h is nearly singular",
                       NearlySingularKineticWarning, stacklevel=3)
     n = h.shape[0]
-    # closed forms dodge LAPACK dispatch overhead in the stepping loop
     if n == 1:
         a = h[0, 0]
         if a == 0.0:
             raise SingularMetricError(f"{context}: kinetic block is zero")
-        return np.array([[1.0 / a]])
-    if n == 2:
+        inv = np.array([[1.0 / a]])
+    elif n == 2:
         det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
         if det == 0.0:
             raise SingularMetricError(f"{context}: kinetic block not invertible")
-        return np.array([[h[1, 1], -h[0, 1]], [-h[1, 0], h[0, 0]]]) / det
-    try:
-        return np.linalg.inv(h)
-    except np.linalg.LinAlgError as err:
-        raise SingularMetricError(f"{context}: kinetic block not invertible "
-                                  f"({err})") from None
+        inv = np.array([[h[1, 1], -h[0, 1]], [-h[1, 0], h[0, 0]]]) / det
+    else:
+        try:
+            return np.linalg.inv(h) if rhs is None else np.linalg.solve(h, rhs)
+        except np.linalg.LinAlgError as err:
+            raise SingularMetricError(f"{context}: kinetic block not invertible "
+                                      f"({err})") from None
+    return inv if rhs is None else inv @ rhs
 
 
-def solve_kinetic(h: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Solve h @ x = rhs with the same conditioning guards as _h_inverse."""
-    if h.shape[0] <= 2:
-        return _h_inverse(h, context) @ rhs
-    if _min_abs_eigenvalue(h) < _EIGEN_WARN:
-        warnings.warn("kinetic block h is nearly singular",
-                      NearlySingularKineticWarning, stacklevel=3)
-    try:
-        return np.linalg.solve(h, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SingularMetricError(f"{context}: kinetic block not invertible "
-                                  f"({err})") from None
+def emit_kinetic_solve(em, h: list, cols: list) -> list:
+    """solve_kinetic in a pipeline tail: the solution of h x = c for each
+    right side c in `cols`, h and c given as emitter values.
+
+    The code declines (returns None) where solve_kinetic would warn or
+    raise: min |eig h| < 1e-8, det h == 0, or an overflow the numpy
+    arithmetic would warn about.  For n > 2 it hands the assembled h and
+    right sides to solve_kinetic itself, once the eigenvalue guard passed.
+    """
+    n = len(h)
+    ref = lambda v: em.ref(0.0 if v is None else v)
+    if n > 2:
+        em.globals.update(_np_array=np.array, _solve_kinetic=solve_kinetic,
+                          _min_abs_eigenvalue=_min_abs_eigenvalue)
+
+        def mat(rows):      # nested tuple literal
+            return "(" + ", ".join("(" + ", ".join(map(ref, row)) + ",)"
+                                   for row in rows) + ",)"
+        hm = em.let(f"_np_array({mat(h)})")
+        em.guard(f"not (_min_abs_eigenvalue({hm}) >= {_EIGEN_WARN!r})")
+        sol = em.let(f"_solve_kinetic({hm}, _np_array({mat(zip(*cols))}), "
+                     f"{em.name!r}).tolist()")
+        return [[em.let(f"{sol}[{i}][{k}]") for i in range(n)]
+                for k in range(len(cols))]
+    if n == 1:
+        em.guard(f"not (abs({ref(h[0][0])}) >= {_EIGEN_WARN!r})")
+        inv = [[em.op(1.0, "/", h[0][0])]]
+    else:
+        (h00, h01), (h10, h11) = h
+        # _min_abs_eigenvalue's closed form, op for op
+        tr = em.op(h00, "+", h11)
+        d = em.op(h00, "-", h11)
+        q = em.op(em.op(d, "*", d), "+", em.op(em.op(4.0, "*", h01), "*", h10))
+        em.guard_finite([tr, q])
+        tr, q = ref(tr), ref(q)
+        disc = em.let(f"_sqrt({q}) if {q} > 0.0 else 0.0")
+        eig = em.let(f"min(abs(0.5 * ({tr} - {disc})), abs(0.5 * ({tr} + {disc})))")
+        em.guard(f"not ({eig} >= {_EIGEN_WARN!r})")
+        det = em.op(em.op(h00, "*", h11), "-", em.op(h01, "*", h10))
+        em.guard_finite([det])
+        em.guard(f"{ref(det)} == 0.0")
+        inv = [[em.div(h11, det), em.div(em.sub(None, h01), det)],
+               [em.div(em.sub(None, h10), det), em.div(h00, det)]]
+    # numpy computes every entry, also those a structural zero multiplies
+    em.guard_finite([e for row in inv for e in row])
+    return [[em.total([em.mul(inv[i][j], c[j]) for j in range(n)])
+             for i in range(n)] for c in cols]
 
 
 class BrinkmannMetric:
@@ -318,7 +383,7 @@ class BrinkmannMetric:
 
     def _inverse_from(self, h: np.ndarray, A: np.ndarray, V: float) -> np.ndarray:
         n = self.system.n
-        hinv = _h_inverse(h, self.system.name)
+        hinv = solve_kinetic(h, None, self.system.name)
         hiA = hinv @ A
         ginv = np.zeros((self.dim, self.dim))
         ginv[:n, :n] = hinv
@@ -356,6 +421,68 @@ class BrinkmannMetric:
         M = (v @ dg.reshape(m, m * m)).reshape(m, m)
         q = (dg @ v) @ v
         return -ginv @ (M @ v - 0.5 * q)
+
+    def geodesic_function(self):
+        """The compiled geodesic right-hand side of the first-order system
+        y = (x, u, w, xdot, udot, wdot): f(y_0, ..., y_{2m-1}) returns
+        (ydot_0, ..., ydot_{2m-1}, null residual), where ydot carries the
+        velocities and then the accelerations of `accelerations`, or None
+        where the field pass or the kinetic solve declines or an output
+        is not finite; eval_bundle with accelerations is the error path.
+        Built on first use and cached with the system's field passes."""
+        return self.system.pipeline("geodesic", _geodesic_tail)
+
+
+def tail_bundle(nodes, n: int):
+    """A HerglotzSystem pass's nodes, as a pipeline tail sees them: its
+    emitter values laid out like FieldBundle's (h, dh, A, dA, V, dV),
+    nested lists indexed as its arrays are (None: a structural zero)."""
+    def d(node, c):
+        return None if node[1] is None else node[1][c]
+
+    h = [[nodes[i * n + j] for j in range(n)] for i in range(n)]
+    A = nodes[n * n:n * n + n]
+    V = nodes[n * n + n]
+    cs = range(n + 2)
+    return ([[e[0] for e in row] for row in h],
+            [[[d(e, c) for e in row] for row in h] for c in cs],
+            [a[0] for a in A], [[d(a, c) for a in A] for c in cs],
+            V[0], [d(V, c) for c in cs])
+
+
+def _geodesic_tail(em, nodes):
+    """accelerations' contraction -g^{-1}(M v - q/2) over the Brinkmann
+    blocks of g and dg, plus the null residual term for term as
+    dynamics.null_residual computes it (a pipeline tail, see
+    expr.compile_forward)."""
+    m = em.m
+    n = m - 2
+    v = [f"_v{c}" for c in range(m)]
+    xd, ud, wd = v[:n], v[n], v[n + 1]
+    h, dh, A, dA, V, dV = tail_bundle(nodes, n)
+    # P[c] = dg_c v, whose w entry is zero
+    P = [[em.add(em.dot(dh[c][s], xd), em.mul(dA[c][s], ud)) for s in range(n)]
+         + [em.sub(em.dot(dA[c], xd), em.mul(em.mul(2.0, dV[c]), ud))]
+         for c in range(m)]
+    # r = M v - q/2, with (M v)_s = v^c P[c]_s and q_c = v^s P[c]_s
+    Mv = [em.dot(v, [P[c][s] for c in range(m)]) for s in range(n + 1)]
+    r = [em.sub(Mv[s] if s <= n else None, em.mul(0.5, em.dot(v, P[s])))
+         for s in range(m)]
+    s_x, hiA = emit_kinetic_solve(em, h, [r[:n], A])
+    gww = em.add(em.mul(2.0, V), em.dot(A, hiA))
+    em.guard_finite(hiA + [gww])        # the rest of g^{-1}, as numpy has it
+    # rows of -g^{-1}: x from (h^{-1}, h^{-1}A), u from g^{uw} = -1,
+    # w from (h^{-1}A, -1, 2V + A.h^{-1}A)
+    acc = [em.sub(None, em.add(s_x[i], em.mul(hiA[i], r[n + 1])))
+           for i in range(n)]
+    acc.append(r[n + 1])
+    acc.append(em.sub(None, em.add(em.sub(em.dot(hiA, r), r[n]),
+                                   em.mul(gww, r[n + 1]))))
+    # (1/2) g(v, v), in dynamics.null_residual's order
+    quad = em.dot([em.dot(row, xd) for row in h], xd)
+    null = em.sub(em.sub(em.add(em.mul(0.5, quad), em.mul(em.dot(A, xd), ud)),
+                         em.mul(em.mul(V, ud), ud)), em.mul(ud, wd))
+    return em.coords + v, v + acc + [null]
 
 
 # -- vector fields over the lifted space -------------------------------

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from hlift.dynamics import (GeodesicState, IntegratorConfig, ReducedState,
-                            herglotz_rhs, homogeneity_residual,
+                            ReducedTrajectory, herglotz_rhs, homogeneity_residual,
                             integrate_geodesic, integrate_herglotz,
                             lagrangian_w_slope, lift_state, null_residual,
                             reduce_trajectory, reduced_lagrangian,
                             u_equation_residual, w_equation_residual)
 from hlift.errors import (BlowUpError, MonotonicityViolationError,
-                          NonPositiveUdotError, StepLimitExceededError)
-from hlift.geometry import BrinkmannMetric, Point
+                          NonPositiveUdotError, SigmaInversionError,
+                          StepLimitExceededError)
+from hlift.geometry import BrinkmannMetric, NearlySingularKineticWarning, Point
 from hlift.systems import (coupled_curved, custom_system,
                            damped_action_dependent, free_particle,
                            harmonic_oscillator, standard_catalog)
@@ -185,6 +186,39 @@ def test_recorded_null_residual_is_the_sample_residual(key):
         assert nulls[k] == null_residual(met, gs)
 
 
+@pytest.mark.parametrize("key", ["free", "harmonic", "damped-time",
+                                 "damped-action", "coupled"])
+def test_catalog_runs_never_decline(key):
+    # the compiled right-hand sides take every call from the default state
+    ent = standard_catalog()[key]
+    rt = integrate_herglotz(ent.system, ent.default_state, (0.0, 5.0),
+                            config=TIGHT)
+    traj = integrate_geodesic(BrinkmannMetric(ent.system),
+                              lift_state(ent.system, ent.default_state),
+                              (0.0, math.inf), config=TIGHT, stop_at_u=5.0)
+    for t in (rt.traj, traj):
+        assert t.declined == 0
+        # the first call, the initial-step probe, six stages per attempt
+        assert t.nfev == 2 + 6 * (len(t) - 1 + t.rejected)
+
+
+def test_nearly_singular_kinetic_block_takes_the_numpy_path():
+    # h22 stays under the 1e-8 eigenvalue floor along the whole path, so
+    # the compiled functions decline every call and the numpy path warns;
+    # x2 stays at rest, so the motion itself is harmless
+    sys = custom_system(2, [["1", "0"], ["0", "1e-9*(1 + x1^2)"]],
+                        ["0", "0"], "0.5*x1^2")
+    rs0 = ReducedState([1.0, 0.0], [0.0, 0.0], 0.0, 0.0)
+    with pytest.warns(NearlySingularKineticWarning):
+        rt = integrate_herglotz(sys, rs0, (0.0, 1.0), config=TIGHT)
+    with pytest.warns(NearlySingularKineticWarning):
+        traj = integrate_geodesic(BrinkmannMetric(sys), lift_state(sys, rs0),
+                                  (0.0, math.inf), config=TIGHT, stop_at_u=1.0)
+    for t in (rt.traj, traj):
+        assert t.declined == t.nfev > 0
+    assert rt.x_at(1.0)[0] == pytest.approx(math.cos(1.0), abs=1e-9)
+
+
 def test_step_limit():
     ent = harmonic_oscillator()
     rs0 = ReducedState([1.0], [0.0], 0.0, 0.0)
@@ -243,6 +277,33 @@ def test_sigma_u_inversion():
     assert rt.sigma_at(3.0) == pytest.approx(1.5, abs=1e-12)
     with pytest.raises(ValueError):
         rt.sigma_at(4.5)  # beyond the covered window
+
+
+def test_non_finite_parameters_are_out_of_range(damped_run):
+    ent, _, traj = damped_run
+    rt_g = reduce_trajectory(traj)
+    rt_h = integrate_herglotz(ent.system, ReducedState([1.0], [0.0], 0.0, 0.25),
+                              (0.0, 4.0), config=TIGHT)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            traj.eval(bad)
+        with pytest.raises(ValueError, match="outside"):
+            rt_g.sigma_at(bad)
+        for rt in (rt_g, rt_h):
+            with pytest.raises(ValueError, match="outside"):
+                rt.state_at(bad)
+
+
+def test_sigma_at_raises_without_convergence(damped_run, monkeypatch):
+    # udot grows along the run, so one iteration from the linear seed
+    # between two samples cannot reach 1e-13
+    rt = reduce_trajectory(damped_run[2])
+    u = 0.5 * (rt.u[3] + rt.u[4])
+    sigma = rt.sigma_at(u)
+    assert rt.traj.eval(sigma)[1] == pytest.approx(u, abs=1e-12)
+    monkeypatch.setattr(ReducedTrajectory, "_SIGMA_ITERS", 1)
+    with pytest.raises(SigmaInversionError, match="in 1 iterations"):
+        rt.sigma_at(u)
 
 
 def test_reduce_rejects_backward_time():

@@ -1,15 +1,22 @@
-"""The compiled forward pass against the seeded Dual interpretation."""
+"""The compiled forward pass against the seeded Dual interpretation, and
+the compiled right-hand sides against their numpy path."""
 
+import inspect
+import linecache
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hlift import autodiff as ad
 from hlift.cloud import point_cloud
+from hlift.dynamics import (ReducedState, _geodesic_ode, _herglotz_rhs_numpy,
+                            _null_form, herglotz_rhs, reduced_function)
+from hlift.errors import HliftError
 from hlift.expr import FUNCTIONS, Field, compile_forward
-from hlift.geometry import (CoordinateMap, HerglotzSystem, Point,
-                            eval_vector_fields)
+from hlift.geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem,
+                            Point, eval_vector_fields, solve_kinetic)
 from hlift.systems import (conformal_pair, damped_conformal_map,
                            standard_catalog)
 
@@ -112,6 +119,7 @@ GUARDS = [
     ("x1 + 1/(2 - 2)", 1.0),
     ("(1e200*x1)^2", 1.0),
     ("pow(10*x1, 400)", 1.0),
+    ("sin(x1)", math.inf),
 ]
 
 
@@ -132,14 +140,18 @@ def test_guards_raise_the_dual_path_error(V, x1):
     _assert_same_failure(system, Point([x1], 0.5, 0.25))
     # the values-only pass declines exactly where the plain float path
     # fails, and otherwise returns its numbers; where both fail, values
-    # and bundle fail alike
+    # and bundle fail alike, with an HliftError: the float path's, or at
+    # a non-finite coordinate the Dual path's, which cannot seed it
     point = Point([x1], 0.5, 0.25)
     try:
         expected = system.eval_fields([x1], 0.5, 0.25)[2]
     except Exception as err:
         assert system._passes.run(point, False) is None
-        assert _raised(system.eval_values, point) == (type(err), str(err))
-        assert _raised(system.eval_bundle, point) == (type(err), str(err))
+        want = ((type(err), str(err)) if math.isfinite(x1)
+                else _raised(system._dual_bundle, point))
+        assert issubclass(want[0], HliftError)
+        assert _raised(system.eval_values, point) == want
+        assert _raised(system.eval_bundle, point) == want
     else:
         assert system.eval_values(point)[2] == expected
 
@@ -209,3 +221,173 @@ def _assert_components_equal_the_dual_path(subject):
             got = subject.components_at(p)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+# ------------------------------------------------- compiled right-hand sides
+#
+# The compiled geodesic and reduced functions against their numpy oracles
+# (eval_bundle with accelerations, and herglotz_rhs's numpy body).  Where
+# the oracle warns or raises, the compiled function declines and the
+# integrator's right-hand side raises the oracle's error; elsewhere the two
+# agree to 1e-13 relative to the summed magnitudes of the contraction's
+# terms (its running error bound; plus the smallest normal float, for
+# underflow), and the null residual exactly.
+
+_TINY = np.finfo(float).tiny
+
+
+def _numpy(fn, *args):
+    """fn(*args) with every warning raised as an error, or the error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args)
+        except Exception as err:  # every error of the numpy path counts
+            return err
+
+
+def _numpy_geodesic(metric, point, v):
+    b = metric.system.eval_bundle(point)
+    acc = metric.accelerations(point, v, b)
+    null = _null_form(b.h.tolist(), b.A.tolist(), b.V, v.tolist())
+    return np.concatenate([v, acc]), null, b
+
+
+def _numpy_reduced(system, rs):
+    xpp, lag = _herglotz_rhs_numpy(system, rs)
+    return (np.concatenate([rs.xp, xpp, [lag]]),
+            system.eval_bundle(rs.point()))
+
+
+def _geodesic_terms(metric, b, v):
+    """|g^{-1}| (|M| |v| + |q|/2), the contraction on magnitudes, with
+    the h^{-1}A and 2V + A.h^{-1}A blocks of g^{-1} on magnitudes too."""
+    n = metric.system.n
+    _, dg = metric.eval_with_derivatives(None, b)
+    av, adg = np.abs(v), np.abs(dg)
+    M = np.tensordot(av, adg, axes=1)
+    q = (adg @ av) @ av
+    ginv = np.abs(metric.inverse(None, b))
+    hinv, aA = np.abs(solve_kinetic(b.h, None, "terms")), np.abs(b.A)
+    ginv[:n, n + 1] = ginv[n + 1, :n] = hinv @ aA
+    ginv[n + 1, n + 1] = 2.0 * abs(b.V) + aA @ hinv @ aA
+    return np.concatenate([av, ginv @ (M @ av + 0.5 * q)])
+
+
+def _reduced_terms(system, b, xp):
+    """herglotz_rhs's formula on magnitudes."""
+    n = system.n
+    w = n + 1
+    ax, ah, adh, aA, adA = (np.abs(a) for a in (xp, b.h, b.dh, b.A, b.dA))
+    lag = 0.5 * ax @ ah @ ax + aA @ ax + abs(b.V)
+    dwL = 0.5 * ax @ adh[w] @ ax + adA[w] @ ax + abs(b.dV[w])
+    terms = (np.einsum("ikj,i,j->k", adh[:n], ax, ax)
+             + 0.5 * np.einsum("kij,i,j->k", adh[:n], ax, ax)
+             + np.abs(b.dV[:n]) + ax @ adA[:n] + adA[:n] @ ax
+             + adh[n] @ ax + adA[n] + (adh[w] @ ax + adA[w]) * lag
+             + (ah @ ax + aA) * dwL)
+    hinv = solve_kinetic(b.h, None, "terms")
+    return np.concatenate([ax, np.abs(hinv) @ terms, [lag]])
+
+
+def _extreme(out, b) -> bool:
+    """Whether a decline without an oracle error is allowed: where some
+    field value or partial is huge, or an output is huge or not finite."""
+    fields = np.concatenate([b.h.ravel(), b.dh.ravel(), b.A, b.dA.ravel(),
+                             [b.V], b.dV])
+    return (not np.all(np.abs(fields) < 1e150)
+            or not np.all(np.abs(out) < 1e300))
+
+
+def _assert_declines_like(oracle, rhs, *args):
+    """The compiled function declined: the integrator's right-hand side
+    `rhs` raises the oracle's error."""
+    err = _numpy(rhs, *args)
+    assert (type(err), str(err)) == (type(oracle), str(oracle))
+
+
+def _check_geodesic(system, x, u, w, v):
+    metric = BrinkmannMetric(system)
+    point = Point(x, u, w)
+    v = np.array(v, dtype=float)
+    y = np.concatenate([x, [u, w], v])
+    got = metric.geodesic_function()(*y.tolist())
+    want = _numpy(_numpy_geodesic, metric, point, v)
+    if isinstance(want, Exception):
+        assert got is None, (system.name, y, want)
+        declined = [0]
+        f, _ = _geodesic_ode(metric, declined)
+        _assert_declines_like(want, f, 0.0, y)
+        assert declined == [1]
+        return
+    out, null, b = want
+    if got is None:
+        assert _extreme(out, b), (system.name, y, out)
+        return
+    bound = 1e-13 * _geodesic_terms(metric, b, v) + _TINY
+    assert np.all(np.abs(np.array(got[:-1]) - out) <= bound), (system.name, y)
+    assert got[-1] == null
+
+
+def _check_reduced(system, x, u, w, xp):
+    rs = ReducedState(x, xp, u, w)
+    got = reduced_function(system)(u, *rs.x.tolist(), *rs.xp.tolist(), w)
+    want = _numpy(_numpy_reduced, system, rs)
+    if isinstance(want, Exception):
+        assert got is None, (system.name, x, xp, want)
+        declined = [0]
+        _assert_declines_like(want, herglotz_rhs, system, rs, declined)
+        assert declined == [1]
+        return
+    out, b = want
+    if got is None:
+        assert _extreme(out, b), (system.name, x, xp, out)
+        return
+    bound = 1e-13 * _reduced_terms(system, b, rs.xp) + _TINY
+    assert np.all(np.abs(np.array(got) - out) <= bound), (system.name, x, xp)
+
+
+def _n3_system():
+    # the system of tests/test_dynamics.py::test_cross_pipeline_agreement_n3
+    return HerglotzSystem(
+        3, [["1 + 0.1*x3^2", "0.2", "0"], ["0.2", "2", "0"], ["0", "0", "1"]],
+        ["0.1*x2", "0", "0"], "0.5*(x1^2 + x2^2 + x3^2) + 0.1*w", name="n3")
+
+
+_FIXED = [e.system for e in standard_catalog().values()] + [_n3_system()]
+_STATE = st.lists(_COORD, min_size=11, max_size=11)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.sampled_from(range(len(_FIXED))), _STATE)
+def test_compiled_rhs_matches_numpy_on_catalog_states(k, coords):
+    system = _FIXED[k]
+    n = system.n
+    x, (u, w) = coords[:n], coords[n:n + 2]
+    _check_geodesic(system, x, u, w, coords[n + 2:2 * n + 4])
+    _check_reduced(system, x, u, w, coords[n + 2:2 * n + 2])
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.lists(_EXPRS, min_size=6, max_size=6),
+                  st.floats(-2.0, 2.0), st.lists(_COORD, min_size=8,
+                                                 max_size=8))
+def test_compiled_rhs_matches_numpy_on_random_systems(texts, k, coords):
+    h11, h12, h22, a1, a2, V = texts
+    system = HerglotzSystem(2, [[h11, h12], [h12, h22]], [a1, a2], V,
+                            params={"k": k}, name="random")
+    x, (u, w) = coords[:2], coords[2:4]
+    _check_geodesic(system, x, u, w, coords[4:8])
+    _check_reduced(system, x, u, w, coords[4:6])
+
+
+def test_generated_source_is_in_linecache():
+    system = standard_catalog()["coupled"].system
+    fns = [BrinkmannMetric(system).geodesic_function(),
+           reduced_function(system),
+           compile_forward(system._passes.entries, 2, True, 0.0, "coupled")]
+    for fn in fns:
+        filename = fn.__code__.co_filename
+        assert filename.startswith("<forward coupled")
+        assert linecache.getline(filename, 1).startswith("def _forward(")
+        assert inspect.getsource(fn) == "".join(linecache.getlines(filename))
