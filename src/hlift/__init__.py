@@ -35,11 +35,10 @@ from .symmetry import (SymmetryGenerator, affine_charge, charge_series,
                        degreewise_max_residual, killing_residual,
                        noether_charge, nonlocal_charge,
                        symmetry_condition_residual, transform_rule_check)
-from .systems import (CatalogEntry, conformal_pair, coupled_curved,
-                      custom_system, damped_action_dependent,
-                      damped_conformal_map, damped_oscillation,
-                      damped_time_dependent, free_particle,
-                      harmonic_oscillator, get_entry, standard_catalog,
-                      x_scaling_control)
+from .systems import (CATALOG, CatalogEntry, conformal_pair, coupled_curved,
+                      damped_action_dependent, damped_conformal_map,
+                      damped_oscillation, damped_time_dependent,
+                      factory_params, free_particle, harmonic_oscillator,
+                      get_entry, standard_catalog, x_scaling_control)
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -40,11 +41,9 @@ from .symmetry import (SymmetryGenerator, charge_series,
                        conformal_killing_residual, degreewise_max_residual,
                        killing_residual, nonlocal_charge,
                        symmetry_condition_residual, transform_rule_check)
-from .systems import (CatalogEntry, conformal_pair, custom_system,
-                      standard_catalog)
+from .systems import CatalogEntry, conformal_pair, get_entry, standard_catalog
 from .geometry import conformal_pullback_check
 
-_RUN_TOL_X = 1e-6
 _CHECKPOINTS = 33
 
 
@@ -58,19 +57,9 @@ _SPAN_KEYS = {"from", "to"}
 _INTEGRATOR_KEYS = {"rtol", "atol", "max_steps"}
 _SYSTEM_KEYS = {"n", "h", "A", "V", "name"}
 
-# which factory parameters each catalog key accepts
-_CATALOG_PARAMS = {
-    "free": set(),
-    "harmonic": {"omega"},
-    "damped-time": {"gamma", "omega"},
-    "damped-action": {"gamma", "omega"},
-    "coupled": set(),
-}
-
 
 @dataclass
 class ScenarioContext:
-    label: str
     system: HerglotzSystem
     metric: BrinkmannMetric
     entry: Optional[CatalogEntry]
@@ -78,10 +67,8 @@ class ScenarioContext:
     udot0: float
     span: Tuple[float, float]
     config: IntegratorConfig
-    checks: List[str]
+    checks: List[tuple]  # (name, Check, generator or None), resolve_checks
     out_dir: str
-    gamma: Optional[float]
-    omega: Optional[float]
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -125,53 +112,34 @@ def load_scenario(path: str) -> dict:
 
 
 def _build_system(scn: dict):
-    """(label, system, entry, params) from the scenario system selection."""
+    """(system, catalog entry or None) from the scenario's selection."""
     sel = scn["system"]
     params = scn.get("params", {})
     _need(isinstance(params, dict), "params must be an object")
     for k, v in params.items():
         _as_float(v, f"params.{k}")
     if isinstance(sel, str):
-        catalog = standard_catalog()
-        _need(sel in catalog,
-              f"unknown catalog system {sel!r}; known: {', '.join(sorted(catalog))}")
-        allowed = _CATALOG_PARAMS[sel]
-        for k in params:
-            _need(k in allowed,
-                  f"system {sel!r} does not accept parameter {k!r}")
-        if params:
-            from .systems import (damped_action_dependent,
-                                  damped_time_dependent, harmonic_oscillator)
-            if sel == "harmonic":
-                entry = harmonic_oscillator(omega=params.get("omega", 1.0))
-            elif sel == "damped-time":
-                entry = damped_time_dependent(gamma=params.get("gamma", 0.2),
-                                              omega=params.get("omega", 1.0))
-            else:
-                entry = damped_action_dependent(gamma=params.get("gamma", 0.2),
-                                                omega=params.get("omega", 1.0))
-        else:
-            entry = catalog[sel]
-        return sel, entry.system, entry, params
+        try:
+            entry = get_entry(sel, **params)
+        except (KeyError, ValueError) as err:
+            raise ScenarioError(err.args[0]) from None
+        return entry.system, entry
     _need(isinstance(sel, dict), "system must be a catalog name or an object")
     _reject_unknown(sel, _SYSTEM_KEYS, "system")
     for key in ("n", "h", "A", "V"):
         _need(key in sel, f"system: missing required key {key!r}")
     n = sel["n"]
     _need(isinstance(n, int) and n >= 1, "system.n must be a positive integer")
-    name = sel.get("name", "custom")
     try:
-        system = custom_system(n, sel["h"], sel["A"], sel["V"],
-                               params=params, name=name)
-    except HliftError as err:
+        system = HerglotzSystem(n, sel["h"], sel["A"], sel["V"], params=params,
+                                name=sel.get("name", "custom"))
+    except (HliftError, TypeError, ValueError) as err:
         raise ScenarioError(f"system: {err}") from err
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"system: {err}") from err
-    return name, system, None, params
+    return system, None
 
 
 def build_context(scn: dict) -> ScenarioContext:
-    label, system, entry, params = _build_system(scn)
+    system, entry = _build_system(scn)
     n = system.n
 
     if "initial" in scn:
@@ -230,143 +198,109 @@ def build_context(scn: dict) -> ScenarioContext:
     checks = scn.get("checks", [])
     _need(isinstance(checks, list) and all(isinstance(c, str) for c in checks),
           "checks must be a list of strings")
-    for c in checks:
-        _parse_check(c)  # validates the name
 
     out_dir = scn.get("out_dir", ".")
     _need(isinstance(out_dir, str), "out_dir must be a string")
 
-    return ScenarioContext(
-        label=label, system=system, metric=BrinkmannMetric(system),
+    ctx = ScenarioContext(
+        system=system, metric=BrinkmannMetric(system),
         entry=entry, rs0=rs0, udot0=udot0, span=(u_from, u_to), config=cfg,
-        checks=checks, out_dir=out_dir,
-        gamma=params.get("gamma"), omega=params.get("omega"))
+        checks=[], out_dir=out_dir)
+    ctx.checks = resolve_checks(ctx, checks)
+    return ctx
 
 
 # ---------------------------------------------------------------------
-# check registry
-
-# base name -> (needs generator, tolerance or None, neutral identifier)
-_CHECKS: Dict[str, Tuple[bool, Optional[float], str]] = {
-    "null-drift": (False, 1e-8, "null-constraint-preservation"),
-    "u-accel": (False, 1e-8, "u-acceleration-relation"),
-    "w-redundancy": (False, 1e-7, "w-equation-redundancy"),
-    "equivalence": (False, 1e-6, "lift-reduce-equivalence"),
-    "reparam": (False, 1e-9, "reparametrization-invariance"),
-    "homogeneity": (False, 1e-12, "velocity-degree-one-homogeneity"),
-    "killing": (True, 1e-8, "killing-equation"),
-    "conformal-killing": (True, 1e-8, "conformal-killing-equation"),
-    "degreewise": (True, 1e-10, "degreewise-invariance-identities"),
-    "symmetry": (True, 1e-10, "reduced-invariance-condition"),
-    "noether-charge": (True, 1e-6, "reduced-charge-conservation"),
-    "nonlocal-charge": (True, 1e-6, "nonlocal-charge-conservation"),
-    "conformal-pair": (False, None, "conformal-pair-equivalence"),
-    "transform-rule": (False, 1e-12, "reduced-transform-rule"),
-}
-
-
-def _parse_check(name: str) -> Tuple[str, Optional[str]]:
-    base, _, gen = name.partition(":")
-    if base not in _CHECKS:
-        raise ScenarioError(
-            f"unknown check {name!r}; known: {', '.join(sorted(_CHECKS))}")
-    needs_gen = _CHECKS[base][0]
-    if needs_gen and not gen:
-        raise ScenarioError(f"check {base!r} needs a generator: '{base}:<name>'")
-    if not needs_gen and gen:
-        raise ScenarioError(f"check {base!r} does not take a generator")
-    return base, (gen or None)
-
-
-def _find_generator(ctx: ScenarioContext, gen_name: str) -> SymmetryGenerator:
-    if ctx.entry is not None:
-        if gen_name in ctx.entry.generators:
-            return ctx.entry.generators[gen_name]
-        if gen_name in ctx.entry.conformal:
-            return ctx.entry.conformal[gen_name][0]
-        known = sorted(set(ctx.entry.generators) | set(ctx.entry.conformal))
-        raise ScenarioError(
-            f"system {ctx.label!r} has no generator {gen_name!r}; "
-            f"known: {', '.join(known)}")
-    raise ScenarioError("generator checks need a catalog system")
-
-
-def _require_damped_pair(ctx: ScenarioContext):
-    if ctx.label not in ("damped-time", "damped-action"):
-        raise ScenarioError(
-            "conformal-pair and transform-rule checks apply to the "
-            "'damped-time' / 'damped-action' systems")
-    gamma = ctx.gamma if ctx.gamma is not None else 0.2
-    omega = ctx.omega if ctx.omega is not None else 1.0
-    return conformal_pair(gamma, omega, ctx.system.n)
-
+# checks
 
 class _RunCache:
     """Integrations shared between checks of one invocation."""
 
     def __init__(self, ctx: ScenarioContext):
         self.ctx = ctx
-        self._geo: Optional[Trajectory] = None
-        self._red: Optional[ReducedTrajectory] = None
-        self._herglotz: Optional[ReducedTrajectory] = None
 
+    @cached_property
     def geodesic(self) -> Trajectory:
-        if self._geo is None:
-            ctx = self.ctx
-            gs0 = lift_state(ctx.system, ctx.rs0, ctx.udot0)
-            self._geo = integrate_geodesic(ctx.metric, gs0, (0.0, math.inf),
-                                           config=ctx.config,
-                                           stop_at_u=ctx.span[1])
-        return self._geo
+        ctx = self.ctx
+        gs0 = lift_state(ctx.system, ctx.rs0, ctx.udot0)
+        return integrate_geodesic(ctx.metric, gs0, (0.0, math.inf),
+                                  config=ctx.config, stop_at_u=ctx.span[1])
 
+    @cached_property
     def reduced(self) -> ReducedTrajectory:
-        if self._red is None:
-            self._red = reduce_trajectory(self.geodesic())
-        return self._red
+        return reduce_trajectory(self.geodesic)
 
+    @cached_property
     def herglotz(self) -> ReducedTrajectory:
-        if self._herglotz is None:
-            ctx = self.ctx
-            self._herglotz = integrate_herglotz(ctx.system, ctx.rs0, ctx.span,
-                                                config=ctx.config)
-        return self._herglotz
+        ctx = self.ctx
+        return integrate_herglotz(ctx.system, ctx.rs0, ctx.span,
+                                  config=ctx.config)
 
 
-def _u_checkpoints(ctx: ScenarioContext):
-    return np.linspace(ctx.span[0], ctx.span[1], _CHECKPOINTS)
+def _checkpoint_gaps(ctx: ScenarioContext, ta: ReducedTrajectory,
+                     tb: ReducedTrajectory, w_rate: float = 0.0):
+    """Largest |x_a - x_b|, |exp(-w_rate u) w_a - w_b| and |xp_a - xp_b|
+    over the u checkpoints of two trajectories."""
+    gap_x = gap_w = gap_xp = 0.0
+    for u in np.linspace(ctx.span[0], ctx.span[1], _CHECKPOINTS):
+        a, b = ta.state_at(u), tb.state_at(u)
+        gap_x = max(gap_x, float(np.max(np.abs(a.x - b.x))))
+        gap_w = max(gap_w, abs(math.exp(-w_rate * u) * a.w - b.w))
+        gap_xp = max(gap_xp, float(np.max(np.abs(a.xp - b.xp))))
+    return gap_x, gap_w, gap_xp
 
 
-def _row(check: str, residual: Optional[float], tol: Optional[float],
-         seconds: float, certifies: str, status: Optional[str] = None) -> dict:
-    if status is None:
-        status = "pass" if (tol is None or residual <= tol) else "fail"
-    return {"check": check, "status": status,
-            "residual": residual, "tol": tol,
-            "seconds": round(seconds, 6), "certifies": certifies}
+@dataclass(frozen=True)
+class Check:
+    """Everything about one check name.  Its rows are reported as
+    `name:suffix`, or as `name` for an empty suffix."""
+    fn: Callable  # (ctx, cache, generator or None) -> one residual per row
+    rows: Tuple[Tuple[str, float], ...]  # (suffix, tolerance) per row
+    certifies: str
+    needs_generator: bool = False  # requested as `name:G`
+    needs_damped_pair: bool = False  # runs on the damped catalog pair only
+    info_if_w_dependent: bool = False  # rows are `info`, without a tolerance
+    column: Optional[Tuple[str, Callable]] = None  # run's (prefix, charge fn)
 
 
-def _check_null_drift(ctx, cache, gen_name):
-    traj = cache.geodesic()
+CHECKS: Dict[str, Check] = {}
+_DAMPED_PAIR = ("damped-time", "damped-action")
+
+
+def _check(name: str, tol, certifies: str, **flags):
+    """Register the decorated function as check `name`; `tol` is its one
+    row's tolerance, or the (suffix, tolerance) pairs of its rows."""
+    rows = tol if isinstance(tol, tuple) else (("", tol),)
+
+    def register(fn):
+        CHECKS[name] = Check(fn, rows, certifies, **flags)
+        return fn
+    return register
+
+
+@_check("null-drift", 1e-8, "null-constraint-preservation")
+def _check_null_drift(ctx, cache, gen):
+    traj = cache.geodesic
     return [float(np.max(np.abs(traj.diagnostics["null_residual"])))]
 
 
-def _check_u_accel(ctx, cache, gen_name):
-    return [u_equation_residual(ctx.metric, cache.geodesic())]
+@_check("u-accel", 1e-8, "u-acceleration-relation")
+def _check_u_accel(ctx, cache, gen):
+    return [u_equation_residual(ctx.metric, cache.geodesic)]
 
 
-def _check_w_redundancy(ctx, cache, gen_name):
-    return [w_equation_residual(ctx.metric, cache.geodesic())]
+@_check("w-redundancy", 1e-7, "w-equation-redundancy")
+def _check_w_redundancy(ctx, cache, gen):
+    return [w_equation_residual(ctx.metric, cache.geodesic)]
 
 
-def _check_equivalence(ctx, cache, gen_name):
-    rt, ht = cache.reduced(), cache.herglotz()
-    gap = 0.0
-    for u in _u_checkpoints(ctx):
-        gap = max(gap, float(np.max(np.abs(rt.state_at(u).x - ht.state_at(u).x))))
-    return [gap]
+@_check("equivalence", 1e-6, "lift-reduce-equivalence")
+def _check_equivalence(ctx, cache, gen):
+    return [_checkpoint_gaps(ctx, cache.reduced, cache.herglotz)[0]]
 
 
-def _check_reparam(ctx, cache, gen_name):
+@_check("reparam", 1e-9, "reparametrization-invariance")
+def _check_reparam(ctx, cache, gen):
     # tighter stepping than the scenario default: the three views must
     # agree to 1e-9, and at rtol 1e-11 their integration error alone
     # reaches 2e-9 on generic coupled starts
@@ -379,18 +313,12 @@ def _check_reparam(ctx, cache, gen_name):
         traj = integrate_geodesic(ctx.metric, gs0, (0.0, math.inf),
                                   config=cfg, stop_at_u=ctx.span[1])
         views.append(reduce_trajectory(traj))
-    gap = 0.0
-    base = views[0]
-    for u in _u_checkpoints(ctx):
-        a = base.state_at(u)
-        for other in views[1:]:
-            b = other.state_at(u)
-            gap = max(gap, float(np.max(np.abs(a.x - b.x))),
-                      float(np.max(np.abs(a.xp - b.xp))), abs(a.w - b.w))
-    return [gap]
+    return [max(max(_checkpoint_gaps(ctx, views[0], other))
+                for other in views[1:])]
 
 
-def _check_homogeneity(ctx, cache, gen_name):
+@_check("homogeneity", 1e-12, "velocity-degree-one-homogeneity")
+def _check_homogeneity(ctx, cache, gen):
     worst = 0.0
     for rs in state_cloud(ctx.system.n, 100):
         for udot in (0.5, 1.0, 2.0):
@@ -398,178 +326,182 @@ def _check_homogeneity(ctx, cache, gen_name):
     return [worst]
 
 
-def _check_killing(ctx, cache, gen_name):
-    gen = _find_generator(ctx, gen_name)
+@_check("killing", 1e-8, "killing-equation", needs_generator=True)
+def _check_killing(ctx, cache, gen):
     return [max(killing_residual(ctx.metric, gen, p)
                 for p in point_cloud(ctx.system.n, 100))]
 
 
-def _check_conformal_killing(ctx, cache, gen_name):
-    gen = _find_generator(ctx, gen_name)
+@_check("conformal-killing", 1e-8, "conformal-killing-equation",
+        needs_generator=True)
+def _check_conformal_killing(ctx, cache, gen):
     return [max(conformal_killing_residual(ctx.metric, gen, p)[0]
                 for p in point_cloud(ctx.system.n, 100))]
 
 
-def _check_degreewise(ctx, cache, gen_name):
-    gen = _find_generator(ctx, gen_name)
+@_check("degreewise", 1e-10, "degreewise-invariance-identities",
+        needs_generator=True)
+def _check_degreewise(ctx, cache, gen):
     return [max(degreewise_max_residual(ctx.system, gen, p)
                 for p in point_cloud(ctx.system.n, 100))]
 
 
-def _check_symmetry(ctx, cache, gen_name):
-    gen = _find_generator(ctx, gen_name)
+@_check("symmetry", 1e-10, "reduced-invariance-condition",
+        needs_generator=True)
+def _check_symmetry(ctx, cache, gen):
     return [max(symmetry_condition_residual(ctx.system, gen, rs)
                 for rs in state_cloud(ctx.system.n, 100))]
 
 
-def _check_noether_charge(ctx, cache, gen_name):
-    gen = _find_generator(ctx, gen_name)
-    _, qs = charge_series(ctx.system, gen, cache.herglotz())
+# the plain charge legitimately drifts on a w-dependent system
+@_check("noether-charge", 1e-6, "reduced-charge-conservation",
+        needs_generator=True, info_if_w_dependent=True,
+        column=("Q_", charge_series))
+def _check_noether_charge(ctx, cache, gen):
+    _, qs = charge_series(ctx.system, gen, cache.herglotz)
     return [float(np.max(np.abs(qs - qs[0])))]
 
 
-def _check_nonlocal_charge(ctx, cache, gen_name):
-    gen = _find_generator(ctx, gen_name)
-    _, qs = nonlocal_charge(ctx.system, gen, cache.herglotz())
+@_check("nonlocal-charge", 1e-6, "nonlocal-charge-conservation",
+        needs_generator=True, column=("Qnl_", nonlocal_charge))
+def _check_nonlocal_charge(ctx, cache, gen):
+    _, qs = nonlocal_charge(ctx.system, gen, cache.herglotz)
     scale = max(1e-30, float(np.max(np.abs(qs))))
     return [float(np.max(np.abs(qs - qs[0]))) / scale]
 
 
-def _check_conformal_pair(ctx, cache, gen_name):
-    ent_a, ent_b, cmap, factor = _require_damped_pair(ctx)
+def _damped_pair(ctx: ScenarioContext):
+    """The catalog's conformal pair at the parameters of the scenario entry."""
+    return conformal_pair(n=ctx.system.n, **ctx.entry.params)
+
+
+@_check("conformal-pair", (("pullback", 1e-12), ("flow", 1e-6), ("w-map", 1e-6)),
+        "conformal-pair-equivalence", needs_damped_pair=True)
+def _check_conformal_pair(ctx, cache, gen):
+    ent_a, ent_b, cmap, factor = _damped_pair(ctx)
     met_a = BrinkmannMetric(ent_a.system)
     met_b = BrinkmannMetric(ent_b.system)
     pull = max(conformal_pullback_check(met_a, met_b, cmap, p, factor)
                for p in point_cloud(ctx.system.n, 100))
-    gamma = ctx.gamma if ctx.gamma is not None else 0.2
+    gamma = ctx.entry.params["gamma"]
     ta = integrate_herglotz(ent_a.system, ctx.rs0, ctx.span, config=ctx.config)
     rs0_b = ReducedState(ctx.rs0.x, ctx.rs0.xp, ctx.rs0.u,
                          math.exp(-gamma * ctx.rs0.u) * ctx.rs0.w)
     tb = integrate_herglotz(ent_b.system, rs0_b, ctx.span, config=ctx.config)
-    flow = 0.0
-    wmap = 0.0
-    for u in _u_checkpoints(ctx):
-        a, b = ta.state_at(u), tb.state_at(u)
-        flow = max(flow, float(np.max(np.abs(a.x - b.x))))
-        wmap = max(wmap, abs(math.exp(-gamma * u) * a.w - b.w))
-    return [pull, flow, wmap]
+    return [pull, *_checkpoint_gaps(ctx, ta, tb, gamma)[:2]]
 
 
-def _check_transform_rule(ctx, cache, gen_name):
-    ent_a, ent_b, cmap, factor = _require_damped_pair(ctx)
+@_check("transform-rule", 1e-12, "reduced-transform-rule",
+        needs_damped_pair=True)
+def _check_transform_rule(ctx, cache, gen):
+    ent_a, ent_b, cmap, factor = _damped_pair(ctx)
     return [max(transform_rule_check(ent_a.system, ent_b.system, cmap, rs)
                 for rs in state_cloud(ctx.system.n, 100))]
 
 
-_CHECK_FN: Dict[str, Callable] = {
-    "null-drift": _check_null_drift,
-    "u-accel": _check_u_accel,
-    "w-redundancy": _check_w_redundancy,
-    "equivalence": _check_equivalence,
-    "reparam": _check_reparam,
-    "homogeneity": _check_homogeneity,
-    "killing": _check_killing,
-    "conformal-killing": _check_conformal_killing,
-    "degreewise": _check_degreewise,
-    "symmetry": _check_symmetry,
-    "noether-charge": _check_noether_charge,
-    "nonlocal-charge": _check_nonlocal_charge,
-    "conformal-pair": _check_conformal_pair,
-    "transform-rule": _check_transform_rule,
-}
-
-# names of sub-results for multi-residual checks
-_SUBNAMES = {"conformal-pair": ["pullback", "flow", "w-map"]}
+def _find_generator(ctx: ScenarioContext, gen_name: str) -> SymmetryGenerator:
+    if ctx.entry is None:
+        raise ScenarioError("generator checks need a catalog system")
+    if gen_name in ctx.entry.generators:
+        return ctx.entry.generators[gen_name]
+    if gen_name in ctx.entry.conformal:
+        return ctx.entry.conformal[gen_name][0]
+    known = sorted(set(ctx.entry.generators) | set(ctx.entry.conformal))
+    raise ScenarioError(
+        f"system {ctx.entry.key!r} has no generator {gen_name!r}; "
+        f"known: {', '.join(known)}")
 
 
-def run_check(ctx: ScenarioContext, cache: _RunCache, name: str) -> List[dict]:
-    base, gen_name = _parse_check(name)
-    _, tol, certifies = _CHECKS[base]
+def resolve_checks(ctx: ScenarioContext, names: List[str]) -> List[tuple]:
+    """(name, Check, generator or None) for each check name; ScenarioError
+    for a name the scenario cannot run, before anything is integrated."""
+    out = []
+    for name in names:
+        base, _, gen_name = name.partition(":")
+        check = CHECKS.get(base)
+        if check is None:
+            raise ScenarioError(
+                f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
+        if check.needs_generator and not gen_name:
+            raise ScenarioError(f"check {base!r} needs a generator: '{base}:<name>'")
+        if not check.needs_generator and gen_name:
+            raise ScenarioError(f"check {base!r} does not take a generator")
+        if check.needs_damped_pair and (ctx.entry is None
+                                        or ctx.entry.key not in _DAMPED_PAIR):
+            raise ScenarioError(
+                f"check {base!r} applies to the catalog systems "
+                f"{' / '.join(map(repr, _DAMPED_PAIR))}")
+        gen = _find_generator(ctx, gen_name) if gen_name else None
+        out.append((name, check, gen))
+    return out
+
+
+def _row(check: str, residual: Optional[float], tol: Optional[float],
+         seconds: float, certifies: str, status: Optional[str] = None) -> dict:
+    if status is None:
+        status = "pass" if (tol is None or residual <= tol) else "fail"
+    return {"check": check, "status": status,
+            "residual": residual, "tol": tol,
+            "seconds": round(seconds, 6), "certifies": certifies}
+
+
+def run_check(ctx: ScenarioContext, cache: _RunCache,
+              resolved: tuple) -> List[dict]:
+    name, check, gen = resolved
     start = time.perf_counter()
-    residuals = _CHECK_FN[base](ctx, cache, gen_name)
-    seconds = time.perf_counter() - start
-    subs = _SUBNAMES.get(base)
-    rows = []
-    for i, res in enumerate(residuals):
-        label = name if subs is None else f"{name}:{subs[i]}"
-        row_tol = tol
-        status = None
-        if base == "conformal-pair":
-            row_tol = 1e-12 if subs[i] == "pullback" else 1e-6
-        if base == "noether-charge" and ctx.system.w_dependent:
-            # the plain charge legitimately drifts here; report only
-            status = "info"
-            row_tol = None
-        rows.append(_row(label, float(res), row_tol, seconds / len(residuals),
-                         certifies, status))
-    return rows
+    residuals = check.fn(ctx, cache, gen)
+    seconds = (time.perf_counter() - start) / len(residuals)
+    info = check.info_if_w_dependent and ctx.system.w_dependent
+    return [_row(f"{name}:{suffix}" if suffix else name, float(res),
+                 None if info else tol, seconds, check.certifies,
+                 "info" if info else None)
+            for (suffix, tol), res in zip(check.rows, residuals)]
 
 
 # ---------------------------------------------------------------------
 # output helpers
 
-def _g17(value: float) -> str:
-    return "%.17g" % value
-
-
-def _write_csv(path: str, n: int, rows: List[List[float]],
-               charge_names: List[str]) -> None:
+def _write_trajectory(path: str, ctx: ScenarioContext,
+                      rt: ReducedTrajectory) -> None:
+    """One trajectory CSV: a row per accepted step, plus a column per
+    charge check of the scenario; floats round-trip through %.17g."""
+    n = ctx.system.n
     header = (["u", "sigma"] + [f"x{i + 1}" for i in range(n)]
-              + [f"xp{i + 1}" for i in range(n)] + ["w", "null_residual"]
-              + charge_names)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_g17(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _charge_columns(ctx: ScenarioContext, rt: ReducedTrajectory):
-    """Charge series for every charge check requested in the scenario."""
-    names, series = [], []
-    for check in ctx.checks:
-        base, gen_name = _parse_check(check)
-        if base == "noether-charge":
-            gen = _find_generator(ctx, gen_name)
-            _, qs = charge_series(ctx.system, gen, rt)
-            names.append(f"Q_{gen_name}")
-            series.append(qs)
-        elif base == "nonlocal-charge":
-            gen = _find_generator(ctx, gen_name)
-            _, qs = nonlocal_charge(ctx.system, gen, rt)
-            names.append(f"Qnl_{gen_name}")
-            series.append(qs)
-    return names, series
-
-
-def _trajectory_rows(ctx: ScenarioContext, rt: ReducedTrajectory,
-                     charges: List[np.ndarray]) -> List[List[float]]:
-    rows = []
+              + [f"xp{i + 1}" for i in range(n)] + ["w", "null_residual"])
+    charges = []
+    for name, check, gen in ctx.checks:
+        if check.column is not None:
+            prefix, charge = check.column
+            header.append(prefix + name.partition(":")[2])
+            charges.append(charge(ctx.system, gen, rt)[1])
     traj = rt.traj
     geo = rt.source == "geodesic"
     nulls = traj.diagnostics.get("null_residual")
+    lines = [",".join(header)]
     for k in range(len(rt)):
         rs = rt.sample_state(k)
         sigma = float(traj.t[k])
         null = float(nulls[k]) if geo else 0.0
         row = [rs.u, sigma, *rs.x, *rs.xp, rs.w, null]
         row.extend(float(q[k]) for q in charges)
-        rows.append(row)
-    return rows
+        lines.append(",".join("%.17g" % v for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def _write_report(path: str, rows: List[dict]) -> None:
+def _report(ctx: ScenarioContext, rows: List[dict]) -> str:
+    """Write the rows to report.jsonl in the output directory, print
+    them, and return the file's path."""
+    path = os.path.join(ctx.out_dir, "report.jsonl")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
-
-
-def _print_rows(rows: List[dict]) -> None:
     for row in rows:
         res = "n/a" if row["residual"] is None else f"{row['residual']:.3e}"
         tol = "" if row["tol"] is None else f" tol={row['tol']:.1e}"
         print(f"{row['status'].upper():5s} {row['check']}: residual={res}"
               f"{tol} ({row['seconds']:.2f}s)")
+    return path
 
 
 # ---------------------------------------------------------------------
@@ -583,34 +515,22 @@ def cmd_run(args) -> int:
     os.makedirs(ctx.out_dir, exist_ok=True)
     cache = _RunCache(ctx)
     start = time.perf_counter()
-    rt = cache.reduced()
-    ht = cache.herglotz()
+    rt, ht = cache.reduced, cache.herglotz
     seconds = time.perf_counter() - start
-
-    names_g, charges_g = _charge_columns(ctx, rt)
-    names_h, charges_h = _charge_columns(ctx, ht)
     geo_csv = os.path.join(ctx.out_dir, "geodesic.csv")
     red_csv = os.path.join(ctx.out_dir, "reduced.csv")
-    _write_csv(geo_csv, ctx.system.n, _trajectory_rows(ctx, rt, charges_g), names_g)
-    _write_csv(red_csv, ctx.system.n, _trajectory_rows(ctx, ht, charges_h), names_h)
+    _write_trajectory(geo_csv, ctx, rt)
+    _write_trajectory(red_csv, ctx, ht)
 
-    gap_x = gap_w = 0.0
-    for u in _u_checkpoints(ctx):
-        a, b = rt.state_at(u), ht.state_at(u)
-        gap_x = max(gap_x, float(np.max(np.abs(a.x - b.x))))
-        gap_w = max(gap_w, abs(a.w - b.w))
-    null = float(np.max(np.abs(cache.geodesic().diagnostics["null_residual"])))
+    gap_x, gap_w, _ = _checkpoint_gaps(ctx, rt, ht)
+    equiv, drift = CHECKS["equivalence"], CHECKS["null-drift"]
     rows = [
-        _row("equivalence-x", gap_x, _RUN_TOL_X, seconds,
-             "lift-reduce-equivalence"),
-        _row("equivalence-w", gap_w, None, 0.0,
-             "lift-reduce-equivalence", status="info"),
-        _row("null-drift", null, 1e-8, 0.0, "null-constraint-preservation"),
+        _row("equivalence-x", gap_x, equiv.rows[0][1], seconds, equiv.certifies),
+        _row("equivalence-w", gap_w, None, 0.0, equiv.certifies, status="info"),
+        _row("null-drift", drift.fn(ctx, cache, None)[0], drift.rows[0][1],
+             0.0, drift.certifies),
     ]
-    report = os.path.join(ctx.out_dir, "report.jsonl")
-    _write_report(report, rows)
-    _print_rows(rows)
-    print(f"wrote {geo_csv}, {red_csv}, {report}")
+    print(f"wrote {geo_csv}, {red_csv}, {_report(ctx, rows)}")
     return 0
 
 
@@ -619,20 +539,16 @@ def cmd_check(args) -> int:
     ctx = build_context(scn)
     if args.out_dir:
         ctx.out_dir = args.out_dir
-    names = args.checks or ctx.checks
-    if not names:
+    checks = resolve_checks(ctx, args.checks) if args.checks else ctx.checks
+    if not checks:
         raise ScenarioError("no checks requested (scenario 'checks' empty "
                             "and none given on the command line)")
-    for name in names:
-        _parse_check(name)
     cache = _RunCache(ctx)
     rows = []
-    for name in names:
-        rows.extend(run_check(ctx, cache, name))
+    for resolved in checks:
+        rows.extend(run_check(ctx, cache, resolved))
     os.makedirs(ctx.out_dir, exist_ok=True)
-    report = os.path.join(ctx.out_dir, "report.jsonl")
-    _write_report(report, rows)
-    _print_rows(rows)
+    _report(ctx, rows)
     failed = [r for r in rows if r["status"] == "fail"]
     if failed:
         print(f"{len(failed)} check(s) failed")

@@ -726,9 +726,10 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
     symmetrized mean 0.5*(a + b), guarded like HerglotzSystem's h: the
     pass fails if the two values differ by more than `pair_tol`.
 
-    Returns f(x1, ..., xn, u, w) on plain floats.  f returns None when
-    the seeded Dual path (or, without derivatives, the plain float path)
-    would raise or could differ; otherwise a flat tuple of K values
+    Returns f(x1, ..., xn, u, w) on plain floats.  f returns None at a
+    non-finite coordinate and where the seeded Dual path (or, without
+    derivatives, the plain float path) would raise or could differ;
+    otherwise a flat tuple of K values
     followed, with derivatives, by the (n+2) x K partials in row-major
     order (row c holds the c-th coordinate partial of every entry), where
     K is len(entries).  Values equal the fields' own evaluation, and partials
@@ -766,11 +767,10 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
         grads = [g if g is not None else [None] * em.m for _, g in nodes]
         out += [em.ref(0.0 if g[c] is None else g[c])
                 for c in range(em.m) for g in grads]
-    body = []
-    if derivatives:
-        # a non-finite coordinate cannot be seeded; the overflow of a
-        # finite sum only sends the call down the Dual path
-        body += _finite_check(em.coords)
+    # a non-finite coordinate cannot be seeded, and the plain float path
+    # gives no error there; the overflow of a finite sum only sends the
+    # call down the interpreted path
+    body = _finite_check(em.coords)
     body += _guarded(em.lines[:n_field_lines])
     if derivatives:
         body += _finite_check([r for r in out if r.startswith("_t")])

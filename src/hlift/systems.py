@@ -4,8 +4,9 @@ Each entry bundles a HerglotzSystem with the generators that are exact
 isometries of its lift, any conformal generators with their expected
 factors, closed-form solutions where they exist, and a sensible default
 state.  The catalog is what the CLI and the acceptance checks iterate
-over; custom systems built from expression strings go through
-custom_system instead.
+over; other systems are HerglotzSystems built from expression strings.
+CATALOG maps each key to its factory, whose keyword defaults (apart
+from `n`) declare the parameters it accepts.
 
 The damped oscillator appears twice on purpose: once with explicitly
 time-dependent coefficients and once as an action-dependent system with
@@ -16,6 +17,7 @@ rescaling the action coordinate; several checks are built on that pair.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
@@ -32,8 +34,9 @@ from .symmetry import SymmetryGenerator
 __all__ = [
     "CatalogEntry", "free_particle", "harmonic_oscillator",
     "damped_time_dependent", "damped_action_dependent", "coupled_curved",
-    "custom_system", "damped_oscillation", "damped_conformal_map",
-    "conformal_pair", "x_scaling_control", "standard_catalog", "get_entry",
+    "damped_oscillation", "damped_conformal_map", "conformal_pair",
+    "x_scaling_control", "CATALOG", "factory_params", "standard_catalog",
+    "get_entry",
 ]
 
 
@@ -48,6 +51,7 @@ class CatalogEntry:
     closed_form_x: Optional[Callable] = None  # (rs0, u) -> (x, xp)
     default_state: Optional[ReducedState] = None
     notes: str = ""
+    params: Dict[str, float] = field(default_factory=dict)  # as built
 
 
 def _identity(n: int):
@@ -104,10 +108,11 @@ def free_particle(n: int = 2) -> CatalogEntry:
 def harmonic_oscillator(omega: float = 1.0, n: int = 1) -> CatalogEntry:
     if omega < 0:
         raise ValueError(f"omega must be nonnegative, got {omega}")
+    params = {"omega": omega}
     quad = " + ".join(f"x{i + 1}^2" for i in range(n))
     system = HerglotzSystem(
         n, _identity(n), [0.0] * n, f"0.5*omega^2*({quad})",
-        params={"omega": omega}, name=f"harmonic(omega={omega:g})")
+        params=params, name=f"harmonic(omega={omega:g})")
     gens = {
         "time-shift": SymmetryGenerator(n, [0.0] * n, 1.0, 0.0,
                                         name="time-shift"),
@@ -140,7 +145,7 @@ def harmonic_oscillator(omega: float = 1.0, n: int = 1) -> CatalogEntry:
         system=system, generators=gens, closed_form=closed,
         closed_form_x=closed_x,
         default_state=ReducedState([1.0] * n, [0.0] * n, 0.0, 0.0),
-        notes="closed form includes the accumulated action")
+        notes="closed form includes the accumulated action", params=params)
 
 
 # ---------------------------------------------------------------------
@@ -169,6 +174,16 @@ def _damped_xv(gamma: float, omega: float, x0: float, v0: float, du: float):
     return val, float(grad[0])
 
 
+def _damped_closed_x(gamma: float, omega: float, n: int):
+    """The closed form (rs0, u) -> (x, xp) that both damped flavors share."""
+    def closed_x(rs0: ReducedState, u: float):
+        du = u - rs0.u
+        out = [_damped_xv(gamma, omega, float(rs0.x[i]), float(rs0.xp[i]), du)
+               for i in range(n)]
+        return (np.array([o[0] for o in out]), np.array([o[1] for o in out]))
+    return closed_x
+
+
 def damped_time_dependent(gamma: float = 0.2, omega: float = 1.0,
                           n: int = 1) -> CatalogEntry:
     params = {"gamma": gamma, "omega": omega}
@@ -187,20 +202,14 @@ def damped_time_dependent(gamma: float = 0.2, omega: float = 1.0,
                                            params=params, name="time-scaling"),
                          gamma),
     }
-
-    def closed_x(rs0: ReducedState, u: float):
-        du = u - rs0.u
-        out = [_damped_xv(gamma, omega, float(rs0.x[i]), float(rs0.xp[i]), du)
-               for i in range(n)]
-        return (np.array([o[0] for o in out]), np.array([o[1] for o in out]))
-
     return CatalogEntry(
         key="damped-time",
         title=f"damped oscillator, time-dependent fields (gamma={gamma:g})",
         system=system, generators=gens, conformal=conformal,
-        closed_form_x=closed_x,
+        closed_form_x=_damped_closed_x(gamma, omega, n),
         default_state=ReducedState([1.0] * n, [0.0] * n, 0.0, 0.25),
-        notes="conformally related to damped-action by rescaling w")
+        notes="conformally related to damped-action by rescaling w",
+        params=params)
 
 
 # ---------------------------------------------------------------------
@@ -219,19 +228,14 @@ def damped_action_dependent(gamma: float = 0.2, omega: float = 1.0,
         "action-exp": SymmetryGenerator(n, [0.0] * n, 0.0, "exp(-gamma*u)",
                                         params=params, name="action-exp"),
     }
-
-    def closed_x(rs0: ReducedState, u: float):
-        du = u - rs0.u
-        out = [_damped_xv(gamma, omega, float(rs0.x[i]), float(rs0.xp[i]), du)
-               for i in range(n)]
-        return (np.array([o[0] for o in out]), np.array([o[1] for o in out]))
-
     return CatalogEntry(
         key="damped-action",
         title=f"damped oscillator, action-dependent potential (gamma={gamma:g})",
-        system=system, generators=gens, closed_form_x=closed_x,
+        system=system, generators=gens,
+        closed_form_x=_damped_closed_x(gamma, omega, n),
         default_state=ReducedState([1.0] * n, [0.0] * n, 0.0, 0.25),
-        notes="reduced charges need the nonlocal rescaling here")
+        notes="reduced charges need the nonlocal rescaling here",
+        params=params)
 
 
 # ---------------------------------------------------------------------
@@ -250,12 +254,6 @@ def coupled_curved() -> CatalogEntry:
         system=system,
         default_state=ReducedState([0.6, -0.3], [0.2, 0.4], 0.0, 0.0),
         notes="no closed form; kept for generic-path coverage")
-
-
-def custom_system(n: int, h, A, V, params=None,
-                  name: str = "custom") -> HerglotzSystem:
-    """Build a system from expression sources; thin constructor wrapper."""
-    return HerglotzSystem(n, h, A, V, params=params, name=name)
 
 
 # ---------------------------------------------------------------------
@@ -296,21 +294,43 @@ def x_scaling_control(n: int = 1) -> SymmetryGenerator:
 
 # ---------------------------------------------------------------------
 
-def standard_catalog(gamma: float = 0.2, omega: float = 1.0):
-    """The default entries keyed by name, in a stable order."""
-    entries = [
-        free_particle(2),
-        harmonic_oscillator(omega, 1),
-        damped_time_dependent(gamma, omega, 1),
-        damped_action_dependent(gamma, omega, 1),
-        coupled_curved(),
-    ]
-    return {e.key: e for e in entries}
+# key -> factory, in catalog order
+CATALOG: Dict[str, Callable[..., CatalogEntry]] = {
+    "free": free_particle,
+    "harmonic": harmonic_oscillator,
+    "damped-time": damped_time_dependent,
+    "damped-action": damped_action_dependent,
+    "coupled": coupled_curved,
+}
 
 
-def get_entry(key: str, catalog=None) -> CatalogEntry:
-    cat = catalog if catalog is not None else standard_catalog()
-    if key not in cat:
-        known = ", ".join(sorted(cat))
-        raise KeyError(f"unknown catalog key {key!r}; known keys: {known}")
-    return cat[key]
+def factory_params(factory) -> Dict[str, float]:
+    """The parameters a catalog factory accepts, with their defaults:
+    its keyword defaults apart from the dimension `n`."""
+    return {p.name: p.default
+            for p in inspect.signature(factory).parameters.values()
+            if p.name != "n"}
+
+
+def get_entry(key: str, /, **params) -> CatalogEntry:
+    """The entry `key` built with `params`; KeyError for an unknown key,
+    ValueError for a parameter its factory does not declare."""
+    if key not in CATALOG:
+        raise KeyError(f"unknown catalog key {key!r}; "
+                       f"known keys: {', '.join(sorted(CATALOG))}")
+    unknown = sorted(set(params) - set(factory_params(CATALOG[key])))
+    if unknown:
+        raise ValueError(
+            f"system {key!r} does not accept parameter {unknown[0]!r}")
+    return CATALOG[key](**params)
+
+
+def standard_catalog(**params):
+    """Every entry keyed by name, in catalog order.  Each factory is
+    given the `params` it declares and keeps its defaults for the rest."""
+    unknown = set(params).difference(*map(factory_params, CATALOG.values()))
+    if unknown:
+        raise ValueError(f"no catalog system accepts {sorted(unknown)}")
+    return {key: get_entry(key, **{k: v for k, v in params.items()
+                                   if k in factory_params(factory)})
+            for key, factory in CATALOG.items()}

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +83,15 @@ def test_run_free_system_defaults(tmp_path):
 
 # ------------------------------------------------------------------ config errors
 
+@pytest.fixture
+def no_integration(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", fail)
+    monkeypatch.setattr(cli, "integrate_herglotz", fail)
+
+
 def _custom(V):
     return {"system": {"n": 1, "h": [["1"]], "A": ["0"], "V": V}, "params": {}}
 
@@ -93,15 +104,10 @@ def _custom(V):
     (_custom("0.5*x1^2 + 1e999"), "number out of range"),
 ], ids=["infinite-span", "nan-rtol", "zero-tolerances", "negative-rtol",
         "out-of-range-literal"])
-def test_invalid_numbers_rejected_at_load(tmp_path, capsys, monkeypatch,
+def test_invalid_numbers_rejected_at_load(tmp_path, capsys, no_integration,
                                           overrides, where):
     # json.dumps writes Infinity and NaN, which json.load reads back;
     # rejection must come before any integration starts
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integration started")
-
-    monkeypatch.setattr(cli, "integrate_geodesic", no_integration)
-    monkeypatch.setattr(cli, "integrate_herglotz", no_integration)
     path = write_scenario(tmp_path, overrides)
     assert main(["check", path, "null-drift", "equivalence"]) == 2
     assert where in capsys.readouterr().err
@@ -259,6 +265,73 @@ def test_conformal_checks_need_damped_system(tmp_path, capsys):
                                      "checks": ["conformal-pair"]},
                           drop=("initial",))
     assert main(["check", path]) == 2
+
+
+# an inline system that borrows a catalog name is not that catalog system
+_IMPOSTOR = {"system": {"n": 1, "h": [["1"]], "A": ["0"],
+                        "V": "5*x1^4 + 3*w", "name": "damped-action"},
+             "params": {}}
+_HARMONIC = {"system": "harmonic", "params": {}}
+
+
+@pytest.mark.parametrize("argv, overrides, where", [
+    (["check"], dict(_IMPOSTOR, checks=["conformal-pair"]), "conformal-pair"),
+    (["check"], dict(_IMPOSTOR, checks=["transform-rule"]), "transform-rule"),
+    (["check"], dict(_IMPOSTOR, checks=["symmetry:time-shift"]),
+     "catalog system"),
+    (["check"], dict(_HARMONIC, checks=["null-drift", "equivalence",
+                                        "killing:rotation-99"]), "rotation-99"),
+    (["check"], dict(_HARMONIC, checks=["null-drift", "conformal-pair"]),
+     "conformal-pair"),
+    (["check", "null-drift", "transform-rule"], _HARMONIC, "transform-rule"),
+    (["check", "equivalence", "killing:nope"], _HARMONIC, "nope"),
+    (["run"], dict(_HARMONIC, checks=["noether-charge:nope"]), "nope"),
+    (["run"], dict(_IMPOSTOR, checks=["nonlocal-charge:time-shift"]),
+     "catalog system"),
+], ids=["impostor-conformal-pair", "impostor-transform-rule",
+        "impostor-generator", "unknown-generator", "pair-on-harmonic",
+        "cli-pair-on-harmonic", "cli-unknown-generator", "run-charge-column",
+        "run-inline-charge-column"])
+def test_bad_checks_rejected_at_load(tmp_path, capsys, no_integration,
+                                     argv, overrides, where):
+    # every requested check is resolved when the scenario loads: a name
+    # the scenario cannot run is exit 2 before any integration starts
+    path = write_scenario(tmp_path, overrides)
+    assert main([argv[0], path, *argv[1:]]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_pair_checks_follow_catalog_params(tmp_path):
+    # the conformal pair is built at the entry's parameters, its defaults
+    # filling in what the scenario leaves out
+    path = write_scenario(tmp_path, {"params": {"gamma": 0.35},
+                                     "checks": ["conformal-pair",
+                                                "transform-rule"],
+                                     "out_dir": str(tmp_path / "o")})
+    assert main(["check", path]) == 0
+    rows = [json.loads(line) for line in
+            (tmp_path / "o" / "report.jsonl").read_text().splitlines()]
+    assert [r["check"] for r in rows] == [
+        "conformal-pair:pullback", "conformal-pair:flow",
+        "conformal-pair:w-map", "transform-rule"]
+    assert [r["tol"] for r in rows] == [1e-12, 1e-6, 1e-6, 1e-12]
+    assert all(r["status"] == "pass" for r in rows)
+
+
+def test_readme_checks_table_matches_check_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Checks", 1)[1].split("Notes:", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = {}
+    for line in rows:
+        name, tol, certifies = (c.strip() for c in line.strip("|").split("|"))
+        base, _, gen = name.strip("`").partition(":")
+        tols = tuple(float(t) for t in re.findall(r"\d+(?:\.\d*)?e-\d+", tol))
+        documented[base] = (gen == "G", tols, certifies)
+    assert documented == {
+        name: (check.needs_generator, tuple(t for _, t in check.rows),
+               check.certifies)
+        for name, check in cli.CHECKS.items()}
 
 
 # ------------------------------------------------------------------ list

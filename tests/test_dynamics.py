@@ -14,10 +14,11 @@ from hlift.dynamics import (GeodesicState, IntegratorConfig, ReducedState,
 from hlift.errors import (BlowUpError, MonotonicityViolationError,
                           NonPositiveUdotError, SigmaInversionError,
                           StepLimitExceededError)
-from hlift.geometry import BrinkmannMetric, NearlySingularKineticWarning, Point
-from hlift.systems import (coupled_curved, custom_system,
-                           damped_action_dependent, free_particle,
-                           harmonic_oscillator, standard_catalog)
+from hlift.geometry import (BrinkmannMetric, HerglotzSystem,
+                            NearlySingularKineticWarning, Point)
+from hlift.systems import (coupled_curved, damped_action_dependent,
+                           free_particle, harmonic_oscillator,
+                           standard_catalog)
 
 TIGHT = IntegratorConfig(rtol=1e-10, atol=1e-12)
 
@@ -206,8 +207,8 @@ def test_nearly_singular_kinetic_block_takes_the_numpy_path():
     # h22 stays under the 1e-8 eigenvalue floor along the whole path, so
     # the compiled functions decline every call and the numpy path warns;
     # x2 stays at rest, so the motion itself is harmless
-    sys = custom_system(2, [["1", "0"], ["0", "1e-9*(1 + x1^2)"]],
-                        ["0", "0"], "0.5*x1^2")
+    sys = HerglotzSystem(2, [["1", "0"], ["0", "1e-9*(1 + x1^2)"]],
+                         ["0", "0"], "0.5*x1^2")
     rs0 = ReducedState([1.0, 0.0], [0.0, 0.0], 0.0, 0.0)
     with pytest.warns(NearlySingularKineticWarning):
         rt = integrate_herglotz(sys, rs0, (0.0, 1.0), config=TIGHT)
@@ -230,7 +231,7 @@ def test_step_limit():
 def test_blow_up():
     # inverted quadratic potential: x grows like e^u, w like its square.
     # NB "-x1^2" would parse as (-x1)^2; the parens matter here.
-    sys = custom_system(1, [["1"]], ["0"], "-(x1^2)")
+    sys = HerglotzSystem(1, [["1"]], ["0"], "-(x1^2)")
     rs0 = ReducedState([1.0], [1.0], 0.0, 0.0)
     with pytest.raises(BlowUpError):
         integrate_herglotz(sys, rs0, (0.0, 60.0),
@@ -319,7 +320,7 @@ def test_reduce_rejects_backward_time():
 
 def test_cross_pipeline_agreement_n3():
     # exercises the generic (LAPACK) kinetic path end to end
-    sys = custom_system(
+    sys = HerglotzSystem(
         3, [["1 + 0.1*x3^2", "0.2", "0"], ["0.2", "2", "0"], ["0", "0", "1"]],
         ["0.1*x2", "0", "0"], "0.5*(x1^2 + x2^2 + x3^2) + 0.1*w")
     rs0 = ReducedState([0.5, -0.2, 0.3], [0.1, 0.2, -0.1], 0.0, 0.0)

@@ -120,6 +120,7 @@ GUARDS = [
     ("(1e200*x1)^2", 1.0),
     ("pow(10*x1, 400)", 1.0),
     ("sin(x1)", math.inf),
+    ("x1^2", math.inf),
 ]
 
 
@@ -139,21 +140,26 @@ def test_guards_raise_the_dual_path_error(V, x1):
     system = HerglotzSystem(1, [["1"]], ["0"], V, name="guarded")
     _assert_same_failure(system, Point([x1], 0.5, 0.25))
     # the values-only pass declines exactly where the plain float path
-    # fails, and otherwise returns its numbers; where both fail, values
-    # and bundle fail alike, with an HliftError: the float path's, or at
-    # a non-finite coordinate the Dual path's, which cannot seed it
+    # fails or a coordinate is not finite, and otherwise returns its
+    # numbers; where it declines, values and bundle fail alike, with an
+    # HliftError: the float path's, or at a non-finite coordinate the
+    # Dual path's, which cannot seed it (even where the float path
+    # would return inf)
     point = Point([x1], 0.5, 0.25)
-    try:
-        expected = system.eval_fields([x1], 0.5, 0.25)[2]
-    except Exception as err:
-        assert system._passes.run(point, False) is None
-        want = ((type(err), str(err)) if math.isfinite(x1)
-                else _raised(system._dual_bundle, point))
-        assert issubclass(want[0], HliftError)
-        assert _raised(system.eval_values, point) == want
-        assert _raised(system.eval_bundle, point) == want
+    if math.isfinite(x1):
+        try:
+            expected = system.eval_fields([x1], 0.5, 0.25)[2]
+        except Exception as err:
+            want = (type(err), str(err))
+        else:
+            assert system.eval_values(point)[2] == expected
+            return
     else:
-        assert system.eval_values(point)[2] == expected
+        want = _raised(system._dual_bundle, point)
+    assert system._passes.run(point, False) is None
+    assert issubclass(want[0], HliftError)
+    assert _raised(system.eval_values, point) == want
+    assert _raised(system.eval_bundle, point) == want
 
 
 def test_asymmetric_h_raises_the_dual_path_error():

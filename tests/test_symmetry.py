@@ -14,13 +14,13 @@ from hlift.dynamics import (IntegratorConfig, ReducedState, integrate_geodesic,
                             integrate_herglotz, lagrangian_w_slope, lift_state,
                             reduce_trajectory)
 from hlift.errors import SingularJacobianError
-from hlift.geometry import BrinkmannMetric, CoordinateMap, Point
+from hlift.geometry import BrinkmannMetric, CoordinateMap, HerglotzSystem, Point
 from hlift.symmetry import (SymmetryGenerator, affine_charge, charge_series,
                             conformal_killing_residual, degreewise_identities,
                             degreewise_max_residual, killing_residual,
                             noether_charge, nonlocal_charge,
                             symmetry_condition_residual, transform_rule_check)
-from hlift.systems import (conformal_pair, coupled_curved, custom_system,
+from hlift.systems import (conformal_pair, coupled_curved,
                            damped_action_dependent, damped_time_dependent,
                            free_particle, harmonic_oscillator,
                            standard_catalog, x_scaling_control)
@@ -290,7 +290,7 @@ def test_nonlocal_charge_equals_affine_over_udot0():
 def test_nonlocal_quadrature_vs_trapezoid():
     # nonconstant slope dL/dw = -0.2 w; cross-check the per-step Simpson
     # accumulator against a fine trapezoid on dense output
-    sys = custom_system(1, [["1"]], ["0"], "0.5*x1^2 + 0.1*w^2")
+    sys = HerglotzSystem(1, [["1"]], ["0"], "0.5*x1^2 + 0.1*w^2")
     rs0 = ReducedState([1.0], [0.2], 0.0, 0.5)
     rt = integrate_herglotz(sys, rs0, (0.0, 10.0), config=TIGHT)
     gen = SymmetryGenerator(1, ["0"], "1", "0", name="time-shift")

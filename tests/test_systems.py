@@ -9,10 +9,11 @@ from hlift import autodiff as ad
 from hlift.dynamics import (IntegratorConfig, ReducedState, integrate_herglotz,
                             lift_state, integrate_geodesic, reduce_trajectory)
 from hlift.errors import OverdampedUnsupportedError
-from hlift.geometry import BrinkmannMetric
-from hlift.systems import (conformal_pair, coupled_curved, custom_system,
+from hlift.geometry import BrinkmannMetric, HerglotzSystem
+from hlift.systems import (CATALOG, conformal_pair, coupled_curved,
                            damped_action_dependent, damped_oscillation,
-                           damped_time_dependent, free_particle, get_entry,
+                           damped_time_dependent, factory_params,
+                           free_particle, get_entry,
                            harmonic_oscillator, standard_catalog,
                            x_scaling_control)
 
@@ -37,6 +38,21 @@ def test_get_entry_unknown_key():
     with pytest.raises(KeyError) as err:
         get_entry("nope")
     assert "damped-action" in str(err.value)
+
+
+def test_factory_defaults_declare_parameters():
+    # the keyword defaults apart from n are what an entry accepts, and the
+    # entry records the values it was built with
+    assert {key: factory_params(f) for key, f in CATALOG.items()} == {
+        "free": {}, "harmonic": {"omega": 1.0},
+        "damped-time": {"gamma": 0.2, "omega": 1.0},
+        "damped-action": {"gamma": 0.2, "omega": 1.0}, "coupled": {}}
+    assert get_entry("damped-time", gamma=0.3).params == {"gamma": 0.3,
+                                                          "omega": 1.0}
+    with pytest.raises(ValueError, match="'omega'"):
+        get_entry("free", omega=2.0)
+    with pytest.raises(ValueError, match="gama"):
+        standard_catalog(gama=0.3)
 
 
 def test_free_closed_form_vs_integration():
@@ -168,7 +184,7 @@ def test_coupled_has_no_closed_form():
 
 
 def test_custom_system_params():
-    sys = custom_system(1, [["1"]], ["0"], "0.5*k*x1^2", params={"k": 4.0})
+    sys = HerglotzSystem(1, [["1"]], ["0"], "0.5*k*x1^2", params={"k": 4.0})
     rs = ReducedState([1.0], [0.0], 0.0, 0.0)
     from hlift.dynamics import reduced_lagrangian
     assert reduced_lagrangian(sys, rs) == -2.0
