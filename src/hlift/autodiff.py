@@ -18,14 +18,14 @@ the value part of a dual evaluation agree bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteError
 
 __all__ = [
-    "Dual", "Scalar", "finite_coords", "seed", "variable", "value",
+    "Dual", "finite_coords", "seed", "variable", "value",
     "value_and_grad", "gradient", "exp", "log", "sin", "cos", "tan", "sinh",
     "cosh", "tanh", "sqrt", "powx",
 ]
@@ -154,9 +154,6 @@ class Dual:
                 f"{self.grad.shape[0]} vs {other.grad.shape[0]}")
 
 
-Scalar = Union[float, int, Dual]
-
-
 _UNIT_ROWS: dict = {}
 
 
@@ -202,11 +199,11 @@ def variable(val: float, index: int, dim: int) -> Dual:
     return Dual(float(val), _unit_rows(dim)[index])
 
 
-def value(x: Scalar) -> float:
+def value(x: float | Dual) -> float:
     return x.val if isinstance(x, Dual) else float(x)
 
 
-def value_and_grad(x: Scalar, m: int):
+def value_and_grad(x: float | Dual, m: int):
     """(value, gradient) of a scalar that may be a constant."""
     if isinstance(x, Dual):
         if x.grad.shape[0] != m:
@@ -227,7 +224,7 @@ def gradient(f: Callable, point: Sequence[float]) -> np.ndarray:
 
 # -- elementary functions, generic over float | Dual -------------------
 
-def exp(x: Scalar) -> Scalar:
+def exp(x: float | Dual) -> float | Dual:
     if isinstance(x, Dual):
         try:
             v = math.exp(x.val)
@@ -240,7 +237,7 @@ def exp(x: Scalar) -> Scalar:
         raise NonFiniteError(f"exp overflow at {x!r}") from None
 
 
-def log(x: Scalar) -> Scalar:
+def log(x: float | Dual) -> float | Dual:
     if isinstance(x, Dual):
         if x.val <= 0.0:
             raise NonFiniteError(f"log of non-positive value {x.val!r}")
@@ -250,7 +247,7 @@ def log(x: Scalar) -> Scalar:
     return math.log(x)
 
 
-def sqrt(x: Scalar) -> Scalar:
+def sqrt(x: float | Dual) -> float | Dual:
     if isinstance(x, Dual):
         if x.val < 0.0:
             raise NonFiniteError(f"sqrt of negative value {x.val!r}")
@@ -264,19 +261,19 @@ def sqrt(x: Scalar) -> Scalar:
     return math.sqrt(x)
 
 
-def sin(x: Scalar) -> Scalar:
+def sin(x: float | Dual) -> float | Dual:
     if isinstance(x, Dual):
         return Dual(math.sin(x.val), math.cos(x.val) * x.grad)
     return math.sin(x)
 
 
-def cos(x: Scalar) -> Scalar:
+def cos(x: float | Dual) -> float | Dual:
     if isinstance(x, Dual):
         return Dual(math.cos(x.val), -math.sin(x.val) * x.grad)
     return math.cos(x)
 
 
-def tan(x: Scalar) -> Scalar:
+def tan(x: float | Dual) -> float | Dual:
     if isinstance(x, Dual):
         v = math.tan(x.val)
         c = math.cos(x.val)
@@ -284,7 +281,7 @@ def tan(x: Scalar) -> Scalar:
     return math.tan(x)
 
 
-def sinh(x: Scalar) -> Scalar:
+def sinh(x: float | Dual) -> float | Dual:
     if isinstance(x, Dual):
         try:
             return Dual(math.sinh(x.val), math.cosh(x.val) * x.grad)
@@ -296,7 +293,7 @@ def sinh(x: Scalar) -> Scalar:
         raise NonFiniteError(f"sinh overflow at {x!r}") from None
 
 
-def cosh(x: Scalar) -> Scalar:
+def cosh(x: float | Dual) -> float | Dual:
     if isinstance(x, Dual):
         try:
             return Dual(math.cosh(x.val), math.sinh(x.val) * x.grad)
@@ -308,14 +305,14 @@ def cosh(x: Scalar) -> Scalar:
         raise NonFiniteError(f"cosh overflow at {x!r}") from None
 
 
-def tanh(x: Scalar) -> Scalar:
+def tanh(x: float | Dual) -> float | Dual:
     if isinstance(x, Dual):
         v = math.tanh(x.val)
         return Dual(v, (1.0 - v * v) * x.grad)
     return math.tanh(x)
 
 
-def powx(base: Scalar, exponent: Scalar) -> Scalar:
+def powx(base: float | Dual, exponent: float | Dual) -> float | Dual:
     """base ** exponent with real-domain guards.
 
     Negative base with a non-integer exponent and zero base with a

@@ -28,7 +28,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Dual
 from .errors import (BlowUpError, MonotonicityViolationError,
                      NonPositiveUdotError, SigmaInversionError,
                      StepLimitExceededError, ZeroUdotError)
@@ -81,7 +80,6 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 1_000_000
-    max_step: float = math.inf
 
 
 # ---------------------------------------------------------------------
@@ -95,10 +93,8 @@ def reduced_lagrangian(system: HerglotzSystem, rs: ReducedState) -> float:
 
 def lagrangian_w_slope(system: HerglotzSystem, rs: ReducedState) -> float:
     """d L / d w at the reduced state (the nonconservation rate)."""
-    n = system.n
-    b = system.eval_bundle(rs.point())
-    xp = rs.xp
-    return float(0.5 * xp @ b.dh[n + 1] @ xp + b.dA[n + 1] @ xp - b.dV[n + 1])
+    _, dL = system.eval_bundle(rs.point()).lagrangian(rs.xp)
+    return float(dL[system.n + 1])
 
 
 def lift_state(system: HerglotzSystem, rs: ReducedState,
@@ -177,7 +173,7 @@ def _initial_step(f, t0, y0, f0, cfg: IntegratorConfig, span: float) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** _ORDER_EXP
-    h = min(100 * h0, h1, cfg.max_step)
+    h = min(100 * h0, h1)
     if math.isfinite(span):
         h = min(h, span)
     return h
@@ -196,8 +192,8 @@ class Trajectory:
     """
 
     def __init__(self, t, y, f, kind: str, n: int, rejected: int,
-                 diagnostics: Optional[dict] = None, owner=None,
-                 nfev: int = 0, declined: int = 0):
+                 diagnostics: Optional[dict] = None, nfev: int = 0,
+                 declined: int = 0):
         self.t = np.asarray(t)
         self.y = np.asarray(y)
         self.f = np.asarray(f)
@@ -207,7 +203,6 @@ class Trajectory:
         self.nfev = nfev
         self.declined = declined
         self.diagnostics = diagnostics or {}
-        self.owner = owner            # the metric or system that produced it
         if not np.all(np.diff(self.t) > 0):
             raise ValueError("trajectory parameter must increase strictly")
 
@@ -279,7 +274,6 @@ def _adaptive_rk(f: Callable, t0: float, y0: np.ndarray, t_end: float,
         if attempts > cfg.max_steps:
             raise StepLimitExceededError(
                 f"no convergence within {cfg.max_steps} steps (t = {t!r})")
-        h = min(h, cfg.max_step)
         clipped = False
         if math.isfinite(t_end) and t + h >= t_end:
             h = t_end - t
@@ -401,7 +395,7 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
                                          on_accept=record)
     return Trajectory(ts, ys, fs, kind="geodesic", n=n, rejected=rej,
                       diagnostics={"null_residual": np.array(nulls)},
-                      owner=metric, nfev=nfev, declined=declined[0])
+                      nfev=nfev, declined=declined[0])
 
 
 class ReducedTrajectory:
@@ -571,8 +565,8 @@ def _herglotz_rhs_numpy(system: HerglotzSystem, rs: ReducedState):
     n = system.n
     b = system.eval_bundle(rs.point())
     xp = rs.xp
-    lag = float(0.5 * xp @ b.h @ xp + b.A @ xp - b.V)
-    dwL = float(0.5 * xp @ b.dh[n + 1] @ xp + b.dA[n + 1] @ xp - b.dV[n + 1])
+    lag, dL = b.lagrangian(xp)
+    dwL = dL[n + 1]
     dh_x = b.dh[:n]
     t1 = np.einsum("ikj,i,j->k", dh_x, xp, xp)
     t2 = np.einsum("kij,i,j->k", dh_x, xp, xp)
@@ -639,18 +633,26 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
     ts, ys, fs, rej, nfev = _adaptive_rk(f, float(u_span[0]), z0,
                                          float(u_span[1]), cfg)
     traj = Trajectory(ts, ys, fs, kind="reduced", n=n, rejected=rej,
-                      owner=system, nfev=nfev, declined=declined[0])
+                      nfev=nfev, declined=declined[0])
     return ReducedTrajectory(traj, source="herglotz")
 
 
 # ---------------------------------------------------------------------
 # consistency residuals along geodesic trajectories
 
-def _sample_geodesic(traj: Trajectory, k: int):
+def _geodesic_samples(metric: BrinkmannMetric, traj: Trajectory):
+    """(velocity, bundle, accelerations) at each accepted sample of a
+    geodesic trajectory; ZeroUdotError where du/dsigma vanishes."""
     n = traj.n
     m = n + 2
-    y = traj.y[k]
-    return Point(y[:n], y[n], y[n + 1]), y[m:]
+    for k in range(len(traj)):
+        y = traj.y[k]
+        v = y[m:]
+        if v[n] == 0.0:
+            raise ZeroUdotError(f"du/dsigma vanished at sigma = {traj.t[k]!r}")
+        point = Point(y[:n], y[n], y[n + 1])
+        b = metric.system.eval_bundle(point)
+        yield v, b, metric.accelerations(point, v, b)
 
 
 def u_equation_residual(metric: BrinkmannMetric, traj: Trajectory) -> float:
@@ -662,17 +664,10 @@ def u_equation_residual(metric: BrinkmannMetric, traj: Trajectory) -> float:
     """
     n = metric.system.n
     worst = 0.0
-    for k in range(len(traj)):
-        point, v = _sample_geodesic(traj, k)
+    for v, b, acc in _geodesic_samples(metric, traj):
         ud = v[n]
-        if ud == 0.0:
-            raise ZeroUdotError(f"du/dsigma vanished at sigma = {traj.t[k]!r}")
-        b = metric.system.eval_bundle(point)
-        acc = metric.accelerations(point, v, b)
-        xp = v[:n] / ud
-        dwL = float(0.5 * xp @ b.dh[n + 1] @ xp + b.dA[n + 1] @ xp
-                    - b.dV[n + 1])
-        worst = max(worst, abs(acc[n] / (ud * ud) + dwL))
+        _, dL = b.lagrangian(v[:n] / ud)
+        worst = max(worst, abs(acc[n] / (ud * ud) + dL[n + 1]))
     return worst
 
 
@@ -688,17 +683,10 @@ def w_equation_residual(metric: BrinkmannMetric, traj: Trajectory) -> float:
     """
     n = metric.system.n
     worst = 0.0
-    for k in range(len(traj)):
-        point, v = _sample_geodesic(traj, k)
+    for v, b, acc in _geodesic_samples(metric, traj):
         xd, ud, wd = v[:n], v[n], v[n + 1]
-        if ud == 0.0:
-            raise ZeroUdotError(f"du/dsigma vanished at sigma = {traj.t[k]!r}")
-        b = metric.system.eval_bundle(point)
-        acc = metric.accelerations(point, v, b)
         xp = xd / ud
-        lag = float(0.5 * xp @ b.h @ xp + b.A @ xp - b.V)
-        dL = (0.5 * np.einsum("cij,i,j->c", b.dh, xp, xp)
-              + b.dA @ xp - b.dV)
+        lag, dL = b.lagrangian(xp)
         p_vel = b.h @ xp + b.A
         dxp = acc[:n] / ud - xd * (acc[n] / (ud * ud))
         dL_dsigma = float(dL[:n] @ xd + dL[n] * ud + dL[n + 1] * wd

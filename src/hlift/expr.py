@@ -33,14 +33,14 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from . import autodiff as ad
 from .errors import (ExprEvalError, ExprSyntaxError, FieldEvalError,
                      HliftError, NonFiniteError, UnknownIdentifierError)
 
 __all__ = [
-    "Num", "Var", "Unary", "Binary", "Call", "Ast",
+    "Num", "Var", "Unary", "Binary", "Call",
     "parse", "to_text", "eval_ast", "compile_forward",
     "free_names", "validate_identifiers", "Field", "as_field",
 ]
@@ -55,27 +55,31 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 Span = tuple
 
 
+class Ast:
+    """Base class of the expression tree's node types."""
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(Ast):
     value: float
     span: Span
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(Ast):
     name: str
     span: Span
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(Ast):
     op: str
     operand: "Ast"
     span: Span
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(Ast):
     op: str
     left: "Ast"
     right: "Ast"
@@ -83,13 +87,10 @@ class Binary:
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(Ast):
     name: str
     args: tuple
     span: Span
-
-
-Ast = Union[Num, Var, Unary, Binary, Call]
 
 
 # -- tokenizer ---------------------------------------------------------

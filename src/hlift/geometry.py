@@ -12,9 +12,11 @@ so the line element is h_ij dx^i dx^j + 2 A_i dx^i du - 2 V du^2
 normalization of the lift inside its conformal class.
 
 All derivative quantities (metric derivatives, Christoffel symbols,
-covariant gradients of vector fields) come from one forward-mode pass
-over the coordinates; there is no symbolic differentiation and no
-second-order jet anywhere.
+Lie derivatives of the metric along vector fields) come from one
+forward-mode pass over the coordinates; there is no symbolic
+differentiation and no second-order jet anywhere.  `accelerations`
+contracts `christoffel`; the Lie derivative needs neither g^{-1} nor
+Gamma.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Dual, Scalar
 from .errors import AsymmetricMetricError, SingularMetricError
 from .expr import as_field, compile_forward, free_names
 
@@ -80,6 +81,13 @@ class FieldBundle:
     dA: np.ndarray   # (n+2, n)
     V: float
     dV: np.ndarray   # (n+2,)
+
+    def lagrangian(self, xp: np.ndarray):
+        """(L, dL) at reduced velocity x': the reduced Lagrangian
+        L = (1/2) h_ij x'^i x'^j + A_i x'^i - V and its n+2 coordinate
+        partials at fixed x' (dL[n+1] = d L / d w)."""
+        L = float(0.5 * xp @ self.h @ xp + self.A @ xp - self.V)
+        return L, 0.5 * xp @ self.dh @ xp + self.dA @ xp - self.dV
 
 
 class FieldPasses:
@@ -159,7 +167,7 @@ class HerglotzSystem:
 
     # -- raw field evaluation (generic over float/Dual coords) ---------
 
-    def _h_entry(self, i: int, j: int, x, u, w) -> Scalar:
+    def _h_entry(self, i: int, j: int, x, u, w):
         a = self.h[i][j](x, u, w)
         if i == j:
             return a
@@ -402,25 +410,14 @@ class BrinkmannMetric:
         b = bundle if bundle is not None else self.system.eval_bundle(point)
         g, dg = self.eval_with_derivatives(point, b)
         ginv = self._inverse_from(b.h, b.A, b.V)
+        m = self.dim
         term = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-        return 0.5 * np.tensordot(ginv, term, axes=([1], [0]))
+        return 0.5 * (ginv @ term.reshape(m, m * m)).reshape(m, m, m)
 
     def accelerations(self, point: Point, velocity: np.ndarray,
                       bundle: Optional[FieldBundle] = None) -> np.ndarray:
-        """-Gamma^mu_{nu rho} v^nu v^rho without materializing Gamma.
-
-        Same contraction as christoffel followed by two products, namely
-        -g^{mu s} [ (v . d) g_{s rho} v^rho - (1/2) d_s (g v v) ]; used
-        on the stepping hot path.
-        """
-        b = bundle if bundle is not None else self.system.eval_bundle(point)
-        _, dg = self.eval_with_derivatives(point, b)
-        ginv = self._inverse_from(b.h, b.A, b.V)
-        v = velocity
-        m = self.dim
-        M = (v @ dg.reshape(m, m * m)).reshape(m, m)
-        q = (dg @ v) @ v
-        return -ginv @ (M @ v - 0.5 * q)
+        """-Gamma^mu_{nu rho} v^nu v^rho, the contraction of christoffel."""
+        return -(self.christoffel(point, bundle) @ velocity) @ velocity
 
     def geodesic_function(self):
         """The compiled geodesic right-hand side of the first-order system
@@ -428,7 +425,8 @@ class BrinkmannMetric:
         (ydot_0, ..., ydot_{2m-1}, null residual), where ydot carries the
         velocities and then the accelerations of `accelerations`, or None
         where the field pass or the kinetic solve declines or an output
-        is not finite; eval_bundle with accelerations is the error path.
+        is not finite; eval_bundle with accelerations is the error path
+        and the oracle that the factored contraction is tested against.
         Built on first use and cached with the system's field passes."""
         return self.system.pipeline("geodesic", _geodesic_tail)
 
@@ -451,7 +449,8 @@ def tail_bundle(nodes, n: int):
 
 
 def _geodesic_tail(em, nodes):
-    """accelerations' contraction -g^{-1}(M v - q/2) over the Brinkmann
+    """accelerations' -Gamma v v, factored as -g^{mu s} [ (v . d) g_{s rho}
+    v^rho - (1/2) d_s (g v v) ] = -g^{-1}(M v - q/2) over the Brinkmann
     blocks of g and dg, plus the null residual term for term as
     dynamics.null_residual computes it (a pipeline tail, see
     expr.compile_forward)."""
@@ -516,16 +515,14 @@ def eval_vector_fields(fields, point: Point, n: int):
 
 def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point) -> np.ndarray:
     """S_{mu nu} = nabla_mu K_nu + nabla_nu K_mu for the vector field K
-    with components (gen.dx, gen.du, gen.dw)."""
-    system = metric.system
-    b = system.eval_bundle(point)
-    g, dg = metric.eval_with_derivatives(point, b)
+    with components (gen.dx, gen.du, gen.dw), as the Lie derivative
+    (L_K g)_{mu nu} = K^c d_c g_{mu nu} + g_{c nu} d_mu K^c
+    + g_{mu c} d_nu K^c, which needs first derivatives only."""
+    m = metric.dim
+    g, dg = metric.eval_with_derivatives(point)
     K, dK = gen.components_at(point)
-    K_low = g @ K
-    dK_low = np.einsum("mns,s->mn", dg, K) + np.einsum("ns,ms->mn", g, dK)
-    gamma = metric.christoffel(point, b)
-    nabla = dK_low - np.einsum("smn,s->mn", gamma, K_low)
-    return nabla + nabla.T
+    M = dK @ g                  # M[mu, nu] = d_mu K^c g_{c nu}
+    return (K @ dg.reshape(m, m * m)).reshape(m, m) + M + M.T
 
 
 def conformal_factor(metric: BrinkmannMetric, gen, point: Point) -> float:
@@ -596,5 +593,5 @@ def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetri
     vals, J = cmap.value_and_jacobian(point)
     g_b = metric_b.eval(Point.from_coords(vals, metric_b.system.n))
     g_a = metric_a.eval(point)
-    om = ad.value(omega_f(list(point.x), point.u, point.w))
+    om = ad.value(omega_f(point.x.tolist(), float(point.u), float(point.w)))
     return float(np.max(np.abs(J.T @ g_b @ J - om * g_a)))

@@ -3,8 +3,9 @@
 A generator is a vector field K = (dx^1..dx^n, du, dw) over the lifted
 space.  The same object is checked at three levels:
 
-  * metric level: Killing residual max|nabla K + (nabla K)^T| and its
-    conformal variant with the trace part removed;
+  * metric level: Killing residual max|L_K g| (the Lie derivative,
+    equal to nabla K + (nabla K)^T) and its conformal variant with the
+    trace part removed;
   * velocity level: the invariance condition of the reduced variational
     problem, evaluated at a reduced state with dw/du replaced by L;
   * coefficient level: the invariance condition is polynomial in the
@@ -74,7 +75,7 @@ class SymmetryGenerator:
 
 def killing_residual(metric: BrinkmannMetric, gen: SymmetryGenerator,
                      point: Point) -> float:
-    """max entry of nabla_mu K_nu + nabla_nu K_mu at the point."""
+    """max entry of L_K g = nabla K + (nabla K)^T at the point."""
     S = covariant_sym_grad(metric, gen, point)
     return float(np.max(np.abs(S)))
 
@@ -109,12 +110,11 @@ def symmetry_condition_residual(system: HerglotzSystem, gen: SymmetryGenerator,
     n = system.n
     b = system.eval_bundle(rs.point())
     xp = rs.xp
-    lag = float(0.5 * xp @ b.h @ xp + b.A @ xp - b.V)
+    lag, dL = b.lagrangian(xp)
     K, dK = gen.components_at(rs.point())
     # total u-derivatives of the components along the motion
     D = xp @ dK[:n] + dK[n] + dK[n + 1] * lag
     ddx, ddu, ddw = D[:n], D[n], D[n + 1]
-    dL = 0.5 * np.einsum("cij,i,j->c", b.dh, xp, xp) + b.dA @ xp - b.dV
     p = b.h @ xp + b.A
     res = dL @ K + p @ (ddx - xp * ddu) + lag * ddu - ddw
     return abs(float(res))

@@ -274,8 +274,13 @@ def damped_conformal_map(gamma: float, n: int = 1):
     return cmap, factor
 
 
-def conformal_pair(gamma: float = 0.2, omega: float = 1.0, n: int = 1):
-    """(time-flavor entry, action-flavor entry, map, conformal factor)."""
+def conformal_pair(gamma: Optional[float] = None,
+                   omega: Optional[float] = None, n: int = 1):
+    """(time-flavor entry, action-flavor entry, map, conformal factor);
+    gamma and omega default to the damped factories' defaults."""
+    defaults = factory_params(damped_time_dependent)
+    gamma = defaults["gamma"] if gamma is None else gamma
+    omega = defaults["omega"] if omega is None else omega
     ent_a = damped_time_dependent(gamma, omega, n)
     ent_b = damped_action_dependent(gamma, omega, n)
     cmap, factor = damped_conformal_map(gamma, n)

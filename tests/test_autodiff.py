@@ -1,6 +1,10 @@
 """Forward-mode dual arithmetic against closed-form and finite-difference oracles."""
 
+import gc
+import importlib
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -132,3 +136,24 @@ def test_mixed_dimension_rejected():
     b, _ = ad.seed([1.0, 2.0])
     with pytest.raises(ValueError):
         _ = a + b
+
+
+def test_a_purged_package_copy_is_collected():
+    # a module-level typing alias over hlift's classes (such as
+    # Union[float, int, Dual]) sits in typing's cache and keeps every
+    # purged copy of the package alive
+    def purge():
+        return {k: sys.modules.pop(k) for k in list(sys.modules)
+                if k == "hlift" or k.startswith("hlift.")}
+
+    saved = purge()
+    try:
+        fresh = importlib.import_module("hlift")
+        refs = [weakref.ref(fresh.autodiff.Dual), weakref.ref(fresh.expr.Num)]
+        assert refs[0]() is not saved["hlift.autodiff"].Dual
+        del fresh
+    finally:
+        purge()
+        sys.modules.update(saved)
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

@@ -1,6 +1,7 @@
 """The compiled forward pass against the seeded Dual interpretation, and
 the compiled right-hand sides against their numpy path."""
 
+import dataclasses
 import inspect
 import linecache
 import math
@@ -14,7 +15,7 @@ from hlift.cloud import point_cloud
 from hlift.dynamics import (ReducedState, _geodesic_ode, _herglotz_rhs_numpy,
                             _null_form, herglotz_rhs, reduced_function)
 from hlift.errors import HliftError
-from hlift.expr import FUNCTIONS, Field, compile_forward
+from hlift.expr import FUNCTIONS, Field, compile_forward, parse, to_text
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem,
                             Point, eval_vector_fields, solve_kinetic)
 from hlift.systems import (conformal_pair, damped_conformal_map,
@@ -92,6 +93,26 @@ def test_random_expressions_match_the_dual_path(text, k, coords):
     else:
         assert got is not None, (text, coords, plain)
         assert np.array_equal(got[0], plain, equal_nan=True), (text, coords)
+
+
+def _unspanned(node):
+    """The tree with every span set to None, for structural comparison."""
+    kids = {f: tuple(map(_unspanned, v)) if f == "args" else _unspanned(v)
+            for f, v in vars(node).items()
+            if f in ("operand", "left", "right", "args")}
+    return dataclasses.replace(node, span=None, **kids)
+
+
+# the parser makes no negative Num (a leading minus is a Unary node), so
+# the leaves stay nonnegative; the wide ones reach the exponent notation
+_WIDE = st.floats(0.0, 1e300).map(repr)
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(st.recursive(_LEAVES | _WIDE, _extend, max_leaves=10))
+def test_to_text_round_trips_through_parse(text):
+    ast = parse(text)
+    assert _unspanned(parse(to_text(ast))) == _unspanned(ast), text
 
 
 # ------------------------------------------------------------------- guards

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from hlift import autodiff as ad
-from hlift.errors import AsymmetricMetricError, SingularMetricError
+from hlift.cloud import point_cloud
+from hlift.errors import (AsymmetricMetricError, FieldEvalError,
+                          SingularMetricError)
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem,
                             NearlySingularKineticWarning, Point,
                             conformal_factor, conformal_factor_closed_form,
@@ -20,7 +22,8 @@ from hlift.geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem,
                             eval_vector_fields, solve_kinetic)
 from hlift.systems import (coupled_curved, damped_conformal_map,
                            damped_time_dependent, free_particle,
-                           harmonic_oscillator, standard_catalog)
+                           harmonic_oscillator, standard_catalog,
+                           x_scaling_control)
 
 P0 = Point(np.array([0.3, -0.2]), 0.4, 0.1)
 
@@ -252,6 +255,42 @@ def test_covariant_sym_grad_killing_vs_not():
     assert np.max(np.abs(S_bad)) > 0.1
 
 
+def _gamma_route_sym_grad(metric, gen, point):
+    """nabla_mu K_nu + nabla_nu K_mu from christoffel and the lowered K,
+    the oracle for covariant_sym_grad's Lie derivative form."""
+    b = metric.system.eval_bundle(point)
+    g, dg = metric.eval_with_derivatives(point, b)
+    K, dK = gen.components_at(point)
+    K_low = g @ K
+    dK_low = np.einsum("mns,s->mn", dg, K) + np.einsum("ns,ms->mn", g, dK)
+    gamma = metric.christoffel(point, b)
+    nabla = dK_low - np.einsum("smn,s->mn", gamma, K_low)
+    return nabla + nabla.T
+
+
+def _sym_grad_subjects():
+    """Every catalog generator, and the x-scaling control on every
+    catalog system."""
+    out = []
+    for ent in standard_catalog().values():
+        gens = list(ent.generators.values())
+        gens += [g for g, _ in ent.conformal.values()]
+        gens.append(x_scaling_control(ent.system.n))
+        out += [pytest.param(ent.system, g, id=f"{ent.key}:{g.name}")
+                for g in gens]
+    return out
+
+
+@pytest.mark.parametrize("system, gen", _sym_grad_subjects())
+def test_lie_derivative_matches_the_christoffel_route(system, gen):
+    metric = BrinkmannMetric(system)
+    for p in point_cloud(system.n, 200):
+        want = _gamma_route_sym_grad(metric, gen, p)
+        got = covariant_sym_grad(metric, gen, p)
+        scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, p
+
+
 def test_conformal_factor_matches_closed_form():
     ent = damped_time_dependent(gamma=0.3)
     met = BrinkmannMetric(ent.system)
@@ -299,3 +338,18 @@ def test_conformal_pullback_damped_pair():
     assert conformal_pullback_check(met_a, met_b, cmap, p, factor) < 1e-13
     # wrong factor must not pass
     assert conformal_pullback_check(met_a, met_b, cmap, p, 1.0) > 1e-3
+
+
+@pytest.mark.parametrize("omega, message", [
+    ("1/x1", "omega: division by zero (span 0..4)"),
+    ("log(x1)", "omega: log of non-positive value 0.0 (span 0..7)"),
+])
+def test_conformal_pullback_omega_errors_name_plain_floats(omega, message):
+    # omega is evaluated on Python floats, as every field is: a zero
+    # divisor raises instead of warning, and messages carry no numpy repr
+    met = BrinkmannMetric(harmonic_oscillator().system)
+    ident = CoordinateMap(1, ["x1", "u", "w"])
+    p = Point(np.array([0.0]), 0.2, 0.9)
+    with pytest.raises(FieldEvalError) as err:
+        conformal_pullback_check(met, met, ident, p, omega)
+    assert str(err.value) == message

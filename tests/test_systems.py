@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hlift import autodiff as ad
+from hlift import autodiff as ad, systems
 from hlift.dynamics import (IntegratorConfig, ReducedState, integrate_herglotz,
                             lift_state, integrate_geodesic, reduce_trajectory)
 from hlift.errors import OverdampedUnsupportedError
@@ -175,6 +175,22 @@ def test_conformal_pair_orientation():
     assert not ent_a.system.w_dependent
     assert ent_b.system.w_dependent
     assert factor([0.0], 2.0, 0.0) == pytest.approx(math.exp(-0.6), rel=1e-14)
+
+
+def test_conformal_pair_defaults_are_the_damped_factories(monkeypatch):
+    # both flavors declare the same parameters, and the pair built without
+    # arguments is built at them, whatever they are
+    params = factory_params(damped_time_dependent)
+    assert factory_params(damped_action_dependent) == params
+    ent_a, ent_b, _, _ = conformal_pair()
+    assert ent_a.params == ent_b.params == params
+
+    def shifted(gamma=0.35, omega=1.5, n=1):
+        return damped_time_dependent(gamma, omega, n)
+
+    monkeypatch.setattr(systems, "damped_time_dependent", shifted)
+    ent_a, ent_b, _, _ = conformal_pair()
+    assert ent_a.params == ent_b.params == {"gamma": 0.35, "omega": 1.5}
 
 
 def test_coupled_has_no_closed_form():
