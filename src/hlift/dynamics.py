@@ -16,12 +16,20 @@ The stepper is an embedded Dormand-Prince 4(5) pair with PI step-size
 control, FSAL reuse, and a cubic Hermite interpolant stored per accepted
 step.  It is deliberately hand-rolled: every accepted step records the
 diagnostics the equivalence checks need, and reruns are bit-for-bit
-deterministic.
+deterministic.  One scalar step loop serves both pipelines: states and
+derivatives are tuples of floats, each attempt is one call of a
+straight-line step generated per state length, and the compiled
+right-hand sides are called on the floats directly; only a call they
+decline goes through numpy.  Accepted samples go to flat float buffers,
+reshaped once into the trajectory's arrays.  The samples agree with an
+array-form oracle of the same stepper at rounding level.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -31,6 +39,7 @@ from . import autodiff as ad
 from .errors import (BlowUpError, MonotonicityViolationError,
                      NonPositiveUdotError, SigmaInversionError,
                      StepLimitExceededError, ZeroUdotError)
+from .expr import define_function
 from .geometry import (BrinkmannMetric, HerglotzSystem, Point,
                        emit_kinetic_solve, solve_kinetic, tail_bundle)
 
@@ -135,19 +144,20 @@ def geodesic_rhs(metric: BrinkmannMetric, gs: GeodesicState) -> np.ndarray:
 # ---------------------------------------------------------------------
 # embedded Dormand-Prince 4(5) with PI control and Hermite dense output
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B = _DP_A[6]                       # 5th order weights (FSAL row)
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                  -17253 / 339200, 22 / 525, -1 / 40])
+# the tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5): nodes and
+# rows of stages 2..7, whose last row is the 5th order weights (FSAL),
+# and the weights of the error estimate
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
 _ORDER_EXP = 1.0 / 5.0
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -156,19 +166,19 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
 
-def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(v * v)))
+def _scaled_rms(v, scale) -> float:
+    """sqrt(mean((v / scale)^2)) over sequences of floats."""
+    return math.sqrt(sum((a / s) * (a / s) for a, s in zip(v, scale)) / len(v))
 
 
 def _initial_step(f, t0, y0, f0, cfg: IntegratorConfig, span: float) -> float:
     """Cheap two-evaluation guess for the first step size."""
-    scale = cfg.atol + cfg.rtol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = [cfg.atol + cfg.rtol * abs(v) for v in y0]
+    d0 = _scaled_rms(y0, scale)
+    d1 = _scaled_rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    f1 = f(t0 + h0, tuple(a + h0 * b for a, b in zip(y0, f0)))
+    d2 = _scaled_rms([b - a for a, b in zip(f0, f1)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -177,6 +187,50 @@ def _initial_step(f, t0, y0, f0, cfg: IntegratorConfig, span: float) -> float:
     if math.isfinite(span):
         h = min(h, span)
     return h
+
+
+@functools.cache
+def _dopri5_step(size: int):
+    """One Dormand-Prince attempt on states of `size` floats, as one
+    straight-line function, generated on first use:
+
+        step(f, t, h, y_0, ..., k1_0, ..., atol, rtol)
+
+    with k1 = f(t, y).  It returns (y_new, k7, err): the 5th order state,
+    which is the input of the FSAL stage itself, so that k7 = f(t + h,
+    y_new) is f's last call; and the RMS norm of the error estimate
+    scaled by atol + rtol max(|y|, |y_new|).  Where a stage input or err
+    is not finite it returns instead the number of calls of f it made.
+    f takes (t, tuple of floats) and returns a tuple of floats.
+    """
+    J = range(size)
+    body = []
+
+    def combo(row, j):
+        return " + ".join(f"{a!r} * k{i + 1}_{j}" for i, a in enumerate(row)
+                          if a != 0.0)
+
+    for i, (c, row) in enumerate(zip(_DP_C, _DP_A)):
+        s = [f"s{i + 2}_{j}" for j in J]
+        body += [f"{s[j]} = y_{j} + h * ({combo(row, j)})" for j in J]
+        # x * 0.0 is nan exactly for a non-finite x, and never overflows
+        body.append(f"if {' + '.join(f'{v} * 0.0' for v in s)} != 0.0: "
+                    f"return {i}")
+        body.append(f"y{i + 2} = ({', '.join(s)},)")
+        tc = "t + h" if c == 1.0 else f"t + {c!r} * h"
+        body.append(f"{', '.join(f'k{i + 2}_{j}' for j in J)}, = k{i + 2} "
+                    f"= f({tc}, y{i + 2})")
+    for j in J:
+        body += [f"_a = abs(y_{j})", f"_b = abs(s7_{j})",
+                 f"r{j} = h * ({combo(_DP_E, j)}) / "
+                 f"(atol + rtol * (_a if _a > _b else _b))"]
+    body += [f"err = _sqrt(({' + '.join(f'r{j} * r{j}' for j in J)}) / {size})",
+             "if err - err != 0.0: return 6",
+             "return y7, k7, err"]
+    params = (["f", "t", "h"] + [f"y_{j}" for j in J]
+              + [f"k1_{j}" for j in J] + ["atol", "rtol"])
+    return define_function("_dopri5_step", params, body, f"dopri5 {size}",
+                           {"_sqrt": math.sqrt})
 
 
 class Trajectory:
@@ -238,78 +292,67 @@ class Trajectory:
                 + h01 * self.y[k + 1] + (h11 * h) * self.f[k + 1])
 
 
-def _adaptive_rk(f: Callable, t0: float, y0: np.ndarray, t_end: float,
-                 cfg: IntegratorConfig,
-                 stop: Optional[Callable] = None,
-                 on_accept: Optional[Callable] = None):
-    """Core stepper; returns (ts, ys, fs, rejected, nfev).
+def _integrate(f: Callable, t0: float, y0: tuple, k0: tuple, t_end: float,
+               cfg: IntegratorConfig,
+               stop: Optional[Callable] = None,
+               on_accept: Optional[Callable] = None):
+    """Core stepper; returns (ts, ys, fs, rejected, nfev), the accepted
+    samples as arrays of shapes (N,), (N, len(y0)) and (N, len(y0)).
 
-    on_accept(t, y, f(t, y)) runs for the initial state and for every
-    accepted step, each time right after the call of f at exactly that
-    (t, y): the first call, or the FSAL stage, whose input y + h*(B @ K)
-    is the accepted state bit for bit.  So on_accept may reuse whatever
-    f computed last instead of evaluating it again.
+    f(t, y) takes and returns tuples of floats, and k0 is the caller's
+    first call f(t0, y0), which nfev counts.  Each attempt is one call of
+    the generated step (_dopri5_step); the accepted samples go to flat
+    float buffers.  on_accept(t, y, f(t, y)) runs for the initial state
+    and for every accepted step, each time right after the call of f at
+    exactly that (t, y): the first call, or the FSAL stage, whose input
+    is the accepted state.  So on_accept may reuse whatever f computed
+    last instead of evaluating it again.
     """
+    size = len(y0)
+    step = _dopri5_step(size)
+    atol, rtol = cfg.atol, cfg.rtol
     t = float(t0)
-    y = np.asarray(y0, dtype=float)
-    k1 = np.asarray(f(t, y), dtype=float)
+    y, k1 = y0, k0
     if on_accept is not None:
         on_accept(t, y, k1)
-    span = t_end - t
-    h = _initial_step(f, t, y, k1, cfg, span)
+    h = _initial_step(f, t, y, k1, cfg, t_end - t)
     nfev = 2
-    ts = [t]
-    ys = [y.copy()]
-    fs = [k1.copy()]
+    ts, ys, fs = array("d", (t,)), array("d", y), array("d", k1)
     rejected = 0
     attempts = 0
     err_prev = 1.0
     just_rejected = False
-    K = np.empty((7, len(y)))
-    done = t >= t_end
-    if stop is not None and stop(t, y):
-        done = True
+    bounded = math.isfinite(t_end)
+    done = t >= t_end or (stop is not None and stop(t, y))
     while not done:
         attempts += 1
         if attempts > cfg.max_steps:
             raise StepLimitExceededError(
                 f"no convergence within {cfg.max_steps} steps (t = {t!r})")
         clipped = False
-        if math.isfinite(t_end) and t + h >= t_end:
+        if bounded and t + h >= t_end:
             h = t_end - t
             clipped = True
         if h <= 1e-14 * max(1.0, abs(t)):
             raise BlowUpError(f"step size underflow at t = {t!r}")
-        K[0] = k1
-        ok = True
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ K[:i])
-            if not np.all(np.isfinite(yi)):
-                ok = False
-                break
-            K[i] = f(t + _DP_C[i] * h, yi)
-            nfev += 1
-        if ok:
-            y_new = y + h * (_DP_B @ K[:6])
-            err_vec = h * (_DP_E @ K)
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _rms(err_vec / scale)
-            ok = math.isfinite(err) and np.all(np.isfinite(y_new))
-        if not ok:
+        out = step(f, t, h, *y, *k1, atol, rtol)
+        if type(out) is int:        # not finite: out calls of f were made
+            nfev += out
             rejected += 1
             just_rejected = True
             h *= 0.25
             continue
+        nfev += 6
+        y_new, k_new, err = out
         if err <= 1.0:
-            t_new = t_end if clipped else t + h
-            k_new = K[6].copy()        # FSAL: last stage is f(t+h, y_new)
-            t, y, k1 = t_new, y_new, k_new
+            t = t_end if clipped else t + h
+            y, k1 = y_new, k_new
             ts.append(t)
-            ys.append(y.copy())
-            fs.append(k1.copy())
+            ys.extend(y)
+            fs.extend(k1)
             if on_accept is not None:
                 on_accept(t, y, k1)
-            if float(np.max(np.abs(y))) > _BLOWUP_NORM:
+            if max(map(abs, y)) > _BLOWUP_NORM:
                 raise BlowUpError(
                     f"state norm exceeded {_BLOWUP_NORM:g} at t = {t!r}")
             if err == 0.0:
@@ -324,22 +367,25 @@ def _adaptive_rk(f: Callable, t0: float, y0: np.ndarray, t_end: float,
             h = h * factor
             if stop is not None and stop(t, y):
                 break
-            if math.isfinite(t_end) and t >= t_end:
+            if bounded and t >= t_end:
                 break
         else:
             rejected += 1
             just_rejected = True
             factor = _SAFETY * err ** (-_ORDER_EXP)
             h = h * max(_MIN_FACTOR, factor)
-    return np.array(ts), np.array(ys), np.array(fs), rejected, nfev
+    as_array = lambda buf: np.frombuffer(buf, dtype=float)
+    return (as_array(ts), as_array(ys).reshape(-1, size),
+            as_array(fs).reshape(-1, size), rejected, nfev)
 
 
 # ---------------------------------------------------------------------
 # geodesic pipeline
 
 def _geodesic_ode(metric: BrinkmannMetric, declined: list):
-    """(f, latest): the first-order geodesic system and a one-slot list
-    holding the null residual at f's most recent call.
+    """(f, latest): the first-order geodesic system on tuples of floats
+    and a one-slot list holding the null residual at f's most recent
+    call.
 
     f runs the compiled geodesic function; where it declines, f counts
     the call in `declined` and runs the numpy path (eval_bundle and
@@ -352,16 +398,17 @@ def _geodesic_ode(metric: BrinkmannMetric, declined: list):
     latest = [0.0]
 
     def f(sigma, y):
-        out = fn(*y.tolist())
+        out = fn(*y)
         if out is not None:
             latest[0] = out[-1]
-            return np.array(out[:-1])
+            return out[:-1]
         declined[0] += 1
         point = Point(y[:n], y[n], y[n + 1])
         b = system.eval_bundle(point)
-        v = y[m:]
-        latest[0] = _null_form(b.h.tolist(), b.A.tolist(), b.V, v.tolist())
-        return np.concatenate([v, metric.accelerations(point, v, b)])
+        v = list(y[m:])
+        latest[0] = _null_form(b.h.tolist(), b.A.tolist(), b.V, v)
+        acc = metric.accelerations(point, np.array(v), b)
+        return (*v, *acc.tolist())
 
     return f, latest
 
@@ -378,10 +425,11 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
     cfg = config or IntegratorConfig()
     n = metric.system.n
     s0, s1 = float(sigma_span[0]), float(sigma_span[1])
-    y0 = np.concatenate([gs0.point.coords(), gs0.velocity])
+    y0 = tuple(np.concatenate([gs0.point.coords(), gs0.velocity]).tolist())
     declined = [0]
     f, latest = _geodesic_ode(metric, declined)
-    nulls = []
+    k0 = f(s0, y0)
+    nulls = array("d")
 
     def record(t, y, fy):
         # the stepper's last call of f was at this very state
@@ -391,10 +439,10 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
     if stop_at_u is not None:
         target = float(stop_at_u)
         stop = lambda t, y: y[n] >= target
-    ts, ys, fs, rej, nfev = _adaptive_rk(f, s0, y0, s1, cfg, stop=stop,
-                                         on_accept=record)
+    ts, ys, fs, rej, nfev = _integrate(f, s0, y0, k0, s1, cfg, stop=stop,
+                                       on_accept=record)
     return Trajectory(ts, ys, fs, kind="geodesic", n=n, rejected=rej,
-                      diagnostics={"null_residual": np.array(nulls)},
+                      diagnostics={"null_residual": np.frombuffer(nulls)},
                       nfev=nfev, declined=declined[0])
 
 
@@ -614,24 +662,31 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
                        ) -> ReducedTrajectory:
     """Integrate the reduced dynamics over u_span = (u0, u1).
 
-    The state is (x, x', w) with dw/du = L.
+    The state is (x, x', w) with dw/du = L.  The initial derivative
+    comes from herglotz_rhs, every later one from the compiled reduced
+    function, or where it declines from the numpy path.
     """
     cfg = config or IntegratorConfig()
     n = system.n
     declined = [0]
+    fn = reduced_function(system)
 
     def f(u, z):
-        rs = ReducedState(z[:n], z[n:2 * n], u, z[2 * n])
-        xpp, lag = herglotz_rhs(system, rs, declined)
-        zdot = np.empty(2 * n + 1)
-        zdot[:n] = rs.xp
-        zdot[n:2 * n] = xpp
-        zdot[2 * n] = lag
-        return zdot
+        out = fn(u, *z)
+        if out is not None:
+            return out
+        declined[0] += 1
+        xpp, lag = _herglotz_rhs_numpy(
+            system, ReducedState(z[:n], z[n:2 * n], u, z[2 * n]))
+        return (*z[n:2 * n], *xpp.tolist(), lag)
 
-    z0 = np.concatenate([rs0.x, rs0.xp, [rs0.w]])
-    ts, ys, fs, rej, nfev = _adaptive_rk(f, float(u_span[0]), z0,
-                                         float(u_span[1]), cfg)
+    u0 = float(u_span[0])
+    xp0 = rs0.xp.tolist()
+    z0 = (*rs0.x.tolist(), *xp0, float(rs0.w))
+    xpp0, lag0 = herglotz_rhs(system, ReducedState(rs0.x, rs0.xp, u0, rs0.w),
+                              declined)
+    k0 = (*xp0, *xpp0.tolist(), float(lag0))
+    ts, ys, fs, rej, nfev = _integrate(f, u0, z0, k0, float(u_span[1]), cfg)
     traj = Trajectory(ts, ys, fs, kind="reduced", n=n, rejected=rej,
                       nfev=nfev, declined=declined[0])
     return ReducedTrajectory(traj, source="herglotz")

@@ -780,15 +780,24 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
         body += _guarded(em.lines[n_field_lines:])
         body += _finite_check([r for r in out if not r.startswith("(")])
     body.append(f"return ({', '.join(out)},)")
-    src = (f"def _forward({', '.join(params)}):\n"
-           + "\n".join(f"    {line}" for line in body) + "\n")
-    filename = f"<forward {name} {hashlib.sha1(src.encode()).hexdigest()[:8]}>"
-    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     ns = dict(_FORWARD_GLOBALS)
     ns.update(em.globals)
     ns.update({v: float(k) for k, v in em.consts.items()})
+    return define_function("_forward", params, body, f"forward {name}", ns)
+
+
+def define_function(name: str, params: Sequence, body: list, label: str,
+                    ns: dict):
+    """The function `name(*params)` whose body is the source lines `body`,
+    defined in namespace `ns`.  linecache serves its source under the
+    file name `<label hash>`, for tracebacks, profiles and
+    inspect.getsource."""
+    src = (f"def {name}({', '.join(params)}):\n"
+           + "\n".join(f"    {line}" for line in body) + "\n")
+    filename = f"<{label} {hashlib.sha1(src.encode()).hexdigest()[:8]}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     exec(compile(src, filename, "exec"), ns)
-    return ns["_forward"]
+    return ns[name]
 
 
 def _guarded(lines: list) -> list:

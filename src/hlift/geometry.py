@@ -513,16 +513,28 @@ def eval_vector_fields(fields, point: Point, n: int):
     return vals, grads
 
 
-def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point) -> np.ndarray:
+def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point,
+                       bundle: Optional[FieldBundle] = None) -> np.ndarray:
     """S_{mu nu} = nabla_mu K_nu + nabla_nu K_mu for the vector field K
     with components (gen.dx, gen.du, gen.dw), as the Lie derivative
     (L_K g)_{mu nu} = K^c d_c g_{mu nu} + g_{c nu} d_mu K^c
-    + g_{mu c} d_nu K^c, which needs first derivatives only."""
+    + g_{mu c} d_nu K^c, which needs first derivatives only.  `bundle`
+    is the field pass at the point, evaluated here when not given."""
     m = metric.dim
-    g, dg = metric.eval_with_derivatives(point)
+    g, dg = metric.eval_with_derivatives(point, bundle)
     K, dK = gen.components_at(point)
     M = dK @ g                  # M[mu, nu] = d_mu K^c g_{c nu}
     return (K @ dg.reshape(m, m * m)).reshape(m, m) + M + M.T
+
+
+def conformal_split(metric: BrinkmannMetric, gen, point: Point):
+    """(S, lambda, g) at the point from one field pass: S of
+    covariant_sym_grad, its trace part lambda = g^{mu nu} S_{mu nu} / (n + 2),
+    and the metric g."""
+    b = metric.system.eval_bundle(point)
+    S = covariant_sym_grad(metric, gen, point, b)
+    lam = float(np.tensordot(metric.inverse(point, b), S, axes=2)) / metric.dim
+    return S, lam, metric._assemble(b.h, b.A, b.V)
 
 
 def conformal_factor(metric: BrinkmannMetric, gen, point: Point) -> float:
@@ -532,9 +544,7 @@ def conformal_factor(metric: BrinkmannMetric, gen, point: Point) -> float:
     For a conformal Killing field this is the factor in S = lambda g; for
     anything else it is just the trace projection.
     """
-    S = covariant_sym_grad(metric, gen, point)
-    ginv = metric.inverse(point)
-    return float(np.tensordot(ginv, S, axes=2)) / metric.dim
+    return conformal_split(metric, gen, point)[1]
 
 
 def conformal_factor_closed_form(system: HerglotzSystem, gen, point: Point) -> float:

@@ -31,8 +31,8 @@ from .dynamics import (ReducedState, ReducedTrajectory, lagrangian_w_slope,
 from .errors import SingularJacobianError
 from .expr import as_field
 from .geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
-                       HerglotzSystem, Point, covariant_sym_grad,
-                       eval_vector_fields)
+                       HerglotzSystem, Point, conformal_split,
+                       covariant_sym_grad, eval_vector_fields)
 
 __all__ = [
     "SymmetryGenerator", "killing_residual", "conformal_killing_residual",
@@ -87,10 +87,7 @@ def conformal_killing_residual(metric: BrinkmannMetric, gen: SymmetryGenerator,
     Zero residual means K generates a conformal isometry with factor
     lambda at this point.
     """
-    S = covariant_sym_grad(metric, gen, point)
-    g = metric.eval(point)
-    ginv = metric.inverse(point)
-    lam = float(np.tensordot(ginv, S, axes=2)) / metric.dim
+    S, lam, g = conformal_split(metric, gen, point)
     return float(np.max(np.abs(S - lam * g))), lam
 
 
@@ -183,12 +180,17 @@ def degreewise_max_residual(system: HerglotzSystem, gen: SymmetryGenerator,
 def noether_charge(system: HerglotzSystem, gen: SymmetryGenerator,
                    rs: ReducedState) -> float:
     """(h x' + A) . dx - ((1/2) h x' x' + V) du - dw at the state."""
-    h, A, V = system.eval_values(rs.point())
+    return _charge(gen, rs, *system.eval_values(rs.point()))
+
+
+def _charge(gen: SymmetryGenerator, rs: ReducedState, h, A, V) -> float:
+    """noether_charge's formula, given the field values at the state."""
+    n = len(A)
     K, _ = gen.components_at(rs.point())
     xp = rs.xp
     p = h @ xp + A
     energy = float(0.5 * xp @ h @ xp + V)
-    return float(p @ K[:system.n] - energy * K[system.n] - K[system.n + 1])
+    return float(p @ K[:n] - energy * K[n] - K[n + 1])
 
 
 def affine_charge(metric: BrinkmannMetric, gen: SymmetryGenerator, gs) -> float:
@@ -220,10 +222,14 @@ def nonlocal_charge(system: HerglotzSystem, gen: SymmetryGenerator,
     """
     u = rt.u
     m = len(u)
-    slope = np.array([lagrangian_w_slope(system, rt.sample_state(k))
-                      for k in range(m)])
-    qs = np.array([noether_charge(system, gen, rt.sample_state(k))
-                   for k in range(m)])
+    slope = np.empty(m)
+    qs = np.empty(m)
+    for k in range(m):
+        # one derivative pass gives both the w-slope and the charge
+        rs = rt.sample_state(k)
+        b = system.eval_bundle(rs.point())
+        slope[k] = b.lagrangian(rs.xp)[1][system.n + 1]
+        qs[k] = _charge(gen, rs, b.h, b.A, b.V)
     integral = np.empty(m)
     integral[0] = 0.0
     acc = 0.0

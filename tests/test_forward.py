@@ -12,8 +12,9 @@ import pytest
 
 from hlift import autodiff as ad
 from hlift.cloud import point_cloud
-from hlift.dynamics import (ReducedState, _geodesic_ode, _herglotz_rhs_numpy,
-                            _null_form, herglotz_rhs, reduced_function)
+from hlift.dynamics import (ReducedState, _dopri5_step, _geodesic_ode,
+                            _herglotz_rhs_numpy, _null_form, herglotz_rhs,
+                            reduced_function)
 from hlift.errors import HliftError
 from hlift.expr import FUNCTIONS, Field, compile_forward, parse, to_text
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem,
@@ -344,7 +345,7 @@ def _check_geodesic(system, x, u, w, v):
         assert got is None, (system.name, y, want)
         declined = [0]
         f, _ = _geodesic_ode(metric, declined)
-        _assert_declines_like(want, f, 0.0, y)
+        _assert_declines_like(want, f, 0.0, y.tolist())
         assert declined == [1]
         return
     out, null, b = want
@@ -410,11 +411,13 @@ def test_compiled_rhs_matches_numpy_on_random_systems(texts, k, coords):
 
 def test_generated_source_is_in_linecache():
     system = standard_catalog()["coupled"].system
-    fns = [BrinkmannMetric(system).geodesic_function(),
-           reduced_function(system),
-           compile_forward(system._passes.entries, 2, True, 0.0, "coupled")]
-    for fn in fns:
+    fns = [(fn, "<forward coupled", "def _forward(") for fn in (
+        BrinkmannMetric(system).geodesic_function(),
+        reduced_function(system),
+        compile_forward(system._passes.entries, 2, True, 0.0, "coupled"))]
+    fns.append((_dopri5_step(8), "<dopri5 8 ", "def _dopri5_step(f, t, h, "))
+    for fn, prefix, head in fns:
         filename = fn.__code__.co_filename
-        assert filename.startswith("<forward coupled")
-        assert linecache.getline(filename, 1).startswith("def _forward(")
+        assert filename.startswith(prefix)
+        assert linecache.getline(filename, 1).startswith(head)
         assert inspect.getsource(fn) == "".join(linecache.getlines(filename))
