@@ -9,7 +9,6 @@ velocity and coefficient level, and charge conservation including the
 nonlocally rescaled charges of action-dependent systems.
 """
 
-from .autodiff import Dual, gradient
 from .cloud import DEFAULT_BOUNDS, halton, point_cloud, state_cloud
 from .dynamics import (GeodesicState, IntegratorConfig, ReducedState,
                        ReducedTrajectory, Trajectory, geodesic_rhs,

@@ -35,8 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .errors import (BlowUpError, MonotonicityViolationError,
+from .errors import (BlowUpError, MonotonicityViolationError, NonFiniteError,
                      NonPositiveUdotError, SigmaInversionError,
                      StepLimitExceededError, ZeroUdotError)
 from .expr import define_function
@@ -755,25 +754,23 @@ def homogeneity_residual(system: HerglotzSystem, rs: ReducedState,
                          udot: float) -> float:
     """Euler degree-1 defect of Ltilde = (1/2) h xd xd / ud + A xd - V ud.
 
-    Partials in the velocities (xdot, udot) come from a velocity-seeded
-    forward pass; the residual |xd . dLtilde/dxd + ud dLtilde/dud
-    - Ltilde| vanishes for any first-degree homogeneous function.
+    The velocity partials are closed forms, dLtilde/dxd = h xd / ud + A
+    and dLtilde/dud = -(1/2) h xd xd / ud^2 - V; the residual
+    |xd . dLtilde/dxd + ud dLtilde/dud - Ltilde| vanishes for any
+    first-degree homogeneous function.
     """
     if udot == 0.0:
         raise ZeroUdotError("homogeneity check needs a nonzero udot")
-    n = system.n
     h, A, V = system.eval_values(rs.point())
-    dim = n + 1
-    vx = [ad.variable(rs.xp[i] * udot, i, dim) for i in range(n)]
-    vu = ad.variable(udot, n, dim)
-    quad = 0.0
-    for i in range(n):
-        for j in range(n):
-            quad = quad + h[i, j] * vx[i] * vx[j]
-    lin = 0.0
-    for i in range(n):
-        lin = lin + A[i] * vx[i]
-    lt = 0.5 * quad / vu + lin - V * vu
-    val, grad = ad.value_and_grad(lt, dim)
-    euler = sum(vx[i].val * grad[i] for i in range(n)) + udot * grad[n]
-    return abs(euler - val)
+    xd = rs.xp * udot
+    for v in (*xd.tolist(), float(udot)):
+        if not math.isfinite(v):
+            raise NonFiniteError(f"homogeneity check needs finite velocities, "
+                                 f"got {v!r}")
+    hx = h @ xd
+    quad = float(xd @ hx)
+    lt = 0.5 * quad / udot + float(A @ xd) - V * udot
+    d_xd = hx / udot + A
+    d_ud = -0.5 * quad / (udot * udot) - V
+    euler = float(xd @ d_xd) + udot * d_ud
+    return abs(euler - lt)

@@ -19,10 +19,11 @@ must be a declared parameter.
 A field is evaluated one of two ways.  compile_forward turns a list of
 fields into one straight-line float function that returns their values
 and, optionally, all n+2 partials; it is the evaluator of every system,
-generator and coordinate map.  eval_ast (through Field.__call__) is the
-interpreter, generic over float and Dual scalars: it reports errors with
-the span of the failing subexpression, serves as the seeded-Dual oracle
-of the compiled pass, and evaluates Duals seeded outside the coordinates.
+generator and coordinate map, and the only one that differentiates.
+eval_ast (through Field.__call__) is the float interpreter: it reports
+errors with the span of the failing subexpression, and where a compiled
+pass declines a point it explains why, raising the error that belongs
+to the point.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from . import autodiff as ad
 from .errors import (ExprEvalError, ExprSyntaxError, FieldEvalError,
                      HliftError, NonFiniteError, UnknownIdentifierError)
 
@@ -342,113 +342,163 @@ def _validate(node: Ast, allowed: set) -> None:
 
 # -- evaluation --------------------------------------------------------
 
-_FN = {
-    "sin": ad.sin, "cos": ad.cos, "tan": ad.tan,
-    "sinh": ad.sinh, "cosh": ad.cosh, "tanh": ad.tanh,
-    "exp": ad.exp, "log": ad.log, "sqrt": ad.sqrt, "abs": abs,
+_MATH = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
+    "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "abs": abs,
 }
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def eval_ast(node: Ast, variables: Mapping, params: Optional[Mapping] = None):
-    """Evaluate an Ast.  `variables` maps names to scalars (float or Dual),
-    `params` maps names to reals.  Division by zero, log/sqrt domain
-    faults (math's own, such as sin of inf, included), overflow and
-    unbound names raise ExprEvalError carrying the span of the failing
-    subexpression."""
+def eval_ast(node: Ast, variables: Mapping, params: Optional[Mapping] = None,
+             derivatives: bool = False) -> float:
+    """Evaluate an Ast on floats.  `variables` and `params` map names to
+    floats.  Division by zero, log/sqrt domain faults (math's own, such as
+    sin of inf, included), overflow and unbound names raise ExprEvalError
+    carrying the span of the failing subexpression.
+
+    With `derivatives` the walk explains a derivative pass of
+    compile_forward that declined: every name in `variables` is then a
+    coordinate the pass differentiates by.  A subexpression that depends
+    on one takes the value the pass computes for it (exp(e*log b) for a
+    power whose exponent depends on one, 0 for 0**e with e > 1), and it
+    also fails where only its partials do: sqrt at 0, 0**e with
+    0 < e < 1, and an overflow or a zero divisor in a slope.
+    """
+    return _eval(node, variables, params, derivatives)[0]
+
+
+def _eval(node: Ast, env: Mapping, params: Optional[Mapping],
+          derivatives: bool):
+    """(value, varies): `varies` when the node depends on a coordinate of
+    a derivative pass."""
     if isinstance(node, Num):
-        return node.value
+        return node.value, False
     if isinstance(node, Var):
         name = node.name
-        if name in variables:
-            return variables[name]
+        if name in env:
+            return env[name], derivatives
         if params is not None and name in params:
-            return params[name]
+            return params[name], False
         if name in CONSTANTS:
-            return CONSTANTS[name]
+            return CONSTANTS[name], False
         raise ExprEvalError(f"unbound name '{name}'", node.span)
     if isinstance(node, Unary):
-        return -eval_ast(node.operand, variables, params)
+        v, varies = _eval(node.operand, env, params, derivatives)
+        return -v, varies
     if isinstance(node, Binary):
-        a = eval_ast(node.left, variables, params)
-        b = eval_ast(node.right, variables, params)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return a / b
-            return ad.powx(a, b)
-        except ZeroDivisionError:
-            raise ExprEvalError("division by zero", node.span) from None
-        except OverflowError:
-            raise ExprEvalError("overflow", node.span) from None
-        except NonFiniteError as err:
-            raise ExprEvalError(str(err), node.span) from None
-    if isinstance(node, Call):
-        args = [eval_ast(a, variables, params) for a in node.args]
-        try:
-            if node.name == "pow":
-                return ad.powx(args[0], args[1])
-            return _FN[node.name](args[0])
-        except ZeroDivisionError:
-            raise ExprEvalError("division by zero", node.span) from None
-        except OverflowError:
-            raise ExprEvalError("overflow", node.span) from None
-        except NonFiniteError as err:
-            raise ExprEvalError(str(err), node.span) from None
-        except ValueError as err:
-            if node.name == "pow":     # Duals of mixed seeds: a programming error
-                raise
-            # math's own domain error, such as sin of inf
-            raise ExprEvalError(str(err), node.span) from None
-    raise TypeError(f"not an Ast node: {node!r}")
+        name, args = node.op, (node.left, node.right)
+    elif isinstance(node, Call):
+        name, args = node.name, node.args
+    else:
+        raise TypeError(f"not an Ast node: {node!r}")
+    args = [_eval(a, env, params, derivatives) for a in args]
+    try:
+        return _apply(name, args), any(varies for _, varies in args)
+    except ZeroDivisionError:
+        raise ExprEvalError("division by zero", node.span) from None
+    except OverflowError:
+        raise ExprEvalError("overflow", node.span) from None
+    except (NonFiniteError, ValueError) as err:
+        # ValueError: math's own domain error, such as sin of inf
+        raise ExprEvalError(str(err), node.span) from None
+
+
+def _apply(name: str, args: list) -> float:
+    """Operator or function `name` on (value, varies) arguments."""
+    (a, va), *rest = args
+    if name in ("^", "pow"):
+        return _power(a, rest[0][0], va, rest[0][1])
+    if name not in FUNCTIONS:
+        b, vb = rest[0]
+        if name != "/":
+            return _ARITH[name](a, b)
+        if vb and not va:
+            -a / (b * b)            # the slope, which may divide by zero alone
+        return a / b
+    if name == "log" and a <= 0.0:
+        raise NonFiniteError(f"log of non-positive value {a!r}")
+    if name == "sqrt" and a < 0.0:
+        raise NonFiniteError(f"sqrt of negative value {a!r}")
+    if name == "sqrt" and va and a == 0.0:
+        raise NonFiniteError("derivative of sqrt is unbounded at 0.0")
+    try:
+        v = _MATH[name](a)
+        if va and name in _SLOPE_FN:
+            _SLOPE_FN[name](a, v)
+    except OverflowError:
+        raise NonFiniteError(f"{name} overflow at {a!r}") from None
+    return v
+
+
+def _power(b: float, e: float, vb: bool, ve: bool) -> float:
+    """b ** e with real-domain guards: a negative base with a non-integer
+    exponent and a zero base with a negative exponent are rejected
+    instead of going complex or infinite.  `vb` and `ve` say whether base
+    and exponent vary (_eval)."""
+    if ve:
+        # the pass differentiates b ** e as exp(e * log b)
+        return _apply("exp", [(e * _apply("log", [(b, vb)]), True)])
+    if b == 0.0:
+        if e < 0.0:
+            raise ZeroDivisionError("0 raised to a negative power")
+        if vb:
+            if e == 0.0:
+                return 1.0
+            if e < 1.0:
+                raise NonFiniteError(f"derivative of 0**{e!r} is unbounded")
+            return 0.0 if e > 1.0 else b
+    if b < 0.0 and e != int(e):
+        raise NonFiniteError(f"non-integer power {e!r} of negative base {b!r}")
+    v = b ** e
+    if vb:
+        b ** (e - 1.0)              # the slope e * b**(e-1) may overflow alone
+    return v
 
 
 # -- forward mode by source transformation -----------------------------
 #
 # compile_forward turns the ASTs of several fields into one straight-line
-# function on plain floats.  Every operation mirrors the matching formula
-# of autodiff.Dual component by component (same operations, same order);
-# with derivatives=False it mirrors the float branch of autodiff instead,
-# which is what a plain field evaluation runs.  Partials that are
-# structurally zero are never computed, and coordinate-free subtrees are
-# folded once at compile time by the interpreter itself.
+# function on plain floats: forward-mode differentiation by source
+# transformation.  Each operation carries its value and, with derivatives,
+# one partial per coordinate, by the chain rule written out component by
+# component; without derivatives it is the interpreter's float operation.
+# Partials that are structurally zero are never computed, and
+# coordinate-free subtrees are folded once at compile time by the
+# interpreter itself.
 #
 # The generated code raises nothing of its own.  It returns None when a
-# coordinate is not finite, when a guard of the Dual path would trip
-# (log/sqrt domain, powx rules, zero divisor, overflow, asymmetric pair),
-# or when a computed output is not finite: a dropped zero partial could
-# hide a nan that the Dual path carries.  The caller then reruns the
-# interpreter (on seeded Duals, or on plain floats without derivatives),
-# which raises the existing error or returns the same numbers.
+# coordinate is not finite, when a guard would trip (log/sqrt domain,
+# power rules, zero divisor, overflow, asymmetric pair), or when a
+# computed output is not finite: a dropped zero partial could hide a nan.
+# The caller then has the interpreter explain the point (eval_ast with
+# `derivatives` for a derivative pass), which raises its error; the tests
+# hold both against an independent seeded-Dual pass.
 #
 # A pipeline extends the pass with a tail: more straight-line code over
 # the fields' values and partials (a right-hand side built from them),
 # emitted by the same emitter, so structural zeros drop out of it too.
 
 _FORWARD_GLOBALS = {
-    "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
-    "_sin": math.sin, "_cos": math.cos, "_tan": math.tan,
-    "_sinh": math.sinh, "_cosh": math.cosh, "_tanh": math.tanh,
-    "_abs": abs,
+    **{f"_{name}": fn for name, fn in _MATH.items()},
     # what a call in the generated code may raise; the function declines
     "_Declined": (ArithmeticError, ValueError, HliftError),
 }
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
          "/": operator.truediv}
-# f'(x) given x and v = f(x), written as autodiff's Dual branch computes it
-# (exp is its own slope)
+# f'(x) given x and v = f(x) (exp is its own slope)
 _SLOPE = {
     "log": "1.0 / {x}", "sqrt": "0.5 / {v}",
     "sin": "_cos({x})", "cos": "-_sin({x})",
     "tan": "1.0 / (_cos({x}) * _cos({x}))",
     "sinh": "_cosh({x})", "cosh": "_sinh({x})", "tanh": "1.0 - {v} * {v}",
-    # abs: Dual's -grad, 0.0 * grad (at the kink) and grad as k * grad
+    # abs: slope 0 at the kink
     "abs": "-1.0 if {x} < 0.0 else (0.0 if {x} == 0.0 else 1.0)",
 }
+# the same slopes as functions of (x, v), for the interpreter's explanation
+_SLOPE_FN = {name: eval(f"lambda x, v: {f.format(x='x', v='v')}",
+                        dict(_FORWARD_GLOBALS))
+             for name, f in _SLOPE.items()}
 
 
 class _AlwaysFails(Exception):
@@ -681,7 +731,7 @@ class _ForwardEmitter:
             raise _AlwaysFails()
         if e != int(e):
             self.guard(f"{base} < 0.0")
-        # b ** e and (e * b ** (e - 1.0)) * grad, with powx's own values
+        # b ** e and (e * b ** (e - 1.0)) * grad, with _power's own values
         # at b == 0 where it has them; its other zero cases raise here too
         pv = f"{base} ** {self.ref(e)}"
         pd = f"{base} ** {self.ref(e - 1.0)}"
@@ -700,7 +750,7 @@ class _ForwardEmitter:
         x, g = a
         if isinstance(x, float):
             try:
-                return float(_FN[name](x)), None
+                return float(_apply(name, [(x, False)])), None
             except (NonFiniteError, ArithmeticError, ValueError):
                 raise _AlwaysFails() from None
         v = self.let(f"_{name}({x})")
@@ -728,13 +778,12 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
     pass fails if the two values differ by more than `pair_tol`.
 
     Returns f(x1, ..., xn, u, w) on plain floats.  f returns None at a
-    non-finite coordinate and where the seeded Dual path (or, without
-    derivatives, the plain float path) would raise or could differ;
-    otherwise a flat tuple of K values
-    followed, with derivatives, by the (n+2) x K partials in row-major
-    order (row c holds the c-th coordinate partial of every entry), where
-    K is len(entries).  Values equal the fields' own evaluation, and partials
-    the seeded Dual pass, under np.array_equal.  `name` labels the
+    non-finite coordinate, where eval_ast (with `derivatives`) would
+    raise, and where a value or partial is not finite; otherwise a flat
+    tuple of K values followed, with derivatives, by the (n+2) x K
+    partials in row-major order (row c holds the c-th coordinate partial
+    of every entry), where K is len(entries).  Values equal the fields'
+    own evaluation.  `name` labels the
     generated code, whose source linecache serves under the function's
     `<forward name ...>` file name, in tracebacks, profiles and
     inspect.getsource.
@@ -768,9 +817,8 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
         grads = [g if g is not None else [None] * em.m for _, g in nodes]
         out += [em.ref(0.0 if g[c] is None else g[c])
                 for c in range(em.m) for g in grads]
-    # a non-finite coordinate cannot be seeded, and the plain float path
-    # gives no error there; the overflow of a finite sum only sends the
-    # call down the interpreted path
+    # a non-finite coordinate is declined, also where the float path gives
+    # no error; the overflow of a finite sum declines too
     body = _finite_check(em.coords)
     body += _guarded(em.lines[:n_field_lines])
     if derivatives:
@@ -816,11 +864,12 @@ def _finite_check(names: list) -> list:
 # -- fields ------------------------------------------------------------
 
 class Field:
-    """Scalar field over (x1..xn, u, w), generic over float/Dual inputs.
+    """Scalar field over (x1..xn, u, w).
 
     Wraps a parsed expression with its parameters bound as floats.
-    Calling a Field interprets the expression; evaluation failures
-    surface as FieldEvalError with the field name in the message.
+    Calling a Field interprets the expression on floats (eval_ast, with
+    `derivatives` to explain a declined derivative pass); evaluation
+    failures surface as FieldEvalError with the field name in the message.
     """
 
     __slots__ = ("n", "name", "ast", "_params", "_coords")
@@ -843,12 +892,13 @@ class Field:
         else:
             raise TypeError(f"cannot build a field from {type(source).__name__}")
 
-    def __call__(self, x: Sequence, u, w):
+    def __call__(self, x: Sequence, u: float, w: float,
+                 derivatives: bool = False) -> float:
         env = dict(zip(self._coords, x))
         env["u"] = u
         env["w"] = w
         try:
-            return eval_ast(self.ast, env, self._params)
+            return eval_ast(self.ast, env, self._params, derivatives)
         except ExprEvalError as err:
             raise FieldEvalError(f"{self.name}: {err}") from err
 

@@ -21,14 +21,14 @@ Gamma.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .errors import AsymmetricMetricError, SingularMetricError
+from .errors import AsymmetricMetricError, NonFiniteError, SingularMetricError
 from .expr import as_field, compile_forward, free_names
 
 __all__ = [
@@ -102,13 +102,40 @@ class FieldPasses:
         self.name = name
         self._fns = {}
 
-    def run(self, point: Point, derivatives: bool):
-        """The pass's flat tuple at the point, or None where it declines."""
+    def function(self, derivatives: bool):
+        """The compiled pass: f(x1..xn, u, w), a flat tuple or None where
+        it declines (expr.compile_forward)."""
         fn = self._fns.get(derivatives)
         if fn is None:
             fn = self._fns[derivatives] = compile_forward(
                 self.entries, self.n, derivatives, _ASYMMETRY_TOL, self.name)
-        return fn(*point.x.tolist(), float(point.u), float(point.w))
+        return fn
+
+    def run(self, point: Point, derivatives: bool, interpret=None) -> tuple:
+        """The pass's flat tuple at the point.  Where the pass declines,
+        raise the error that belongs to the point: NonFiniteError at a
+        non-finite coordinate, else the interpreter's, else (it found no
+        fault) NonFiniteError for a value or partial that is not finite.
+        `interpret(x, u, w, derivatives)` runs the interpreter over the
+        entries in order; by default each entry is a Field, called with
+        `derivatives`."""
+        out = self.function(derivatives)(*point.x.tolist(), float(point.u),
+                                         float(point.w))
+        if out is not None:
+            return out
+        coords = [float(c) for c in point.coords()]
+        for c in coords:
+            if not math.isfinite(c):
+                raise NonFiniteError(f"cannot seed non-finite coordinate {c!r}")
+        n = self.n
+        x, u, w = coords[:n], coords[n], coords[n + 1]
+        if interpret is not None:
+            interpret(x, u, w, derivatives)
+        else:
+            for f in self.entries:
+                f(x, u, w, derivatives)
+        raise NonFiniteError(f"{self.name}: a value or partial is not finite, "
+                             f"or too large to check, at {coords}")
 
     def pipeline(self, kind: str, tail):
         """The derivative pass extended by `tail` into the pipeline
@@ -134,8 +161,8 @@ class HerglotzSystem:
 
     eval_values and eval_bundle run one compiled straight-line pass over
     all fields (expr.compile_forward).  The interpreted evaluation of
-    eval_fields, on plain floats or seeded Duals, is their error path.
-    `pipeline` extends the pass into a compiled right-hand side.
+    eval_fields explains a point where the pass declines.  `pipeline`
+    extends the pass into a compiled right-hand side.
     `w_dependent` is True when some field's expression mentions w.
     """
 
@@ -165,56 +192,44 @@ class HerglotzSystem:
         fields = [f for row in self.h for f in row] + self.A + [self.V]
         self.w_dependent = any("w" in free_names(f.ast) for f in fields)
 
-    # -- raw field evaluation (generic over float/Dual coords) ---------
+    # -- interpreted field evaluation ----------------------------------
 
-    def _h_entry(self, i: int, j: int, x, u, w):
-        a = self.h[i][j](x, u, w)
+    def _h_entry(self, i: int, j: int, x, u, w, derivatives: bool):
+        a = self.h[i][j](x, u, w, derivatives)
         if i == j:
             return a
-        b = self.h[j][i](x, u, w)
-        if abs(ad.value(a) - ad.value(b)) > _ASYMMETRY_TOL:
+        b = self.h[j][i](x, u, w, derivatives)
+        if abs(a - b) > _ASYMMETRY_TOL:
             raise AsymmetricMetricError(
-                f"{self.name}: h[{i + 1},{j + 1}]={ad.value(a)!r} vs "
-                f"h[{j + 1},{i + 1}]={ad.value(b)!r} at u={ad.value(u)!r}")
+                f"{self.name}: h[{i + 1},{j + 1}]={a!r} vs "
+                f"h[{j + 1},{i + 1}]={b!r} at u={u!r}")
         return 0.5 * (a + b)
 
-    def eval_fields(self, x, u, w):
-        """(h entries, A entries, V) as scalars; x entries may be Duals."""
+    def eval_fields(self, x, u, w, derivatives: bool = False):
+        """(h entries, A entries, V) as floats, by the interpreter (with
+        `derivatives`, explaining a declined derivative pass: eval_ast)."""
         n = self.n
         hs = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                v = self._h_entry(i, j, x, u, w)
+                v = self._h_entry(i, j, x, u, w, derivatives)
                 hs[i][j] = v
                 hs[j][i] = v
-        As = [self.A[i](x, u, w) for i in range(n)]
-        return hs, As, self.V(x, u, w)
+        As = [self.A[i](x, u, w, derivatives) for i in range(n)]
+        return hs, As, self.V(x, u, w, derivatives)
 
     def eval_values(self, point: Point):
         """(h, A, V) as plain float arrays at a point."""
-        out = self._passes.run(point, False)
-        if out is not None:
-            n2 = self.n * self.n
-            a = np.array(out)
-            return a[:n2].reshape(self.n, self.n), a[n2:-1], out[-1]
-        # where the pass declines, a non-finite coordinate fails as it
-        # does in eval_bundle
-        coords = ad.finite_coords(point.coords())
-        n = self.n
-        hs, As, V = self.eval_fields(coords[:n], coords[n], coords[n + 1])
-        return np.array(hs, dtype=float), np.array(As, dtype=float), V
+        out = self._passes.run(point, False, self.eval_fields)
+        n2 = self.n * self.n
+        a = np.array(out)
+        return a[:n2].reshape(self.n, self.n), a[n2:-1], out[-1]
 
     def eval_bundle(self, point: Point) -> FieldBundle:
-        """Values plus all first coordinate derivatives, one forward pass.
-
-        The compiled pass gives the numbers of the seeded Dual pass; the
-        Dual pass runs instead when the compiled one declines the point,
-        and raises the error that belongs to it.
-        """
+        """Values plus all first coordinate derivatives, one forward pass
+        (FieldPasses.run raises the error of a point it declines)."""
         n = self.n
-        out = self._passes.run(point, True)
-        if out is None:
-            return self._dual_bundle(point)
+        out = self._passes.run(point, True, self.eval_fields)
         n2 = n * n
         k = n2 + n + 1
         a = np.array(out)
@@ -226,28 +241,6 @@ class HerglotzSystem:
         """The compiled pipeline function `kind`, which `tail` builds on
         first use (FieldPasses.pipeline); cached with the field passes."""
         return self._passes.pipeline(kind, tail)
-
-    def _dual_bundle(self, point: Point) -> FieldBundle:
-        """eval_bundle by seeded Dual arithmetic: the error path and oracle."""
-        n = self.n
-        m = n + 2
-        coords = ad.seed(point.coords())
-        hs, As, Vs = self.eval_fields(coords[:n], coords[n], coords[n + 1])
-        h = np.empty((n, n))
-        dh = np.empty((m, n, n))
-        for i in range(n):
-            for j in range(n):
-                v, g = ad.value_and_grad(hs[i][j], m)
-                h[i, j] = v
-                dh[:, i, j] = g
-        A = np.empty(n)
-        dA = np.empty((m, n))
-        for i in range(n):
-            v, g = ad.value_and_grad(As[i], m)
-            A[i] = v
-            dA[:, i] = g
-        V, dV = ad.value_and_grad(Vs, m)
-        return FieldBundle(h, dh, A, dA, V, np.asarray(dV))
 
 
 def _min_abs_eigenvalue(h: np.ndarray) -> float:
@@ -486,31 +479,14 @@ def _geodesic_tail(em, nodes):
 
 # -- vector fields over the lifted space -------------------------------
 
-def eval_vector_fields(fields, point: Point, n: int):
-    """Values and coordinate gradients of fields over (x, u, w).
-
-    `fields` is a FieldPasses, whose compiled pass gives the numbers, or a
-    list of Fields.  Seeded Duals interpret a list, and the entries of a
-    pass that declines the point, raising the error that belongs to it.
-    Returns (vals, grads) with grads[c, k] the c-th partial of field k.
-    """
-    m = n + 2
-    if isinstance(fields, FieldPasses):
-        out = fields.run(point, True)
-        if out is not None:
-            k = len(fields.entries)
-            a = np.array(out)
-            return a[:k], a[k:].reshape(m, k)
-        fields = fields.entries
-    coords = ad.seed(point.coords())
-    x, u, w = coords[:n], coords[n], coords[n + 1]
-    vals = np.empty(len(fields))
-    grads = np.empty((m, len(fields)))
-    for k, f in enumerate(fields):
-        v, g = ad.value_and_grad(f(x, u, w), m)
-        vals[k] = v
-        grads[:, k] = g
-    return vals, grads
+def eval_vector_fields(passes: FieldPasses, point: Point):
+    """Values and coordinate gradients of the fields of a FieldPasses
+    over (x, u, w), by its compiled derivative pass.  Returns
+    (vals, grads) with grads[c, k] the c-th partial of field k."""
+    out = passes.run(point, True)
+    k = len(passes.entries)
+    a = np.array(out)
+    return a[:k], a[k:].reshape(passes.n + 2, k)
 
 
 def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point,
@@ -578,15 +554,11 @@ class CoordinateMap:
         self._passes = FieldPasses(self.components, n, name)
 
     def __call__(self, point: Point) -> Point:
-        vals = self._passes.run(point, False)
-        if vals is None:
-            x, u, w = point.x.tolist(), float(point.u), float(point.w)
-            vals = [c(x, u, w) for c in self.components]
-        return Point.from_coords(vals, self.n)
+        return Point.from_coords(self._passes.run(point, False), self.n)
 
     def value_and_jacobian(self, point: Point):
         """(image coords, J) with J[out, in] = d out / d in."""
-        vals, grads = eval_vector_fields(self._passes, point, self.n)
+        vals, grads = eval_vector_fields(self._passes, point)
         return vals, grads.T
 
 
@@ -603,5 +575,5 @@ def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetri
     vals, J = cmap.value_and_jacobian(point)
     g_b = metric_b.eval(Point.from_coords(vals, metric_b.system.n))
     g_a = metric_a.eval(point)
-    om = ad.value(omega_f(point.x.tolist(), float(point.u), float(point.w)))
+    om = omega_f(point.x.tolist(), float(point.u), float(point.w))
     return float(np.max(np.abs(J.T @ g_b @ J - om * g_a)))

@@ -25,7 +25,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .dynamics import (ReducedState, ReducedTrajectory, lagrangian_w_slope,
                        reduced_lagrangian)
 from .errors import SingularJacobianError
@@ -67,7 +66,7 @@ class SymmetryGenerator:
 
     def components_at(self, point: Point):
         """(values, grads) with grads[c, k] the c-th partial of component k."""
-        return eval_vector_fields(self._passes, point, self.n)
+        return eval_vector_fields(self._passes, point)
 
 
 # ---------------------------------------------------------------------

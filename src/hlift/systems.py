@@ -24,9 +24,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .dynamics import ReducedState, reduced_lagrangian
-from .errors import OverdampedUnsupportedError
+from .errors import NonFiniteError, OverdampedUnsupportedError
 from .expr import as_field
 from .geometry import CoordinateMap, HerglotzSystem, Point
 from .symmetry import SymmetryGenerator
@@ -152,26 +151,34 @@ def harmonic_oscillator(omega: float = 1.0, n: int = 1) -> CatalogEntry:
 # damped oscillator, time-dependent flavor
 
 def damped_oscillation(gamma: float, omega: float, x0, v0, u):
-    """Underdamped solution of x'' + gamma x' + omega^2 x = 0.
+    """Underdamped solution of x'' + gamma x' + omega^2 x = 0 with
+    x(0) = x0, x'(0) = v0.
 
-    Generic over the time argument: pass a Dual u to get derivatives of
-    the closed form for free.  Raises for the overdamped and critically
-    damped ranges, which this closed form does not cover.
+    Raises for the overdamped and critically damped ranges, which this
+    closed form does not cover.
     """
+    return _damped_xv(gamma, omega, x0, v0, u)[0]
+
+
+def _damped_xv(gamma: float, omega: float, x0: float, v0: float, u: float):
+    """(x, x') of damped_oscillation at u: x = E s with E = exp(k u),
+    k = -gamma/2, s = x0 cos(om_d u) + c sin(om_d u), and its product-rule
+    derivative x' = E s' + s (E k)."""
     disc = omega * omega - 0.25 * gamma * gamma
     if disc <= 0.0:
         raise OverdampedUnsupportedError(
             f"gamma={gamma:g} >= 2*omega={2 * omega:g}: not underdamped")
     om_d = math.sqrt(disc)
     c = (v0 + 0.5 * gamma * x0) / om_d
-    return ad.exp(-0.5 * gamma * u) * (x0 * ad.cos(om_d * u)
-                                       + c * ad.sin(om_d * u))
-
-
-def _damped_xv(gamma: float, omega: float, x0: float, v0: float, du: float):
-    uu = ad.variable(du, 0, 1)
-    val, grad = ad.value_and_grad(damped_oscillation(gamma, omega, x0, v0, uu), 1)
-    return val, float(grad[0])
+    k = -0.5 * gamma
+    try:
+        decay = math.exp(k * u)
+    except OverflowError:
+        raise NonFiniteError(f"exp overflow at {k * u!r}") from None
+    cos, sin = math.cos(om_d * u), math.sin(om_d * u)
+    s = x0 * cos + c * sin
+    ds = x0 * (-sin * om_d) + c * (cos * om_d)
+    return decay * s, decay * ds + s * (decay * k)
 
 
 def _damped_closed_x(gamma: float, omega: float, n: int):

@@ -1,4 +1,9 @@
-"""First-order forward-mode automatic differentiation.
+"""The seeded Dual pass: the test oracle of the compiled forward pass.
+
+hlift differentiates fields only by the straight-line code of
+expr.compile_forward.  This module is an independent forward mode by
+operator overloading, with its own walk of the expression tree, against
+which the tests compare every value, partial and error of that code.
 
 A Dual carries a float value and a gradient row with respect to a fixed
 set of seed variables.  The gradient length is chosen when the seeds are
@@ -13,6 +18,11 @@ The module-level math functions (exp, log, sin, ...) accept plain floats
 as well as Duals.  The float branch and the Dual value part go through
 the same math-library calls in the same order, so a real evaluation and
 the value part of a dual evaluation agree bit for bit.
+
+dual_bundle and dual_components run the whole pass of a system or a
+list of fields with numpy's floating-point warnings silenced: where a
+gradient overflows they return inf or nan, and the tests require hlift
+to raise NonFiniteError there.
 """
 
 from __future__ import annotations
@@ -22,13 +32,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError
-
-__all__ = [
-    "Dual", "finite_coords", "seed", "variable", "value",
-    "value_and_grad", "gradient", "exp", "log", "sin", "cos", "tan", "sinh",
-    "cosh", "tanh", "sqrt", "powx",
-]
+from hlift.errors import (AsymmetricMetricError, ExprEvalError,
+                          FieldEvalError, NonFiniteError)
+from hlift.expr import CONSTANTS, Binary, Call, Num, Unary, Var
+from hlift.geometry import _ASYMMETRY_TOL, FieldBundle
 
 _ZERO_GRADS: dict = {}
 
@@ -344,3 +351,93 @@ def powx(base: float | Dual, exponent: float | Dual) -> float | Dual:
     if b < 0.0 and e != int(e):
         raise NonFiniteError(f"non-integer power {e!r} of negative base {b!r}")
     return b ** e
+
+
+# -- the seeded pass over expression trees and field lists -------------
+
+_FN = {"sin": sin, "cos": cos, "tan": tan, "sinh": sinh, "cosh": cosh,
+       "tanh": tanh, "exp": exp, "log": log, "sqrt": sqrt, "abs": abs,
+       "pow": powx}
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b, "/": lambda a, b: a / b, "^": powx}
+
+
+def eval_dual(node, variables, params):
+    """Evaluate an Ast on floats and Duals, with expr.eval_ast's errors:
+    a fault raises ExprEvalError with the span of its subexpression."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        for scope in (variables, params, CONSTANTS):
+            if node.name in scope:
+                return scope[node.name]
+        raise ExprEvalError(f"unbound name '{node.name}'", node.span)
+    if isinstance(node, Unary):
+        return -eval_dual(node.operand, variables, params)
+    if isinstance(node, Binary):
+        fn, args = _OPS[node.op], (node.left, node.right)
+    else:
+        fn, args = _FN[node.name], node.args
+    args = [eval_dual(a, variables, params) for a in args]
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        raise ExprEvalError("division by zero", node.span) from None
+    except OverflowError:
+        raise ExprEvalError("overflow", node.span) from None
+    except (NonFiniteError, ValueError) as err:
+        raise ExprEvalError(str(err), node.span) from None
+
+
+def field_value(field, x, u, w):
+    """A Field at (x, u, w), whose entries may be Duals."""
+    env = {f"x{i + 1}": c for i, c in enumerate(x)}
+    env.update(u=u, w=w)
+    try:
+        return eval_dual(field.ast, env, field._params)
+    except ExprEvalError as err:
+        raise FieldEvalError(f"{field.name}: {err}") from err
+
+
+def dual_components(fields, point, n):
+    """(vals, grads) of a list of Fields, grads[c, k] the c-th partial of
+    field k, by one seeded pass."""
+    m = n + 2
+    with np.errstate(all="ignore"):
+        coords = seed(point.coords())
+        x, u, w = coords[:n], coords[n], coords[n + 1]
+        vals = np.empty(len(fields))
+        grads = np.empty((m, len(fields)))
+        for k, f in enumerate(fields):
+            vals[k], grads[:, k] = value_and_grad(field_value(f, x, u, w), m)
+    return vals, grads
+
+
+def dual_bundle(system, point) -> FieldBundle:
+    """HerglotzSystem.eval_bundle by one seeded pass, h symmetrized and
+    guarded against asymmetry as the system does."""
+    n = system.n
+    with np.errstate(all="ignore"):
+        coords = seed(point.coords())
+        x, u, w = coords[:n], coords[n], coords[n + 1]
+        hs = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a = field_value(system.h[i][j], x, u, w)
+                if i != j:
+                    b = field_value(system.h[j][i], x, u, w)
+                    if abs(value(a) - value(b)) > _ASYMMETRY_TOL:
+                        raise AsymmetricMetricError(
+                            f"{system.name}: h[{i + 1},{j + 1}]={value(a)!r} vs "
+                            f"h[{j + 1},{i + 1}]={value(b)!r} at u={value(u)!r}")
+                    a = 0.5 * (a + b)
+                hs[i][j] = hs[j][i] = a
+        fields = [f for row in hs for f in row]
+        fields += [field_value(a, x, u, w) for a in system.A]
+        fields.append(field_value(system.V, x, u, w))
+        vg = [value_and_grad(f, n + 2) for f in fields]
+    vals = np.array([v for v, _ in vg])
+    grads = np.array([g for _, g in vg]).T
+    n2 = n * n
+    return FieldBundle(vals[:n2].reshape(n, n), grads[:, :n2].reshape(n + 2, n, n),
+                       vals[n2:-1], grads[:, n2:-1], vals[-1], grads[:, -1])

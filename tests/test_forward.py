@@ -1,5 +1,6 @@
-"""The compiled forward pass against the seeded Dual interpretation, and
-the compiled right-hand sides against their numpy path."""
+"""The compiled forward pass and its errors against the seeded Dual
+oracle (dual_oracle.py), and the compiled right-hand sides against their
+numpy path."""
 
 import dataclasses
 import inspect
@@ -10,28 +11,28 @@ import warnings
 import numpy as np
 import pytest
 
-from hlift import autodiff as ad
+import dual_oracle
 from hlift.cloud import point_cloud
 from hlift.dynamics import (ReducedState, _dopri5_step, _geodesic_ode,
                             _herglotz_rhs_numpy, _null_form, herglotz_rhs,
                             reduced_function)
-from hlift.errors import HliftError
+from hlift.errors import HliftError, NonFiniteError
 from hlift.expr import FUNCTIONS, Field, compile_forward, parse, to_text
-from hlift.geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem,
-                            Point, eval_vector_fields, solve_kinetic)
+from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldBundle,
+                            HerglotzSystem, Point, solve_kinetic)
+from hlift.symmetry import SymmetryGenerator
 from hlift.systems import (conformal_pair, damped_conformal_map,
                            standard_catalog)
 
 
 def _dual_pass(field, coords):
     """[value, d/dx1, d/dx2, d/du, d/dw] by seeded duals, or the error."""
-    xs = ad.seed(coords)
     try:
-        out = field(xs[:2], xs[2], xs[3])
+        val, grad = dual_oracle.dual_components(
+            [field], Point(coords[:2], coords[2], coords[3]), 2)
     except Exception as err:  # every error of the Dual path counts
         return err
-    val, grad = ad.value_and_grad(out, 4)
-    return np.concatenate([[val], grad])
+    return np.concatenate([val, grad[:, 0]])
 
 
 def _float_pass(field, coords):
@@ -95,6 +96,47 @@ def test_random_expressions_match_the_dual_path(text, k, coords):
         assert got is not None, (text, coords, plain)
         assert np.array_equal(got[0], plain, equal_nan=True), (text, coords)
 
+    # the same expression as the V of a 1-D system (x2 is a parameter
+    # there) and as a generator component
+    system = HerglotzSystem(1, [["1"]], ["0"], text,
+                            params={"k": k, "x2": coords[1]}, name="random")
+    point = Point(coords[:1], coords[2], coords[3])
+    _assert_like_the_oracle(_outcome(system.eval_bundle, point),
+                            _outcome(dual_oracle.dual_bundle, system, point),
+                            text, coords)
+    gen = SymmetryGenerator(2, [text, "0"], "0", "0", params={"k": k},
+                            name="random")
+    point = Point(coords[:2], coords[2], coords[3])
+    want = _outcome(dual_oracle.dual_components, gen.component_fields(),
+                    point, 2)
+    _assert_like_the_oracle(_outcome(gen.components_at, point), want,
+                            text, coords)
+
+
+def _outcome(fn, *args):
+    """fn's numbers as one flat array, or its error as (class, message)."""
+    try:
+        out = fn(*args)
+    except Exception as err:  # every error counts
+        return type(err), str(err)
+    if isinstance(out, FieldBundle):
+        out = out.h, out.dh, out.A, out.dA, out.V, out.dV
+    return np.concatenate([np.ravel(a) for a in out])
+
+
+def _assert_like_the_oracle(got, want, *context):
+    """The oracle's error; NonFiniteError where its numbers are not
+    finite; else its numbers.  Numbers too large for the pass's finite
+    check (a sum of them overflows) may also give NonFiniteError."""
+    if isinstance(want, tuple):
+        assert got == want, context
+    elif isinstance(got, tuple):
+        assert got[0] is NonFiniteError, (context, got)
+        assert not np.all(np.abs(want) < 1e300), (context, got, want)
+    else:
+        assert np.all(np.isfinite(want)), (context, want)
+        assert np.array_equal(got, want), (context, got, want)
+
 
 def _unspanned(node):
     """The tree with every span set to None, for structural comparison."""
@@ -143,6 +185,10 @@ GUARDS = [
     ("pow(10*x1, 400)", 1.0),
     ("sin(x1)", math.inf),
     ("x1^2", math.inf),
+    # faults of a partial alone: -1/(x1*x1) divides by zero, and
+    # x1^(0.01 - 1) overflows
+    ("1/x1", 1e-170),
+    ("x1^0.01", 5e-324),
 ]
 
 
@@ -152,9 +198,14 @@ def _raised(fn, *args):
     return type(info.value), str(info.value)
 
 
+def _declines(system, point, derivatives):
+    return system._passes.function(derivatives)(*point.coords().tolist()) is None
+
+
 def _assert_same_failure(system, point):
-    assert system._passes.run(point, True) is None
-    assert _raised(system.eval_bundle, point) == _raised(system._dual_bundle, point)
+    assert _declines(system, point, True)
+    assert (_raised(system.eval_bundle, point)
+            == _raised(dual_oracle.dual_bundle, system, point))
 
 
 @pytest.mark.parametrize("V, x1", GUARDS)
@@ -177,8 +228,8 @@ def test_guards_raise_the_dual_path_error(V, x1):
             assert system.eval_values(point)[2] == expected
             return
     else:
-        want = _raised(system._dual_bundle, point)
-    assert system._passes.run(point, False) is None
+        want = _raised(dual_oracle.dual_bundle, system, point)
+    assert _declines(system, point, False)
     assert issubclass(want[0], HliftError)
     assert _raised(system.eval_values, point) == want
     assert _raised(system.eval_bundle, point) == want
@@ -196,6 +247,27 @@ def test_non_finite_coordinate_raises_the_dual_path_error():
     system = standard_catalog()["coupled"].system
     for bad in (math.nan, math.inf):
         _assert_same_failure(system, Point([0.1, bad], 0.0, 0.0))
+
+
+def test_a_non_finite_partial_raises_non_finite_error():
+    # cosh(710.4) is finite, its slope sinh(710.4) * 710.4 is not: the
+    # oracle's partial is inf, and the bundle raises instead of carrying it
+    system = HerglotzSystem(1, [["1"]], ["0"], "cosh(710.4*x1)", name="steep")
+    point = Point([1.0], 0.5, 0.25)
+    assert math.isfinite(system.eval_values(point)[2])
+    assert np.isinf(dual_oracle.dual_bundle(system, point).dV[0])
+    assert _raised(system.eval_bundle, point) == (
+        NonFiniteError, "steep: a value or partial is not finite, or too "
+        "large to check, at [1.0, 0.5, 0.25]")
+
+
+def test_coordinate_map_image_rejects_a_non_finite_coordinate():
+    cmap = damped_conformal_map(0.2, 1)[0]
+    for bad in (math.inf, math.nan):
+        point = Point([bad], 0.5, 0.1)
+        want = (NonFiniteError, f"cannot seed non-finite coordinate {bad!r}")
+        assert _raised(cmap, point) == want
+        assert _raised(cmap.value_and_jacobian, point) == want
 
 
 # ------------------------------------------------------------------ catalog
@@ -222,7 +294,7 @@ def test_bundles_equal_the_dual_path_over_a_cloud(system):
         _assert_components_equal_the_dual_path(system)
         return
     for p in point_cloud(n, 200):
-        got, want = system.eval_bundle(p), system._dual_bundle(p)
+        got, want = system.eval_bundle(p), dual_oracle.dual_bundle(system, p)
         for name in ("h", "dh", "A", "dA", "dV"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.V == want.V
@@ -239,7 +311,7 @@ def _assert_components_equal_the_dual_path(subject):
     is_map = isinstance(subject, CoordinateMap)
     fields = subject.components if is_map else subject.component_fields()
     for p in point_cloud(subject.n, 200):
-        want = eval_vector_fields(fields, p, subject.n)
+        want = dual_oracle.dual_components(fields, p, subject.n)
         if is_map:
             vals, J = subject.value_and_jacobian(p)
             got = vals, J.T

@@ -11,12 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hlift import autodiff as ad
 from hlift.cloud import point_cloud
 from hlift.errors import (AsymmetricMetricError, FieldEvalError,
                           SingularMetricError)
-from hlift.geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem,
-                            NearlySingularKineticWarning, Point,
+from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
+                            HerglotzSystem, NearlySingularKineticWarning, Point,
                             conformal_factor, conformal_factor_closed_form,
                             conformal_pullback_check, covariant_sym_grad,
                             eval_vector_fields, solve_kinetic)
@@ -236,7 +235,7 @@ def test_w_dependence_probe():
 def test_vector_field_eval():
     gen = free_particle().generators["boost-x1"]
     p = Point(np.array([0.7, -0.2]), 1.3, 0.4)
-    K, dK = eval_vector_fields(gen.component_fields(), p, 2)
+    K, dK = eval_vector_fields(FieldPasses(gen.component_fields(), 2, "boost"), p)
     # boost: dx = (u, 0), du = 0, dw = x1
     assert np.allclose(K, [1.3, 0.0, 0.0, 0.7], atol=1e-15)
     assert dK[2, 0] == 1.0   # d(dx1)/du

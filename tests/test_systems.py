@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from hlift import autodiff as ad, systems
+import dual_oracle as ad
+from hlift import systems
 from hlift.dynamics import (IntegratorConfig, ReducedState, integrate_herglotz,
                             lift_state, integrate_geodesic, reduce_trajectory)
 from hlift.errors import OverdampedUnsupportedError
 from hlift.geometry import BrinkmannMetric, HerglotzSystem
-from hlift.systems import (CATALOG, conformal_pair, coupled_curved,
+from hlift.systems import (CATALOG, _damped_xv, conformal_pair, coupled_curved,
                            damped_action_dependent, damped_oscillation,
                            damped_time_dependent, factory_params,
                            free_particle, get_entry,
@@ -109,14 +110,27 @@ def test_damped_oscillation_closed_form():
 
 
 def test_damped_oscillation_dual_derivative():
-    # seeding u as a dual gives the velocity of the closed form
+    # the closed-form velocity is bit for bit the Dual oracle's derivative
+    # of the closed form, and agrees with central differences
     g, om = 0.2, 1.0
-    u = ad.variable(1.3, 0, 1)
-    out = damped_oscillation(g, om, 1.0, 0.0, u)
-    eps = 1e-6
-    fd = (damped_oscillation(g, om, 1.0, 0.0, 1.3 + eps)
-          - damped_oscillation(g, om, 1.0, 0.0, 1.3 - eps)) / (2 * eps)
-    assert out.grad[0] == pytest.approx(fd, rel=1e-8)
+    for x0, v0, u in [(1.0, 0.0, 1.3), (0.7, -0.4, 0.0), (-1.1, 0.3, 7.9),
+                      (0.2, 1.5, -2.4)]:
+        x, xv = _damped_xv(g, om, x0, v0, u)
+        dual = _dual_damped_oscillation(g, om, x0, v0, ad.variable(u, 0, 1))
+        assert (x, xv) == (dual.val, dual.grad[0])
+        assert x == damped_oscillation(g, om, x0, v0, u)
+        eps = 1e-6
+        fd = (damped_oscillation(g, om, x0, v0, u + eps)
+              - damped_oscillation(g, om, x0, v0, u - eps)) / (2 * eps)
+        assert xv == pytest.approx(fd, rel=1e-8, abs=1e-9)
+
+
+def _dual_damped_oscillation(gamma, omega, x0, v0, u):
+    """damped_oscillation's formula on the oracle's Duals."""
+    om_d = math.sqrt(omega * omega - 0.25 * gamma * gamma)
+    c = (v0 + 0.5 * gamma * x0) / om_d
+    return ad.exp(-0.5 * gamma * u) * (x0 * ad.cos(om_d * u)
+                                       + c * ad.sin(om_d * u))
 
 
 def test_overdamped_rejected():
