@@ -438,10 +438,12 @@ def resolve_checks(ctx: ScenarioContext, names: List[str]) -> List[tuple]:
 
 def _row(check: str, residual: Optional[float], tol: Optional[float],
          seconds: float, certifies: str, status: Optional[str] = None) -> dict:
+    """One report row; `margin` is residual / tol, None without a tol."""
     if status is None:
         status = "pass" if (tol is None or residual <= tol) else "fail"
+    margin = None if tol is None or residual is None else residual / tol
     return {"check": check, "status": status,
-            "residual": residual, "tol": tol,
+            "residual": residual, "tol": tol, "margin": margin,
             "seconds": round(seconds, 6), "certifies": certifies}
 
 

@@ -556,12 +556,10 @@ class _ForwardEmitter:
             self.lines.append(line)
 
     def guard_finite(self, values) -> None:
-        """Decline unless each of `values` is finite (x * 0.0 is nan
-        exactly for a non-finite x, and never overflows)."""
+        """Decline unless each of `values` is finite (_finite_check)."""
         refs = [self.ref(v) for v in dict.fromkeys(values) if v is not None]
-        refs = [r for r in refs if not r.startswith("(")]
-        if refs:
-            self.guard(" + ".join(f"{r} * 0.0" for r in refs) + " != 0.0")
+        self.lines.extend(_finite_check([r for r in refs
+                                         if not r.startswith("(")]))
 
     def op(self, a, sym: str, b):
         """a sym b, folded when both are constants."""
@@ -634,6 +632,15 @@ class _ForwardEmitter:
 
     def dot(self, a, b):
         return self.total([self.mul(x, y) for x, y in zip(a, b)])
+
+    def max_abs(self, values):
+        """max |v| over `values`: a residual.  Over several values it
+        declines unless each is finite, since max would pass over a nan."""
+        refs = [self.ref(v) for v in dict.fromkeys(values) if not _is_zero(v)]
+        if len(refs) < 2:
+            return self.let(f"abs({refs[0]})") if refs else 0.0
+        self.guard_finite(refs)
+        return self.let(f"max({', '.join(f'abs({r})' for r in refs)})")
 
     # -- nodes ---------------------------------------------------------
 
@@ -818,7 +825,7 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
         out += [em.ref(0.0 if g[c] is None else g[c])
                 for c in range(em.m) for g in grads]
     # a non-finite coordinate is declined, also where the float path gives
-    # no error; the overflow of a finite sum declines too
+    # no error
     body = _finite_check(em.coords)
     body += _guarded(em.lines[:n_field_lines])
     if derivatives:
@@ -854,11 +861,16 @@ def _guarded(lines: list) -> list:
 
 
 def _finite_check(names: list) -> list:
-    """Return None unless every one of the locals `names` is finite."""
+    """Return None unless every one of the locals `names` is finite.  The
+    sum is the fast test; only where it is not finite are the terms
+    tested overflow-free (x * 0.0 is nan exactly for a non-finite x, and
+    never overflows), so that finite values whose sum overflows pass."""
     names = list(dict.fromkeys(names))
     if not names:
         return []
-    return [f"_s = {' + '.join(names)}", "if _s - _s != 0.0: return None"]
+    zeros = " + ".join(f"{n} * 0.0" for n in names)
+    return [f"_s = {' + '.join(names)}",
+            f"if _s - _s != 0.0 and {zeros} != 0.0: return None"]
 
 
 # -- fields ------------------------------------------------------------

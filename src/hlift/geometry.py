@@ -16,7 +16,9 @@ Lie derivatives of the metric along vector fields) come from one
 forward-mode pass over the coordinates; there is no symbolic
 differentiation and no second-order jet anywhere.  `accelerations`
 contracts `christoffel`; the Lie derivative needs neither g^{-1} nor
-Gamma.
+Gamma.  `covariant_sym_grad` compiles it over a joint pass of the
+system's fields and a generator's components (SymmetryGenerator.pipeline);
+its numpy form is the error path.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ class FieldPasses:
         else:
             for f in self.entries:
                 f(x, u, w, derivatives)
-        raise NonFiniteError(f"{self.name}: a value or partial is not finite, "
-                             f"or too large to check, at {coords}")
+        raise NonFiniteError(f"{self.name}: a value or partial is not finite "
+                             f"at {coords}")
 
     def pipeline(self, kind: str, tail):
         """The derivative pass extended by `tail` into the pipeline
@@ -489,13 +491,29 @@ def eval_vector_fields(passes: FieldPasses, point: Point):
     return a[:k], a[k:].reshape(passes.n + 2, k)
 
 
-def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point,
-                       bundle: Optional[FieldBundle] = None) -> np.ndarray:
+def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point) -> np.ndarray:
     """S_{mu nu} = nabla_mu K_nu + nabla_nu K_mu for the vector field K
     with components (gen.dx, gen.du, gen.dw), as the Lie derivative
     (L_K g)_{mu nu} = K^c d_c g_{mu nu} + g_{c nu} d_mu K^c
-    + g_{mu c} d_nu K^c, which needs first derivatives only.  `bundle`
-    is the field pass at the point, evaluated here when not given."""
+    + g_{mu c} d_nu K^c, which needs first derivatives only.
+
+    One compiled pipeline over the joint pass of the system's fields and
+    the generator's components (SymmetryGenerator.pipeline) evaluates
+    it; where that declines, _lie_derivative_numpy runs instead and
+    raises or warns as its own."""
+    out = gen.pipeline(metric.system, "lie-derivative", _lie_tail)(
+        *point.x.tolist(), float(point.u), float(point.w))
+    if out is None:
+        return _lie_derivative_numpy(metric, gen, point)
+    m = metric.dim
+    return np.array(out).reshape(m, m)
+
+
+def _lie_derivative_numpy(metric: BrinkmannMetric, gen, point: Point,
+                          bundle: Optional[FieldBundle] = None) -> np.ndarray:
+    """covariant_sym_grad by numpy from the field pass and the generator's
+    components: the error path and oracle.  `bundle` is the field pass at
+    the point, evaluated here when not given."""
     m = metric.dim
     g, dg = metric.eval_with_derivatives(point, bundle)
     K, dK = gen.components_at(point)
@@ -506,11 +524,56 @@ def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point,
 def conformal_split(metric: BrinkmannMetric, gen, point: Point):
     """(S, lambda, g) at the point from one field pass: S of
     covariant_sym_grad, its trace part lambda = g^{mu nu} S_{mu nu} / (n + 2),
-    and the metric g."""
+    and the metric g, by numpy (the error path and oracle of
+    conformal_killing_residual)."""
     b = metric.system.eval_bundle(point)
-    S = covariant_sym_grad(metric, gen, point, b)
+    S = _lie_derivative_numpy(metric, gen, point, b)
     lam = float(np.tensordot(metric.inverse(point, b), S, axes=2)) / metric.dim
     return S, lam, metric._assemble(b.h, b.A, b.V)
+
+
+def tail_vector(nodes, n: int):
+    """The generator nodes of a joint pass (the n+2 entries after the
+    system's), as a pipeline tail sees them: (K, dK) laid out like
+    components_at's arrays, dK[c][k] the c-th partial of component k
+    (None: a structural zero)."""
+    comps = nodes[n * n + n + 1:]
+    return ([k[0] for k in comps],
+            [[None if k[1] is None else k[1][c] for k in comps]
+             for c in range(n + 2)])
+
+
+def _tail_metric(h, A, uu, uw):
+    """g's layout (BrinkmannMetric._assemble) over emitter values: the h
+    block, the A column and row, g_uu and g_uw."""
+    n = len(A)
+    return ([list(h[i]) + [A[i], None] for i in range(n)]
+            + [list(A) + [uu, uw], [None] * n + [uw, None]])
+
+
+def lie_entries(em, nodes):
+    """(g, S): the metric and the Lie derivative S = K . dg + M + M^T,
+    M = dK g, as _lie_derivative_numpy computes them, entry by entry."""
+    m = em.m
+    n = m - 2
+    h, dh, A, dA, V, dV = tail_bundle(nodes, n)
+    K, dK = tail_vector(nodes, n)
+    g = _tail_metric(h, A, em.mul(-2.0, V), -1.0)
+    dg = [_tail_metric(dh[c], dA[c], em.mul(-2.0, dV[c]), None)
+          for c in range(m)]
+    # M[mu][nu] = d_mu K^c g_{c nu}, over the rows of the symmetric g
+    M = [[em.dot(dK[mu], g[nu]) for nu in range(m)] for mu in range(m)]
+    S = [[em.add(em.add(em.dot(K, [dg[c][mu][nu] for c in range(m)]),
+                        M[mu][nu]), M[nu][mu])
+          for nu in range(m)] for mu in range(m)]
+    return g, S
+
+
+def _lie_tail(em, nodes):
+    """covariant_sym_grad's S, row-major (a pipeline tail, see
+    expr.compile_forward)."""
+    _, S = lie_entries(em, nodes)
+    return em.coords, [e for row in S for e in row]
 
 
 def conformal_factor(metric: BrinkmannMetric, gen, point: Point) -> float:

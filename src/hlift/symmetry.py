@@ -31,7 +31,9 @@ from .errors import SingularJacobianError
 from .expr import as_field
 from .geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
                        HerglotzSystem, Point, conformal_split,
-                       covariant_sym_grad, eval_vector_fields)
+                       covariant_sym_grad, emit_kinetic_solve,
+                       eval_vector_fields, lie_entries, tail_bundle,
+                       tail_vector)
 
 __all__ = [
     "SymmetryGenerator", "killing_residual", "conformal_killing_residual",
@@ -46,7 +48,9 @@ class SymmetryGenerator:
 
     Components accept the same sources as system fields: expression
     strings, numbers or Field objects.  components_at evaluates them all
-    by one compiled pass with derivatives, built on first use.
+    by one compiled pass with derivatives, built on first use.  The
+    generator checks run compiled pipelines over a joint pass of a
+    system's fields and these components (`pipeline`).
     """
 
     def __init__(self, n: int, dx, du, dw, params=None, name: str = "generator"):
@@ -60,6 +64,7 @@ class SymmetryGenerator:
         self.du = as_field(du, n, params, f"{name}.du")
         self.dw = as_field(dw, n, params, f"{name}.dw")
         self._passes = FieldPasses(self.component_fields(), self.n, name)
+        self._joint = {}
 
     def component_fields(self):
         return [*self.dx, self.du, self.dw]
@@ -67,6 +72,21 @@ class SymmetryGenerator:
     def components_at(self, point: Point):
         """(values, grads) with grads[c, k] the c-th partial of component k."""
         return eval_vector_fields(self._passes, point)
+
+    def pipeline(self, system: HerglotzSystem, kind: str, tail):
+        """The compiled pipeline function `kind` (FieldPasses.pipeline)
+        over the joint pass of the system's entries (h pairs, A, V)
+        followed by this generator's (dx, du, dw); the joint pass is
+        built on first use and cached per system."""
+        passes = self._joint.get(system)
+        if passes is None:
+            if system.n != self.n:
+                raise ValueError(f"{self.name} has dimension {self.n}, "
+                                 f"{system.name} has {system.n}")
+            passes = self._joint[system] = FieldPasses(
+                system._passes.entries + self._passes.entries, self.n,
+                f"{system.name} {self.name}")
+        return passes.pipeline(kind, tail)
 
 
 # ---------------------------------------------------------------------
@@ -84,10 +104,39 @@ def conformal_killing_residual(metric: BrinkmannMetric, gen: SymmetryGenerator,
     """(max |S - lambda g|, lambda) with lambda the trace part of S.
 
     Zero residual means K generates a conformal isometry with factor
-    lambda at this point.
+    lambda at this point.  The compiled check evaluates it; where that
+    declines, conformal_split runs instead and raises or warns as its own.
     """
+    out = gen.pipeline(metric.system, "conformal-killing",
+                       _conformal_killing_tail)(
+        *point.x.tolist(), float(point.u), float(point.w))
+    if out is not None:
+        return out
     S, lam, g = conformal_split(metric, gen, point)
     return float(np.max(np.abs(S - lam * g))), lam
+
+
+def _conformal_killing_tail(em, nodes):
+    """conformal_split's lambda = g^{mu nu} S_{mu nu} / (n + 2) and the
+    residual max |S - lambda g| as a pipeline tail over the joint pass
+    (expr.compile_forward), with g^{-1} from the kinetic solve of the
+    unit columns and A (BrinkmannMetric._inverse_from)."""
+    m = em.m
+    n = m - 2
+    h, _, A, _, V, _ = tail_bundle(nodes, n)
+    g, S = lie_entries(em, nodes)
+    units = [[1.0 if j == k else None for j in range(n)] for k in range(n)]
+    *hinv, hiA = emit_kinetic_solve(em, h, units + [A])
+    gww = em.add(em.mul(2.0, V), em.dot(A, hiA))
+    em.guard_finite(hiA + [gww])        # the rest of g^{-1}, as numpy has it
+    ginv = ([[hinv[j][i] for j in range(n)] + [None, hiA[i]] for i in range(n)]
+            + [[None] * (n + 1) + [-1.0], list(hiA) + [-1.0, gww]])
+    trace = em.total([em.mul(ginv[a][b], S[a][b])
+                      for a in range(m) for b in range(m)])
+    lam = em.div(trace, float(m))
+    res = em.max_abs([em.sub(S[a][b], em.mul(lam, g[a][b]))
+                      for a in range(m) for b in range(m)])
+    return em.coords, [res, lam]
 
 
 # ---------------------------------------------------------------------
@@ -102,7 +151,20 @@ def symmetry_condition_residual(system: HerglotzSystem, gen: SymmetryGenerator,
     flow every total derivative d/du is expanded with dw/du -> L, so the
     residual is a pointwise function of (x, x', u, w).  Zero for all
     states means the generator maps solutions to solutions.
+
+    The compiled check evaluates it; where that declines, the numpy
+    path (_symmetry_condition_numpy) runs instead and raises as its own.
     """
+    out = gen.pipeline(system, "symmetry", _symmetry_tail)(
+        *rs.x.tolist(), *rs.xp.tolist(), float(rs.u), float(rs.w))
+    if out is not None:
+        return out[0]
+    return _symmetry_condition_numpy(system, gen, rs)
+
+
+def _symmetry_condition_numpy(system: HerglotzSystem, gen: SymmetryGenerator,
+                              rs: ReducedState) -> float:
+    """symmetry_condition_residual by numpy: the error path and oracle."""
     n = system.n
     b = system.eval_bundle(rs.point())
     xp = rs.xp
@@ -114,6 +176,34 @@ def symmetry_condition_residual(system: HerglotzSystem, gen: SymmetryGenerator,
     p = b.h @ xp + b.A
     res = dL @ K + p @ (ddx - xp * ddu) + lag * ddu - ddw
     return abs(float(res))
+
+
+def _symmetry_tail(em, nodes):
+    """_symmetry_condition_numpy's formula as a pipeline tail over the
+    joint pass (expr.compile_forward): (x1..xn, x'1..x'n, u, w) -> the
+    residual.  Every value that multiplies another is checked finite, so
+    that a product dropped as a structural zero hides no nan numpy has."""
+    m = em.m
+    n = m - 2
+    xp = [f"_p{i}" for i in range(n)]
+    h, dh, A, dA, V, dV = tail_bundle(nodes, n)
+    K, dK = tail_vector(nodes, n)
+    # FieldBundle.lagrangian: (0.5 x') h x' + A x' - V and its partials
+    # (h and dh[c] are symmetric: their rows are their columns)
+    half = [em.mul(0.5, x) for x in xp]
+    lag = em.sub(em.add(em.dot([em.dot(half, row) for row in h], xp),
+                        em.dot(A, xp)), V)
+    dL = [em.sub(em.add(em.dot([em.dot(half, row) for row in dh[c]], xp),
+                        em.dot(dA[c], xp)), dV[c]) for c in range(m)]
+    D = [em.add(em.add(em.dot(xp, [dK[l][k] for l in range(n)]), dK[n][k]),
+                em.mul(dK[n + 1][k], lag)) for k in range(m)]
+    ddu = D[n]
+    p = [em.add(em.dot(row, xp), A[k]) for k, row in enumerate(h)]
+    v = [em.sub(D[k], em.mul(xp[k], ddu)) for k in range(n)]
+    em.guard_finite(xp + [lag, ddu] + dL + p + v)
+    res = em.sub(em.add(em.add(em.dot(dL, K), em.dot(p, v)),
+                        em.mul(lag, ddu)), D[n + 1])
+    return [*em.coords[:n], *xp, "u", "w"], [em.max_abs([res])]
 
 
 # ---------------------------------------------------------------------
@@ -164,13 +254,56 @@ def degreewise_identities(system: HerglotzSystem, gen: SymmetryGenerator,
 
 def degreewise_max_residual(system: HerglotzSystem, gen: SymmetryGenerator,
                             point: Point) -> float:
-    """Largest entry across all degreewise coefficient tensors."""
+    """Largest entry across all degreewise coefficient tensors.
+
+    The compiled check evaluates it; where that declines,
+    degreewise_identities runs instead and raises as its own.
+    """
+    out = gen.pipeline(system, "degreewise", _degreewise_tail)(
+        *point.x.tolist(), float(point.u), float(point.w))
+    if out is not None:
+        return out[0]
     iden = degreewise_identities(system, gen, point)
     return max(abs(iden["quartic"]),
                float(np.max(np.abs(iden["cubic"]))) if system.n else 0.0,
                float(np.max(np.abs(iden["quadratic"]))),
                float(np.max(np.abs(iden["linear"]))),
                abs(iden["constant"]))
+
+
+def _degreewise_tail(em, nodes):
+    """degreewise_identities' tensors as a pipeline tail over the joint
+    pass (expr.compile_forward), entry by entry, and the largest |entry|.
+    The values that multiply others are checked finite, as in
+    _symmetry_tail."""
+    m = em.m
+    n = m - 2
+    h, dh, A, dA, V, dV = tail_bundle(nodes, n)
+    K, dK = tail_vector(nodes, n)
+    a = [dK[c][n] for c in range(m)]            # partials of du
+    bb = [dK[c][n + 1] for c in range(m)]       # partials of dw
+    cu, cw = dK[n][:n], dK[n + 1][:n]           # d_u dx^m, d_w dx^m
+    s = em.dot(A, cw)                           # A_l d_w dx^l
+    t = em.add(a[n], bb[n + 1])                 # d_u du + d_w dw
+    v2 = em.mul(2.0, V)
+    em.guard_finite([s, t, v2])
+    cubic = [em.sub(em.dot(h[k], cw), a[k]) for k in range(n)]
+    # M[i][j] = h_im d_j dx^m
+    M = [[em.dot(h[i], dK[j][:n]) for j in range(n)] for i in range(n)]
+    quadratic = [em.sub(em.total([em.dot(K, [dh[c][i][j] for c in range(m)]),
+                                  M[i][j], M[j][i], em.mul(A[i], a[j]),
+                                  em.mul(a[i], A[j]), em.mul(s, h[i][j])]),
+                        em.mul(t, h[i][j]))
+                 for i in range(n) for j in range(n)]
+    linear = [em.sub(em.sub(em.sub(
+        em.total([em.dot(K, [dA[c][i] for c in range(m)]), em.dot(h[i], cu),
+                  em.dot(dK[i][:n], A), em.mul(s, A[i])]),
+        em.mul(v2, a[i])), bb[i]), em.mul(bb[n + 1], A[i])) for i in range(n)]
+    constant = em.add(em.sub(em.sub(em.sub(
+        em.add(em.sub(None, em.dot(K, dV)), em.dot(A, cu)),
+        em.mul(s, V)), em.mul(V, a[n])), bb[n]), em.mul(V, bb[n + 1]))
+    return em.coords, [em.max_abs([a[n + 1], *cubic, *quadratic, *linear,
+                                   constant])]
 
 
 # ---------------------------------------------------------------------

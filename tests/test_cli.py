@@ -42,8 +42,8 @@ def test_run_writes_outputs(tmp_path):
     assert checks["equivalence-x"]["status"] == "pass"
     assert checks["null-drift"]["status"] == "pass"
     for r in rows:
-        assert set(r) == {"check", "status", "residual", "tol", "seconds",
-                          "certifies"}
+        assert set(r) == {"check", "status", "residual", "tol", "margin",
+                          "seconds", "certifies"}
 
 
 def test_run_csv_header_and_charges(tmp_path):
@@ -218,6 +218,24 @@ def test_check_pass_and_report(tmp_path):
     assert by_name["noether-charge:time-shift"]["status"] == "info"
     assert by_name["noether-charge:time-shift"]["tol"] is None
     assert all(r["seconds"] >= 0 for r in rows)
+
+
+def test_every_row_carries_its_margin(tmp_path):
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, {
+        "out_dir": str(out),
+        "checks": ["killing:time-shift", "degreewise:action-exp",
+                   "noether-charge:time-shift"],
+    })
+    assert main(["check", path]) == 0
+    rows = [json.loads(line)
+            for line in (out / "report.jsonl").read_text().splitlines()]
+    for r in rows:
+        want = None if r["tol"] is None else r["residual"] / r["tol"]
+        assert r["margin"] == want, r
+    assert [r["margin"] is None for r in rows] == [False, False, True]
+    assert list(rows[0]) == ["check", "status", "residual", "tol", "margin",
+                             "seconds", "certifies"]
 
 
 def test_reparam_passes_on_a_generic_coupled_start(tmp_path):
