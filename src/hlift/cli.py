@@ -214,7 +214,7 @@ def build_context(scn: dict) -> ScenarioContext:
 # checks
 
 class _RunCache:
-    """Integrations shared between checks of one invocation."""
+    """Integrations and systems shared between checks of one invocation."""
 
     def __init__(self, ctx: ScenarioContext):
         self.ctx = ctx
@@ -235,6 +235,13 @@ class _RunCache:
         ctx = self.ctx
         return integrate_herglotz(ctx.system, ctx.rs0, ctx.span,
                                   config=ctx.config)
+
+    @cached_property
+    def damped_pair(self):
+        """The catalog's conformal pair at the parameters of the scenario
+        entry, built once so that its checks share the compiled passes."""
+        ctx = self.ctx
+        return conformal_pair(n=ctx.system.n, **ctx.entry.params)
 
 
 def _checkpoint_gaps(ctx: ScenarioContext, ta: ReducedTrajectory,
@@ -370,15 +377,10 @@ def _check_nonlocal_charge(ctx, cache, gen):
     return [float(np.max(np.abs(qs - qs[0]))) / scale]
 
 
-def _damped_pair(ctx: ScenarioContext):
-    """The catalog's conformal pair at the parameters of the scenario entry."""
-    return conformal_pair(n=ctx.system.n, **ctx.entry.params)
-
-
 @_check("conformal-pair", (("pullback", 1e-12), ("flow", 1e-6), ("w-map", 1e-6)),
         "conformal-pair-equivalence", needs_damped_pair=True)
 def _check_conformal_pair(ctx, cache, gen):
-    ent_a, ent_b, cmap, factor = _damped_pair(ctx)
+    ent_a, ent_b, cmap, factor = cache.damped_pair
     met_a = BrinkmannMetric(ent_a.system)
     met_b = BrinkmannMetric(ent_b.system)
     pull = max(conformal_pullback_check(met_a, met_b, cmap, p, factor)
@@ -394,7 +396,7 @@ def _check_conformal_pair(ctx, cache, gen):
 @_check("transform-rule", 1e-12, "reduced-transform-rule",
         needs_damped_pair=True)
 def _check_transform_rule(ctx, cache, gen):
-    ent_a, ent_b, cmap, factor = _damped_pair(ctx)
+    ent_a, ent_b, cmap, factor = cache.damped_pair
     return [max(transform_rule_check(ent_a.system, ent_b.system, cmap, rs)
                 for rs in state_cloud(ctx.system.n, 100))]
 

@@ -758,9 +758,25 @@ def homogeneity_residual(system: HerglotzSystem, rs: ReducedState,
     and dLtilde/dud = -(1/2) h xd xd / ud^2 - V; the residual
     |xd . dLtilde/dxd + ud dLtilde/dud - Ltilde| vanishes for any
     first-degree homogeneous function.
+
+    The system's compiled homogeneity function, a tail over its values
+    pass, evaluates it; where that declines, _homogeneity_numpy runs
+    instead and raises as its own.
     """
     if udot == 0.0:
         raise ZeroUdotError("homogeneity check needs a nonzero udot")
+    ud = float(udot)
+    out = system.pipeline("homogeneity", _homogeneity_tail, False)(
+        *rs.x.tolist(), float(rs.u), float(rs.w),
+        *[v * ud for v in rs.xp.tolist()], ud)
+    if out is not None:
+        return out[0]
+    return _homogeneity_numpy(system, rs, udot)
+
+
+def _homogeneity_numpy(system: HerglotzSystem, rs: ReducedState,
+                       udot: float) -> float:
+    """homogeneity_residual by numpy: the error path and oracle."""
     h, A, V = system.eval_values(rs.point())
     xd = rs.xp * udot
     for v in (*xd.tolist(), float(udot)):
@@ -774,3 +790,23 @@ def homogeneity_residual(system: HerglotzSystem, rs: ReducedState,
     d_ud = -0.5 * quad / (udot * udot) - V
     euler = float(xd @ d_xd) + udot * d_ud
     return abs(euler - lt)
+
+
+def _homogeneity_tail(em, nodes):
+    """_homogeneity_numpy's formula as a pipeline tail over the values
+    pass (expr.compile_forward): (x1..xn, u, w, xd1..xdn, ud) -> the
+    residual.  The pass checks only the coordinates, so the tail checks
+    the velocities finite itself."""
+    n = em.m - 2
+    v = [f"_v{c}" for c in range(n + 1)]
+    xd, ud = v[:n], v[n]
+    h, _, A, _, V, _ = tail_bundle(nodes, n)
+    em.guard_finite(v)
+    hx = [em.dot(row, xd) for row in h]
+    quad = em.dot(xd, hx)
+    lt = em.sub(em.add(em.div(em.mul(0.5, quad), ud), em.dot(A, xd)),
+                em.mul(V, ud))
+    d_xd = [em.add(em.div(hx[i], ud), A[i]) for i in range(n)]
+    d_ud = em.sub(em.div(em.mul(-0.5, quad), em.mul(ud, ud)), V)
+    euler = em.add(em.dot(xd, d_xd), em.mul(ud, d_ud))
+    return [*em.coords, *v], [em.max_abs([em.sub(euler, lt)])]

@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AsymmetricMetricError, NonFiniteError, SingularMetricError
+from .errors import (AsymmetricMetricError, FieldEvalError, NonFiniteError,
+                     SingularMetricError)
 from .expr import as_field, compile_forward, free_names
 
 __all__ = [
@@ -139,13 +140,14 @@ class FieldPasses:
         raise NonFiniteError(f"{self.name}: a value or partial is not finite "
                              f"at {coords}")
 
-    def pipeline(self, kind: str, tail):
-        """The derivative pass extended by `tail` into the pipeline
-        function `kind` (expr.compile_forward), built on first use."""
+    def pipeline(self, kind: str, tail, derivatives: bool = True):
+        """The derivative pass, or the values pass, extended by `tail`
+        into the pipeline function `kind` (expr.compile_forward), built
+        on first use."""
         fn = self._fns.get(kind)
         if fn is None:
             fn = self._fns[kind] = compile_forward(
-                self.entries, self.n, True, _ASYMMETRY_TOL,
+                self.entries, self.n, derivatives, _ASYMMETRY_TOL,
                 f"{self.name} {kind}", tail)
         return fn
 
@@ -239,10 +241,10 @@ class HerglotzSystem:
         return FieldBundle(a[:n2].reshape(n, n), g[:, :n2].reshape(n + 2, n, n),
                            a[n2:k - 1], g[:, n2:k - 1], out[k - 1], g[:, k - 1])
 
-    def pipeline(self, kind: str, tail):
+    def pipeline(self, kind: str, tail, derivatives: bool = True):
         """The compiled pipeline function `kind`, which `tail` builds on
         first use (FieldPasses.pipeline); cached with the field passes."""
-        return self._passes.pipeline(kind, tail)
+        return self._passes.pipeline(kind, tail, derivatives)
 
 
 def _min_abs_eigenvalue(h: np.ndarray) -> float:
@@ -443,6 +445,25 @@ def tail_bundle(nodes, n: int):
             V[0], [d(V, c) for c in cs])
 
 
+def tail_values(em, system: HerglotzSystem, coords=None):
+    """A system's (h, A, V) in a pipeline tail, laid out like eval_values'
+    arrays, by its values pass inline at `coords` (emitter.values).  The
+    tail declines where one is not finite: a structural zero downstream
+    must not drop it."""
+    n = system.n
+    vals = em.values(system._passes.entries, coords)
+    em.guard_finite(vals)
+    return [vals[i * n:(i + 1) * n] for i in range(n)], vals[n * n:-1], vals[-1]
+
+
+def tail_lagrangian(em, h, A, V, xp):
+    """FieldBundle.lagrangian's L = (0.5 x') h x' + A x' - V over emitter
+    values (h symmetric: its rows are its columns)."""
+    half = [em.mul(0.5, x) for x in xp]
+    return em.sub(em.add(em.dot([em.dot(half, row) for row in h], xp),
+                         em.dot(A, xp)), V)
+
+
 def _geodesic_tail(em, nodes):
     """accelerations' -Gamma v v, factored as -g^{mu s} [ (v . d) g_{s rho}
     v^rho - (1/2) d_s (g v v) ] = -g^{-1}(M v - q/2) over the Brinkmann
@@ -603,7 +624,9 @@ class CoordinateMap:
 
     Components are field sources over (x1..xn, u, w); the output has the
     same dimension n+2.  They are evaluated by one compiled pass, with
-    derivatives for the Jacobian and without for the image alone.
+    derivatives for the Jacobian and without for the image alone.  The
+    checks that relate two systems through the map extend its derivative
+    pass into pipelines (`pipeline`).
     """
 
     def __init__(self, n: int, components, params=None, name: str = "map"):
@@ -615,6 +638,7 @@ class CoordinateMap:
                            for k, c in enumerate(components)]
         self.name = name
         self._passes = FieldPasses(self.components, n, name)
+        self._pipelines = {}
 
     def __call__(self, point: Point) -> Point:
         return Point.from_coords(self._passes.run(point, False), self.n)
@@ -624,6 +648,25 @@ class CoordinateMap:
         vals, grads = eval_vector_fields(self._passes, point)
         return vals, grads.T
 
+    def pipeline(self, system_a: HerglotzSystem, system_b: HerglotzSystem,
+                 kind: str, tail):
+        """The compiled pipeline function `kind` over the map's derivative
+        pass (expr.compile_forward), for system_a at a point and system_b
+        at its image: tail(emitter, nodes, system_a, system_b) builds it
+        on first use, and it is cached per pair of systems."""
+        key = (system_a, system_b, kind)
+        fn = self._pipelines.get(key)
+        if fn is None:
+            for system in (system_a, system_b):
+                if system.n != self.n:
+                    raise ValueError(f"{self.name} has dimension {self.n}, "
+                                     f"{system.name} has {system.n}")
+            fn = self._pipelines[key] = compile_forward(
+                self.components, self.n, True, _ASYMMETRY_TOL,
+                f"{self.name} {system_a.name} {system_b.name} {kind}",
+                lambda em, nodes: tail(em, nodes, system_a, system_b))
+        return fn
+
 
 def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetric,
                              cmap: CoordinateMap, point: Point, omega,
@@ -631,12 +674,49 @@ def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetri
     """max | (J^T g_b(Phi(p)) J) - Omega(p) g_a(p) |.
 
     Zero means Phi pulls metric_b back to Omega times metric_a at p.
-    `omega` is any field source over (x, u, w).
+    `omega` is any field source over (x, u, w), evaluated by
+    Field.__call__.  One compiled pipeline over the map's pass evaluates
+    the rest (CoordinateMap.pipeline); where Omega or that declines,
+    _pullback_numpy runs instead and raises as its own.
     """
-    n = metric_a.system.n
-    omega_f = as_field(omega, n, params, name="omega")
+    omega_f = as_field(omega, metric_a.system.n, params, name="omega")
+    x, u, w = point.x.tolist(), float(point.u), float(point.w)
+    try:
+        om = omega_f(x, u, w)
+    except FieldEvalError:
+        out = None
+    else:
+        out = cmap.pipeline(metric_a.system, metric_b.system, "pullback",
+                            _pullback_tail)(*x, u, w, om)
+    if out is not None:
+        return out[0]
+    return _pullback_numpy(metric_a, metric_b, cmap, point, omega_f)
+
+
+def _pullback_numpy(metric_a: BrinkmannMetric, metric_b: BrinkmannMetric,
+                    cmap: CoordinateMap, point: Point, omega_f) -> float:
+    """conformal_pullback_check by numpy: the error path and oracle."""
     vals, J = cmap.value_and_jacobian(point)
     g_b = metric_b.eval(Point.from_coords(vals, metric_b.system.n))
     g_a = metric_a.eval(point)
     om = omega_f(point.x.tolist(), float(point.u), float(point.w))
     return float(np.max(np.abs(J.T @ g_b @ J - om * g_a)))
+
+
+def _pullback_tail(em, nodes, system_a, system_b):
+    """_pullback_numpy's max |J^T g_b J - Omega g_a| as a pipeline tail
+    over the map's derivative pass (CoordinateMap.pipeline), with Omega
+    the parameter _om, g_a from system_a's values at the point and g_b
+    from system_b's at the image (tail_values)."""
+    m = em.m
+    J = [[None if k[1] is None else k[1][c] for c in range(m)] for k in nodes]
+    g_a, g_b = (_tail_metric(h, A, em.mul(-2.0, V), -1.0)
+                for h, A, V in (tail_values(em, system_a),
+                                tail_values(em, system_b, [k[0] for k in nodes])))
+    # (J^T g_b) J, as numpy groups it; Omega reaches the outputs through
+    # the fixed g_uw = -1, so max_abs checks it finite
+    JTg = [[em.dot([J[c][a] for c in range(m)], [g_b[c][d] for c in range(m)])
+            for d in range(m)] for a in range(m)]
+    res = [em.sub(em.dot(JTg[a], [J[d][b] for d in range(m)]),
+                  em.mul("_om", g_a[a][b])) for a in range(m) for b in range(m)]
+    return [*em.coords, "_om"], [em.max_abs(res)]

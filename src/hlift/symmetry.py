@@ -33,7 +33,7 @@ from .geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
                        HerglotzSystem, Point, conformal_split,
                        covariant_sym_grad, emit_kinetic_solve,
                        eval_vector_fields, lie_entries, tail_bundle,
-                       tail_vector)
+                       tail_lagrangian, tail_values, tail_vector)
 
 __all__ = [
     "SymmetryGenerator", "killing_residual", "conformal_killing_residual",
@@ -188,11 +188,9 @@ def _symmetry_tail(em, nodes):
     xp = [f"_p{i}" for i in range(n)]
     h, dh, A, dA, V, dV = tail_bundle(nodes, n)
     K, dK = tail_vector(nodes, n)
-    # FieldBundle.lagrangian: (0.5 x') h x' + A x' - V and its partials
-    # (h and dh[c] are symmetric: their rows are their columns)
+    # FieldBundle.lagrangian: L and its partials (dh[c] is symmetric)
     half = [em.mul(0.5, x) for x in xp]
-    lag = em.sub(em.add(em.dot([em.dot(half, row) for row in h], xp),
-                        em.dot(A, xp)), V)
+    lag = tail_lagrangian(em, h, A, V, xp)
     dL = [em.sub(em.add(em.dot([em.dot(half, row) for row in dh[c]], xp),
                         em.dot(dA[c], xp)), dV[c]) for c in range(m)]
     D = [em.add(em.add(em.dot(xp, [dK[l][k] for l in range(n)]), dK[n][k]),
@@ -386,7 +384,23 @@ def transform_rule_check(system_a: HerglotzSystem, system_b: HerglotzSystem,
     state.  The residual is |L_b * (du'/du) - dw'/du|, with du'/du and
     dx'/du taken by the chain rule.  A vanishing or negative du'/du
     means the map does not define a time reparametrization there.
+
+    One compiled pipeline over the map's derivative pass evaluates it
+    (CoordinateMap.pipeline); where that declines, _transform_rule_numpy
+    runs instead and raises as its own (SingularJacobianError where
+    |du'/du| < 1e-12).
     """
+    out = cmap.pipeline(system_a, system_b, "transform-rule",
+                        _transform_rule_tail)(
+        *rs.x.tolist(), *rs.xp.tolist(), float(rs.u), float(rs.w))
+    if out is not None:
+        return out[0]
+    return _transform_rule_numpy(system_a, system_b, cmap, rs)
+
+
+def _transform_rule_numpy(system_a: HerglotzSystem, system_b: HerglotzSystem,
+                          cmap: CoordinateMap, rs: ReducedState) -> float:
+    """transform_rule_check by numpy: the error path and oracle."""
     n = system_a.n
     lag_a = reduced_lagrangian(system_a, rs)
     vals, J = cmap.value_and_jacobian(rs.point())
@@ -403,3 +417,31 @@ def transform_rule_check(system_a: HerglotzSystem, system_b: HerglotzSystem,
                          float(vals[n + 1]))
     lag_b = reduced_lagrangian(system_b, image)
     return abs(float(lag_b * dup_du - dwp_du))
+
+
+def _transform_rule_tail(em, nodes, system_a, system_b):
+    """_transform_rule_numpy's formula as a pipeline tail over the map's
+    derivative pass (CoordinateMap.pipeline): (x1..xn, x'1..x'n, u, w)
+    -> the residual, with L_a from system_a's values at the point and L_b
+    from system_b's at the image (tail_values).  It declines where
+    |du'/du| < 1e-12, and, as _symmetry_tail, unless every value that
+    multiplies another is finite."""
+    m = em.m
+    n = m - 2
+    xp = [f"_p{i}" for i in range(n)]
+    em.guard_finite(xp)
+    lag_a = tail_lagrangian(em, *tail_values(em, system_a), xp)
+    em.guard_finite([lag_a])
+    # the chain rule along the motion: d/du = x'^l d_l + d_u + L d_w
+    tang = xp + [1.0, lag_a]
+    rates = [em.dot([None if k[1] is None else k[1][c] for c in range(m)], tang)
+             for k in nodes]
+    em.guard_finite(rates)
+    dup = 0.0 if rates[n] is None else rates[n]
+    em.guard(f"abs({em.ref(dup)}) < 1e-12")
+    xp_b = [em.div(r, dup) for r in rates[:n]]
+    em.guard_finite(xp_b)
+    lag_b = tail_lagrangian(
+        em, *tail_values(em, system_b, [k[0] for k in nodes]), xp_b)
+    return ([*em.coords[:n], *xp, "u", "w"],
+            [em.max_abs([em.sub(em.mul(lag_b, dup), rates[n + 1])])])

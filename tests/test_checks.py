@@ -1,6 +1,7 @@
-"""The compiled generator checks (killing, conformal-killing, degreewise
-and symmetry) against their numpy formulas, which are also their error
-paths.
+"""The compiled checks against their numpy formulas, which are also their
+error paths: the generator checks (killing, conformal-killing,
+degreewise and symmetry), homogeneity, and the checks that relate two
+systems through a coordinate map (transform rule, conformal pullback).
 
 Where the compiled check declines, the numpy formula runs instead, so a
 check raises (or warns) exactly as its formula does.  Elsewhere the two
@@ -10,7 +11,8 @@ generator's components and partials (G), g^{-1}'s entries (H, for the
 conformal check) and the velocities (X, for the symmetry check).  On
 the catalog clouds Killing and degreewise residuals come out bit for
 bit; conformal-killing and symmetry ones differ in the last bits, where
-numpy's BLAS sums in another order.
+numpy's BLAS sums in another order.  The scales of homogeneity, the
+transform rule and the pullback are stated where they are computed.
 """
 
 import linecache
@@ -21,16 +23,20 @@ import pytest
 
 from hlift import expr
 from hlift.cloud import halton, point_cloud, state_cloud
-from hlift.dynamics import ReducedState
-from hlift.geometry import (BrinkmannMetric, HerglotzSystem,
+from hlift.dynamics import (ReducedState, _homogeneity_numpy,
+                            homogeneity_residual)
+from hlift.errors import NonFiniteError
+from hlift.geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem,
                             NearlySingularKineticWarning, Point,
-                            _lie_derivative_numpy, conformal_split)
+                            _lie_derivative_numpy, _pullback_numpy,
+                            conformal_pullback_check, conformal_split)
 from hlift.symmetry import (SymmetryGenerator, _conformal_killing_tail,
-                            _symmetry_condition_numpy,
+                            _symmetry_condition_numpy, _transform_rule_numpy,
                             conformal_killing_residual, degreewise_identities,
                             degreewise_max_residual, killing_residual,
-                            symmetry_condition_residual)
-from hlift.systems import coupled_curved, standard_catalog, x_scaling_control
+                            symmetry_condition_residual, transform_rule_check)
+from hlift.systems import (conformal_pair, coupled_curved, standard_catalog,
+                           x_scaling_control)
 
 from test_forward import _COORD, _EXPRS, GUARDS, hypothesis, st
 
@@ -237,3 +243,217 @@ def test_catalog_and_generators_compile_nothing(monkeypatch):
     for _ in range(2):
         degreewise_max_residual(system, gen, p)
     assert built == ["forward coupled lazy degreewise"]
+
+
+def test_catalog_and_conformal_pair_compile_nothing(monkeypatch):
+    built = []
+    define = expr.define_function
+    monkeypatch.setattr(expr, "define_function",
+                        lambda *args: built.append(args[3]) or define(*args))
+    catalog = standard_catalog()
+    ent_a, ent_b, cmap, factor = conformal_pair(n=2)
+    assert built == []
+    # each first check builds its one function, and a second check of
+    # the same system or pair reuses it
+    system = catalog["coupled"].system
+    rs = ReducedState([0.3, -0.2], [0.5, 0.1], 0.5, 0.25)
+    p = Point([0.3, -0.2], 0.5, 0.25)
+    for _ in range(2):
+        homogeneity_residual(system, rs, 2.0)
+    assert built == [f"forward {system.name} homogeneity"]
+    pair = f"{cmap.name} {ent_a.system.name} {ent_b.system.name}"
+    for _ in range(2):
+        transform_rule_check(ent_a.system, ent_b.system, cmap, rs)
+        conformal_pullback_check(BrinkmannMetric(ent_a.system),
+                                 BrinkmannMetric(ent_b.system), cmap, p, factor)
+    assert built[1:] == [f"forward {pair} transform-rule",
+                         f"forward {pair} pullback"]
+
+
+def test_a_source_compiled_once_is_not_compiled_again(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(expr, "_CODE", {})
+    monkeypatch.setattr(expr, "compile", lambda *args: compiled.append(args[1])
+                        or compile(*args), raising=False)
+    rs = ReducedState([0.3, -0.2], [0.5, 0.1], 0.5, 0.25)
+    fns = []
+    for _ in range(2):
+        system = standard_catalog()["coupled"].system
+        homogeneity_residual(system, rs, 2.0)
+        fns.append(system._passes._fns["homogeneity"])
+    assert len(compiled) == 1
+    # defined afresh, in its own namespace, from the one code object
+    assert fns[0] is not fns[1] and fns[0].__code__ is fns[1].__code__
+    assert fns[0].__globals__ is not fns[1].__globals__
+
+
+# ---------------------------------------------- homogeneity and the pair
+
+def _homogeneity_scale(system, rs, udot) -> float:
+    """F X^2 max(1, |udot|): F the largest field value, X the largest
+    |x'|, each at least one (the terms are h xd xd / ud, A xd, V ud)."""
+    h, A, V = system.eval_values(rs.point())
+    F = float(max(1.0, np.max(np.abs(h)), np.max(np.abs(A)), abs(V)))
+    X = float(max(1.0, np.max(np.abs(rs.xp))))
+    return F * X * X * max(1.0, abs(udot))     # Python floats: inf, no warning
+
+
+def _field_size(system, point) -> float:
+    h, A, V = system.eval_values(point)
+    return float(max(1.0, np.max(np.abs(h)), np.max(np.abs(A)), 2.0 * abs(V)))
+
+
+def _transform_scale(system_a, system_b, cmap, rs) -> float:
+    """F_b R^3 / min(1, |du'/du|)^2, R = J F_a X^2 the size of the rates
+    (J the largest map value or partial, F the largest field value at
+    the point and at the image, X the largest |x'|): L_b is quadratic in
+    the rates over du'/du, and the residual is L_b du'/du - dw'/du."""
+    n = system_a.n
+    vals, J = cmap.value_and_jacobian(rs.point())
+    Jm = float(max(1.0, np.max(np.abs(vals)), np.max(np.abs(J))))
+    X = float(max(1.0, np.max(np.abs(rs.xp))))
+    R = Jm * _field_size(system_a, rs.point()) * X * X
+    tang = [*rs.xp.tolist(), 1.0, 0.0]
+    dup = abs(sum(a * b for a, b in zip(J[n].tolist(), tang)))
+    image = Point.from_coords(vals, n)
+    D = min(1.0, max(dup, 1e-12))
+    return _field_size(system_b, image) * R * R * R / (D * D)   # inf, not an error
+
+
+def _pullback_scale(system_a, system_b, cmap, p, omega) -> float:
+    """J^2 F_b + |Omega| F_a, the size of the entries of J^T g_b J and
+    Omega g_a."""
+    vals, J = cmap.value_and_jacobian(p)
+    Jm = float(max(1.0, np.max(np.abs(J))))
+    om = omega(p.x.tolist(), float(p.u), float(p.w))
+    return (Jm * Jm * _field_size(system_b, Point.from_coords(vals, p.x.size))
+            + abs(om) * _field_size(system_a, p))
+
+
+def _pair_routes(ent_a, ent_b, cmap, factor, p, rs):
+    """(check, compiled route, numpy route, args, scale function) for the
+    transform rule and the pullback of a pair of systems."""
+    met_a, met_b = BrinkmannMetric(ent_a), BrinkmannMetric(ent_b)
+    omega = expr.as_field(factor, ent_a.n, name="omega")
+    return [
+        ("transform-rule", transform_rule_check, _transform_rule_numpy,
+         (ent_a, ent_b, cmap, rs), _transform_scale),
+        ("pullback", conformal_pullback_check, _pullback_numpy,
+         (met_a, met_b, cmap, p, omega), lambda *args: _pullback_scale(
+             ent_a, ent_b, cmap, p, omega)),
+    ]
+
+
+def _assert_same_outcome(compiled, numpy_route, args, scale, *context):
+    """The compiled route raises the numpy route's error where that raises
+    or warns, returns its non-finite number exactly, and otherwise agrees
+    within 1e-13 of `scale()`."""
+    want = _outcome(numpy_route, *args)
+    got = _outcome(compiled, *args)
+    if isinstance(want, tuple):
+        assert got == want, context
+    elif not np.all(np.isfinite(want)):
+        assert np.array_equal(got, want, equal_nan=True), context
+    else:
+        assert not isinstance(got, tuple), (context, got)
+        assert abs(got[0] - want[0]) <= _REL * scale() + _TINY, \
+            (context, got, want)
+
+
+@pytest.mark.parametrize("key", list(standard_catalog()))
+def test_homogeneity_matches_numpy_over_a_cloud(key):
+    system = standard_catalog()[key].system
+    for rs in state_cloud(system.n, 256):
+        for udot in (0.5, 1.0, 2.0):
+            got = homogeneity_residual(system, rs, udot)
+            want = _homogeneity_numpy(system, rs, udot)
+            bound = _REL * _homogeneity_scale(system, rs, udot) + _TINY
+            assert abs(got - want) <= bound, (rs, udot)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_damped_pair_checks_match_numpy_over_a_cloud(n):
+    ent_a, ent_b, cmap, factor = conformal_pair(n=n)
+    for p, rs in zip(point_cloud(n, 256), state_cloud(n, 256)):
+        for check, compiled, numpy_route, args, scale in _pair_routes(
+                ent_a.system, ent_b.system, cmap, factor, p, rs):
+            got, want = compiled(*args), numpy_route(*args)
+            assert abs(got - want) <= _REL * scale(*args) + _TINY, (check, p, rs)
+
+
+@pytest.mark.parametrize("V, x1", GUARDS)
+def test_guards_raise_the_numpy_error_of_the_pair_checks(V, x1):
+    # each guarded expression as V, as Omega, as each map component and
+    # as either system's V: every check raises the numpy route's error
+    # class and message, or agrees with its number
+    guarded = HerglotzSystem(1, [["1"]], ["0"], V, name="guarded")
+    rs = ReducedState([x1], [0.3], 0.5, 0.25)
+    p = Point([x1], 0.5, 0.25)
+    for udot in (0.5, 2.0):
+        _assert_same_outcome(homogeneity_residual, _homogeneity_numpy,
+                             (guarded, rs, udot), lambda: _homogeneity_scale(
+                                 guarded, rs, udot), V, udot)
+    ent_a, ent_b, cmap, factor = conformal_pair()
+    cases = [(guarded, ent_b.system, cmap, factor),
+             (ent_a.system, guarded, cmap, factor),
+             (ent_a.system, ent_b.system, cmap, V)]
+    for k in range(3):
+        comps = ["x1", "u", "w"]
+        comps[k] = V
+        cases.append((ent_a.system, ent_b.system,
+                      CoordinateMap(1, comps, name="guarded"), factor))
+    for case, (sys_a, sys_b, cm, omega) in enumerate(cases):
+        for check, compiled, numpy_route, args, scale in _pair_routes(
+                sys_a, sys_b, cm, omega, p, rs):
+            _assert_same_outcome(compiled, numpy_route, args,
+                                 lambda: scale(*args), check, V, case)
+
+
+@pytest.mark.parametrize("xp, udot", [
+    ([np.inf], 1.0), ([-np.inf], 0.5), ([np.nan], 2.0), ([0.3], np.inf),
+    ([0.3], -np.inf), ([0.3], np.nan)])
+def test_a_non_finite_velocity_raises_non_finite_error(xp, udot):
+    system = standard_catalog()["harmonic"].system
+    rs = ReducedState([0.4], xp, 0.5, 0.25)
+    for route in (homogeneity_residual, _homogeneity_numpy):
+        with pytest.raises(NonFiniteError, match="finite velocities"):
+            route(system, rs, udot)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.lists(_EXPRS, min_size=6, max_size=6),
+                  st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
+                  st.lists(_COORD, min_size=6, max_size=6))
+def test_random_systems_match_the_numpy_homogeneity(texts, k, udot, coords):
+    h11, h12, h22, a1, a2, V = texts
+    system = HerglotzSystem(2, [[h11, h12], [h12, h22]], [a1, a2], V,
+                            params={"k": k}, name="random")
+    rs = ReducedState(coords[:2], coords[4:6], coords[2], coords[3])
+    hypothesis.assume(udot != 0.0)
+    _assert_same_outcome(homogeneity_residual, _homogeneity_numpy,
+                         (system, rs, udot),
+                         lambda: _homogeneity_scale(system, rs, udot),
+                         texts, udot, coords)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.lists(_EXPRS, min_size=4, max_size=4),
+                  st.floats(-2.0, 2.0), st.lists(_COORD, min_size=6,
+                                                 max_size=6))
+def test_random_maps_match_the_numpy_route(texts, k, coords):
+    ent_a, ent_b, _, factor = conformal_pair(n=2)
+    cmap = CoordinateMap(2, texts, params={"k": k}, name="random")
+    p = Point(coords[:2], coords[2], coords[3])
+    rs = ReducedState(coords[:2], coords[4:6], coords[2], coords[3])
+    for check, compiled, numpy_route, args, scale in _pair_routes(
+            ent_a.system, ent_b.system, cmap, factor, p, rs):
+        _assert_same_outcome(compiled, numpy_route, args,
+                             lambda: scale(*args), check, texts, coords)
+
+
+def test_a_system_of_another_dimension_is_rejected():
+    ent_a, ent_b, cmap, factor = conformal_pair(n=1)
+    other = coupled_curved().system
+    with pytest.raises(ValueError, match="coupled has 2"):
+        transform_rule_check(ent_a.system, other, cmap,
+                             ReducedState([0.1], [0.2], 0.0, 0.0))
