@@ -16,13 +16,12 @@ The stepper is an embedded Dormand-Prince 4(5) pair with PI step-size
 control, FSAL reuse, and a cubic Hermite interpolant stored per accepted
 step.  It is deliberately hand-rolled: every accepted step records the
 diagnostics the equivalence checks need, and reruns are bit-for-bit
-deterministic.  One scalar step loop serves both pipelines: states and
-derivatives are tuples of floats, each attempt is one call of a
-straight-line step generated per state length, and the compiled
-right-hand sides are called on the floats directly; only a call they
-decline goes through numpy.  Accepted samples go to flat float buffers,
-reshaped once into the trajectory's arrays.  The samples agree with an
-array-form oracle of the same stepper at rounding level.
+deterministic.  A whole integration is one generated function per
+pipeline shape (_stepper): stages, error norm, PI control and sample
+buffers are float locals of one loop, which calls the compiled
+right-hand side directly; only a call it declines goes, inline, to the
+numpy route.  The samples agree with an array-form oracle of the same
+stepper at rounding level.
 """
 
 from __future__ import annotations
@@ -30,15 +29,15 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import (BlowUpError, MonotonicityViolationError, NonFiniteError,
                      NonPositiveUdotError, SigmaInversionError,
                      StepLimitExceededError, ZeroUdotError)
-from .expr import define_function
+from .expr import _finite_check, define_function
 from .geometry import (BrinkmannMetric, HerglotzSystem, Point,
                        emit_kinetic_solve, solve_kinetic, tail_bundle)
 
@@ -165,71 +164,146 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
 
-def _scaled_rms(v, scale) -> float:
-    """sqrt(mean((v / scale)^2)) over sequences of floats."""
-    return math.sqrt(sum((a / s) * (a / s) for a, s in zip(v, scale)) / len(v))
-
-
-def _initial_step(f, t0, y0, f0, cfg: IntegratorConfig, span: float) -> float:
-    """Cheap two-evaluation guess for the first step size."""
-    scale = [cfg.atol + cfg.rtol * abs(v) for v in y0]
-    d0 = _scaled_rms(y0, scale)
-    d1 = _scaled_rms(f0, scale)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    f1 = f(t0 + h0, tuple(a + h0 * b for a, b in zip(y0, f0)))
-    d2 = _scaled_rms([b - a for a, b in zip(f0, f1)], scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** _ORDER_EXP
-    h = min(100 * h0, h1)
-    if math.isfinite(span):
-        h = min(h, span)
-    return h
-
-
 @functools.cache
-def _dopri5_step(size: int):
-    """One Dormand-Prince attempt on states of `size` floats, as one
-    straight-line function, generated on first use:
+def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
+    """The whole adaptive integration of one pipeline shape, as one
+    function generated on first use:
 
-        step(f, t, h, y_0, ..., k1_0, ..., atol, rtol)
+        loop(fn, slow, t, t_end, y, k, cfg, ts, ys, fs, xs_0.., [target])
 
-    with k1 = f(t, y).  It returns (y_new, k7, err): the 5th order state,
-    which is the input of the FSAL stage itself, so that k7 = f(t + h,
-    y_new) is f's last call; and the RMS norm of the error estimate
-    scaled by atol + rtol max(|y|, |y_new|).  Where a stage input or err
-    is not finite it returns instead the number of calls of f it made.
-    f takes (t, tuple of floats) and returns a tuple of floats.
+    y is the initial state, a tuple of `size` floats, and k its derivative.
+    fn is the compiled right-hand side: fn([t,] y_0, ...) returns the
+    derivative followed by `n_aux` auxiliary outputs, or None where it
+    declines; slow([t,] y) is the numpy route that takes a declined call,
+    with its own errors and warnings.  The loop makes the initial-step
+    probe and then Dormand-Prince attempts until t reaches t_end (or,
+    with a `stop` index, y[stop] reaches `target`), appending each
+    accepted sample to the buffers ts, ys, fs and its auxiliary outputs
+    (those of the FSAL stage, whose input is the accepted state) to xs_a;
+    the caller has appended the initial sample.  An attempt whose stage
+    input or error norm is not finite is rejected and its step quartered;
+    nfev counts only the calls it made.  Returns (rejected, nfev,
+    declined), nfev including the caller's call at the initial state.
     """
     J = range(size)
-    body = []
+    y = [f"y_{j}" for j in J]
+
+    def k(i):
+        return [f"k{i}_{j}" for j in J]
+
+    aux = [f"_x{a}" for a in range(n_aux)]
+
+    def call(tc: str, state: list, out: list) -> list:
+        args = ", ".join(state)
+        return [f"_o = fn({tc + ', ' if takes_t else ''}{args})",
+                "if _o is None:",
+                "    declined += 1",
+                f"    _o = slow({tc + ', ' if takes_t else ''}({args},))",
+                f"{', '.join(out + aux)}, = _o"]
 
     def combo(row, j):
         return " + ".join(f"{a!r} * k{i + 1}_{j}" for i, a in enumerate(row)
                           if a != 0.0)
 
+    def rms(terms):
+        return f"_sqrt(({' + '.join(terms)}) / {size})"
+
+    def reject(calls: int) -> str:
+        return (f"{f'nfev += {calls}; ' if calls else ''}rejected += 1; "
+                "just_rejected = True; h *= 0.25; continue")
+
+    sq = lambda a: f"({a}) * ({a})"
+    body = [f"{', '.join(y)}, = y", f"{', '.join(k(1))}, = k",
+            "atol, rtol, max_steps = cfg.atol, cfg.rtol, cfg.max_steps",
+            "_ta, _ye, _fe = ts.append, ys.extend, fs.extend",
+            "declined = 0",
+            *[f"_xa{a} = xs_{a}.append" for a in range(n_aux)]]
+    # the initial step, a cheap two-evaluation guess; _a_j = |y_j| is kept
+    # from the error norm of the step that accepted y
+    body += [f"_a{j} = abs(y_{j}); _c{j} = atol + rtol * _a{j}" for j in J]
+    body += [f"d0 = {rms([sq(f'y_{j} / _c{j}') for j in J])}",
+             f"d1 = {rms([sq(f'k1_{j} / _c{j}') for j in J])}",
+             "h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1"]
+    body += call("t + h0", [f"y_{j} + h0 * k1_{j}" for j in J], k("p"))
+    body += [f"d2 = {rms([sq(f'(kp_{j} - k1_{j}) / _c{j}') for j in J])} / h0",
+             "if d1 <= 1e-15 and d2 <= 1e-15:",
+             "    h1 = max(1e-6, h0 * 1e-3)",
+             "else:",
+             f"    h1 = (0.01 / max(d1, d2)) ** {_ORDER_EXP!r}",
+             "h = min(100 * h0, h1)",
+             "if _isfinite(t_end - t):",
+             "    h = min(h, t_end - t)",
+             "nfev = 2",
+             "rejected = attempts = 0",
+             "err_prev = 1.0",
+             "just_rejected = False",
+             "bounded = _isfinite(t_end)"]
+    stopped = f" or y_{stop} >= target" if stop is not None else ""
+    body += [f"if t >= t_end{stopped}:",
+             "    return rejected, nfev, declined"]
+    loop = ["attempts += 1",
+            "if attempts > max_steps:",
+            "    raise _StepLimit(f'no convergence within {max_steps} steps "
+            "(t = {t!r})')",
+            "clipped = False",
+            "if bounded and t + h >= t_end:",
+            "    h = t_end - t",
+            "    clipped = True",
+            "_at = abs(t)",
+            "if h <= 1e-14 * (_at if _at > 1.0 else 1.0):",
+            "    raise _BlowUp(f'step size underflow at t = {t!r}')"]
     for i, (c, row) in enumerate(zip(_DP_C, _DP_A)):
         s = [f"s{i + 2}_{j}" for j in J]
-        body += [f"{s[j]} = y_{j} + h * ({combo(row, j)})" for j in J]
-        # x * 0.0 is nan exactly for a non-finite x, and never overflows
-        body.append(f"if {' + '.join(f'{v} * 0.0' for v in s)} != 0.0: "
-                    f"return {i}")
-        body.append(f"y{i + 2} = ({', '.join(s)},)")
-        tc = "t + h" if c == 1.0 else f"t + {c!r} * h"
-        body.append(f"{', '.join(f'k{i + 2}_{j}' for j in J)}, = k{i + 2} "
-                    f"= f({tc}, y{i + 2})")
+        loop += [f"{s[j]} = y_{j} + h * ({combo(row, j)})" for j in J]
+        loop += _finite_check(s, reject(i))
+        loop += call("t + h" if c == 1.0 else f"t + {c!r} * h", s, k(i + 2))
     for j in J:
-        body += [f"_a = abs(y_{j})", f"_b = abs(s7_{j})",
+        loop += [f"_b{j} = abs(s7_{j})",
                  f"r{j} = h * ({combo(_DP_E, j)}) / "
-                 f"(atol + rtol * (_a if _a > _b else _b))"]
-    body += [f"err = _sqrt(({' + '.join(f'r{j} * r{j}' for j in J)}) / {size})",
-             "if err - err != 0.0: return 6",
-             "return y7, k7, err"]
-    params = (["f", "t", "h"] + [f"y_{j}" for j in J]
-              + [f"k1_{j}" for j in J] + ["atol", "rtol"])
-    return define_function("_dopri5_step", params, body, f"dopri5 {size}",
-                           {"_sqrt": math.sqrt})
+                 f"(atol + rtol * (_a{j} if _a{j} > _b{j} else _b{j}))"]
+    loop += [f"err = {rms([f'r{j} * r{j}' for j in J])}",
+             f"if err - err != 0.0: {reject(6)}",
+             "nfev += 6",
+             "if err <= 1.0:",
+             "    t = t_end if clipped else t + h",
+             f"    {', '.join(y)}, = {', '.join(f's7_{j}' for j in J)},",
+             f"    {', '.join(k(1))}, = {', '.join(k(7))},",
+             f"    {', '.join(f'_a{j}' for j in J)}, = "
+             f"{', '.join(f'_b{j}' for j in J)},",
+             "    _ta(t)",
+             f"    _ye(({', '.join(y)},))",
+             f"    _fe(({', '.join(k(1))},))",
+             *[f"    _xa{a}(_x{a})" for a in range(n_aux)],
+             f"    if {' or '.join(f'_b{j} > {_BLOWUP_NORM!r}' for j in J)}:",
+             f"        raise _BlowUp(f'state norm exceeded {_BLOWUP_NORM:g} "
+             "at t = {t!r}')",
+             "    if err == 0.0:",
+             f"        factor = {_MAX_FACTOR!r}",
+             "    else:",
+             f"        factor = min({_MAX_FACTOR!r}, max({_MIN_FACTOR!r}, "
+             f"{_SAFETY!r} * err ** {-_PI_ALPHA!r} * err_prev ** {_PI_BETA!r}))",
+             "    if just_rejected:",
+             "        factor = min(1.0, factor)",
+             "    just_rejected = False",
+             "    err_prev = max(err, 1e-10)",
+             "    h = h * factor",
+             f"    if bounded and t >= t_end{stopped}:",
+             "        break",
+             "else:",
+             "    rejected += 1",
+             "    just_rejected = True",
+             f"    h = h * max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** "
+             f"{-_ORDER_EXP!r})"]
+    body += ["while True:"] + [f"    {line}" for line in loop]
+    body.append("return rejected, nfev, declined")
+    params = (["fn", "slow", "t", "t_end", "y", "k", "cfg", "ts", "ys", "fs"]
+              + [f"xs_{a}" for a in range(n_aux)]
+              + (["target"] if stop is not None else []))
+    return define_function(
+        "_loop", params, body,
+        f"dopri5 {size}{' t' if takes_t else ''} aux{n_aux} stop{stop}",
+        {"_sqrt": math.sqrt, "_isfinite": math.isfinite,
+         "_BlowUp": BlowUpError, "_StepLimit": StepLimitExceededError})
 
 
 class Trajectory:
@@ -291,125 +365,27 @@ class Trajectory:
                 + h01 * self.y[k + 1] + (h11 * h) * self.f[k + 1])
 
 
-def _integrate(f: Callable, t0: float, y0: tuple, k0: tuple, t_end: float,
-               cfg: IntegratorConfig,
-               stop: Optional[Callable] = None,
-               on_accept: Optional[Callable] = None):
-    """Core stepper; returns (ts, ys, fs, rejected, nfev), the accepted
-    samples as arrays of shapes (N,), (N, len(y0)) and (N, len(y0)).
-
-    f(t, y) takes and returns tuples of floats, and k0 is the caller's
-    first call f(t0, y0), which nfev counts.  Each attempt is one call of
-    the generated step (_dopri5_step); the accepted samples go to flat
-    float buffers.  on_accept(t, y, f(t, y)) runs for the initial state
-    and for every accepted step, each time right after the call of f at
-    exactly that (t, y): the first call, or the FSAL stage, whose input
-    is the accepted state.  So on_accept may reuse whatever f computed
-    last instead of evaluating it again.
-    """
-    size = len(y0)
-    step = _dopri5_step(size)
-    atol, rtol = cfg.atol, cfg.rtol
-    t = float(t0)
-    y, k1 = y0, k0
-    if on_accept is not None:
-        on_accept(t, y, k1)
-    h = _initial_step(f, t, y, k1, cfg, t_end - t)
-    nfev = 2
-    ts, ys, fs = array("d", (t,)), array("d", y), array("d", k1)
-    rejected = 0
-    attempts = 0
-    err_prev = 1.0
-    just_rejected = False
-    bounded = math.isfinite(t_end)
-    done = t >= t_end or (stop is not None and stop(t, y))
-    while not done:
-        attempts += 1
-        if attempts > cfg.max_steps:
-            raise StepLimitExceededError(
-                f"no convergence within {cfg.max_steps} steps (t = {t!r})")
-        clipped = False
-        if bounded and t + h >= t_end:
-            h = t_end - t
-            clipped = True
-        if h <= 1e-14 * max(1.0, abs(t)):
-            raise BlowUpError(f"step size underflow at t = {t!r}")
-        out = step(f, t, h, *y, *k1, atol, rtol)
-        if type(out) is int:        # not finite: out calls of f were made
-            nfev += out
-            rejected += 1
-            just_rejected = True
-            h *= 0.25
-            continue
-        nfev += 6
-        y_new, k_new, err = out
-        if err <= 1.0:
-            t = t_end if clipped else t + h
-            y, k1 = y_new, k_new
-            ts.append(t)
-            ys.extend(y)
-            fs.extend(k1)
-            if on_accept is not None:
-                on_accept(t, y, k1)
-            if max(map(abs, y)) > _BLOWUP_NORM:
-                raise BlowUpError(
-                    f"state norm exceeded {_BLOWUP_NORM:g} at t = {t!r}")
-            if err == 0.0:
-                factor = _MAX_FACTOR
-            else:
-                factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            if just_rejected:
-                factor = min(1.0, factor)
-            just_rejected = False
-            err_prev = max(err, 1e-10)
-            h = h * factor
-            if stop is not None and stop(t, y):
-                break
-            if bounded and t >= t_end:
-                break
-        else:
-            rejected += 1
-            just_rejected = True
-            factor = _SAFETY * err ** (-_ORDER_EXP)
-            h = h * max(_MIN_FACTOR, factor)
-    as_array = lambda buf: np.frombuffer(buf, dtype=float)
-    return (as_array(ts), as_array(ys).reshape(-1, size),
-            as_array(fs).reshape(-1, size), rejected, nfev)
+def _samples(ts: array, ys: array, fs: array) -> tuple:
+    """An integration's flat sample buffers as arrays (t, y, f)."""
+    t = np.frombuffer(ts)
+    return (t, *(np.frombuffer(b).reshape(len(t), -1) for b in (ys, fs)))
 
 
 # ---------------------------------------------------------------------
 # geodesic pipeline
 
-def _geodesic_ode(metric: BrinkmannMetric, declined: list):
-    """(f, latest): the first-order geodesic system on tuples of floats
-    and a one-slot list holding the null residual at f's most recent
-    call.
-
-    f runs the compiled geodesic function; where it declines, f counts
-    the call in `declined` and runs the numpy path (eval_bundle and
-    accelerations), which raises or warns as its own.
-    """
-    system = metric.system
-    n = system.n
+def _geodesic_numpy(metric: BrinkmannMetric, y) -> tuple:
+    """The compiled geodesic function's outputs by numpy (eval_bundle and
+    accelerations): the route of a declined call, which raises or warns
+    as its own."""
+    n = metric.system.n
     m = n + 2
-    fn = metric.geodesic_function()
-    latest = [0.0]
-
-    def f(sigma, y):
-        out = fn(*y)
-        if out is not None:
-            latest[0] = out[-1]
-            return out[:-1]
-        declined[0] += 1
-        point = Point(y[:n], y[n], y[n + 1])
-        b = system.eval_bundle(point)
-        v = list(y[m:])
-        latest[0] = _null_form(b.h.tolist(), b.A.tolist(), b.V, v)
-        acc = metric.accelerations(point, np.array(v), b)
-        return (*v, *acc.tolist())
-
-    return f, latest
+    point = Point(y[:n], y[n], y[n + 1])
+    b = metric.system.eval_bundle(point)
+    v = list(y[m:])
+    null = _null_form(b.h.tolist(), b.A.tolist(), b.V, v)
+    acc = metric.accelerations(point, np.array(v), b)
+    return (*v, *acc.tolist(), null)
 
 
 def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
@@ -425,24 +401,20 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
     n = metric.system.n
     s0, s1 = float(sigma_span[0]), float(sigma_span[1])
     y0 = tuple(np.concatenate([gs0.point.coords(), gs0.velocity]).tolist())
-    declined = [0]
-    f, latest = _geodesic_ode(metric, declined)
-    k0 = f(s0, y0)
-    nulls = array("d")
-
-    def record(t, y, fy):
-        # the stepper's last call of f was at this very state
-        nulls.append(latest[0])
-
-    stop = None
-    if stop_at_u is not None:
-        target = float(stop_at_u)
-        stop = lambda t, y: y[n] >= target
-    ts, ys, fs, rej, nfev = _integrate(f, s0, y0, k0, s1, cfg, stop=stop,
-                                       on_accept=record)
-    return Trajectory(ts, ys, fs, kind="geodesic", n=n, rejected=rej,
-                      diagnostics={"null_residual": np.frombuffer(nulls)},
-                      nfev=nfev, declined=declined[0])
+    fn = metric.geodesic_function()
+    slow = functools.partial(_geodesic_numpy, metric)
+    out = fn(*y0)
+    declined = int(out is None)
+    if declined:
+        out = slow(y0)
+    ts, ys, fs = array("d", (s0,)), array("d", y0), array("d", out[:-1])
+    nulls = array("d", out[-1:])
+    target = math.inf if stop_at_u is None else float(stop_at_u)
+    rej, nfev, dec = _stepper(len(y0), False, 1, n)(
+        fn, slow, s0, s1, y0, out[:-1], cfg, ts, ys, fs, nulls, target)
+    return Trajectory(*_samples(ts, ys, fs), kind="geodesic", n=n,
+                      rejected=rej, nfev=nfev, declined=declined + dec,
+                      diagnostics={"null_residual": np.frombuffer(nulls)})
 
 
 class ReducedTrajectory:
@@ -514,26 +486,40 @@ class ReducedTrajectory:
                 f"u = {u_target!r} outside covered range [{u[0]!r}, {u[-1]!r}]")
         k = int(np.searchsorted(u, u_target, side="right")) - 1
         k = min(max(k, 0), len(u) - 2)
-        lo, hi = traj.t[k], traj.t[k + 1]
+        # the u and udot entries of the bracketing rows, for the bracket's
+        # cubic Hermite interpolant (Trajectory.eval, term for term)
+        t0, t1 = traj.t[k:k + 2].tolist()
+        (u0, d0), (u1, d1) = traj.y[k:k + 2, [n, m + n]].tolist()
+        (fu0, fd0), (fu1, fd1) = traj.f[k:k + 2, [n, m + n]].tolist()
+        lo, hi, h = t0, t1, t1 - t0
+        target = float(u_target)
         # linear seed inside the bracket
-        du = u[k + 1] - u[k]
-        s = lo + (hi - lo) * ((u_target - u[k]) / du if du > 0 else 0.5)
+        du = u1 - u0
+        s = lo + (hi - lo) * ((target - u0) / du if du > 0 else 0.5)
+        if not lo <= s <= hi:
+            traj._locate(s)     # raises outside the samples, as eval would
         for _ in range(self._SIGMA_ITERS):
-            y = traj.eval(s)
-            fval = y[n] - u_target
+            x = (s - t0) / h
+            x2 = x * x
+            x3 = x2 * x
+            h00 = 2 * x3 - 3 * x2 + 1
+            h10 = (x3 - 2 * x2 + x) * h
+            h01 = -2 * x3 + 3 * x2
+            h11 = (x3 - x2) * h
+            fval = h00 * u0 + h10 * fu0 + h01 * u1 + h11 * fu1 - target
             if fval > 0:
                 hi = min(hi, s)
             elif fval < 0:
                 lo = max(lo, s)
             else:
-                return float(s)
-            udot = y[m + n]
+                return s
+            udot = h00 * d0 + h10 * fd0 + h01 * d1 + h11 * fd1
             step = fval / udot if udot > 0 else None
             s_new = s - step if step is not None else 0.5 * (lo + hi)
             if not (lo <= s_new <= hi):
                 s_new = 0.5 * (lo + hi)
             if abs(s_new - s) <= self._SIGMA_TOL:
-                return float(s_new)
+                return s_new
             s = s_new
         raise SigmaInversionError(
             f"sigma for u = {u_target!r} not found to {self._SIGMA_TOL:g} in "
@@ -667,28 +653,29 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
     """
     cfg = config or IntegratorConfig()
     n = system.n
-    declined = [0]
-    fn = reduced_function(system)
-
-    def f(u, z):
-        out = fn(u, *z)
-        if out is not None:
-            return out
-        declined[0] += 1
-        xpp, lag = _herglotz_rhs_numpy(
-            system, ReducedState(z[:n], z[n:2 * n], u, z[2 * n]))
-        return (*z[n:2 * n], *xpp.tolist(), lag)
-
     u0 = float(u_span[0])
     xp0 = rs0.xp.tolist()
     z0 = (*rs0.x.tolist(), *xp0, float(rs0.w))
+    declined = [0]
     xpp0, lag0 = herglotz_rhs(system, ReducedState(rs0.x, rs0.xp, u0, rs0.w),
                               declined)
     k0 = (*xp0, *xpp0.tolist(), float(lag0))
-    ts, ys, fs, rej, nfev = _integrate(f, u0, z0, k0, float(u_span[1]), cfg)
-    traj = Trajectory(ts, ys, fs, kind="reduced", n=n, rejected=rej,
-                      nfev=nfev, declined=declined[0])
+    ts, ys, fs = array("d", (u0,)), array("d", z0), array("d", k0)
+    rej, nfev, dec = _stepper(len(z0), True, 0, None)(
+        reduced_function(system), functools.partial(_reduced_numpy, system),
+        u0, float(u_span[1]), z0, k0, cfg, ts, ys, fs)
+    traj = Trajectory(*_samples(ts, ys, fs), kind="reduced", n=n, rejected=rej,
+                      nfev=nfev, declined=declined[0] + dec)
     return ReducedTrajectory(traj, source="herglotz")
+
+
+def _reduced_numpy(system: HerglotzSystem, u: float, z) -> tuple:
+    """The compiled reduced function's outputs by numpy
+    (_herglotz_rhs_numpy): the route of a declined call."""
+    n = system.n
+    xpp, lag = _herglotz_rhs_numpy(
+        system, ReducedState(z[:n], z[n:2 * n], u, z[2 * n]))
+    return (*z[n:2 * n], *xpp.tolist(), lag)
 
 
 # ---------------------------------------------------------------------

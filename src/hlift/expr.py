@@ -871,8 +871,12 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
     return define_function("_forward", params, body, f"forward {name}", ns)
 
 
-# (label, source) -> code object: systems built again with the same
-# fields generate the same source, which is compiled once
+# (label, source) -> code object, least recently used first: systems
+# built again with the same fields generate the same source, which is
+# compiled once.  The CLI and the benchmark build fewer than 100 distinct
+# functions; a process that builds ever new ones keeps the last
+# _CODE_CACHE of them, and their sources in linecache.
+_CODE_CACHE = 256
 _CODE: dict = {}
 
 
@@ -881,15 +885,20 @@ def define_function(name: str, params: Sequence, body: list, label: str,
     """The function `name(*params)` whose body is the source lines `body`,
     defined in namespace `ns`.  linecache serves its source under the
     file name `<label hash>`, for tracebacks, profiles and
-    inspect.getsource.  A source already compiled under the same label
-    reuses its code object; the function is still defined afresh."""
+    inspect.getsource, while the code stays in the cache.  A source
+    already compiled under the same label reuses its code object; the
+    function is still defined afresh."""
     src = (f"def {name}({', '.join(params)}):\n"
            + "\n".join(f"    {line}" for line in body) + "\n")
     filename = f"<{label} {hashlib.sha1(src.encode()).hexdigest()[:8]}>"
-    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    code = _CODE.get((label, src))
+    code = _CODE.pop((label, src), None)
     if code is None:
-        code = _CODE[label, src] = compile(src, filename, "exec")
+        code = compile(src, filename, "exec")
+        if len(_CODE) >= _CODE_CACHE:
+            oldest = _CODE.pop(next(iter(_CODE)))
+            linecache.cache.pop(oldest.co_filename, None)
+    _CODE[label, src] = code
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     exec(code, ns)
     return ns[name]
 
@@ -899,17 +908,18 @@ def _guarded(lines: list) -> list:
             + ["except _Declined:", "    return None"])
 
 
-def _finite_check(names: list) -> list:
-    """Return None unless every one of the locals `names` is finite.  The
-    sum is the fast test; only where it is not finite are the terms
-    tested overflow-free (x * 0.0 is nan exactly for a non-finite x, and
-    never overflows), so that finite values whose sum overflows pass."""
+def _finite_check(names: list, action: str = "return None") -> list:
+    """Run `action` (return None) unless every one of the locals `names`
+    is finite.  The sum is the fast test; only where it is not finite are
+    the terms tested overflow-free (x * 0.0 is nan exactly for a
+    non-finite x, and never overflows), so that finite values whose sum
+    overflows pass."""
     names = list(dict.fromkeys(names))
     if not names:
         return []
     zeros = " + ".join(f"{n} * 0.0" for n in names)
     return [f"_s = {' + '.join(names)}",
-            f"if _s - _s != 0.0 and {zeros} != 0.0: return None"]
+            f"if _s - _s != 0.0 and {zeros} != 0.0: {action}"]
 
 
 # -- fields ------------------------------------------------------------

@@ -15,7 +15,9 @@ numpy's BLAS sums in another order.  The scales of homogeneity, the
 transform rule and the pullback are stated where they are computed.
 """
 
+import gc
 import linecache
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -285,6 +287,41 @@ def test_a_source_compiled_once_is_not_compiled_again(monkeypatch):
     # defined afresh, in its own namespace, from the one code object
     assert fns[0] is not fns[1] and fns[0].__code__ is fns[1].__code__
     assert fns[0].__globals__ is not fns[1].__globals__
+
+
+def test_ever_new_systems_keep_memory_flat(monkeypatch):
+    # once the code cache is full, each new function evicts the least
+    # recently used one, and its source from linecache
+    cache = {}
+    monkeypatch.setattr(expr, "_CODE", cache)
+    size = expr._CODE_CACHE
+    point = Point([0.3], 0.5, 0.25)
+
+    def build(batch):
+        for i in range(batch * size, (batch + 1) * size):
+            HerglotzSystem(1, [["1"]], ["0"],
+                           f"0.5*x1^2 + {i}*x1^3").eval_values(point)
+
+    build(0)
+    first = [code.co_filename for code in cache.values()]
+    gc.collect()
+    retained = []
+    tracemalloc.start()
+    try:
+        for batch in (1, 2, 3):
+            build(batch)
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        for code in cache.values():
+            linecache.cache.pop(code.co_filename, None)
+    assert len(cache) == size
+    assert not any(filename in linecache.cache for filename in first)
+    # a further cache's worth of systems retains no more: an unbounded
+    # cache would add as much again (tracemalloc itself keeps the file
+    # name of every frame it traced, about 70 bytes a function)
+    assert retained[2] - retained[1] < 0.1 * retained[1]
 
 
 # ---------------------------------------------- homogeneity and the pair

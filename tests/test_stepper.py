@@ -12,10 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from hlift.dynamics import (IntegratorConfig, Trajectory, _dopri5_step,
-                            _geodesic_ode, _integrate, integrate_geodesic,
-                            integrate_herglotz, lift_state, reduce_trajectory,
-                            reduced_function)
+from array import array
+
+from hlift.dynamics import (IntegratorConfig, Trajectory, _geodesic_numpy,
+                            _stepper, integrate_geodesic, integrate_herglotz,
+                            lift_state, reduce_trajectory, reduced_function)
 from hlift.errors import BlowUpError, StepLimitExceededError
 from hlift.geometry import BrinkmannMetric
 from hlift.systems import standard_catalog
@@ -159,7 +160,10 @@ def _oracle_run(pipeline, ent):
     system = ent.system
     n = system.n
     if pipeline == "geodesic":
-        f, _ = _geodesic_ode(BrinkmannMetric(system), [0])
+        metric = BrinkmannMetric(system)
+        fn = metric.geodesic_function()
+        # the derivative without the null residual, by numpy where fn declines
+        f = lambda t, y: (fn(*y) or _geodesic_numpy(metric, y))[:-1]
         gs0 = lift_state(system, rs0)
         target = rs0.u + SPAN
         return _oracle_rk(_on_arrays(f), 0.0,
@@ -263,6 +267,19 @@ def test_scalar_stepper_matches_scipy_dop853(key, pipeline):
 
 # ------------------------------------------------- non-finite stages
 
+def _loop_run(f, y0, stop_at):
+    """The generated loop on y' = f(t, y), one state entry, from t = 0
+    until y reaches stop_at: (ts, ys, rejected, nfev)."""
+    def slow(t, y):
+        raise AssertionError("f never declines")
+    k0 = f(0.0, *y0)
+    ts, ys, fs = array("d", (0.0,)), array("d", y0), array("d", k0)
+    rejected, nfev, declined = _stepper(1, True, 0, 0)(
+        f, slow, 0.0, math.inf, tuple(y0), k0, TIGHT, ts, ys, fs, stop_at)
+    assert declined == 0
+    return np.frombuffer(ts), np.frombuffer(ys), rejected, nfev
+
+
 def test_non_finite_stage_rejects_the_step():
     # y' = 1 up to t = 3, inf beyond: the step keeps growing until a stage
     # lands past 3, whose inf makes the next stage input (or the error
@@ -274,20 +291,81 @@ def test_non_finite_stage_rejects_the_step():
         calls.append(t)
         return (1.0 if t < 3.0 else math.inf,)
 
-    stop = lambda t, y: y[0] >= 2.5
-    ts, ys, fs, rejected, nfev = _integrate(f, 0.0, (0.0,), f(0.0, (0.0,)),
-                                            math.inf, TIGHT, stop=stop)
+    ts, ys, rejected, nfev = _loop_run(f, [0.0], 2.5)
     assert rejected >= 1
     assert nfev == len(calls) < 2 + 6 * (len(ts) - 1 + rejected)
-    assert np.allclose(ys[:, 0], ts, rtol=1e-15, atol=0.0)
-    want = _oracle_rk(_on_arrays(f), 0.0, [0.0], math.inf, TIGHT, stop=stop)
+    assert np.allclose(ys, ts, rtol=1e-15, atol=0.0)
+    want = _oracle_rk(lambda t, y: np.array(f(t, y[0])), 0.0, [0.0], math.inf,
+                      TIGHT, stop=lambda t, y: y[0] >= 2.5)
     assert (len(ts), rejected, nfev) == (len(want[0]), want[3], want[4])
 
 
 def test_generated_step_rejects_with_its_call_count():
-    step = _dopri5_step(2)
-    f = lambda t, y: (math.nan, 0.0)
-    # the inf of stage 1 already makes the input of stage 2 non-finite
-    assert step(f, 0.0, 0.1, 1.0, 1.0, math.inf, 0.0, 1e-12, 1e-10) == 0
-    # stage 2 returns nan, so the input of stage 3 is not finite
-    assert step(f, 0.0, 0.1, 1.0, 1.0, 0.0, 0.0, 1e-12, 1e-10) == 1
+    # on y' = 1 the call of one stage of the first attempt returns inf:
+    # the next stage's input (for the FSAL stage 7, the error norm) is not
+    # finite, so the attempt is rejected after stage - 1 calls of f
+    for stage in range(2, 8):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            # the initial derivative and the initial-step probe come first
+            return (math.inf if len(calls) == 2 + stage - 1 else 1.0,)
+
+        ts, ys, rejected, nfev = _loop_run(f, [0.0], 2.5)
+        assert rejected == 1
+        assert nfev == len(calls) == 2 + (stage - 1) + 6 * (len(ts) - 1)
+        assert np.allclose(ys, ts, rtol=1e-15, atol=0.0)
+
+
+# ---------------------------------------------- mid-integration declines
+#
+# The compiled right-hand side is wrapped so that it declines chosen
+# calls: 0 is the initial derivative, 1 the initial-step probe, and then
+# each attempt makes six calls, of which the last, 7 + 6a, is the FSAL
+# stage whose input is the state the attempt accepts.  Every declined
+# call takes the numpy route, whose numbers agree with the compiled ones
+# at rounding level, so the run takes the same steps.
+
+_DECLINE = (0, 1, 4, 7, 25, 61)
+
+
+@pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])
+@pytest.mark.parametrize("key", ["harmonic", "coupled"])
+def test_declined_calls_take_the_numpy_route_mid_integration(
+        key, pipeline, monkeypatch):
+    ent = standard_catalog()[key]
+    want, want_null = _scalar_run(pipeline, ent)
+    assert want.declined == 0
+    fns = ent.system._passes._fns
+    kind = "geodesic" if pipeline == "geodesic" else "reduced"
+    fn = fns[kind]
+    declined_args = []
+
+    def declining(*args):
+        declining.calls += 1
+        if declining.calls - 1 in _DECLINE:
+            declined_args.append(args)
+            return None
+        return fn(*args)
+
+    declining.calls = 0
+    monkeypatch.setitem(fns, kind, declining)
+    got, got_null = _scalar_run(pipeline, ent)
+    assert got.declined == len(_DECLINE)
+    assert (got.nfev, got.rejected, len(got)) == (want.nfev, want.rejected,
+                                                  len(want))
+    assert got.nfev == declining.calls
+    # some declined call was the FSAL stage of an accepted step
+    states = {tuple(row) for row in got.y.tolist()}
+    offset = 1 if pipeline == "herglotz" else 0      # the reduced fn takes u
+    assert any(tuple(args[offset:]) in states for args in declined_args[3:])
+    # the sample times drift apart as in the oracle comparison above, but
+    # every sample lies on the undeclined run's interpolant
+    size = np.max(np.abs(want.y))
+    worst = max(float(np.max(np.abs(y - want.eval(t))))
+                for t, y in zip(got.t, got.y) if t <= want.t[-1])
+    assert worst <= _ROUNDING * size
+    if pipeline == "geodesic":
+        assert len(got_null) == len(got)
+        assert np.max(np.abs(got_null - want_null)) <= _ROUNDING * size
