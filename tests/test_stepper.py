@@ -3,16 +3,15 @@ SciPy's DOP853 as an independent one.
 
 `_oracle_rk` is the array form of the stepper: the same tableau, the
 same PI control and the same checks, on numpy arrays, with the weighted
-stage sums taken by numpy's dot product.  The generated step sums left
+stage sums taken by numpy's dot product.  The generated loop sums left
 to right instead, so the two agree at rounding level, not bit for bit.
 """
 
 import math
+from array import array
 
 import numpy as np
 import pytest
-
-from array import array
 
 from hlift.dynamics import (IntegratorConfig, Trajectory, _geodesic_numpy,
                             _stepper, integrate_geodesic, integrate_herglotz,
