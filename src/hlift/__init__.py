@@ -11,8 +11,8 @@ nonlocally rescaled charges of action-dependent systems.
 
 from .cloud import DEFAULT_BOUNDS, halton, point_cloud, state_cloud
 from .dynamics import (GeodesicState, IntegratorConfig, ReducedState,
-                       ReducedTrajectory, Trajectory, geodesic_rhs,
-                       herglotz_rhs, homogeneity_residual, integrate_geodesic,
+                       ReducedTrajectory, Trajectory, herglotz_rhs,
+                       homogeneity_residual, integrate_geodesic,
                        integrate_herglotz, lagrangian_w_slope, lift_state,
                        null_residual, reduce_trajectory, reduced_lagrangian,
                        u_equation_residual, w_equation_residual)

@@ -479,7 +479,7 @@ def _write_trajectory(path: str, ctx: ScenarioContext,
             header.append(prefix + name.partition(":")[2])
             charges.append(charge(ctx.system, gen, rt)[1])
     traj = rt.traj
-    geo = rt.source == "geodesic"
+    geo = rt.traj.kind == "geodesic"
     nulls = traj.diagnostics.get("null_residual")
     lines = [",".join(header)]
     for k in range(len(rt)):

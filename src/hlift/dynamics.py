@@ -26,6 +26,7 @@ stepper at rounding level.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from array import array
@@ -44,7 +45,7 @@ from .geometry import (BrinkmannMetric, HerglotzSystem, Point,
 __all__ = [
     "GeodesicState", "ReducedState", "IntegratorConfig", "Trajectory",
     "ReducedTrajectory", "reduced_lagrangian", "lagrangian_w_slope",
-    "lift_state", "null_residual", "geodesic_rhs", "integrate_geodesic",
+    "lift_state", "null_residual", "integrate_geodesic",
     "reduce_trajectory", "herglotz_rhs", "reduced_function",
     "integrate_herglotz", "u_equation_residual", "w_equation_residual",
     "homogeneity_residual",
@@ -132,11 +133,6 @@ def _null_form(h: list, A: list, V: float, v: list) -> float:
     quad = sum(sum(h[i][j] * xd[j] for j in range(n)) * xd[i] for i in range(n))
     lin = sum(A[i] * xd[i] for i in range(n))
     return float(0.5 * quad + lin * ud - V * ud * ud - ud * wd)
-
-
-def geodesic_rhs(metric: BrinkmannMetric, gs: GeodesicState) -> np.ndarray:
-    """Accelerations -Gamma^mu_{nu rho} xdot^nu xdot^rho."""
-    return metric.accelerations(gs.point, gs.velocity)
 
 
 # ---------------------------------------------------------------------
@@ -341,28 +337,49 @@ class Trajectory:
         return np.diff(self.t)
 
     def _locate(self, tq: float) -> int:
-        t = self.t
-        pad = 1e-9 * max(1.0, abs(t[0]), abs(t[-1]))
-        if not (t[0] - pad <= tq <= t[-1] + pad):      # nan included
-            raise ValueError(
-                f"parameter {tq!r} outside trajectory range [{t[0]!r}, {t[-1]!r}]")
-        k = int(np.searchsorted(t, tq, side="right")) - 1
-        return min(max(k, 0), len(t) - 2)
+        return _bracket(self.t, tq, "parameter {!r} outside trajectory")
 
     def eval(self, tq: float) -> np.ndarray:
         """Cubic Hermite evaluation of the state at parameter tq."""
-        k = self._locate(tq)
-        t0, t1 = self.t[k], self.t[k + 1]
+        step = self._step(self._locate(tq))
+        return np.array(self._hermite(step, tq, range(self.y.shape[1])))
+
+    def _step(self, k: int) -> tuple:
+        """Step k, [t[k], t[k + 1]], as floats: (t0, t1, y0, y1, f0, f1),
+        the parameters, states and derivatives at its two ends."""
+        return (*self.t[k:k + 2].tolist(), *self.y[k:k + 2].tolist(),
+                *self.f[k:k + 2].tolist())
+
+    @staticmethod
+    def _hermite(step: tuple, tq: float, cols) -> list:
+        """The state entries `cols` at parameter tq by the cubic Hermite
+        interpolant of a step (_step), as floats."""
+        t0, t1, y0, y1, f0, f1 = step
         h = t1 - t0
-        s = (tq - t0) / h
+        s = (float(tq) - t0) / h
         s2 = s * s
         s3 = s2 * s
         h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s
+        h10 = (s3 - 2 * s2 + s) * h
         h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
-        return (h00 * self.y[k] + (h10 * h) * self.f[k]
-                + h01 * self.y[k + 1] + (h11 * h) * self.f[k + 1])
+        h11 = (s3 - s2) * h
+        return [h00 * y0[c] + h10 * f0[c] + h01 * y1[c] + h11 * f1[c]
+                for c in cols]
+
+
+def _bracket(grid: np.ndarray, q: float, outside: str) -> int:
+    """The step k of a strictly increasing sample grid, [grid[k],
+    grid[k + 1]], that holds q, the first or last step for a q past an
+    end by at most 1e-9 (relative); further out, or nan, a ValueError
+    whose message begins with `outside` formatted with q."""
+    first, last = grid.item(0), grid.item(-1)
+    pad = 1e-9 * max(1.0, abs(first), abs(last))
+    if not (first - pad <= q <= last + pad):      # nan included
+        raise ValueError(f"{outside.format(q)} range "
+                         f"[{grid[0]!r}, {grid[-1]!r}]")
+    # np.searchsorted(grid, q, side="right"), without its per-call cost
+    k = bisect.bisect_right(grid, q) - 1
+    return min(max(k, 0), len(grid) - 2)
 
 
 def _samples(ts: array, ys: array, fs: array) -> tuple:
@@ -420,24 +437,23 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
 class ReducedTrajectory:
     """Reduced samples (x, x', w) against u, with dense evaluation.
 
-    Backed either by a direct reduced integration (parameter is u) or by
-    a geodesic trajectory reparametrized through u(sigma); in the latter
-    case evaluation root-finds sigma for the requested u with a
-    bisection-guarded Newton iteration, to 1e-13 in sigma, and raises
-    SigmaInversionError when 100 iterations do not get there.
+    A view of a trajectory of either pipeline, read from its kind: a
+    reduced integration (parameter is u) or a geodesic trajectory
+    reparametrized through u(sigma).  In the latter case evaluation
+    root-finds sigma for the requested u with a bisection-guarded Newton
+    iteration, to 1e-13 in sigma, and raises SigmaInversionError when 100
+    iterations do not get there.
     """
 
     _SIGMA_TOL = 1e-13
     _SIGMA_ITERS = 100
 
-    def __init__(self, traj: Trajectory, source: str):
+    def __init__(self, traj: Trajectory):
         self.traj = traj
-        self.source = source
-        self.n = traj.n
-        if source == "herglotz":
+        self.n = n = traj.n
+        if traj.kind == "reduced":
             self.u = traj.t
-        else:
-            n = traj.n
+        elif traj.kind == "geodesic":
             m = n + 2
             udots = traj.y[:, m + n]
             bad = np.nonzero(udots <= 0.0)[0]
@@ -449,6 +465,8 @@ class ReducedTrajectory:
                 raise MonotonicityViolationError(
                     "u is not strictly increasing across samples",
                     float(traj.t[0]))
+        else:
+            raise ValueError(f"unknown trajectory kind {traj.kind!r}")
 
     def __len__(self):
         return len(self.u)
@@ -464,7 +482,7 @@ class ReducedTrajectory:
     def sample_state(self, k: int) -> ReducedState:
         y = self.traj.y[k]
         n = self.n
-        if self.source == "herglotz":
+        if self.traj.kind == "reduced":
             return ReducedState(y[:n].copy(), y[n:2 * n].copy(),
                                 float(self.traj.t[k]), float(y[2 * n]))
         m = n + 2
@@ -473,25 +491,16 @@ class ReducedTrajectory:
                             float(y[n]), float(y[n + 1]))
 
     def sigma_at(self, u_target: float) -> float:
-        """Invert u(sigma) on the geodesic samples (geodesic source only)."""
-        if self.source != "geodesic":
+        """Invert u(sigma) on the geodesic samples (geodesic kind only)."""
+        if self.traj.kind != "geodesic":
             raise ValueError("sigma_at applies to geodesic-backed trajectories")
         traj = self.traj
-        n = self.n
-        m = n + 2
-        u = self.u
-        pad = 1e-9 * max(1.0, abs(u[0]), abs(u[-1]))
-        if not (u[0] - pad <= u_target <= u[-1] + pad):      # nan included
-            raise ValueError(
-                f"u = {u_target!r} outside covered range [{u[0]!r}, {u[-1]!r}]")
-        k = int(np.searchsorted(u, u_target, side="right")) - 1
-        k = min(max(k, 0), len(u) - 2)
-        # the u and udot entries of the bracketing rows, for the bracket's
-        # cubic Hermite interpolant (Trajectory.eval, term for term)
-        t0, t1 = traj.t[k:k + 2].tolist()
-        (u0, d0), (u1, d1) = traj.y[k:k + 2, [n, m + n]].tolist()
-        (fu0, fd0), (fu1, fd1) = traj.f[k:k + 2, [n, m + n]].tolist()
-        lo, hi, h = t0, t1, t1 - t0
+        cols = (self.n, 2 * self.n + 2)     # u and udot
+        k = _bracket(self.u, u_target, "u = {!r} outside covered")
+        # state_at interpolates the rest of the state on the same step
+        bracket = self._last_step = traj._step(k)
+        lo, hi, y0, y1, _, _ = bracket
+        u0, u1 = y0[self.n], y1[self.n]
         target = float(u_target)
         # linear seed inside the bracket
         du = u1 - u0
@@ -499,21 +508,14 @@ class ReducedTrajectory:
         if not lo <= s <= hi:
             traj._locate(s)     # raises outside the samples, as eval would
         for _ in range(self._SIGMA_ITERS):
-            x = (s - t0) / h
-            x2 = x * x
-            x3 = x2 * x
-            h00 = 2 * x3 - 3 * x2 + 1
-            h10 = (x3 - 2 * x2 + x) * h
-            h01 = -2 * x3 + 3 * x2
-            h11 = (x3 - x2) * h
-            fval = h00 * u0 + h10 * fu0 + h01 * u1 + h11 * fu1 - target
+            u, udot = traj._hermite(bracket, s, cols)
+            fval = u - target
             if fval > 0:
                 hi = min(hi, s)
             elif fval < 0:
                 lo = max(lo, s)
             else:
                 return s
-            udot = h00 * d0 + h10 * fd0 + h01 * d1 + h11 * fd1
             step = fval / udot if udot > 0 else None
             s_new = s - step if step is not None else 0.5 * (lo + hi)
             if not (lo <= s_new <= hi):
@@ -527,18 +529,20 @@ class ReducedTrajectory:
 
     def state_at(self, u_target: float) -> ReducedState:
         n = self.n
-        if self.source == "herglotz":
+        if self.traj.kind == "reduced":
             y = self.traj.eval(u_target)
             return ReducedState(y[:n], y[n:2 * n], float(u_target),
                                 float(y[2 * n]))
         m = n + 2
         s = self.sigma_at(u_target)
-        y = self.traj.eval(s)
-        ud = y[m + n]
+        # x, xdot, udot and w
+        v = self.traj._hermite(self._last_step, s,
+                               (*range(n), *range(m, m + n + 1), n + 1))
+        ud = v[2 * n]
         if ud <= 0.0:
             raise MonotonicityViolationError("du/dsigma is not positive", s)
-        return ReducedState(y[:n], y[m:m + n] / ud, float(u_target),
-                            float(y[n + 1]))
+        return ReducedState(v[:n], [xd / ud for xd in v[n:2 * n]],
+                            float(u_target), v[-1])
 
     def x_at(self, u_target: float) -> np.ndarray:
         return self.state_at(u_target).x
@@ -552,7 +556,7 @@ def reduce_trajectory(traj: Trajectory) -> ReducedTrajectory:
     """
     if traj.kind != "geodesic":
         raise ValueError("reduce_trajectory expects a geodesic trajectory")
-    return ReducedTrajectory(traj, source="geodesic")
+    return ReducedTrajectory(traj)
 
 
 # ---------------------------------------------------------------------
@@ -666,7 +670,7 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
         u0, float(u_span[1]), z0, k0, cfg, ts, ys, fs)
     traj = Trajectory(*_samples(ts, ys, fs), kind="reduced", n=n, rejected=rej,
                       nfev=nfev, declined=declined[0] + dec)
-    return ReducedTrajectory(traj, source="herglotz")
+    return ReducedTrajectory(traj)
 
 
 def _reduced_numpy(system: HerglotzSystem, u: float, z) -> tuple:

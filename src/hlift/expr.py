@@ -479,6 +479,9 @@ def _power(b: float, e: float, vb: bool, ve: bool) -> float:
 # the fields' values and partials (a right-hand side built from them),
 # emitted by the same emitter, so structural zeros drop out of it too.
 
+# the largest |a - b| a pair (a, b) of compile_forward tolerates: two
+# off-diagonal entries of h that differ by more signal a typo, not noise
+_ASYMMETRY_TOL = 1e-12
 _FORWARD_GLOBALS = {
     **{f"_{name}": fn for name, fn in _MATH.items()},
     # what a call in the generated code may raise; the function declines
@@ -518,11 +521,10 @@ class _ForwardEmitter:
     structural zero, a float constant or a local name.
     """
 
-    def __init__(self, n: int, derivatives: bool, pair_tol: float, name: str):
+    def __init__(self, n: int, derivatives: bool, name: str):
         self.m = n + 2
         self.coords = [f"x{i + 1}" for i in range(n)] + ["u", "w"]
         self.derivatives = derivatives
-        self.pair_tol = pair_tol
         self.bind: dict = {}       # coordinate -> local, in values()
         self.checked: set = set()  # locals the code has checked finite
         self.lines: list = []
@@ -625,8 +627,14 @@ class _ForwardEmitter:
         return self.neg(b) if _is_zero(a) else self.op(a, "-", b)
 
     def div(self, a, b):
-        """a / b for a divisor the tail has guarded against zero."""
-        return None if _is_zero(a) else self.op(a, "/", b)
+        """a / b, declined at a zero divisor, where the float route's
+        division raises: by the code's ZeroDivisionError, or by a guard
+        where a is a structural zero and no division is left."""
+        if not _is_zero(a):
+            return self.op(a, "/", b)
+        if isinstance(b, str):
+            self.guard(f"{b} == 0.0")
+        return None
 
     def total(self, terms):
         """Left-to-right sum of the terms that are not structural zeros."""
@@ -653,7 +661,7 @@ class _ForwardEmitter:
         """The node of one entry of compile_forward: a Field, or a pair."""
         if isinstance(e, tuple):
             a, b = (self.node(f.ast, f._params) for f in e)
-            return self.pair(a, b, self.pair_tol)
+            return self.pair(a, b)
         return self.node(e.ast, e._params)
 
     def values(self, entries, coords=None) -> list:
@@ -797,23 +805,24 @@ class _ForwardEmitter:
         k = v if name == "exp" else self.let(_SLOPE[name].format(x=x, v=v))
         return v, self.scale(k, g)
 
-    def pair(self, a, b, tol: float):
+    def pair(self, a, b):
         """0.5 * (a + b) with the asymmetry guard of HerglotzSystem."""
         if isinstance(a[0], float) and isinstance(b[0], float):
-            if abs(a[0] - b[0]) > tol:
+            if abs(a[0] - b[0]) > _ASYMMETRY_TOL:
                 raise _AlwaysFails()
         elif a[0] != b[0]:
-            self.guard(f"abs({self.ref(a[0])} - {self.ref(b[0])}) > {tol!r}")
+            self.guard(f"abs({self.ref(a[0])} - {self.ref(b[0])}) > "
+                       f"{_ASYMMETRY_TOL!r}")
         return self.op_mul((0.5, None), self.op_add(a, b))
 
 
-def compile_forward(entries: Sequence, n: int, derivatives: bool,
-                    pair_tol: float, name: str, tail=None):
+def compile_forward(entries: Sequence, n: int, derivatives: bool, name: str,
+                    tail=None):
     """One straight-line function over the fields in `entries`.
 
     Each entry is a Field, or a pair (Field, Field) that stands for the
     symmetrized mean 0.5*(a + b), guarded like HerglotzSystem's h: the
-    pass fails if the two values differ by more than `pair_tol`.
+    pass fails if the two values differ by more than 1e-12.
 
     Returns f(x1, ..., xn, u, w) on plain floats.  f returns None at a
     non-finite coordinate, where eval_ast (with `derivatives`) would
@@ -836,7 +845,7 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool,
     declines.  f also returns None where the pass itself would, and
     where an output is not finite.
     """
-    em = _ForwardEmitter(n, derivatives, pair_tol, name)
+    em = _ForwardEmitter(n, derivatives, name)
     params = em.coords
     # a non-finite coordinate is declined, also where the float path gives
     # no error

@@ -23,6 +23,7 @@ its numpy form is the error path.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import (AsymmetricMetricError, FieldEvalError, NonFiniteError,
                      SingularMetricError)
-from .expr import as_field, compile_forward, free_names
+from .expr import _ASYMMETRY_TOL, as_field, compile_forward, free_names
 
 __all__ = [
     "Point", "HerglotzSystem", "FieldBundle", "BrinkmannMetric",
@@ -41,7 +42,6 @@ __all__ = [
     "conformal_pullback_check", "eval_vector_fields", "solve_kinetic",
 ]
 
-_ASYMMETRY_TOL = 1e-12
 _EIGEN_WARN = 1e-8
 _SYM = "symmetrize"
 
@@ -111,17 +111,18 @@ class FieldPasses:
         fn = self._fns.get(derivatives)
         if fn is None:
             fn = self._fns[derivatives] = compile_forward(
-                self.entries, self.n, derivatives, _ASYMMETRY_TOL, self.name)
+                self.entries, self.n, derivatives, self.name)
         return fn
 
-    def run(self, point: Point, derivatives: bool, interpret=None) -> tuple:
+    def run(self, point: Point, derivatives: bool) -> tuple:
         """The pass's flat tuple at the point.  Where the pass declines,
         raise the error that belongs to the point: NonFiniteError at a
         non-finite coordinate, else the interpreter's, else (it found no
         fault) NonFiniteError for a value or partial that is not finite.
-        `interpret(x, u, w, derivatives)` runs the interpreter over the
-        entries in order; by default each entry is a Field, called with
-        `derivatives`."""
+        The interpreter calls the entries' Fields in order, with
+        `derivatives`; a pair, at entry i*n + j, is the off-diagonal
+        entry h_ij of a system, which raises AsymmetricMetricError where
+        its two fields differ by more than 1e-12."""
         out = self.function(derivatives)(*point.x.tolist(), float(point.u),
                                          float(point.w))
         if out is not None:
@@ -132,23 +133,39 @@ class FieldPasses:
                 raise NonFiniteError(f"cannot seed non-finite coordinate {c!r}")
         n = self.n
         x, u, w = coords[:n], coords[n], coords[n + 1]
-        if interpret is not None:
-            interpret(x, u, w, derivatives)
-        else:
-            for f in self.entries:
-                f(x, u, w, derivatives)
+        for p, e in enumerate(self.entries):
+            if not isinstance(e, tuple):
+                e(x, u, w, derivatives)
+                continue
+            a, b = e[0](x, u, w, derivatives), e[1](x, u, w, derivatives)
+            if abs(a - b) > _ASYMMETRY_TOL:
+                i, j = divmod(p, n)
+                raise AsymmetricMetricError(
+                    f"{self.name}: h[{i + 1},{j + 1}]={a!r} vs "
+                    f"h[{j + 1},{i + 1}]={b!r} at u={u!r}")
         raise NonFiniteError(f"{self.name}: a value or partial is not finite "
                              f"at {coords}")
 
-    def pipeline(self, kind: str, tail, derivatives: bool = True):
+    def pipeline(self, kind, tail, derivatives: bool = True):
         """The derivative pass, or the values pass, extended by `tail`
         into the pipeline function `kind` (expr.compile_forward), built
-        on first use."""
+        on first use.  `kind` is a name, or (system, ..., name) for a
+        pipeline over those systems' fields too: systems of this
+        dimension, named in the function's label and passed to
+        tail(system, ..., emitter, nodes)."""
         fn = self._fns.get(kind)
         if fn is None:
+            label, systems = kind, ()
+            if not isinstance(kind, str):
+                *systems, name = kind
+                for system in systems:
+                    if system.n != self.n:
+                        raise ValueError(f"{self.name} has dimension {self.n}, "
+                                         f"{system.name} has {system.n}")
+                label = " ".join([system.name for system in systems] + [name])
             fn = self._fns[kind] = compile_forward(
-                self.entries, self.n, derivatives, _ASYMMETRY_TOL,
-                f"{self.name} {kind}", tail)
+                self.entries, self.n, derivatives, f"{self.name} {label}",
+                functools.partial(tail, *systems))
         return fn
 
 
@@ -164,9 +181,9 @@ class HerglotzSystem:
     AsymmetricMetricError, since that signals a typo rather than noise.
 
     eval_values and eval_bundle run one compiled straight-line pass over
-    all fields (expr.compile_forward).  The interpreted evaluation of
-    eval_fields explains a point where the pass declines.  `pipeline`
-    extends the pass into a compiled right-hand side.
+    all fields (expr.compile_forward); FieldPasses.run explains a point
+    where the pass declines.  `pipeline` extends the pass into a compiled
+    right-hand side.
     `w_dependent` is True when some field's expression mentions w.
     """
 
@@ -196,35 +213,9 @@ class HerglotzSystem:
         fields = [f for row in self.h for f in row] + self.A + [self.V]
         self.w_dependent = any("w" in free_names(f.ast) for f in fields)
 
-    # -- interpreted field evaluation ----------------------------------
-
-    def _h_entry(self, i: int, j: int, x, u, w, derivatives: bool):
-        a = self.h[i][j](x, u, w, derivatives)
-        if i == j:
-            return a
-        b = self.h[j][i](x, u, w, derivatives)
-        if abs(a - b) > _ASYMMETRY_TOL:
-            raise AsymmetricMetricError(
-                f"{self.name}: h[{i + 1},{j + 1}]={a!r} vs "
-                f"h[{j + 1},{i + 1}]={b!r} at u={u!r}")
-        return 0.5 * (a + b)
-
-    def eval_fields(self, x, u, w, derivatives: bool = False):
-        """(h entries, A entries, V) as floats, by the interpreter (with
-        `derivatives`, explaining a declined derivative pass: eval_ast)."""
-        n = self.n
-        hs = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                v = self._h_entry(i, j, x, u, w, derivatives)
-                hs[i][j] = v
-                hs[j][i] = v
-        As = [self.A[i](x, u, w, derivatives) for i in range(n)]
-        return hs, As, self.V(x, u, w, derivatives)
-
     def eval_values(self, point: Point):
         """(h, A, V) as plain float arrays at a point."""
-        out = self._passes.run(point, False, self.eval_fields)
+        out = self._passes.run(point, False)
         n2 = self.n * self.n
         a = np.array(out)
         return a[:n2].reshape(self.n, self.n), a[n2:-1], out[-1]
@@ -233,7 +224,7 @@ class HerglotzSystem:
         """Values plus all first coordinate derivatives, one forward pass
         (FieldPasses.run raises the error of a point it declines)."""
         n = self.n
-        out = self._passes.run(point, True, self.eval_fields)
+        out = self._passes.run(point, True)
         n2 = n * n
         k = n2 + n + 1
         a = np.array(out)
@@ -638,7 +629,6 @@ class CoordinateMap:
                            for k, c in enumerate(components)]
         self.name = name
         self._passes = FieldPasses(self.components, n, name)
-        self._pipelines = {}
 
     def __call__(self, point: Point) -> Point:
         return Point.from_coords(self._passes.run(point, False), self.n)
@@ -652,20 +642,10 @@ class CoordinateMap:
                  kind: str, tail):
         """The compiled pipeline function `kind` over the map's derivative
         pass (expr.compile_forward), for system_a at a point and system_b
-        at its image: tail(emitter, nodes, system_a, system_b) builds it
-        on first use, and it is cached per pair of systems."""
-        key = (system_a, system_b, kind)
-        fn = self._pipelines.get(key)
-        if fn is None:
-            for system in (system_a, system_b):
-                if system.n != self.n:
-                    raise ValueError(f"{self.name} has dimension {self.n}, "
-                                     f"{system.name} has {system.n}")
-            fn = self._pipelines[key] = compile_forward(
-                self.components, self.n, True, _ASYMMETRY_TOL,
-                f"{self.name} {system_a.name} {system_b.name} {kind}",
-                lambda em, nodes: tail(em, nodes, system_a, system_b))
-        return fn
+        at its image: tail(system_a, system_b, emitter, nodes) builds it
+        on first use, and the map's passes cache it per pair of systems
+        (FieldPasses.pipeline)."""
+        return self._passes.pipeline((system_a, system_b, kind), tail)
 
 
 def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetric,
@@ -703,7 +683,7 @@ def _pullback_numpy(metric_a: BrinkmannMetric, metric_b: BrinkmannMetric,
     return float(np.max(np.abs(J.T @ g_b @ J - om * g_a)))
 
 
-def _pullback_tail(em, nodes, system_a, system_b):
+def _pullback_tail(system_a, system_b, em, nodes):
     """_pullback_numpy's max |J^T g_b J - Omega g_a| as a pipeline tail
     over the map's derivative pass (CoordinateMap.pipeline), with Omega
     the parameter _om, g_a from system_a's values at the point and g_b

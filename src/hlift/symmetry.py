@@ -419,7 +419,7 @@ def _transform_rule_numpy(system_a: HerglotzSystem, system_b: HerglotzSystem,
     return abs(float(lag_b * dup_du - dwp_du))
 
 
-def _transform_rule_tail(em, nodes, system_a, system_b):
+def _transform_rule_tail(system_a, system_b, em, nodes):
     """_transform_rule_numpy's formula as a pipeline tail over the map's
     derivative pass (CoordinateMap.pipeline): (x1..xn, x'1..x'n, u, w)
     -> the residual, with L_a from system_a's values at the point and L_b

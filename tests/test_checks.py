@@ -270,6 +270,11 @@ def test_catalog_and_conformal_pair_compile_nothing(monkeypatch):
                                  BrinkmannMetric(ent_b.system), cmap, p, factor)
     assert built[1:] == [f"forward {pair} transform-rule",
                          f"forward {pair} pullback"]
+    # a system of another dimension is refused, and nothing is built
+    with pytest.raises(ValueError, match="has dimension 2, harmonic.* has 1"):
+        cmap.pipeline(catalog["harmonic"].system, ent_b.system, "pullback",
+                      None)
+    assert len(built) == 3
 
 
 def test_a_source_compiled_once_is_not_compiled_again(monkeypatch):
@@ -461,6 +466,11 @@ def test_a_non_finite_velocity_raises_non_finite_error(xp, udot):
 @hypothesis.given(st.lists(_EXPRS, min_size=6, max_size=6),
                   st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
                   st.lists(_COORD, min_size=6, max_size=6))
+# constant h with x' = 0 makes the quadratic term a structural zero, and
+# udot * udot underflows: the numpy route's division raises regardless
+@hypothesis.example(texts=["0", "(-pow(0, pi))", "(-pow(0, pi))", "x1", "x1",
+                           "x1"], k=0.0, udot=1.717248566024963e-287,
+                    coords=[0.0] * 6)
 def test_random_systems_match_the_numpy_homogeneity(texts, k, udot, coords):
     h11, h12, h22, a1, a2, V = texts
     system = HerglotzSystem(2, [[h11, h12], [h12, h22]], [a1, a2], V,

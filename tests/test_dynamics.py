@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from hlift.dynamics import (GeodesicState, IntegratorConfig, ReducedState,
-                            ReducedTrajectory, herglotz_rhs, homogeneity_residual,
-                            integrate_geodesic, integrate_herglotz,
-                            lagrangian_w_slope, lift_state, null_residual,
-                            reduce_trajectory, reduced_lagrangian,
-                            u_equation_residual, w_equation_residual)
+                            ReducedTrajectory, Trajectory, herglotz_rhs,
+                            homogeneity_residual, integrate_geodesic,
+                            integrate_herglotz, lagrangian_w_slope, lift_state,
+                            null_residual, reduce_trajectory,
+                            reduced_lagrangian, u_equation_residual,
+                            w_equation_residual)
 from hlift.errors import (BlowUpError, MonotonicityViolationError,
                           NonPositiveUdotError, SigmaInversionError,
                           StepLimitExceededError)
@@ -305,6 +306,13 @@ def test_sigma_at_raises_without_convergence(damped_run, monkeypatch):
     monkeypatch.setattr(ReducedTrajectory, "_SIGMA_ITERS", 1)
     with pytest.raises(SigmaInversionError, match="in 1 iterations"):
         rt.sigma_at(u)
+
+
+def test_reduced_view_refuses_an_unknown_kind():
+    traj = Trajectory([0.0, 1.0], [[0.0, 0.0, 0.0]] * 2, [[1.0, 0.0, 0.0]] * 2,
+                      kind="oracle", n=1, rejected=0)
+    with pytest.raises(ValueError, match="unknown trajectory kind 'oracle'"):
+        ReducedTrajectory(traj)
 
 
 def test_reduce_rejects_backward_time():

@@ -181,8 +181,8 @@ def test_compiled_matches_interpreter_bitwise(src):
     # without derivatives and on the oracle's seeded duals with them
     ast = parse(src)
     field = Field(1, src)
-    values = compile_forward([field], 1, False, 0.0, src)
-    forward = compile_forward([field], 1, True, 0.0, src)
+    values = compile_forward([field], 1, False, src)
+    forward = compile_forward([field], 1, True, src)
     rng = np.random.default_rng(7)
     for _ in range(20):
         x, u, w = rng.uniform(-1.5, 1.5, size=3).tolist()
@@ -197,7 +197,7 @@ def test_field_gradient_vs_central_difference(src):
     # the compiled derivative pass against central differences of the
     # interpreter
     f = as_field(src, 1)
-    forward = compile_forward([f], 1, True, 0.0, src)
+    forward = compile_forward([f], 1, True, src)
     rng = np.random.default_rng(11)
     eps = 1e-6
     for _ in range(10):

@@ -218,6 +218,53 @@ def test_scalar_stepper_reruns_bit_identically(key, pipeline):
         assert np.array_equal(na, nb)
 
 
+# ------------------------------------------------------ dense output
+#
+# The cubic Hermite interpolant of the containing step, on numpy rows:
+# Trajectory.eval's float form performs the same operations in the same
+# order, so the two agree bit for bit.
+
+def _numpy_hermite(traj, tq):
+    k = int(np.searchsorted(traj.t, tq, side="right")) - 1
+    k = min(max(k, 0), len(traj) - 2)
+    t0, t1 = traj.t[k], traj.t[k + 1]
+    h = t1 - t0
+    s = (tq - t0) / h
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2 * s3 - 3 * s2 + 1
+    h10 = s3 - 2 * s2 + s
+    h01 = -2 * s3 + 3 * s2
+    h11 = s3 - s2
+    return (h00 * traj.y[k] + (h10 * h) * traj.f[k]
+            + h01 * traj.y[k + 1] + (h11 * h) * traj.f[k + 1])
+
+
+@pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])
+@pytest.mark.parametrize("key", ["free", "harmonic", "damped-time",
+                                 "damped-action", "coupled"])
+def test_dense_output_is_the_numpy_hermite_bit_for_bit(key, pipeline):
+    ent = standard_catalog()[key]
+    traj, _ = _scalar_run(pipeline, ent)
+    t = traj.t
+    between = [t[:-1] + a * np.diff(t) for a in (0.3, 0.5)]
+    for tq in np.concatenate([t, *between]):
+        assert np.array_equal(traj.eval(tq), _numpy_hermite(traj, tq))
+    if pipeline == "herglotz":
+        return
+    # a geodesic view's state at u: its sigma, the state there, and the
+    # velocities divided by udot
+    view = reduce_trajectory(traj)
+    n, m = traj.n, traj.n + 2
+    u = view.u
+    for uq in np.concatenate([u, 0.5 * (u[:-1] + u[1:])]):
+        got = view.state_at(uq)
+        y = traj.eval(view.sigma_at(uq))
+        assert np.array_equal(got.x, y[:n])
+        assert np.array_equal(got.xp, y[m:m + n] / y[m + n])
+        assert (got.u, got.w) == (uq, y[n + 1])
+
+
 # ------------------------------------------------ independent oracle
 #
 # SciPy's DOP853 (an 8th-order Dormand-Prince code with its own step
