@@ -200,8 +200,10 @@ def test_catalog_runs_never_decline(key):
                               (0.0, math.inf), config=TIGHT, stop_at_u=5.0)
     for t in (rt.traj, traj):
         assert t.declined == 0
-        # the first call, the initial-step probe, six stages per attempt
-        assert t.nfev == 2 + 6 * (len(t) - 1 + t.rejected)
+        # the first call, the initial-step probe, twelve stages per
+        # attempt and three dense stages per accepted step
+        steps = len(t) - 1
+        assert t.nfev == 2 + 12 * (steps + t.rejected) + 3 * steps
 
 
 def test_nearly_singular_kinetic_block_takes_the_numpy_path():
@@ -310,7 +312,7 @@ def test_sigma_at_raises_without_convergence(damped_run, monkeypatch):
 
 def test_reduced_view_refuses_an_unknown_kind():
     traj = Trajectory([0.0, 1.0], [[0.0, 0.0, 0.0]] * 2, [[1.0, 0.0, 0.0]] * 2,
-                      kind="oracle", n=1, rejected=0)
+                      [[[0.0, 0.0, 0.0]] * 7], kind="oracle", n=1, rejected=0)
     with pytest.raises(ValueError, match="unknown trajectory kind 'oracle'"):
         ReducedTrajectory(traj)
 

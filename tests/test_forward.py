@@ -500,7 +500,7 @@ def test_generated_source_is_in_linecache():
         compile_forward(system._passes.entries, 2, True, "coupled"))]
     # the integration loop, generated afresh (its cached build may have
     # left the bounded code cache, and linecache with it)
-    fns.append((_stepper.__wrapped__(8, False, 1, 2), "<dopri5 8 aux1 stop2 ",
+    fns.append((_stepper.__wrapped__(8, False, 1, 2), "<dop853 8 aux1 stop2 ",
                 "def _loop(fn, slow, t, t_end, y, k, cfg, "))
     for fn, prefix, head in fns:
         filename = fn.__code__.co_filename

@@ -305,6 +305,23 @@ def test_nonlocal_quadrature_vs_trapezoid():
     assert total_trap == pytest.approx(total_simpson, abs=1e-7)
 
 
+@pytest.mark.parametrize("start", [(1.0, 0.2, 0.5), (2.0, 1.0, -2.0),
+                                   (1.0, 0.0, -3.0)])
+def test_nonlocal_charge_holds_over_long_steps(start):
+    # dL/dw = -0.2 w varies along the motion; the CLI check's residual,
+    # the relative drift of the nonlocal charge, at the default
+    # tolerances.  A per-step Simpson rule with a dense midpoint reads
+    # 4.5e-7, 1.6e-6 and 3.4e-6 on these starts over the integrator's
+    # steps; the Gauss-Legendre rule reads 1e-10 to 2e-9.
+    sys = HerglotzSystem(1, [["1"]], ["0"], "0.5*x1^2 + 0.1*w^2")
+    x, xp, w = start
+    rt = integrate_herglotz(sys, ReducedState([x], [xp], 0.0, w), (0.0, 10.0),
+                            config=IntegratorConfig())
+    gen = SymmetryGenerator(1, ["0"], "1", "0", name="time-shift")
+    _, qn = nonlocal_charge(sys, gen, rt)
+    assert np.max(np.abs(qn - qn[0])) / np.max(np.abs(qn)) < 1e-6
+
+
 # ------------------------------------------------------------ transform rule
 
 def test_transform_rule_damped_pair():
