@@ -316,10 +316,6 @@ def _check_reparam(ctx, cache, gen):
                            max_steps=ctx.config.max_steps)
     views = []
     for udot0 in (0.5, 1.0, 2.0):
-        if udot0 == ctx.udot0 and cfg == ctx.config:
-            # the cached geodesic is this integration, bit for bit
-            views.append(cache.reduced)
-            continue
         gs0 = lift_state(ctx.system, ctx.rs0, udot0)
         traj = integrate_geodesic(ctx.metric, gs0, (0.0, math.inf),
                                   config=cfg, stop_at_u=ctx.span[1])

@@ -230,8 +230,7 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     """The whole adaptive integration of one pipeline shape, as one
     function generated on first use:
 
-        loop(fn, slow, t, t_end, y, k, cfg, ts, ys, fs, ds, xs_0..,
-             [target])
+        loop(fn, slow, t, t_end, y, k, cfg, ts, ys, ds, xs_0.., [target])
 
     y is the initial state, a tuple of `size` floats, and k its derivative.
     fn is the compiled right-hand side: fn([t,] y_0, ...) returns the
@@ -242,8 +241,8 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     `stop` index, y[stop] reaches `target`).  An attempt makes 12 calls
     (11 stages and the FSAL stage at the new state); an accepted one 3
     more, for the dense output.  Each accepted step appends its sample to
-    the buffers ts, ys, fs, the 7 rows of its dense polynomial (_dense)
-    to ds, and the auxiliary outputs of its FSAL stage, whose input is the
+    the buffers ts and ys, the 7 rows of its dense polynomial (_dense) to
+    ds, and the auxiliary outputs of its FSAL stage, whose input is the
     accepted state, to xs_a; the caller has appended the initial sample.
     An attempt whose stage input, error norm or last dense stage is not
     finite is rejected and its step quartered; nfev counts only the calls
@@ -289,7 +288,7 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     spare = [f"_z{a}" for a in range(n_aux)]    # other stages' aux outputs
     body = [f"{', '.join(y)}, = y", f"{', '.join(k(1))}, = k",
             "atol, rtol, max_steps = cfg.atol, cfg.rtol, cfg.max_steps",
-            "_ta, _ye, _fe, _de = ts.append, ys.extend, fs.extend, ds.extend",
+            "_ta, _ye, _de = ts.append, ys.extend, ds.extend",
             "declined = 0",
             *[f"_xa{a} = xs_{a}.append" for a in range(n_aux)]]
     # the initial step, a cheap two-evaluation guess; _a_j = |y_j| is kept
@@ -363,7 +362,6 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
              f"{', '.join(f'_b{j}' for j in J)},",
              "_ta(t)",
              f"_ye(({', '.join(y)},))",
-             f"_fe(({', '.join(k(1))},))",
              f"_de(({', '.join(f'r{r}_{j}' for r in range(7) for j in J)},))",
              *[f"_xa{a}(_x{a})" for a in range(n_aux)],
              f"if {' or '.join(f'_b{j} > {_BLOWUP_NORM!r}' for j in J)}:",
@@ -383,8 +381,8 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
              "    break"]
     body += ["while True:"] + [f"    {line}" for line in loop]
     body.append("return rejected, nfev, declined")
-    params = (["fn", "slow", "t", "t_end", "y", "k", "cfg", "ts", "ys", "fs",
-               "ds"] + [f"xs_{a}" for a in range(n_aux)]
+    params = (["fn", "slow", "t", "t_end", "y", "k", "cfg", "ts", "ys", "ds"]
+              + [f"xs_{a}" for a in range(n_aux)]
               + (["target"] if stop is not None else []))
     return define_function(
         "_loop", params, body,
@@ -396,23 +394,22 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
 class Trajectory:
     """Accepted samples of one adaptive integration.
 
-    Stores parameter values, states and state derivatives per accepted
-    sample, and per step the 7 rows of DOP853's dense polynomial
-    (`dense`, shape (steps, 7, size)); evaluation between samples uses
-    the polynomial of the containing step (_dense), which is 7th order
-    accurate and returns the step's first sample exactly.
+    Stores parameter values and states per accepted sample, and per step
+    the 7 rows of DOP853's dense polynomial (`dense`, shape (steps, 7,
+    size)); evaluation between samples uses the polynomial of the
+    containing step (_dense), which is 7th order accurate and returns the
+    step's first sample exactly.
 
     Counters: `rejected` steps, `nfev` right-hand side calls (the
     initial-step probe included), and `declined`, the calls the compiled
     right-hand side handed to the numpy path.
     """
 
-    def __init__(self, t, y, f, dense, kind: str, n: int, rejected: int,
+    def __init__(self, t, y, dense, kind: str, n: int, rejected: int,
                  diagnostics: Optional[dict] = None, nfev: int = 0,
                  declined: int = 0):
         self.t = np.asarray(t)
         self.y = np.asarray(y)
-        self.f = np.asarray(f)
         self.dense = np.asarray(dense)
         self.kind = kind
         self.n = n
@@ -473,11 +470,11 @@ def _bracket(grid: np.ndarray, q: float, outside: str) -> int:
     return min(max(k, 0), len(grid) - 2)
 
 
-def _samples(ts: array, ys: array, fs: array, ds: array) -> tuple:
-    """An integration's flat sample buffers as arrays (t, y, f, dense)."""
+def _samples(ts: array, ys: array, ds: array) -> tuple:
+    """An integration's flat sample buffers as arrays (t, y, dense)."""
     t = np.frombuffer(ts)
-    y, f = (np.frombuffer(b).reshape(len(t), -1) for b in (ys, fs))
-    return t, y, f, np.frombuffer(ds).reshape(len(t) - 1, 7, y.shape[1])
+    y = np.frombuffer(ys).reshape(len(t), -1)
+    return t, y, np.frombuffer(ds).reshape(len(t) - 1, 7, y.shape[1])
 
 
 # ---------------------------------------------------------------------
@@ -516,12 +513,12 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
     declined = int(out is None)
     if declined:
         out = slow(y0)
-    ts, ys, fs = array("d", (s0,)), array("d", y0), array("d", out[:-1])
-    ds, nulls = array("d"), array("d", out[-1:])
+    ts, ys, ds = array("d", (s0,)), array("d", y0), array("d")
+    nulls = array("d", out[-1:])
     target = math.inf if stop_at_u is None else float(stop_at_u)
     rej, nfev, dec = _stepper(len(y0), False, 1, n)(
-        fn, slow, s0, s1, y0, out[:-1], cfg, ts, ys, fs, ds, nulls, target)
-    return Trajectory(*_samples(ts, ys, fs, ds), kind="geodesic", n=n,
+        fn, slow, s0, s1, y0, out[:-1], cfg, ts, ys, ds, nulls, target)
+    return Trajectory(*_samples(ts, ys, ds), kind="geodesic", n=n,
                       rejected=rej, nfev=nfev, declined=declined + dec,
                       diagnostics={"null_residual": np.frombuffer(nulls)})
 
@@ -756,12 +753,11 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
     xpp0, lag0 = herglotz_rhs(system, ReducedState(rs0.x, rs0.xp, u0, rs0.w),
                               declined)
     k0 = (*xp0, *xpp0.tolist(), float(lag0))
-    ts, ys, fs = array("d", (u0,)), array("d", z0), array("d", k0)
-    ds = array("d")
+    ts, ys, ds = array("d", (u0,)), array("d", z0), array("d")
     rej, nfev, dec = _stepper(len(z0), True, 0, None)(
         reduced_function(system), functools.partial(_reduced_numpy, system),
-        u0, float(u_span[1]), z0, k0, cfg, ts, ys, fs, ds)
-    traj = Trajectory(*_samples(ts, ys, fs, ds), kind="reduced", n=n,
+        u0, float(u_span[1]), z0, k0, cfg, ts, ys, ds)
+    traj = Trajectory(*_samples(ts, ys, ds), kind="reduced", n=n,
                       rejected=rej, nfev=nfev, declined=declined[0] + dec)
     return ReducedTrajectory(traj)
 

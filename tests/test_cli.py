@@ -254,43 +254,6 @@ def test_reparam_passes_on_a_generic_coupled_start(tmp_path):
     assert row["status"] == "pass" and row["residual"] < 1e-10
 
 
-def test_reparam_reuses_the_cached_geodesic(tmp_path, monkeypatch):
-    # at the reparam check's own stepping, its udot0 = 1 view is the
-    # scenario's geodesic: one integration serves both checks
-    calls = []
-    integrate = cli.integrate_geodesic
-
-    def counting(*args, **kwargs):
-        calls.append(args[1].velocity[-2])          # udot0
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "integrate_geodesic", counting)
-    rows = {}
-    for udot0, checks in ((1.0, ["reparam", "null-drift"]),
-                          (0.7, ["reparam"]), (1.0, ["null-drift"])):
-        calls.clear()
-        out = tmp_path / f"o{udot0}{len(checks)}"
-        path = write_scenario(tmp_path, {
-            "system": "coupled", "params": {}, "udot0": udot0,
-            "checks": checks, "out_dir": str(out),
-            "initial": {"x": [0.6, -0.3], "xp": [0.2, 0.4], "u": 0.0,
-                        "w": 0.1},
-            "integrator": {"rtol": 1e-13, "atol": 1e-15}})
-        assert main(["check", path]) == 0
-        rows[udot0, len(checks)] = (
-            sorted(calls), [(r["check"], r["status"], r["residual"]) for r in
-                            map(json.loads,
-                                (out / "report.jsonl").read_text()
-                                .splitlines())])
-    calls_both, both = rows[1.0, 2]
-    calls_reparam, reparam = rows[0.7, 1]
-    assert calls_both == [0.5, 1.0, 2.0]
-    # with udot0 = 0.7 no view is the scenario's geodesic, which the
-    # check never integrates: the same three integrations, the same row
-    assert calls_reparam == [0.5, 1.0, 2.0]
-    assert both == reparam + rows[1.0, 1][1]
-
-
 def test_check_cli_names_override_scenario(tmp_path):
     path = write_scenario(tmp_path, {"checks": ["null-drift"],
                                      "out_dir": str(tmp_path / "o")})

@@ -81,8 +81,8 @@ def _finite(v):
 
 
 def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
-    """(ts, ys, fs, dense, rejected, nfev) of the array-form stepper; f
-    maps (t, array) to an array."""
+    """(ts, ys, dense, rejected, nfev) of the array-form stepper; f maps
+    (t, array) to an array."""
     # Hairer's PI control on a 7th order estimate: exponents 1/8 - 0.2 beta
     # and beta, safety factor, growth bound
     beta = 0.04
@@ -92,7 +92,7 @@ def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
     k1 = np.asarray(f(t, y), dtype=float)
     h = _oracle_initial_step(f, t, y, k1, cfg, t_end - t)
     nfev = 2
-    ts, ys, fs, dense = [t], [y.copy()], [k1.copy()], []
+    ts, ys, dense = [t], [y.copy()], []
     rejected = attempts = 0
     err_prev = 1.0
     just_rejected = False
@@ -149,7 +149,6 @@ def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
         y, k1 = y_new, K[12].copy()
         ts.append(t)
         ys.append(y.copy())
-        fs.append(k1.copy())
         if float(np.max(np.abs(y))) > 1e12:
             raise BlowUpError("oracle blow-up")
         if err == 0.0:
@@ -165,7 +164,7 @@ def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
             break
         if math.isfinite(t_end) and t >= t_end:
             break
-    return (np.array(ts), np.array(ys), np.array(fs),
+    return (np.array(ts), np.array(ys),
             np.array(dense).reshape(len(ts) - 1, 7, len(y)), rejected, nfev)
 
 
@@ -213,10 +212,9 @@ def _oracle_run(pipeline, ent):
 def test_scalar_stepper_matches_the_numpy_oracle(key, pipeline):
     ent = standard_catalog()[key]
     traj, _ = _scalar_run(pipeline, ent)
-    ts, ys, fs, dense, rejected, nfev = _oracle_run(pipeline, ent)
+    ts, ys, dense, rejected, nfev = _oracle_run(pipeline, ent)
     assert (traj.rejected, traj.nfev) == (rejected, nfev)
-    for got, want in ((traj.t, ts), (traj.y, ys), (traj.f, fs),
-                      (traj.dense, dense)):
+    for got, want in ((traj.t, ts), (traj.y, ys), (traj.dense, dense)):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -226,7 +224,7 @@ def test_scalar_stepper_matches_the_numpy_oracle(key, pipeline):
 def test_scalar_stepper_reruns_bit_identically(key, pipeline):
     ent = standard_catalog()[key]
     (a, na), (b, nb) = _scalar_run(pipeline, ent), _scalar_run(pipeline, ent)
-    for x, y in ((a.t, b.t), (a.y, b.y), (a.f, b.f), (a.dense, b.dense)):
+    for x, y in ((a.t, b.t), (a.y, b.y), (a.dense, b.dense)):
         assert np.array_equal(x, y)
     assert (a.rejected, a.nfev) == (b.rejected, b.nfev)
     if na is not None:
@@ -255,7 +253,8 @@ def _numpy_dense(traj, tq):
 @pytest.mark.parametrize("key", ["free", "harmonic", "damped-time",
                                  "damped-action", "coupled"])
 def test_dense_output_is_the_numpy_hermite_bit_for_bit(key, pipeline):
-    # (named for the interpolant it first checked; now DOP853's polynomial)
+    # Trajectory.eval is DOP853's dense polynomial (_numpy_dense) bit for
+    # bit, at every sample and inside every step
     ent = standard_catalog()[key]
     traj, _ = _scalar_run(pipeline, ent)
     t = traj.t
@@ -335,9 +334,9 @@ def _loop_run(f, y0, stop_at):
     def slow(t, y):
         raise AssertionError("f never declines")
     k0 = f(0.0, *y0)
-    ts, ys, fs = array("d", (0.0,)), array("d", y0), array("d", k0)
+    ts, ys = array("d", (0.0,)), array("d", y0)
     rejected, nfev, declined = _stepper(1, True, 0, 0)(
-        f, slow, 0.0, math.inf, tuple(y0), k0, TIGHT, ts, ys, fs, array("d"),
+        f, slow, 0.0, math.inf, tuple(y0), k0, TIGHT, ts, ys, array("d"),
         stop_at)
     assert declined == 0
     return np.frombuffer(ts), np.frombuffer(ys), rejected, nfev
@@ -362,7 +361,7 @@ def test_non_finite_stage_rejects_the_step():
     want = _oracle_rk(lambda t, y: np.array(f(t, y[0])), 0.0, [0.0], math.inf,
                       TIGHT, stop=lambda t, y: y[0] >= 2.5)
     assert np.array_equal(ts, want[0]) and np.array_equal(ys, want[1][:, 0])
-    assert (rejected, nfev) == want[4:]
+    assert (rejected, nfev) == want[3:]
 
 
 def test_generated_step_rejects_with_its_call_count():
