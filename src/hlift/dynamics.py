@@ -409,6 +409,7 @@ class Trajectory:
                  diagnostics: Optional[dict] = None, nfev: int = 0,
                  declined: int = 0):
         self.t = np.asarray(t)
+        self._t = self.t.tolist()       # the grid _bracket bisects
         self.y = np.asarray(y)
         self.dense = np.asarray(dense)
         self.kind = kind
@@ -428,7 +429,7 @@ class Trajectory:
         return np.diff(self.t)
 
     def _locate(self, tq: float) -> int:
-        return _bracket(self.t, tq, "parameter {!r} outside trajectory")
+        return _bracket(self._t, tq, "parameter {!r} outside trajectory")
 
     def eval(self, tq: float) -> np.ndarray:
         """Dense evaluation of the state at parameter tq."""
@@ -438,7 +439,7 @@ class Trajectory:
     def _step(self, k: int) -> tuple:
         """Step k, [t[k], t[k + 1]], as floats: (t0, t1, y0, rows), its
         ends, the state at t0 and its dense polynomial's rows."""
-        return (*self.t[k:k + 2].tolist(), self.y[k].tolist(),
+        return (*self._t[k:k + 2], self.y[k].tolist(),
                 self.dense[k].tolist())
 
     @staticmethod
@@ -455,18 +456,20 @@ class Trajectory:
                 for c in cols]
 
 
-def _bracket(grid: np.ndarray, q: float, outside: str) -> int:
-    """The step k of a strictly increasing sample grid, [grid[k],
-    grid[k + 1]], that holds q, the first or last step for a q past an
-    end by at most 1e-9 (relative); further out, or nan, a ValueError
-    whose message begins with `outside` formatted with q."""
-    first, last = grid.item(0), grid.item(-1)
+def _bracket(grid: list, q: float, outside: str) -> int:
+    """The step k of a strictly increasing sample grid of floats,
+    [grid[k], grid[k + 1]], that holds q, the first or last step for a q
+    past an end by at most 1e-9 (relative); further out, or nan, a
+    ValueError whose message begins with `outside` formatted with q."""
+    # on a list, not the ndarray: each probe of an ndarray builds a
+    # numpy scalar
+    k = bisect.bisect_right(grid, q) - 1
+    if 0 <= k < len(grid) - 1:      # grid[0] <= q < grid[-1]
+        return k
+    first, last = grid[0], grid[-1]
     pad = 1e-9 * max(1.0, abs(first), abs(last))
     if not (first - pad <= q <= last + pad):      # nan included
-        raise ValueError(f"{outside.format(q)} range "
-                         f"[{grid[0]!r}, {grid[-1]!r}]")
-    # np.searchsorted(grid, q, side="right"), without its per-call cost
-    k = bisect.bisect_right(grid, q) - 1
+        raise ValueError(f"{outside.format(q)} range [{first!r}, {last!r}]")
     return min(max(k, 0), len(grid) - 2)
 
 
@@ -541,7 +544,7 @@ class ReducedTrajectory:
         self.traj = traj
         self.n = n = traj.n
         if traj.kind == "reduced":
-            self.u = traj.t
+            self.u, self._u = traj.t, traj._t
         elif traj.kind == "geodesic":
             m = n + 2
             udots = traj.y[:, m + n]
@@ -554,6 +557,7 @@ class ReducedTrajectory:
                 raise MonotonicityViolationError(
                     "u is not strictly increasing across samples",
                     float(traj.t[0]))
+            self._u = self.u.tolist()
         else:
             raise ValueError(f"unknown trajectory kind {traj.kind!r}")
 
@@ -585,11 +589,11 @@ class ReducedTrajectory:
             raise ValueError("sigma_at applies to geodesic-backed trajectories")
         traj = self.traj
         cols = (self.n, 2 * self.n + 2)     # u and udot
-        k = _bracket(self.u, u_target, "u = {!r} outside covered")
+        k = _bracket(self._u, u_target, "u = {!r} outside covered")
         # state_at interpolates the rest of the state on the same step
         bracket = self._last_step = traj._step(k)
         lo, hi = bracket[:2]
-        u0, u1 = self.u[k:k + 2].tolist()
+        u0, u1 = self._u[k:k + 2]
         target = float(u_target)
         # linear seed inside the bracket
         du = u1 - u0

@@ -518,7 +518,7 @@ def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point) -> np.ndarray
     if out is None:
         return _lie_derivative_numpy(metric, gen, point)
     m = metric.dim
-    return np.array(out).reshape(m, m)
+    return np.array(out, dtype=float).reshape(m, m)
 
 
 def _lie_derivative_numpy(metric: BrinkmannMetric, gen, point: Point,

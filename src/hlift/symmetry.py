@@ -94,9 +94,18 @@ class SymmetryGenerator:
 
 def killing_residual(metric: BrinkmannMetric, gen: SymmetryGenerator,
                      point: Point) -> float:
-    """max entry of L_K g = nabla K + (nabla K)^T at the point."""
+    """max entry of L_K g = nabla K + (nabla K)^T at the point.
+
+    The maximum of |S| is exact, so it is taken on Python floats; a
+    non-finite entry, or finite entries whose sum overflows, make the
+    sum non-finite, and numpy's reduction answers instead (nan for a
+    nan entry)."""
     S = covariant_sym_grad(metric, gen, point)
-    return float(np.max(np.abs(S)))
+    vals = S.ravel().tolist()
+    total = sum(vals)
+    if total - total != 0.0:
+        return float(np.max(np.abs(S)))
+    return max(map(abs, vals))
 
 
 def conformal_killing_residual(metric: BrinkmannMetric, gen: SymmetryGenerator,

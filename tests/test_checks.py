@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hlift import expr
+from hlift import expr, symmetry
 from hlift.cloud import halton, point_cloud, state_cloud
 from hlift.dynamics import (ReducedState, _homogeneity_numpy,
                             homogeneity_residual)
@@ -31,7 +31,8 @@ from hlift.errors import NonFiniteError
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem,
                             NearlySingularKineticWarning, Point,
                             _lie_derivative_numpy, _pullback_numpy,
-                            conformal_pullback_check, conformal_split)
+                            conformal_pullback_check, conformal_split,
+                            covariant_sym_grad)
 from hlift.symmetry import (SymmetryGenerator, _conformal_killing_tail,
                             _symmetry_condition_numpy, _transform_rule_numpy,
                             conformal_killing_residual, degreewise_identities,
@@ -126,6 +127,48 @@ def test_compiled_checks_match_numpy_over_a_cloud(system, gen):
             assert abs(got - want) <= bound, (check, p, rs)
 
 
+def _numpy_max_abs(S) -> float:
+    return float(np.max(np.abs(S)))
+
+
+@pytest.mark.parametrize("system, gen", _subjects())
+def test_killing_residual_is_the_numpy_max_bit_for_bit(system, gen):
+    # the float reduction of S is numpy's, to the last bit
+    metric = BrinkmannMetric(system)
+    for p in point_cloud(system.n, 256):
+        got = killing_residual(metric, gen, p)
+        assert type(got) is float
+        want = _numpy_max_abs(covariant_sym_grad(metric, gen, p))
+        assert got.hex() == want.hex(), p
+
+
+_INF, _NAN, _BIG = float("inf"), float("nan"), 1.5e308
+
+
+@pytest.mark.parametrize("entries", [
+    [0.5, _NAN, -2.0],
+    [0.5, _INF, -2.0],
+    [0.5, -_INF, -2.0],
+    [_INF, _NAN, -_INF],
+    [-0.0, 0.0, -0.0],
+    [_BIG, _BIG, -1.0],
+    [-_BIG, -_BIG, 1.0],
+    [_BIG, -_BIG, _BIG],
+], ids=["nan", "inf", "-inf", "inf-nan", "-0", "overflow", "-overflow",
+        "huge"])
+def test_killing_residual_gives_numpys_answer_on_any_entries(
+        monkeypatch, entries):
+    # non-finite entries and finite ones whose sum overflows trip the
+    # float sum test; either way the result is numpy's
+    S = np.zeros((3, 3))
+    S.flat[[1, 4, 8]] = entries
+    monkeypatch.setattr(symmetry, "covariant_sym_grad",
+                        lambda metric, gen, point: S.copy())
+    got = killing_residual(None, None, None)
+    assert type(got) is float
+    assert got.hex() == _numpy_max_abs(S).hex()
+
+
 # ----------------------------------------------------------------- errors
 
 def _outcome(fn, *args):
@@ -191,7 +234,7 @@ def test_guards_as_components_raise_the_numpy_error(V, x1):
             assert _outcome(compiled, *args) == want, (check, V, k)
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(st.lists(_EXPRS, min_size=4, max_size=4),
                   st.floats(-2.0, 2.0), st.lists(_COORD, min_size=6,
                                                  max_size=6))
@@ -462,7 +505,7 @@ def test_a_non_finite_velocity_raises_non_finite_error(xp, udot):
             route(system, rs, udot)
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(st.lists(_EXPRS, min_size=6, max_size=6),
                   st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
                   st.lists(_COORD, min_size=6, max_size=6))
@@ -483,7 +526,7 @@ def test_random_systems_match_the_numpy_homogeneity(texts, k, udot, coords):
                          texts, udot, coords)
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(st.lists(_EXPRS, min_size=4, max_size=4),
                   st.floats(-2.0, 2.0), st.lists(_COORD, min_size=6,
                                                  max_size=6))

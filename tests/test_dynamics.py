@@ -304,6 +304,24 @@ def test_non_finite_parameters_are_out_of_range(damped_run):
                 rt.state_at(bad)
 
 
+def test_out_of_range_messages_give_the_range_as_floats(damped_run):
+    traj = damped_run[2]
+    rt = reduce_trajectory(traj)
+    t0, t1 = traj.t[0].item(), traj.t[-1].item()
+    u0, u1 = rt.u0, rt.u_end
+    with pytest.raises(ValueError) as err:
+        traj.eval(t1 + 1.0)
+    assert str(err.value) == (f"parameter {t1 + 1.0!r} outside trajectory "
+                              f"range [{t0!r}, {t1!r}]")
+    with pytest.raises(ValueError) as err:
+        rt.sigma_at(u0 - 1.0)
+    assert str(err.value) == (f"u = {u0 - 1.0!r} outside covered "
+                              f"range [{u0!r}, {u1!r}]")
+    # the ends, and a step past them by under 1e-9, stay in range
+    assert traj._locate(t0) == 0
+    assert traj._locate(t1 * (1 + 1e-10)) == len(traj) - 2
+
+
 def test_sigma_at_raises_without_convergence(damped_run, monkeypatch):
     # udot grows along the run, so one iteration from the linear seed
     # between two samples cannot reach 1e-13

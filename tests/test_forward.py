@@ -71,7 +71,7 @@ _COORD = st.one_of(st.floats(-3.0, 3.0),
                    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]))
 
 
-@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
 @hypothesis.given(_EXPRS, st.floats(-2.0, 2.0), st.lists(_COORD, min_size=4,
                                                           max_size=4))
 def test_random_expressions_match_the_dual_path(text, k, coords):
@@ -150,7 +150,7 @@ def _unspanned(node):
 _WIDE = st.floats(0.0, 1e300).map(repr)
 
 
-@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
 @hypothesis.given(st.recursive(_LEAVES | _WIDE, _extend, max_leaves=10))
 def test_to_text_round_trips_through_parse(text):
     ast = parse(text)
@@ -469,7 +469,7 @@ _FIXED = [e.system for e in standard_catalog().values()] + [_n3_system()]
 _STATE = st.lists(_COORD, min_size=11, max_size=11)
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
 @hypothesis.given(st.sampled_from(range(len(_FIXED))), _STATE)
 def test_compiled_rhs_matches_numpy_on_catalog_states(k, coords):
     system = _FIXED[k]
@@ -479,7 +479,7 @@ def test_compiled_rhs_matches_numpy_on_catalog_states(k, coords):
     _check_reduced(system, x, u, w, coords[n + 2:2 * n + 2])
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
 @hypothesis.given(st.lists(_EXPRS, min_size=6, max_size=6),
                   st.floats(-2.0, 2.0), st.lists(_COORD, min_size=8,
                                                  max_size=8))
