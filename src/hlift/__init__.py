@@ -26,13 +26,12 @@ from .errors import (AsymmetricMetricError, BlowUpError, ExprEvalError,
 from .expr import Field, as_field, free_names, parse, to_text
 from .geometry import (BrinkmannMetric, CoordinateMap, FieldBundle,
                        HerglotzSystem, NearlySingularKineticWarning, Point,
-                       conformal_factor, conformal_factor_closed_form,
-                       conformal_pullback_check, covariant_sym_grad,
-                       eval_vector_fields)
+                       conformal_factor_closed_form, conformal_pullback_check,
+                       covariant_sym_grad, eval_vector_fields)
 from .symmetry import (SymmetryGenerator, affine_charge, charge_series,
-                       conformal_killing_residual, degreewise_identities,
-                       degreewise_max_residual, killing_residual,
-                       noether_charge, nonlocal_charge,
+                       conformal_factor, conformal_killing_residual,
+                       degreewise_identities, degreewise_max_residual,
+                       killing_residual, noether_charge, nonlocal_charge,
                        symmetry_condition_residual, transform_rule_check)
 from .systems import (CATALOG, CatalogEntry, conformal_pair, coupled_curved,
                       damped_action_dependent, damped_conformal_map,

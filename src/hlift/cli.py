@@ -176,24 +176,20 @@ def build_context(scn: dict) -> ScenarioContext:
     else:
         u_from, u_to = rs0.u, rs0.u + 10.0
 
-    cfg = IntegratorConfig()
-    if "integrator" in scn:
-        integ = scn["integrator"]
-        _need(isinstance(integ, dict), "integrator must be an object")
-        _reject_unknown(integ, _INTEGRATOR_KEYS, "integrator")
-        if "rtol" in integ:
-            cfg.rtol = _as_float(integ["rtol"], "integrator.rtol")
-        if "atol" in integ:
-            cfg.atol = _as_float(integ["atol"], "integrator.atol")
-        _need(cfg.rtol >= 0.0 and cfg.atol >= 0.0,
-              "integrator.rtol and integrator.atol must not be negative")
-        _need(cfg.rtol > 0.0 or cfg.atol > 0.0,
-              "integrator.rtol and integrator.atol must not both be zero")
-        if "max_steps" in integ:
-            ms = integ["max_steps"]
-            _need(isinstance(ms, int) and ms > 0,
-                  "integrator.max_steps must be a positive integer")
-            cfg.max_steps = ms
+    integ = scn.get("integrator", {})
+    _need(isinstance(integ, dict), "integrator must be an object")
+    _reject_unknown(integ, _INTEGRATOR_KEYS, "integrator")
+    settings = {key: _as_float(integ[key], f"integrator.{key}")
+                for key in ("rtol", "atol") if key in integ}
+    if "max_steps" in integ:
+        ms = integ["max_steps"]
+        _need(isinstance(ms, int),
+              "integrator.max_steps must be a positive integer")
+        settings["max_steps"] = ms
+    try:
+        cfg = IntegratorConfig(**settings)
+    except ValueError as err:
+        raise ScenarioError(f"integrator.{err}") from None
 
     checks = scn.get("checks", [])
     _need(isinstance(checks, list) and all(isinstance(c, str) for c in checks),

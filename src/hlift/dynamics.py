@@ -20,9 +20,10 @@ diagnostics the equivalence checks need, and reruns are bit-for-bit
 deterministic.  A whole integration is one generated function per
 pipeline shape (_stepper): stages, error norm, PI control, dense rows
 and sample buffers are float locals of one loop, which calls the
-compiled right-hand side directly; only a call it declines goes, inline,
-to the numpy route.  An array-form oracle of the same stepper reproduces
-its samples and dense rows bit for bit.
+compiled right-hand side directly; a call it declines ends the
+integration with that call's error (geometry.explain_decline).  An
+array-form oracle of the same stepper reproduces its samples and dense
+rows bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .errors import (BlowUpError, MonotonicityViolationError, NonFiniteError,
                      StepLimitExceededError, ZeroUdotError)
 from .expr import _finite_check, define_function
 from .geometry import (BrinkmannMetric, HerglotzSystem, Point,
-                       emit_kinetic_solve, solve_kinetic, tail_bundle)
+                       emit_kinetic_solve, explain_decline, solve_kinetic,
+                       tail_bundle)
 
 __all__ = [
     "GeodesicState", "ReducedState", "IntegratorConfig", "Trajectory",
@@ -84,11 +86,28 @@ class ReducedState:
         return Point(self.x, self.u, self.w)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
+    """Tolerances and step budget of an integration.  rtol and atol are
+    finite, not negative and not both zero, and max_steps is at least 1;
+    other values raise ValueError."""
+
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 1_000_000
+
+    def __post_init__(self):
+        for name in ("rtol", "atol"):
+            tol = getattr(self, name)
+            if not math.isfinite(tol):
+                raise ValueError(f"{name} must be a finite number, got {tol!r}")
+            if tol < 0.0:
+                raise ValueError(f"{name} must not be negative, got {tol!r}")
+        if self.rtol == 0.0 and self.atol == 0.0:
+            raise ValueError("rtol and atol must not both be zero")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got "
+                             f"{self.max_steps!r}")
 
 
 # ---------------------------------------------------------------------
@@ -230,13 +249,13 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     """The whole adaptive integration of one pipeline shape, as one
     function generated on first use:
 
-        loop(fn, slow, t, t_end, y, k, cfg, ts, ys, ds, xs_0.., [target])
+        loop(fn, explain, t, t_end, y, k, cfg, ts, ys, ds, xs_0.., [target])
 
     y is the initial state, a tuple of `size` floats, and k its derivative.
     fn is the compiled right-hand side: fn([t,] y_0, ...) returns the
     derivative followed by `n_aux` auxiliary outputs, or None where it
-    declines; slow([t,] y) is the numpy route that takes a declined call,
-    with its own errors and warnings.  The loop makes the initial-step
+    declines; explain([t,] y) raises the error of a declined call, which
+    ends the integration.  The loop makes the initial-step
     probe and then DOP853 attempts until t reaches t_end (or, with a
     `stop` index, y[stop] reaches `target`).  An attempt makes 12 calls
     (11 stages and the FSAL stage at the new state); an accepted one 3
@@ -246,8 +265,8 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     accepted state, to xs_a; the caller has appended the initial sample.
     An attempt whose stage input, error norm or last dense stage is not
     finite is rejected and its step quartered; nfev counts only the calls
-    it made.  Returns (rejected, nfev, declined), nfev including the
-    caller's call at the initial state.
+    it made.  Returns (rejected, nfev), nfev including the caller's call
+    at the initial state.
     """
     J = range(size)
     y = [f"y_{j}" for j in J]
@@ -260,8 +279,7 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
         args = ", ".join(state)
         return [f"_o = fn({tc}{args})",
                 "if _o is None:",
-                "    declined += 1",
-                f"    _o = slow({tc}({args},))",
+                f"    explain({tc}({args},))",
                 f"{', '.join(out)}, = _o"]
 
     def combo(row, j):
@@ -289,7 +307,6 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     body = [f"{', '.join(y)}, = y", f"{', '.join(k(1))}, = k",
             "atol, rtol, max_steps = cfg.atol, cfg.rtol, cfg.max_steps",
             "_ta, _ye, _de = ts.append, ys.extend, ds.extend",
-            "declined = 0",
             *[f"_xa{a} = xs_{a}.append" for a in range(n_aux)]]
     # the initial step, a cheap two-evaluation guess; _a_j = |y_j| is kept
     # from the error norm of the step that accepted y
@@ -313,7 +330,7 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
              "bounded = _isfinite(t_end)"]
     stopped = f" or y_{stop} >= target" if stop is not None else ""
     body += [f"if t >= t_end{stopped}:",
-             "    return rejected, nfev, declined"]
+             "    return rejected, nfev"]
     loop = ["attempts += 1",
             "if attempts > max_steps:",
             "    raise _StepLimit(f'no convergence within {max_steps} steps "
@@ -380,8 +397,8 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
              f"if bounded and t >= t_end{stopped}:",
              "    break"]
     body += ["while True:"] + [f"    {line}" for line in loop]
-    body.append("return rejected, nfev, declined")
-    params = (["fn", "slow", "t", "t_end", "y", "k", "cfg", "ts", "ys", "ds"]
+    body.append("return rejected, nfev")
+    params = (["fn", "explain", "t", "t_end", "y", "k", "cfg", "ts", "ys", "ds"]
               + [f"xs_{a}" for a in range(n_aux)]
               + (["target"] if stop is not None else []))
     return define_function(
@@ -400,14 +417,12 @@ class Trajectory:
     containing step (_dense), which is 7th order accurate and returns the
     step's first sample exactly.
 
-    Counters: `rejected` steps, `nfev` right-hand side calls (the
-    initial-step probe included), and `declined`, the calls the compiled
-    right-hand side handed to the numpy path.
+    Counters: `rejected` steps and `nfev` right-hand side calls (the
+    initial-step probe included).
     """
 
     def __init__(self, t, y, dense, kind: str, n: int, rejected: int,
-                 diagnostics: Optional[dict] = None, nfev: int = 0,
-                 declined: int = 0):
+                 diagnostics: Optional[dict] = None, nfev: int = 0):
         self.t = np.asarray(t)
         self._t = self.t.tolist()       # the grid _bracket bisects
         self.y = np.asarray(y)
@@ -416,7 +431,6 @@ class Trajectory:
         self.n = n
         self.rejected = rejected
         self.nfev = nfev
-        self.declined = declined
         self.diagnostics = diagnostics or {}
         if not np.all(np.diff(self.t) > 0):
             raise ValueError("trajectory parameter must increase strictly")
@@ -483,18 +497,12 @@ def _samples(ts: array, ys: array, ds: array) -> tuple:
 # ---------------------------------------------------------------------
 # geodesic pipeline
 
-def _geodesic_numpy(metric: BrinkmannMetric, y) -> tuple:
-    """The compiled geodesic function's outputs by numpy (eval_bundle and
-    accelerations): the route of a declined call, which raises or warns
-    as its own."""
-    n = metric.system.n
-    m = n + 2
-    point = Point(y[:n], y[n], y[n + 1])
-    b = metric.system.eval_bundle(point)
-    v = list(y[m:])
-    null = _null_form(b.h.tolist(), b.A.tolist(), b.V, v)
-    acc = metric.accelerations(point, np.array(v), b)
-    return (*v, *acc.tolist(), null)
+def _declined(system: HerglotzSystem, kind: str, args, point: Point) -> None:
+    """Raise the error of a call with arguments `args` that the compiled
+    right-hand side `kind` (geodesic or reduced) declined at the point:
+    its formula reads the field pass and then solves with h."""
+    with explain_decline(f"{system.name} {kind}", args):
+        solve_kinetic(system.eval_bundle(point).h, None, system.name)
 
 
 def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
@@ -511,18 +519,20 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
     s0, s1 = float(sigma_span[0]), float(sigma_span[1])
     y0 = tuple(np.concatenate([gs0.point.coords(), gs0.velocity]).tolist())
     fn = metric.geodesic_function()
-    slow = functools.partial(_geodesic_numpy, metric)
+
+    def explain(y):
+        _declined(metric.system, "geodesic", y, Point(y[:n], y[n], y[n + 1]))
+
     out = fn(*y0)
-    declined = int(out is None)
-    if declined:
-        out = slow(y0)
+    if out is None:
+        explain(y0)
     ts, ys, ds = array("d", (s0,)), array("d", y0), array("d")
     nulls = array("d", out[-1:])
     target = math.inf if stop_at_u is None else float(stop_at_u)
-    rej, nfev, dec = _stepper(len(y0), False, 1, n)(
-        fn, slow, s0, s1, y0, out[:-1], cfg, ts, ys, ds, nulls, target)
+    rej, nfev = _stepper(len(y0), False, 1, n)(
+        fn, explain, s0, s1, y0, out[:-1], cfg, ts, ys, ds, nulls, target)
     return Trajectory(*_samples(ts, ys, ds), kind="geodesic", n=n,
-                      rejected=rej, nfev=nfev, declined=declined + dec,
+                      rejected=rej, nfev=nfev,
                       diagnostics={"null_residual": np.frombuffer(nulls)})
 
 
@@ -655,8 +665,7 @@ def reduce_trajectory(traj: Trajectory) -> ReducedTrajectory:
 # ---------------------------------------------------------------------
 # reduced pipeline
 
-def herglotz_rhs(system: HerglotzSystem, rs: ReducedState,
-                 declined: Optional[list] = None):
+def herglotz_rhs(system: HerglotzSystem, rs: ReducedState):
     """(x'', dw/du) of the reduced dynamics at a reduced state.
 
     x'' solves  h_kj x''^j = -( G_k + d_k V + F_ik x'^i
@@ -667,18 +676,14 @@ def herglotz_rhs(system: HerglotzSystem, rs: ReducedState,
     Everything comes from first derivatives of (h, A, V) at the point.
 
     The system's compiled reduced function evaluates the formula; where
-    it declines, the numpy path (_herglotz_rhs_numpy) runs instead and
-    raises or warns as its own, and the call is counted in `declined`,
-    a one-slot list, when given.
+    it declines, explain_decline raises the state's error.
     """
     n = system.n
-    out = reduced_function(system)(float(rs.u), *rs.x.tolist(),
-                                   *rs.xp.tolist(), float(rs.w))
-    if out is not None:
-        return np.array(out[n:2 * n]), out[2 * n]
-    if declined is not None:
-        declined[0] += 1
-    return _herglotz_rhs_numpy(system, rs)
+    args = (float(rs.u), *rs.x.tolist(), *rs.xp.tolist(), float(rs.w))
+    out = reduced_function(system)(*args)
+    if out is None:
+        _declined(system, "reduced", args, rs.point())
+    return np.array(out[n:2 * n]), out[2 * n]
 
 
 def reduced_function(system: HerglotzSystem):
@@ -688,27 +693,6 @@ def reduced_function(system: HerglotzSystem):
     solve declines or an output is not finite.  Built on first use and
     cached with the system's field passes."""
     return system.pipeline("reduced", _reduced_tail)
-
-
-def _herglotz_rhs_numpy(system: HerglotzSystem, rs: ReducedState):
-    """herglotz_rhs by numpy from eval_bundle: the error path and oracle."""
-    n = system.n
-    b = system.eval_bundle(rs.point())
-    xp = rs.xp
-    lag, dL = b.lagrangian(xp)
-    dwL = dL[n + 1]
-    dh_x = b.dh[:n]
-    t1 = np.einsum("ikj,i,j->k", dh_x, xp, xp)
-    t2 = np.einsum("kij,i,j->k", dh_x, xp, xp)
-    gterm = t1 - 0.5 * t2
-    dA_x = b.dA[:n]
-    fterm = xp @ dA_x - dA_x @ xp
-    du_vec = b.dh[n] @ xp + b.dA[n]
-    dw_vec = b.dh[n + 1] @ xp + b.dA[n + 1]
-    p = b.h @ xp + b.A
-    rhs = -(gterm + b.dV[:n] + fterm + du_vec + dw_vec * lag - p * dwL)
-    xpp = solve_kinetic(b.h, rhs, system.name)
-    return xpp, lag
 
 
 def _reduced_tail(em, nodes):
@@ -746,33 +730,26 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
 
     The state is (x, x', w) with dw/du = L.  The initial derivative
     comes from herglotz_rhs, every later one from the compiled reduced
-    function, or where it declines from the numpy path.
+    function; a call it declines ends the integration with its error.
     """
     cfg = config or IntegratorConfig()
     n = system.n
     u0 = float(u_span[0])
     xp0 = rs0.xp.tolist()
     z0 = (*rs0.x.tolist(), *xp0, float(rs0.w))
-    declined = [0]
-    xpp0, lag0 = herglotz_rhs(system, ReducedState(rs0.x, rs0.xp, u0, rs0.w),
-                              declined)
+    xpp0, lag0 = herglotz_rhs(system, ReducedState(rs0.x, rs0.xp, u0, rs0.w))
     k0 = (*xp0, *xpp0.tolist(), float(lag0))
     ts, ys, ds = array("d", (u0,)), array("d", z0), array("d")
-    rej, nfev, dec = _stepper(len(z0), True, 0, None)(
-        reduced_function(system), functools.partial(_reduced_numpy, system),
-        u0, float(u_span[1]), z0, k0, cfg, ts, ys, ds)
+
+    def explain(u, z):
+        _declined(system, "reduced", (u, *z), Point(z[:n], u, z[2 * n]))
+
+    rej, nfev = _stepper(len(z0), True, 0, None)(
+        reduced_function(system), explain, u0, float(u_span[1]), z0, k0, cfg,
+        ts, ys, ds)
     traj = Trajectory(*_samples(ts, ys, ds), kind="reduced", n=n,
-                      rejected=rej, nfev=nfev, declined=declined[0] + dec)
+                      rejected=rej, nfev=nfev)
     return ReducedTrajectory(traj)
-
-
-def _reduced_numpy(system: HerglotzSystem, u: float, z) -> tuple:
-    """The compiled reduced function's outputs by numpy
-    (_herglotz_rhs_numpy): the route of a declined call."""
-    n = system.n
-    xpp, lag = _herglotz_rhs_numpy(
-        system, ReducedState(z[:n], z[n:2 * n], u, z[2 * n]))
-    return (*z[n:2 * n], *xpp.tolist(), lag)
 
 
 # ---------------------------------------------------------------------
@@ -844,42 +821,30 @@ def homogeneity_residual(system: HerglotzSystem, rs: ReducedState,
     first-degree homogeneous function.
 
     The system's compiled homogeneity function, a tail over its values
-    pass, evaluates it; where that declines, _homogeneity_numpy runs
-    instead and raises as its own.
+    pass, evaluates it; where that declines, explain_decline raises the
+    state's error.
     """
     if udot == 0.0:
         raise ZeroUdotError("homogeneity check needs a nonzero udot")
     ud = float(udot)
-    out = system.pipeline("homogeneity", _homogeneity_tail, False)(
-        *rs.x.tolist(), float(rs.u), float(rs.w),
-        *[v * ud for v in rs.xp.tolist()], ud)
-    if out is not None:
-        return out[0]
-    return _homogeneity_numpy(system, rs, udot)
-
-
-def _homogeneity_numpy(system: HerglotzSystem, rs: ReducedState,
-                       udot: float) -> float:
-    """homogeneity_residual by numpy: the error path and oracle."""
-    h, A, V = system.eval_values(rs.point())
-    xd = rs.xp * udot
-    for v in (*xd.tolist(), float(udot)):
-        if not math.isfinite(v):
-            raise NonFiniteError(f"homogeneity check needs finite velocities, "
-                                 f"got {v!r}")
-    hx = h @ xd
-    quad = float(xd @ hx)
-    lt = 0.5 * quad / udot + float(A @ xd) - V * udot
-    d_xd = hx / udot + A
-    d_ud = -0.5 * quad / (udot * udot) - V
-    euler = float(xd @ d_xd) + udot * d_ud
-    return abs(euler - lt)
+    args = (*rs.x.tolist(), float(rs.u), float(rs.w),
+            *[v * ud for v in rs.xp.tolist()], ud)
+    out = system.pipeline("homogeneity", _homogeneity_tail, False)(*args)
+    if out is None:
+        with explain_decline(f"{system.name} homogeneity", args):
+            system.eval_values(rs.point())
+            for v in args[system.n + 2:]:
+                if not math.isfinite(v):
+                    raise NonFiniteError(f"homogeneity check needs finite "
+                                         f"velocities, got {v!r}")
+    return out[0]
 
 
 def _homogeneity_tail(em, nodes):
-    """_homogeneity_numpy's formula as a pipeline tail over the values
+    """homogeneity_residual's formula as a pipeline tail over the values
     pass (expr.compile_forward): (x1..xn, u, w, xd1..xdn, ud) -> the
-    residual.  The pass checks only the coordinates, so the tail checks
+    residual, with Ltilde = (1/2) h xd xd / ud + A xd - V ud and its
+    closed-form velocity partials.  The pass checks only the coordinates, so the tail checks
     the velocities finite itself."""
     n = em.m - 2
     v = [f"_v{c}" for c in range(n + 1)]

@@ -33,6 +33,7 @@ import linecache
 import math
 import operator
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -473,7 +474,8 @@ def _power(b: float, e: float, vb: bool, ve: bool) -> float:
 # computed output is not finite: a dropped zero partial could hide a nan.
 # The caller then has the interpreter explain the point (eval_ast with
 # `derivatives` for a derivative pass), which raises its error; the tests
-# hold both against an independent seeded-Dual pass.
+# hold both against an independent seeded-Dual pass.  A pipeline may
+# warn (emitter.warn), as it returns its outputs.
 #
 # A pipeline extends the pass with a tail: more straight-line code over
 # the fields' values and partials (a right-hand side built from them),
@@ -486,6 +488,7 @@ _FORWARD_GLOBALS = {
     **{f"_{name}": fn for name, fn in _MATH.items()},
     # what a call in the generated code may raise; the function declines
     "_Declined": (ArithmeticError, ValueError, HliftError),
+    "_warn": warnings.warn,
 }
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
          "/": operator.truediv}
@@ -531,6 +534,7 @@ class _ForwardEmitter:
         self.temps: dict = {}
         self.consts: dict = {}
         self.globals: dict = {}    # names a pipeline tail calls
+        self.warned: list = []     # lines that warn, run just before return
         self.negated: dict = {}    # local -> the local it negates
         self.name = name
 
@@ -559,6 +563,16 @@ class _ForwardEmitter:
         line = f"if {cond}: return None"
         if line not in self.lines:
             self.lines.append(line)
+
+    def warn(self, cond: str, category, message: str) -> None:
+        """Warn `message` as `category` where `cond` holds, once per call
+        and only as the function returns its outputs: a call it declines
+        has not warned."""
+        self.globals[category.__name__] = category
+        line = (f"if {cond}: _warn({message!r}, {category.__name__}, "
+                "stacklevel=2)")
+        if line not in self.warned:
+            self.warned.append(line)
 
     def guard_finite(self, values) -> None:
         """Decline unless each of `values` is finite (_finite_check); the
@@ -840,10 +854,10 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool, name: str,
     `derivatives`), emits more code with the emitter and returns
     (params, outputs): f's parameter names, among them the coordinates,
     and the values it returns instead of the flat tuple.  The tail may
-    add guards, the values of other fields (emitter.values), and names
-    it calls to `emitter.globals`; whatever such a call raises, f
-    declines.  f also returns None where the pass itself would, and
-    where an output is not finite.
+    add guards, warnings (emitter.warn), the values of other fields
+    (emitter.values), and names it calls to `emitter.globals`; whatever
+    such a call raises, f declines.  f also returns None where the pass
+    itself would, and where an output is not finite.
     """
     em = _ForwardEmitter(n, derivatives, name)
     params = em.coords
@@ -873,6 +887,7 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool, name: str,
         body += _guarded(em.lines[n_field_lines:])
         body += _finite_check([r for r in out if not r.startswith("(")
                                and r not in em.checked])
+        body += em.warned
     body.append(f"return ({', '.join(out)},)")
     ns = dict(_FORWARD_GLOBALS)
     ns.update(em.globals)

@@ -17,12 +17,14 @@ forward-mode pass over the coordinates; there is no symbolic
 differentiation and no second-order jet anywhere.  `accelerations`
 contracts `christoffel`; the Lie derivative needs neither g^{-1} nor
 Gamma.  `covariant_sym_grad` compiles it over a joint pass of the
-system's fields and a generator's components (SymmetryGenerator.pipeline);
-its numpy form is the error path.
+system's fields and a generator's components (SymmetryGenerator.pipeline).
+Each check and right-hand side is one compiled pipeline; where it
+declines a call, explain_decline raises that call's error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import warnings
@@ -38,11 +40,13 @@ from .expr import _ASYMMETRY_TOL, as_field, compile_forward, free_names
 __all__ = [
     "Point", "HerglotzSystem", "FieldBundle", "BrinkmannMetric",
     "CoordinateMap", "NearlySingularKineticWarning",
-    "covariant_sym_grad", "conformal_factor", "conformal_factor_closed_form",
+    "covariant_sym_grad", "conformal_factor_closed_form",
     "conformal_pullback_check", "eval_vector_fields", "solve_kinetic",
+    "explain_decline",
 ]
 
 _EIGEN_WARN = 1e-8
+_THIN = "kinetic block h is nearly singular"
 _SYM = "symmetrize"
 
 
@@ -261,8 +265,7 @@ def solve_kinetic(h: np.ndarray, rhs: Optional[np.ndarray], context: str
     compiled form.
     """
     if _min_abs_eigenvalue(h) < _EIGEN_WARN:
-        warnings.warn("kinetic block h is nearly singular",
-                      NearlySingularKineticWarning, stacklevel=3)
+        warnings.warn(_THIN, NearlySingularKineticWarning, stacklevel=3)
     n = h.shape[0]
     if n == 1:
         a = h[0, 0]
@@ -287,49 +290,78 @@ def emit_kinetic_solve(em, h: list, cols: list) -> list:
     """solve_kinetic in a pipeline tail: the solution of h x = c for each
     right side c in `cols`, h and c given as emitter values.
 
-    The code declines (returns None) where solve_kinetic would warn or
-    raise: min |eig h| < 1e-8, det h == 0, or an overflow the numpy
-    arithmetic would warn about.  For n > 2 it hands the assembled h and
-    right sides to solve_kinetic itself, once the eigenvalue guard passed.
+    Where min |eig h| < 1e-8 the code warns NearlySingularKineticWarning
+    as solve_kinetic does, once per call, and carries on (emitter.warn).
+    It declines (returns None) where solve_kinetic raises (det h == 0;
+    for n > 2, where numpy's solve fails) and at an overflow that the
+    numpy arithmetic would warn about.
     """
     n = len(h)
     ref = lambda v: em.ref(0.0 if v is None else v)
     if n > 2:
-        em.globals.update(_np_array=np.array, _solve_kinetic=solve_kinetic,
+        em.globals.update(_np_array=np.array, _np_solve=np.linalg.solve,
                           _min_abs_eigenvalue=_min_abs_eigenvalue)
 
         def mat(rows):      # nested tuple literal
             return "(" + ", ".join("(" + ", ".join(map(ref, row)) + ",)"
                                    for row in rows) + ",)"
         hm = em.let(f"_np_array({mat(h)})")
-        em.guard(f"not (_min_abs_eigenvalue({hm}) >= {_EIGEN_WARN!r})")
-        sol = em.let(f"_solve_kinetic({hm}, _np_array({mat(zip(*cols))}), "
-                     f"{em.name!r}).tolist()")
-        return [[em.let(f"{sol}[{i}][{k}]") for i in range(n)]
-                for k in range(len(cols))]
-    if n == 1:
-        em.guard(f"not (abs({ref(h[0][0])}) >= {_EIGEN_WARN!r})")
-        inv = [[em.op(1.0, "/", h[0][0])]]
+        eig = em.let(f"_min_abs_eigenvalue({hm})")
+        sol = em.let(f"_np_solve({hm}, _np_array({mat(zip(*cols))})).tolist()")
+        out = [[em.let(f"{sol}[{i}][{k}]") for i in range(n)]
+               for k in range(len(cols))]
+        em.guard_finite([e for col in out for e in col])
     else:
-        (h00, h01), (h10, h11) = h
-        # _min_abs_eigenvalue's closed form, op for op
-        tr = em.op(h00, "+", h11)
-        d = em.op(h00, "-", h11)
-        q = em.op(em.op(d, "*", d), "+", em.op(em.op(4.0, "*", h01), "*", h10))
-        em.guard_finite([tr, q])
-        tr, q = ref(tr), ref(q)
-        disc = em.let(f"_sqrt({q}) if {q} > 0.0 else 0.0")
-        eig = em.let(f"min(abs(0.5 * ({tr} - {disc})), abs(0.5 * ({tr} + {disc})))")
-        em.guard(f"not ({eig} >= {_EIGEN_WARN!r})")
-        det = em.op(em.op(h00, "*", h11), "-", em.op(h01, "*", h10))
-        em.guard_finite([det])
-        em.guard(f"{ref(det)} == 0.0")
-        inv = [[em.div(h11, det), em.div(em.sub(None, h01), det)],
-               [em.div(em.sub(None, h10), det), em.div(h00, det)]]
-    # numpy computes every entry, also those a structural zero multiplies
-    em.guard_finite([e for row in inv for e in row])
-    return [[em.total([em.mul(inv[i][j], c[j]) for j in range(n)])
-             for i in range(n)] for c in cols]
+        if n == 1:
+            # the division declines at h == 0, where solve_kinetic raises
+            eig = f"abs({ref(h[0][0])})"
+            inv = [[em.op(1.0, "/", h[0][0])]]
+        else:
+            (h00, h01), (h10, h11) = h
+            # _min_abs_eigenvalue's closed form, op for op
+            tr = em.op(h00, "+", h11)
+            d = em.op(h00, "-", h11)
+            q = em.op(em.op(d, "*", d), "+",
+                      em.op(em.op(4.0, "*", h01), "*", h10))
+            em.guard_finite([tr, q])
+            tr, q = ref(tr), ref(q)
+            disc = em.let(f"_sqrt({q}) if {q} > 0.0 else 0.0")
+            eig = em.let(f"min(abs(0.5 * ({tr} - {disc})), "
+                         f"abs(0.5 * ({tr} + {disc})))")
+            det = em.op(em.op(h00, "*", h11), "-", em.op(h01, "*", h10))
+            em.guard_finite([det])
+            em.guard(f"{ref(det)} == 0.0")
+            inv = [[em.div(h11, det), em.div(em.sub(None, h01), det)],
+                   [em.div(em.sub(None, h10), det), em.div(h00, det)]]
+        # numpy computes every entry, also those a structural zero multiplies
+        em.guard_finite([e for row in inv for e in row])
+        out = [[em.total([em.mul(inv[i][j], c[j]) for j in range(n)])
+                for i in range(n)] for c in cols]
+    em.warn(f"not ({eig} >= {_EIGEN_WARN!r})", NearlySingularKineticWarning,
+            _THIN)
+    return out
+
+
+@contextlib.contextmanager
+def explain_decline(label: str, args):
+    """Explain a call that the compiled pipeline `label` declined with
+    the arguments `args`: the block raises its error, and never
+    completes.
+
+    The block reruns, in the order the formula reads them, the steps
+    that can be at fault: the field passes (FieldPasses.run raises the
+    error of a point a pass declines), solve_kinetic on h (which warns
+    and raises as its own) and a check's own guard.  Whatever the block
+    raises propagates.  numpy arithmetic in it that would warn, and a
+    block that raises nothing, raise NonFiniteError: the pipeline
+    declines where a value it computes is not finite.
+    """
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        pass
+    raise NonFiniteError(f"{label}: a value is not finite at {list(args)}")
 
 
 class BrinkmannMetric:
@@ -413,9 +445,10 @@ class BrinkmannMetric:
         (ydot_0, ..., ydot_{2m-1}, null residual), where ydot carries the
         velocities and then the accelerations of `accelerations`, or None
         where the field pass or the kinetic solve declines or an output
-        is not finite; eval_bundle with accelerations is the error path
-        and the oracle that the factored contraction is tested against.
-        Built on first use and cached with the system's field passes."""
+        is not finite (emit_kinetic_solve); eval_bundle with
+        accelerations is the oracle that the factored contraction is
+        tested against.  Built on first use and cached with the system's
+        field passes."""
         return self.system.pipeline("geodesic", _geodesic_tail)
 
 
@@ -511,37 +544,16 @@ def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point) -> np.ndarray
 
     One compiled pipeline over the joint pass of the system's fields and
     the generator's components (SymmetryGenerator.pipeline) evaluates
-    it; where that declines, _lie_derivative_numpy runs instead and
-    raises or warns as its own."""
-    out = gen.pipeline(metric.system, "lie-derivative", _lie_tail)(
-        *point.x.tolist(), float(point.u), float(point.w))
+    it; where that declines, explain_decline raises the point's error."""
+    args = (*point.x.tolist(), float(point.u), float(point.w))
+    out = gen.pipeline(metric.system, "lie-derivative", _lie_tail)(*args)
     if out is None:
-        return _lie_derivative_numpy(metric, gen, point)
+        with explain_decline(f"{metric.system.name} {gen.name} lie-derivative",
+                             args):
+            metric.system.eval_bundle(point)
+            gen.components_at(point)
     m = metric.dim
     return np.array(out, dtype=float).reshape(m, m)
-
-
-def _lie_derivative_numpy(metric: BrinkmannMetric, gen, point: Point,
-                          bundle: Optional[FieldBundle] = None) -> np.ndarray:
-    """covariant_sym_grad by numpy from the field pass and the generator's
-    components: the error path and oracle.  `bundle` is the field pass at
-    the point, evaluated here when not given."""
-    m = metric.dim
-    g, dg = metric.eval_with_derivatives(point, bundle)
-    K, dK = gen.components_at(point)
-    M = dK @ g                  # M[mu, nu] = d_mu K^c g_{c nu}
-    return (K @ dg.reshape(m, m * m)).reshape(m, m) + M + M.T
-
-
-def conformal_split(metric: BrinkmannMetric, gen, point: Point):
-    """(S, lambda, g) at the point from one field pass: S of
-    covariant_sym_grad, its trace part lambda = g^{mu nu} S_{mu nu} / (n + 2),
-    and the metric g, by numpy (the error path and oracle of
-    conformal_killing_residual)."""
-    b = metric.system.eval_bundle(point)
-    S = _lie_derivative_numpy(metric, gen, point, b)
-    lam = float(np.tensordot(metric.inverse(point, b), S, axes=2)) / metric.dim
-    return S, lam, metric._assemble(b.h, b.A, b.V)
 
 
 def tail_vector(nodes, n: int):
@@ -565,7 +577,7 @@ def _tail_metric(h, A, uu, uw):
 
 def lie_entries(em, nodes):
     """(g, S): the metric and the Lie derivative S = K . dg + M + M^T,
-    M = dK g, as _lie_derivative_numpy computes them, entry by entry."""
+    M = dK g, entry by entry."""
     m = em.m
     n = m - 2
     h, dh, A, dA, V, dV = tail_bundle(nodes, n)
@@ -588,20 +600,11 @@ def _lie_tail(em, nodes):
     return em.coords, [e for row in S for e in row]
 
 
-def conformal_factor(metric: BrinkmannMetric, gen, point: Point) -> float:
-    """Trace part of the symmetrized covariant gradient:
-    lambda = g^{mu nu} S_{mu nu} / (n + 2).
-
-    For a conformal Killing field this is the factor in S = lambda g; for
-    anything else it is just the trace projection.
-    """
-    return conformal_split(metric, gen, point)[1]
-
-
 def conformal_factor_closed_form(system: HerglotzSystem, gen, point: Point) -> float:
     """d_u(du) + d_w(dw) - A_i d_w(dx^i), the closed form the trace
     reproduces whenever the generator actually satisfies the symmetry
-    identities.  Compared against conformal_factor only in tests."""
+    identities.  Compared against symmetry.conformal_factor only in
+    tests."""
     n = system.n
     _, A, _ = system.eval_values(point)
     _, dK = gen.components_at(point)
@@ -657,7 +660,7 @@ def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetri
     `omega` is any field source over (x, u, w), evaluated by
     Field.__call__.  One compiled pipeline over the map's pass evaluates
     the rest (CoordinateMap.pipeline); where Omega or that declines,
-    _pullback_numpy runs instead and raises as its own.
+    explain_decline raises the point's error.
     """
     omega_f = as_field(omega, metric_a.system.n, params, name="omega")
     x, u, w = point.x.tolist(), float(point.u), float(point.w)
@@ -668,23 +671,19 @@ def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetri
     else:
         out = cmap.pipeline(metric_a.system, metric_b.system, "pullback",
                             _pullback_tail)(*x, u, w, om)
-    if out is not None:
-        return out[0]
-    return _pullback_numpy(metric_a, metric_b, cmap, point, omega_f)
-
-
-def _pullback_numpy(metric_a: BrinkmannMetric, metric_b: BrinkmannMetric,
-                    cmap: CoordinateMap, point: Point, omega_f) -> float:
-    """conformal_pullback_check by numpy: the error path and oracle."""
-    vals, J = cmap.value_and_jacobian(point)
-    g_b = metric_b.eval(Point.from_coords(vals, metric_b.system.n))
-    g_a = metric_a.eval(point)
-    om = omega_f(point.x.tolist(), float(point.u), float(point.w))
-    return float(np.max(np.abs(J.T @ g_b @ J - om * g_a)))
+    if out is None:
+        label = (f"{cmap.name} {metric_a.system.name} {metric_b.system.name} "
+                 "pullback")
+        with explain_decline(label, (*x, u, w)):
+            vals, _ = cmap.value_and_jacobian(point)
+            metric_b.system.eval_values(Point.from_coords(vals, cmap.n))
+            metric_a.system.eval_values(point)
+            omega_f(x, u, w)
+    return out[0]
 
 
 def _pullback_tail(system_a, system_b, em, nodes):
-    """_pullback_numpy's max |J^T g_b J - Omega g_a| as a pipeline tail
+    """max |J^T g_b J - Omega g_a| as a pipeline tail
     over the map's derivative pass (CoordinateMap.pipeline), with Omega
     the parameter _om, g_a from system_a's values at the point and g_b
     from system_b's at the image (tail_values)."""

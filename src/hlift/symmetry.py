@@ -12,6 +12,11 @@ space.  The same object is checked at three levels:
     reduced velocities, and each coefficient must vanish separately.
     degreewise_identities returns those coefficient tensors.
 
+Each check is one compiled pipeline over a joint pass of a system's
+fields and a generator's components, or over a coordinate map's pass;
+where it declines a call, geometry.explain_decline raises that call's
+error.
+
 Charges: the usual momentum-type charge of a generator, its full-space
 affine counterpart g(K, xdot), and the nonlocally rescaled charge that
 stays exactly constant for action-dependent dynamics (the rescaling
@@ -30,13 +35,14 @@ from .dynamics import (ReducedState, ReducedTrajectory, lagrangian_w_slope,
 from .errors import SingularJacobianError
 from .expr import as_field
 from .geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
-                       HerglotzSystem, Point, conformal_split,
-                       covariant_sym_grad, emit_kinetic_solve,
-                       eval_vector_fields, lie_entries, tail_bundle,
-                       tail_lagrangian, tail_values, tail_vector)
+                       HerglotzSystem, Point, covariant_sym_grad,
+                       emit_kinetic_solve, eval_vector_fields,
+                       explain_decline, lie_entries, solve_kinetic,
+                       tail_bundle, tail_lagrangian, tail_values, tail_vector)
 
 __all__ = [
     "SymmetryGenerator", "killing_residual", "conformal_killing_residual",
+    "conformal_factor",
     "symmetry_condition_residual", "degreewise_identities",
     "degreewise_max_residual", "noether_charge", "affine_charge",
     "charge_series", "nonlocal_charge", "transform_rule_check",
@@ -114,21 +120,36 @@ def conformal_killing_residual(metric: BrinkmannMetric, gen: SymmetryGenerator,
 
     Zero residual means K generates a conformal isometry with factor
     lambda at this point.  The compiled check evaluates it; where that
-    declines, conformal_split runs instead and raises or warns as its own.
+    declines, explain_decline raises the point's error.
     """
+    args = (*point.x.tolist(), float(point.u), float(point.w))
     out = gen.pipeline(metric.system, "conformal-killing",
-                       _conformal_killing_tail)(
-        *point.x.tolist(), float(point.u), float(point.w))
-    if out is not None:
-        return out
-    S, lam, g = conformal_split(metric, gen, point)
-    return float(np.max(np.abs(S - lam * g))), lam
+                       _conformal_killing_tail)(*args)
+    if out is None:
+        system = metric.system
+        with explain_decline(f"{system.name} {gen.name} conformal-killing",
+                             args):
+            b = system.eval_bundle(point)
+            gen.components_at(point)
+            solve_kinetic(b.h, None, system.name)
+    return out
+
+
+def conformal_factor(metric: BrinkmannMetric, gen: SymmetryGenerator,
+                     point: Point) -> float:
+    """Trace part of the symmetrized covariant gradient:
+    lambda = g^{mu nu} S_{mu nu} / (n + 2).
+
+    For a conformal Killing field this is the factor in S = lambda g; for
+    anything else it is just the trace projection.
+    """
+    return conformal_killing_residual(metric, gen, point)[1]
 
 
 def _conformal_killing_tail(em, nodes):
-    """conformal_split's lambda = g^{mu nu} S_{mu nu} / (n + 2) and the
-    residual max |S - lambda g| as a pipeline tail over the joint pass
-    (expr.compile_forward), with g^{-1} from the kinetic solve of the
+    """conformal_killing_residual's lambda = g^{mu nu} S_{mu nu} / (n + 2)
+    and the residual max |S - lambda g| as a pipeline tail over the joint
+    pass (expr.compile_forward), with g^{-1} from the kinetic solve of the
     unit columns and A (BrinkmannMetric._inverse_from)."""
     m = em.m
     n = m - 2
@@ -161,37 +182,27 @@ def symmetry_condition_residual(system: HerglotzSystem, gen: SymmetryGenerator,
     residual is a pointwise function of (x, x', u, w).  Zero for all
     states means the generator maps solutions to solutions.
 
-    The compiled check evaluates it; where that declines, the numpy
-    path (_symmetry_condition_numpy) runs instead and raises as its own.
+    The compiled check evaluates it; where that declines, explain_decline
+    raises the state's error.
     """
-    out = gen.pipeline(system, "symmetry", _symmetry_tail)(
-        *rs.x.tolist(), *rs.xp.tolist(), float(rs.u), float(rs.w))
-    if out is not None:
-        return out[0]
-    return _symmetry_condition_numpy(system, gen, rs)
-
-
-def _symmetry_condition_numpy(system: HerglotzSystem, gen: SymmetryGenerator,
-                              rs: ReducedState) -> float:
-    """symmetry_condition_residual by numpy: the error path and oracle."""
-    n = system.n
-    b = system.eval_bundle(rs.point())
-    xp = rs.xp
-    lag, dL = b.lagrangian(xp)
-    K, dK = gen.components_at(rs.point())
-    # total u-derivatives of the components along the motion
-    D = xp @ dK[:n] + dK[n] + dK[n + 1] * lag
-    ddx, ddu, ddw = D[:n], D[n], D[n + 1]
-    p = b.h @ xp + b.A
-    res = dL @ K + p @ (ddx - xp * ddu) + lag * ddu - ddw
-    return abs(float(res))
+    args = (*rs.x.tolist(), *rs.xp.tolist(), float(rs.u), float(rs.w))
+    out = gen.pipeline(system, "symmetry", _symmetry_tail)(*args)
+    if out is None:
+        with explain_decline(f"{system.name} {gen.name} symmetry", args):
+            system.eval_bundle(rs.point())
+            gen.components_at(rs.point())
+    return out[0]
 
 
 def _symmetry_tail(em, nodes):
-    """_symmetry_condition_numpy's formula as a pipeline tail over the
+    """symmetry_condition_residual's formula as a pipeline tail over the
     joint pass (expr.compile_forward): (x1..xn, x'1..x'n, u, w) -> the
-    residual.  Every value that multiplies another is checked finite, so
-    that a product dropped as a structural zero hides no nan numpy has."""
+    residual, with L and its partials as FieldBundle.lagrangian has them,
+    the total u-derivatives of the components D = x'^l d_l K + d_u K
+    + L d_w K and the momenta p = h x' + A:
+    |dL . K + p . (D_x - x' D_u) + L D_u - D_w|.  Every value that
+    multiplies another is checked finite, so that a product dropped as a
+    structural zero hides no nan."""
     m = em.m
     n = m - 2
     xp = [f"_p{i}" for i in range(n)]
@@ -263,19 +274,16 @@ def degreewise_max_residual(system: HerglotzSystem, gen: SymmetryGenerator,
                             point: Point) -> float:
     """Largest entry across all degreewise coefficient tensors.
 
-    The compiled check evaluates it; where that declines,
-    degreewise_identities runs instead and raises as its own.
+    The compiled check evaluates it; where that declines, explain_decline
+    raises the point's error.
     """
-    out = gen.pipeline(system, "degreewise", _degreewise_tail)(
-        *point.x.tolist(), float(point.u), float(point.w))
-    if out is not None:
-        return out[0]
-    iden = degreewise_identities(system, gen, point)
-    return max(abs(iden["quartic"]),
-               float(np.max(np.abs(iden["cubic"]))) if system.n else 0.0,
-               float(np.max(np.abs(iden["quadratic"]))),
-               float(np.max(np.abs(iden["linear"]))),
-               abs(iden["constant"]))
+    args = (*point.x.tolist(), float(point.u), float(point.w))
+    out = gen.pipeline(system, "degreewise", _degreewise_tail)(*args)
+    if out is None:
+        with explain_decline(f"{system.name} {gen.name} degreewise", args):
+            system.eval_bundle(point)
+            gen.components_at(point)
+    return out[0]
 
 
 def _degreewise_tail(em, nodes):
@@ -384,41 +392,32 @@ def transform_rule_check(system_a: HerglotzSystem, system_b: HerglotzSystem,
     means the map does not define a time reparametrization there.
 
     One compiled pipeline over the map's derivative pass evaluates it
-    (CoordinateMap.pipeline); where that declines, _transform_rule_numpy
-    runs instead and raises as its own (SingularJacobianError where
-    |du'/du| < 1e-12).
+    (CoordinateMap.pipeline); where that declines, explain_decline raises
+    the state's error: SingularJacobianError where |du'/du| < 1e-12.
     """
+    args = (*rs.x.tolist(), *rs.xp.tolist(), float(rs.u), float(rs.w))
     out = cmap.pipeline(system_a, system_b, "transform-rule",
-                        _transform_rule_tail)(
-        *rs.x.tolist(), *rs.xp.tolist(), float(rs.u), float(rs.w))
-    if out is not None:
-        return out[0]
-    return _transform_rule_numpy(system_a, system_b, cmap, rs)
-
-
-def _transform_rule_numpy(system_a: HerglotzSystem, system_b: HerglotzSystem,
-                          cmap: CoordinateMap, rs: ReducedState) -> float:
-    """transform_rule_check by numpy: the error path and oracle."""
-    n = system_a.n
-    lag_a = reduced_lagrangian(system_a, rs)
-    vals, J = cmap.value_and_jacobian(rs.point())
-    # chain rule along the motion: d/du = x'^l d_l + d_u + L d_w
-    tang = np.concatenate([rs.xp, [1.0, lag_a]])
-    rates = J @ tang
-    dxp_du = rates[:n]
-    dup_du = rates[n]
-    dwp_du = rates[n + 1]
-    if abs(dup_du) < 1e-12:
-        raise SingularJacobianError(
-            f"{cmap.name}: du'/du = {dup_du!r} is not invertible at the state")
-    image = ReducedState(vals[:n], dxp_du / dup_du, float(vals[n]),
-                         float(vals[n + 1]))
-    lag_b = reduced_lagrangian(system_b, image)
-    return abs(float(lag_b * dup_du - dwp_du))
+                        _transform_rule_tail)(*args)
+    if out is None:
+        n = system_a.n
+        label = f"{cmap.name} {system_a.name} {system_b.name} transform-rule"
+        with explain_decline(label, args):
+            # the formula's inputs in the order it reads them: system_a's
+            # values, the map's pass, du'/du and system_b's values at the
+            # image
+            lag_a = reduced_lagrangian(system_a, rs)
+            vals, J = cmap.value_and_jacobian(rs.point())
+            dup_du = (J @ np.concatenate([rs.xp, [1.0, lag_a]]))[n]
+            if abs(dup_du) < 1e-12:
+                raise SingularJacobianError(
+                    f"{cmap.name}: du'/du = {dup_du!r} is not invertible at "
+                    "the state")
+            system_b.eval_values(Point.from_coords(vals, n))
+    return out[0]
 
 
 def _transform_rule_tail(system_a, system_b, em, nodes):
-    """_transform_rule_numpy's formula as a pipeline tail over the map's
+    """transform_rule_check's formula as a pipeline tail over the map's
     derivative pass (CoordinateMap.pipeline): (x1..xn, x'1..x'n, u, w)
     -> the residual, with L_a from system_a's values at the point and L_b
     from system_b's at the image (tail_values).  It declines where

@@ -1,10 +1,12 @@
-"""The compiled checks against their numpy formulas, which are also their
-error paths: the generator checks (killing, conformal-killing,
-degreewise and symmetry), homogeneity, and the checks that relate two
-systems through a coordinate map (transform rule, conformal pullback).
+"""The compiled checks against their numpy formulas (numpy_oracle.py):
+the generator checks (killing, conformal-killing, degreewise and
+symmetry), homogeneity, and the checks that relate two systems through a
+coordinate map (transform rule, conformal pullback).
 
-Where the compiled check declines, the numpy formula runs instead, so a
-check raises (or warns) exactly as its formula does.  Elsewhere the two
+Where the oracle raises or warns, a check raises or warns the same, with
+the same message (a declined call is explained, explain_decline); where
+the oracle's numbers are not finite, or numpy warns, it raises
+NonFiniteError (assert_like_the_oracle).  Elsewhere the two
 agree to 1e-13 of the scale of the formula's terms: the product of the
 largest magnitudes among the field values and partials (F), the
 generator's components and partials (G), g^{-1}'s entries (H, for the
@@ -25,22 +27,22 @@ import pytest
 
 from hlift import expr, symmetry
 from hlift.cloud import halton, point_cloud, state_cloud
-from hlift.dynamics import (ReducedState, _homogeneity_numpy,
-                            homogeneity_residual)
+from hlift.dynamics import ReducedState, homogeneity_residual
 from hlift.errors import NonFiniteError
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, HerglotzSystem,
                             NearlySingularKineticWarning, Point,
-                            _lie_derivative_numpy, _pullback_numpy,
-                            conformal_pullback_check, conformal_split,
-                            covariant_sym_grad)
+                            conformal_pullback_check, covariant_sym_grad)
 from hlift.symmetry import (SymmetryGenerator, _conformal_killing_tail,
-                            _symmetry_condition_numpy, _transform_rule_numpy,
                             conformal_killing_residual, degreewise_identities,
                             degreewise_max_residual, killing_residual,
                             symmetry_condition_residual, transform_rule_check)
 from hlift.systems import (conformal_pair, coupled_curved, standard_catalog,
                            x_scaling_control)
 
+from numpy_oracle import (assert_like_the_oracle, conformal_split,
+                          homogeneity_numpy, lie_derivative_numpy,
+                          pullback_numpy, symmetry_condition_numpy,
+                          transform_rule_numpy)
 from test_forward import _COORD, _EXPRS, GUARDS, hypothesis, st
 
 _REL = 1e-13
@@ -48,7 +50,7 @@ _TINY = np.finfo(float).tiny
 
 
 def _killing_numpy(metric, gen, p):
-    return float(np.max(np.abs(_lie_derivative_numpy(metric, gen, p))))
+    return float(np.max(np.abs(lie_derivative_numpy(metric, gen, p))))
 
 
 def _conformal_numpy(metric, gen, p):
@@ -98,7 +100,7 @@ def _compare(system, gen, p, rs):
         ("degreewise", degreewise_max_residual(system, gen, p),
          _degreewise_numpy(system, gen, p)),
         ("symmetry", symmetry_condition_residual(system, gen, rs),
-         _symmetry_condition_numpy(system, gen, rs)),
+         symmetry_condition_numpy(system, gen, rs)),
     ]
 
 
@@ -191,23 +193,19 @@ def _routes(system, gen, p, rs):
          (metric, gen, p)),
         ("degreewise", degreewise_max_residual, _degreewise_numpy,
          (system, gen, p)),
-        ("symmetry", symmetry_condition_residual, _symmetry_condition_numpy,
+        ("symmetry", symmetry_condition_residual, symmetry_condition_numpy,
          (system, gen, rs)),
     ]
 
 
 def _assert_like_numpy(system, gen, p, rs, *context):
-    """Each compiled check raises the numpy route's error where that
-    raises or warns, returns its non-finite numbers exactly, and
-    otherwise agrees within the rounding bound."""
+    """Each compiled check gives the outcome that the numpy route's
+    outcome calls for (assert_like_the_oracle), and where both give
+    numbers they agree within the rounding bound."""
     for check, compiled, numpy_route, args in _routes(system, gen, p, rs):
         want = _outcome(numpy_route, *args)
         got = _outcome(compiled, *args)
-        if isinstance(want, tuple):
-            assert got == want, (check, context)
-        elif not np.all(np.isfinite(want)):
-            assert np.array_equal(got, want, equal_nan=True), (check, context)
-        else:
+        if assert_like_the_oracle(got, want, check, context):
             scales = _scales(system, gen, p, rs)
             bound = np.array([scales[check]] if check != "conformal-killing"
                              else [scales[check], scales["conformal-lambda"]])
@@ -247,19 +245,24 @@ def test_random_generators_match_the_numpy_route(texts, k, coords):
     _assert_like_numpy(system, gen, p, rs, texts, coords)
 
 
-def test_nearly_singular_kinetic_block_warns_through_the_numpy_path():
-    # min |eig h| stays under 1e-8: the compiled conformal check declines
-    # and the kinetic solve of the numpy path warns
+def test_nearly_singular_kinetic_block_warns_through_the_compiled_check():
+    # min |eig h| stays under 1e-8: the compiled conformal check returns
+    # its numbers and warns once, with the numpy formula's message
     system = HerglotzSystem(2, [["1", "0"], ["0", "1e-9*(1 + x1^2)"]],
                             ["0", "0"], "0.5*x1^2", name="thin")
     gen = SymmetryGenerator(2, ["0", "0"], "1", "0", name="time-shift")
     metric = BrinkmannMetric(system)
     p = Point([0.3, 0.1], 0.2, 0.0)
     fn = gen.pipeline(system, "conformal-killing", _conformal_killing_tail)
-    assert fn(0.3, 0.1, 0.2, 0.0) is None
-    with pytest.warns(NearlySingularKineticWarning):
+    with pytest.warns(NearlySingularKineticWarning) as fn_warned:
+        assert fn(0.3, 0.1, 0.2, 0.0) == (0.0, 0.0)
+    with pytest.warns(NearlySingularKineticWarning) as warned:
         res, lam = conformal_killing_residual(metric, gen, p)
     assert (res, lam) == (0.0, 0.0)
+    with pytest.warns(NearlySingularKineticWarning) as oracle_warned:
+        conformal_split(metric, gen, p)
+    assert len(fn_warned) == len(warned) == len(oracle_warned) == 1
+    assert str(warned[0].message) == str(oracle_warned[0].message)
 
 
 def test_generator_of_another_dimension_is_rejected():
@@ -421,26 +424,21 @@ def _pair_routes(ent_a, ent_b, cmap, factor, p, rs):
     met_a, met_b = BrinkmannMetric(ent_a), BrinkmannMetric(ent_b)
     omega = expr.as_field(factor, ent_a.n, name="omega")
     return [
-        ("transform-rule", transform_rule_check, _transform_rule_numpy,
+        ("transform-rule", transform_rule_check, transform_rule_numpy,
          (ent_a, ent_b, cmap, rs), _transform_scale),
-        ("pullback", conformal_pullback_check, _pullback_numpy,
+        ("pullback", conformal_pullback_check, pullback_numpy,
          (met_a, met_b, cmap, p, omega), lambda *args: _pullback_scale(
              ent_a, ent_b, cmap, p, omega)),
     ]
 
 
 def _assert_same_outcome(compiled, numpy_route, args, scale, *context):
-    """The compiled route raises the numpy route's error where that raises
-    or warns, returns its non-finite number exactly, and otherwise agrees
-    within 1e-13 of `scale()`."""
+    """The compiled route gives the outcome that the numpy route's
+    outcome calls for (assert_like_the_oracle), and where both give
+    numbers they agree within 1e-13 of `scale()`."""
     want = _outcome(numpy_route, *args)
     got = _outcome(compiled, *args)
-    if isinstance(want, tuple):
-        assert got == want, context
-    elif not np.all(np.isfinite(want)):
-        assert np.array_equal(got, want, equal_nan=True), context
-    else:
-        assert not isinstance(got, tuple), (context, got)
+    if assert_like_the_oracle(got, want, *context):
         assert abs(got[0] - want[0]) <= _REL * scale() + _TINY, \
             (context, got, want)
 
@@ -451,7 +449,7 @@ def test_homogeneity_matches_numpy_over_a_cloud(key):
     for rs in state_cloud(system.n, 256):
         for udot in (0.5, 1.0, 2.0):
             got = homogeneity_residual(system, rs, udot)
-            want = _homogeneity_numpy(system, rs, udot)
+            want = homogeneity_numpy(system, rs, udot)
             bound = _REL * _homogeneity_scale(system, rs, udot) + _TINY
             assert abs(got - want) <= bound, (rs, udot)
 
@@ -469,13 +467,13 @@ def test_damped_pair_checks_match_numpy_over_a_cloud(n):
 @pytest.mark.parametrize("V, x1", GUARDS)
 def test_guards_raise_the_numpy_error_of_the_pair_checks(V, x1):
     # each guarded expression as V, as Omega, as each map component and
-    # as either system's V: every check raises the numpy route's error
-    # class and message, or agrees with its number
+    # as either system's V: every check gives the outcome the numpy
+    # route's outcome calls for, or agrees with its number
     guarded = HerglotzSystem(1, [["1"]], ["0"], V, name="guarded")
     rs = ReducedState([x1], [0.3], 0.5, 0.25)
     p = Point([x1], 0.5, 0.25)
     for udot in (0.5, 2.0):
-        _assert_same_outcome(homogeneity_residual, _homogeneity_numpy,
+        _assert_same_outcome(homogeneity_residual, homogeneity_numpy,
                              (guarded, rs, udot), lambda: _homogeneity_scale(
                                  guarded, rs, udot), V, udot)
     ent_a, ent_b, cmap, factor = conformal_pair()
@@ -500,7 +498,7 @@ def test_guards_raise_the_numpy_error_of_the_pair_checks(V, x1):
 def test_a_non_finite_velocity_raises_non_finite_error(xp, udot):
     system = standard_catalog()["harmonic"].system
     rs = ReducedState([0.4], xp, 0.5, 0.25)
-    for route in (homogeneity_residual, _homogeneity_numpy):
+    for route in (homogeneity_residual, homogeneity_numpy):
         with pytest.raises(NonFiniteError, match="finite velocities"):
             route(system, rs, udot)
 
@@ -510,7 +508,8 @@ def test_a_non_finite_velocity_raises_non_finite_error(xp, udot):
                   st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
                   st.lists(_COORD, min_size=6, max_size=6))
 # constant h with x' = 0 makes the quadratic term a structural zero, and
-# udot * udot underflows: the numpy route's division raises regardless
+# udot * udot underflows: the numpy route's division raises regardless,
+# and the compiled route raises NonFiniteError
 @hypothesis.example(texts=["0", "(-pow(0, pi))", "(-pow(0, pi))", "x1", "x1",
                            "x1"], k=0.0, udot=1.717248566024963e-287,
                     coords=[0.0] * 6)
@@ -520,7 +519,7 @@ def test_random_systems_match_the_numpy_homogeneity(texts, k, udot, coords):
                             params={"k": k}, name="random")
     rs = ReducedState(coords[:2], coords[4:6], coords[2], coords[3])
     hypothesis.assume(udot != 0.0)
-    _assert_same_outcome(homogeneity_residual, _homogeneity_numpy,
+    _assert_same_outcome(homogeneity_residual, homogeneity_numpy,
                          (system, rs, udot),
                          lambda: _homogeneity_scale(system, rs, udot),
                          texts, udot, coords)

@@ -1,6 +1,7 @@
 """Both integration pipelines against closed-form and finite-difference oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,7 @@ def test_recorded_null_residual_is_the_sample_residual(key):
                                  "damped-action", "coupled"])
 def test_catalog_runs_never_decline(key):
     # the compiled right-hand sides take every call from the default state
+    # (a declined call would end the run with its error)
     ent = standard_catalog()[key]
     rt = integrate_herglotz(ent.system, ent.default_state, (0.0, 5.0),
                             config=TIGHT)
@@ -205,28 +207,46 @@ def test_catalog_runs_never_decline(key):
                               lift_state(ent.system, ent.default_state),
                               (0.0, math.inf), config=TIGHT, stop_at_u=5.0)
     for t in (rt.traj, traj):
-        assert t.declined == 0
         # the first call, the initial-step probe, twelve stages per
         # attempt and three dense stages per accepted step
         steps = len(t) - 1
         assert t.nfev == 2 + 12 * (steps + t.rejected) + 3 * steps
 
 
-def test_nearly_singular_kinetic_block_takes_the_numpy_path():
-    # h22 stays under the 1e-8 eigenvalue floor along the whole path, so
-    # the compiled functions decline every call and the numpy path warns;
-    # x2 stays at rest, so the motion itself is harmless
+def test_nearly_singular_kinetic_block_takes_the_compiled_path():
+    # h22 stays under the 1e-8 eigenvalue floor along the whole path: the
+    # compiled functions take every call and warn once per call; x2 stays
+    # at rest, so the motion itself is harmless
     sys = HerglotzSystem(2, [["1", "0"], ["0", "1e-9*(1 + x1^2)"]],
                          ["0", "0"], "0.5*x1^2")
     rs0 = ReducedState([1.0, 0.0], [0.0, 0.0], 0.0, 0.0)
-    with pytest.warns(NearlySingularKineticWarning):
+    with pytest.warns(NearlySingularKineticWarning) as reduced_warned:
         rt = integrate_herglotz(sys, rs0, (0.0, 1.0), config=TIGHT)
-    with pytest.warns(NearlySingularKineticWarning):
+    with pytest.warns(NearlySingularKineticWarning) as geodesic_warned:
         traj = integrate_geodesic(BrinkmannMetric(sys), lift_state(sys, rs0),
                                   (0.0, math.inf), config=TIGHT, stop_at_u=1.0)
-    for t in (rt.traj, traj):
-        assert t.declined == t.nfev > 0
+    for t, warned in ((rt.traj, reduced_warned), (traj, geodesic_warned)):
+        assert len(warned) == t.nfev > 0
+        assert {str(w.message) for w in warned} == {
+            "kinetic block h is nearly singular"}
     assert rt.x_at(1.0)[0] == pytest.approx(math.cos(1.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"rtol": 0.0, "atol": 0.0}, "rtol and atol must not both be zero"),
+    ({"rtol": math.nan}, "rtol must be a finite number, got nan"),
+    ({"atol": math.inf}, "atol must be a finite number, got inf"),
+    ({"rtol": -1e-10}, "rtol must not be negative, got -1e-10"),
+    ({"atol": -0.5}, "atol must not be negative, got -0.5"),
+    ({"max_steps": 0}, "max_steps must be at least 1, got 0"),
+], ids=["zero-tolerances", "nan-rtol", "inf-atol", "negative-rtol",
+        "negative-atol", "no-steps"])
+def test_integrator_config_rejects_invalid_settings(settings, message):
+    # checked where the config is made, before any integration: zero
+    # tolerances divided by zero in the loop, and a nan rtol was reported
+    # as a non-finite coordinate
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IntegratorConfig(**settings)
 
 
 def test_step_limit():

@@ -1,6 +1,6 @@
 """The compiled forward pass and its errors against the seeded Dual
 oracle (dual_oracle.py), and the compiled right-hand sides against their
-numpy path."""
+numpy oracles (numpy_oracle.py)."""
 
 import dataclasses
 import inspect
@@ -13,9 +13,8 @@ import pytest
 
 import dual_oracle
 from hlift.cloud import point_cloud
-from hlift.dynamics import (ReducedState, _geodesic_numpy,
-                            _herglotz_rhs_numpy, _null_form, _reduced_numpy,
-                            _stepper, herglotz_rhs, reduced_function)
+from hlift.dynamics import (ReducedState, _declined, _null_form, _stepper,
+                            herglotz_rhs, reduced_function)
 from hlift.errors import HliftError, NonFiniteError
 from hlift.expr import FUNCTIONS, Field, compile_forward, parse, to_text
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldBundle,
@@ -23,6 +22,8 @@ from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldBundle,
 from hlift.symmetry import SymmetryGenerator
 from hlift.systems import (conformal_pair, damped_conformal_map,
                            standard_catalog)
+
+from numpy_oracle import assert_like_the_oracle, herglotz_rhs_numpy
 
 
 def _dual_pass(field, coords):
@@ -338,9 +339,11 @@ def _assert_components_equal_the_dual_path(subject):
 # ------------------------------------------------- compiled right-hand sides
 #
 # The compiled geodesic and reduced functions against their numpy oracles
-# (eval_bundle with accelerations, and herglotz_rhs's numpy body).  Where
-# the oracle warns or raises, the compiled function declines and the
-# integrator's right-hand side raises the oracle's error; elsewhere the two
+# (eval_bundle with accelerations, and herglotz_rhs_numpy).  Where the
+# oracle raises or warns, the compiled route (the function, and where it
+# declines the integrator's explanation of the call) raises or warns the
+# same; where the oracle's numbers are not finite, or numpy warns, it
+# raises NonFiniteError (assert_like_the_oracle).  Elsewhere the two
 # agree to 1e-13 relative to the summed magnitudes of the contraction's
 # terms (its running error bound; plus the smallest normal float, for
 # underflow), and the null residual exactly.
@@ -349,13 +352,14 @@ _TINY = np.finfo(float).tiny
 
 
 def _numpy(fn, *args):
-    """fn(*args) with every warning raised as an error, or the error."""
+    """fn(*args) with every warning raised as an error, or the error as
+    (class, message)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             return fn(*args)
-        except Exception as err:  # every error of the numpy path counts
-            return err
+        except Exception as err:  # every error of either route counts
+            return type(err), str(err)
 
 
 def _numpy_geodesic(metric, point, v):
@@ -366,7 +370,7 @@ def _numpy_geodesic(metric, point, v):
 
 
 def _numpy_reduced(system, rs):
-    xpp, lag = _herglotz_rhs_numpy(system, rs)
+    xpp, lag = herglotz_rhs_numpy(system, rs)
     return (np.concatenate([rs.xp, xpp, [lag]]),
             system.eval_bundle(rs.point()))
 
@@ -403,19 +407,33 @@ def _reduced_terms(system, b, xp):
 
 
 def _extreme(out, b) -> bool:
-    """Whether a decline without an oracle error is allowed: where some
-    field value or partial is huge, or an output is not finite."""
+    """Whether NonFiniteError is allowed where the oracle's numbers are
+    finite: where some field value or partial is huge."""
     fields = np.concatenate([b.h.ravel(), b.dh.ravel(), b.A, b.dA.ravel(),
                              [b.V], b.dV])
-    return (not np.all(np.abs(fields) < 1e150)
-            or not np.all(np.isfinite(out)))
+    return not np.all(np.abs(fields) < 1e150)
 
 
-def _assert_declines_like(oracle, rhs, *args):
-    """The compiled function declined: `rhs`, the route the integrator
-    takes for a declined call, raises the oracle's error."""
-    err = _numpy(rhs, *args)
-    assert (type(err), str(err)) == (type(oracle), str(oracle))
+def _route(fn, explain, *args):
+    """What an integrator does with the call fn(*args): its outputs, or
+    where fn declines, explain's error."""
+    out = fn(*args)
+    if out is None:
+        explain(args)
+    return np.array(out)
+
+
+def _check_route(got, want, *context) -> bool:
+    """The route's outcome against the oracle's, `want` as _numpy gives
+    it with the oracle's outputs first: whether both gave numbers to
+    compare."""
+    out = want if isinstance(want, tuple) and isinstance(want[0], type) \
+        else want[0]
+    if isinstance(got, tuple) and got[0] is NonFiniteError \
+            and not isinstance(out, tuple) and np.all(np.isfinite(out)):
+        assert _extreme(out, want[-1]), (context, out)
+        return False
+    return assert_like_the_oracle(got, out, *context)
 
 
 def _check_geodesic(system, x, u, w, v):
@@ -423,39 +441,37 @@ def _check_geodesic(system, x, u, w, v):
     point = Point(x, u, w)
     v = np.array(v, dtype=float)
     y = np.concatenate([x, [u, w], v])
-    got = metric.geodesic_function()(*y.tolist())
+    got = _numpy(_route, metric.geodesic_function(),
+                 lambda y: _declined(system, "geodesic", y, point), *y.tolist())
     want = _numpy(_numpy_geodesic, metric, point, v)
-    if isinstance(want, Exception):
-        assert got is None, (system.name, y, want)
-        _assert_declines_like(want, _geodesic_numpy, metric, y.tolist())
+    if not _check_route(got, want, system.name, y):
         return
     out, null, b = want
-    if got is None:
-        assert _extreme(out, b), (system.name, y, out)
-        return
     bound = 1e-13 * _geodesic_terms(metric, b, v) + _TINY
-    assert np.all(np.abs(np.array(got[:-1]) - out) <= bound), (system.name, y)
+    assert np.all(np.abs(got[:-1] - out) <= bound), (system.name, y)
     assert got[-1] == null
+
+
+def _herglotz_route(system, rs):
+    xpp, lag = herglotz_rhs(system, rs)
+    return np.concatenate([rs.xp, xpp, [lag]])
 
 
 def _check_reduced(system, x, u, w, xp):
     rs = ReducedState(x, xp, u, w)
-    got = reduced_function(system)(u, *rs.x.tolist(), *rs.xp.tolist(), w)
+    z = [*rs.x.tolist(), *rs.xp.tolist(), w]
+    got = _numpy(_route, reduced_function(system),
+                 lambda args: _declined(system, "reduced", args, rs.point()),
+                 u, *z)
     want = _numpy(_numpy_reduced, system, rs)
-    if isinstance(want, Exception):
-        assert got is None, (system.name, x, xp, want)
-        declined = [0]
-        _assert_declines_like(want, herglotz_rhs, system, rs, declined)
-        assert declined == [1]
-        _assert_declines_like(want, _reduced_numpy, system, u,
-                              [*rs.x.tolist(), *rs.xp.tolist(), w])
+    rhs = _numpy(_herglotz_route, system, rs)      # the same route
+    if not _check_route(got, want, system.name, x, xp):
+        assert _check_route(rhs, want, system.name, x, xp) is False
         return
     out, b = want
-    if got is None:
-        assert _extreme(out, b), (system.name, x, xp, out)
-        return
     bound = 1e-13 * _reduced_terms(system, b, rs.xp) + _TINY
-    assert np.all(np.abs(np.array(got) - out) <= bound), (system.name, x, xp)
+    assert np.all(np.abs(got - out) <= bound), (system.name, x, xp)
+    assert np.array_equal(rhs, got)
 
 
 def _n3_system():
@@ -501,7 +517,7 @@ def test_generated_source_is_in_linecache():
     # the integration loop, generated afresh (its cached build may have
     # left the bounded code cache, and linecache with it)
     fns.append((_stepper.__wrapped__(8, False, 1, 2), "<dop853 8 aux1 stop2 ",
-                "def _loop(fn, slow, t, t_end, y, k, cfg, "))
+                "def _loop(fn, explain, t, t_end, y, k, cfg, "))
     for fn, prefix, head in fns:
         filename = fn.__code__.co_filename
         assert filename.startswith(prefix)

@@ -16,9 +16,10 @@ from hlift.errors import (AsymmetricMetricError, FieldEvalError,
                           SingularMetricError)
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
                             HerglotzSystem, NearlySingularKineticWarning, Point,
-                            conformal_factor, conformal_factor_closed_form,
+                            conformal_factor_closed_form,
                             conformal_pullback_check, covariant_sym_grad,
                             eval_vector_fields, solve_kinetic)
+from hlift.symmetry import conformal_factor
 from hlift.systems import (coupled_curved, damped_conformal_map,
                            damped_time_dependent, free_particle,
                            harmonic_oscillator, standard_catalog,
