@@ -21,9 +21,9 @@ deterministic.  A whole integration is one generated function per
 pipeline shape (_stepper): stages, error norm, PI control, dense rows
 and sample buffers are float locals of one loop, which calls the
 compiled right-hand side directly; a call it declines ends the
-integration with that call's error (geometry.explain_decline).  An
-array-form oracle of the same stepper reproduces its samples and dense
-rows bit for bit.
+integration with that call's error (FieldPasses.explain, the loop's
+callback).  An array-form oracle of the same stepper reproduces its
+samples and dense rows bit for bit.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .errors import (BlowUpError, MonotonicityViolationError, NonFiniteError,
                      StepLimitExceededError, ZeroUdotError)
 from .expr import _finite_check, define_function
 from .geometry import (BrinkmannMetric, HerglotzSystem, Point,
-                       emit_kinetic_solve, explain_decline, solve_kinetic,
-                       tail_bundle)
+                       emit_kinetic_solve, solve_kinetic, tail_bundle)
 
 __all__ = [
     "GeodesicState", "ReducedState", "IntegratorConfig", "Trajectory",
@@ -59,11 +58,10 @@ _BLOWUP_NORM = 1e12
 
 @dataclass
 class GeodesicState:
-    """Point plus velocity of the lifted space at parameter sigma."""
+    """Point plus velocity of the lifted space."""
 
     point: Point
     velocity: np.ndarray
-    sigma: float = 0.0
 
     def __post_init__(self):
         self.velocity = np.asarray(self.velocity, dtype=float)
@@ -89,8 +87,8 @@ class ReducedState:
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances and step budget of an integration.  rtol and atol are
-    finite, not negative and not both zero, and max_steps is at least 1;
-    other values raise ValueError."""
+    finite, not negative and not both zero, and max_steps is an int (not
+    a bool) of at least 1; other values raise ValueError."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
@@ -105,6 +103,9 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must not be negative, got {tol!r}")
         if self.rtol == 0.0 and self.atol == 0.0:
             raise ValueError("rtol and atol must not both be zero")
+        if type(self.max_steps) is not int:        # a bool is no step count
+            raise ValueError(f"max_steps must be an integer, got "
+                             f"{self.max_steps!r}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got "
                              f"{self.max_steps!r}")
@@ -136,7 +137,7 @@ def lift_state(system: HerglotzSystem, rs: ReducedState,
         raise NonPositiveUdotError(f"udot0 must be positive, got {udot0!r}")
     lag = reduced_lagrangian(system, rs)
     vel = np.concatenate([rs.xp * udot0, [udot0, udot0 * lag]])
-    return GeodesicState(rs.point(), vel, 0.0)
+    return GeodesicState(rs.point(), vel)
 
 
 def null_residual(metric: BrinkmannMetric, gs: GeodesicState) -> float:
@@ -497,12 +498,10 @@ def _samples(ts: array, ys: array, ds: array) -> tuple:
 # ---------------------------------------------------------------------
 # geodesic pipeline
 
-def _declined(system: HerglotzSystem, kind: str, args, point: Point) -> None:
-    """Raise the error of a call with arguments `args` that the compiled
-    right-hand side `kind` (geodesic or reduced) declined at the point:
-    its formula reads the field pass and then solves with h."""
-    with explain_decline(f"{system.name} {kind}", args):
-        solve_kinetic(system.eval_bundle(point).h, None, system.name)
+def _rhs_steps(system: HerglotzSystem, x, u: float, w: float) -> None:
+    """The steps of a right-hand side (geodesic or reduced) that can be
+    at fault: the field pass at (x, u, w), then the solve with h."""
+    solve_kinetic(system.eval_bundle(Point(x, u, w)).h, None, system.name)
 
 
 def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
@@ -521,7 +520,8 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
     fn = metric.geodesic_function()
 
     def explain(y):
-        _declined(metric.system, "geodesic", y, Point(y[:n], y[n], y[n + 1]))
+        metric.system._passes.explain("geodesic", y, _rhs_steps, metric.system,
+                                      y[:n], y[n], y[n + 1])
 
     out = fn(*y0)
     if out is None:
@@ -676,13 +676,12 @@ def herglotz_rhs(system: HerglotzSystem, rs: ReducedState):
     Everything comes from first derivatives of (h, A, V) at the point.
 
     The system's compiled reduced function evaluates the formula; where
-    it declines, explain_decline raises the state's error.
+    it declines, FieldPasses.explain raises the state's error.
     """
     n = system.n
     args = (float(rs.u), *rs.x.tolist(), *rs.xp.tolist(), float(rs.w))
-    out = reduced_function(system)(*args)
-    if out is None:
-        _declined(system, "reduced", args, rs.point())
+    out = system._passes.call("reduced", _reduced_tail, args, _rhs_steps,
+                              system, rs.x, rs.u, rs.w)
     return np.array(out[n:2 * n]), out[2 * n]
 
 
@@ -692,7 +691,7 @@ def reduced_function(system: HerglotzSystem):
     herglotz_rhs's formula, or None where the field pass or the kinetic
     solve declines or an output is not finite.  Built on first use and
     cached with the system's field passes."""
-    return system.pipeline("reduced", _reduced_tail)
+    return system._passes.pipeline("reduced", _reduced_tail)
 
 
 def _reduced_tail(em, nodes):
@@ -742,7 +741,8 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
     ts, ys, ds = array("d", (u0,)), array("d", z0), array("d")
 
     def explain(u, z):
-        _declined(system, "reduced", (u, *z), Point(z[:n], u, z[2 * n]))
+        system._passes.explain("reduced", (u, *z), _rhs_steps, system,
+                               z[:n], u, z[2 * n])
 
     rej, nfev = _stepper(len(z0), True, 0, None)(
         reduced_function(system), explain, u0, float(u_span[1]), z0, k0, cfg,
@@ -821,23 +821,28 @@ def homogeneity_residual(system: HerglotzSystem, rs: ReducedState,
     first-degree homogeneous function.
 
     The system's compiled homogeneity function, a tail over its values
-    pass, evaluates it; where that declines, explain_decline raises the
-    state's error.
+    pass, evaluates it; where that declines, FieldPasses.explain raises
+    the state's error.
     """
     if udot == 0.0:
         raise ZeroUdotError("homogeneity check needs a nonzero udot")
     ud = float(udot)
     args = (*rs.x.tolist(), float(rs.u), float(rs.w),
             *[v * ud for v in rs.xp.tolist()], ud)
-    out = system.pipeline("homogeneity", _homogeneity_tail, False)(*args)
-    if out is None:
-        with explain_decline(f"{system.name} homogeneity", args):
-            system.eval_values(rs.point())
-            for v in args[system.n + 2:]:
-                if not math.isfinite(v):
-                    raise NonFiniteError(f"homogeneity check needs finite "
-                                         f"velocities, got {v!r}")
-    return out[0]
+    return system._passes.call("homogeneity", _homogeneity_tail, args,
+                               _homogeneity_steps, system, rs, args,
+                               derivatives=False)[0]
+
+
+def _homogeneity_steps(system: HerglotzSystem, rs: ReducedState,
+                       args: tuple) -> None:
+    """The homogeneity check's steps that can be at fault: the values
+    pass at the state, then its own check of the velocities in args."""
+    system.eval_values(rs.point())
+    for v in args[system.n + 2:]:
+        if not math.isfinite(v):
+            raise NonFiniteError(f"homogeneity check needs finite "
+                                 f"velocities, got {v!r}")
 
 
 def _homogeneity_tail(em, nodes):

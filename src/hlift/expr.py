@@ -951,7 +951,8 @@ def _finite_check(names: list, action: str = "return None") -> list:
 class Field:
     """Scalar field over (x1..xn, u, w).
 
-    Wraps a parsed expression with its parameters bound as floats.
+    Wraps a parsed expression (a string, a number but not a bool, or a
+    Field; else TypeError) with its parameters bound as floats.
     Calling a Field interprets the expression on floats (eval_ast, with
     `derivatives` to explain a declined derivative pass); evaluation
     failures surface as FieldEvalError with the field name in the message.
@@ -969,7 +970,7 @@ class Field:
             self.ast = parse(source)
             validate_identifiers(self.ast,
                                  {*self._coords, "u", "w", *self._params})
-        elif isinstance(source, (int, float)):
+        elif isinstance(source, (int, float)) and not isinstance(source, bool):
             self.ast = Num(float(source), (0, 0))
         elif isinstance(source, Field):
             self.ast = source.ast

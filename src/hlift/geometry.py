@@ -17,14 +17,15 @@ forward-mode pass over the coordinates; there is no symbolic
 differentiation and no second-order jet anywhere.  `accelerations`
 contracts `christoffel`; the Lie derivative needs neither g^{-1} nor
 Gamma.  `covariant_sym_grad` compiles it over a joint pass of the
-system's fields and a generator's components (SymmetryGenerator.pipeline).
-Each check and right-hand side is one compiled pipeline; where it
-declines a call, explain_decline raises that call's error.
+system's fields and a generator's components (SymmetryGenerator.joint).
+
+Each check and right-hand side is one compiled pipeline; FieldPasses
+builds, caches, names, calls and, where it declines a call, explains
+them all.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import warnings
@@ -42,7 +43,6 @@ __all__ = [
     "CoordinateMap", "NearlySingularKineticWarning",
     "covariant_sym_grad", "conformal_factor_closed_form",
     "conformal_pullback_check", "eval_vector_fields", "solve_kinetic",
-    "explain_decline",
 ]
 
 _EIGEN_WARN = 1e-8
@@ -98,10 +98,11 @@ class FieldBundle:
 
 
 class FieldPasses:
-    """The compiled passes (expr.compile_forward) over a fixed list of
-    field entries, and the pipelines that extend them, each built on
-    first use: a catalog builds many systems and generators and
-    evaluates few of them."""
+    """The compiled pipelines (expr.compile_forward) over a fixed list of
+    field entries, each built on first use (a catalog builds many systems
+    and generators and evaluates few of them), cached under (kind,
+    *systems) and named by `label`.  The bare passes are the tail-less
+    pipelines "values" and "derivatives" (`run`)."""
 
     def __init__(self, entries: Sequence, n: int, name: str):
         self.entries = list(entries)
@@ -109,29 +110,78 @@ class FieldPasses:
         self.name = name
         self._fns = {}
 
-    def function(self, derivatives: bool):
-        """The compiled pass: f(x1..xn, u, w), a flat tuple or None where
-        it declines (expr.compile_forward)."""
-        fn = self._fns.get(derivatives)
+    def label(self, kind: str, systems=()) -> str:
+        """The name of the generated code's file, <forward label ...>, and
+        of the errors of the calls the pipeline declines (`explain`)."""
+        return " ".join(map(str, [self.name, *[s.name for s in systems],
+                                  kind]))
+
+    def check_dimension(self, systems) -> None:
+        """ValueError unless every one of `systems` has this dimension."""
+        for system in systems:
+            if system.n != self.n:
+                raise ValueError(f"{self.name} has dimension {self.n}, "
+                                 f"{system.name} has {system.n}")
+
+    def pipeline(self, kind: str, tail, *systems, derivatives: bool = True):
+        """The derivative pass, or the values pass, extended by
+        tail(*systems, emitter, nodes) into the pipeline function `kind`
+        (expr.compile_forward); without a tail, the bare pass.  `systems`
+        are systems of this dimension whose fields the tail reads."""
+        key = (kind,) + systems
+        fn = self._fns.get(key)
         if fn is None:
-            fn = self._fns[derivatives] = compile_forward(
-                self.entries, self.n, derivatives, self.name)
+            self.check_dimension(systems)
+            fn = self._fns[key] = compile_forward(
+                self.entries, self.n, derivatives, self.label(kind, systems),
+                tail and functools.partial(tail, *systems))
         return fn
 
+    def call(self, kind: str, tail, args, steps, *context, systems=(),
+             derivatives: bool = True):
+        """The pipeline's outputs at `args`; where it declines the call,
+        the error that its steps explain (`explain`).  `systems` is a
+        tuple."""
+        fn = self._fns.get((kind,) + systems)
+        if fn is None:
+            fn = self.pipeline(kind, tail, *systems, derivatives=derivatives)
+        out = fn(*args)
+        if out is None:
+            self.explain(kind, args, steps, *context, systems=systems)
+        return out
+
+    def explain(self, kind: str, args, steps, *context, systems=()):
+        """Raise the error of a call with the arguments `args` that the
+        pipeline declined.  steps(*systems, *context) reruns, in the
+        formula's order, the steps that can be at fault: the field passes
+        (`run` raises the error of a point a pass declines), solve_kinetic
+        on h (which warns and raises as its own) and a check's own guard.
+        Whatever they raise propagates.  numpy arithmetic in them that
+        would warn, and steps that raise nothing, raise NonFiniteError
+        under the label: a value the pipeline computes is not finite."""
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                steps(*systems, *context)
+        except FloatingPointError:
+            pass
+        raise NonFiniteError(f"{self.label(kind, systems)}: a value is not "
+                             f"finite at {list(args)}")
+
     def run(self, point: Point, derivatives: bool) -> tuple:
-        """The pass's flat tuple at the point.  Where the pass declines,
-        raise the error that belongs to the point: NonFiniteError at a
-        non-finite coordinate, else the interpreter's, else (it found no
-        fault) NonFiniteError for a value or partial that is not finite.
-        The interpreter calls the entries' Fields in order, with
-        `derivatives`; a pair, at entry i*n + j, is the off-diagonal
-        entry h_ij of a system, which raises AsymmetricMetricError where
-        its two fields differ by more than 1e-12."""
-        out = self.function(derivatives)(*point.x.tolist(), float(point.u),
-                                         float(point.w))
-        if out is not None:
-            return out
-        coords = [float(c) for c in point.coords()]
+        """The bare pass's flat tuple at the point; where it declines, the
+        error that _interpret finds."""
+        args = (*point.x.tolist(), float(point.u), float(point.w))
+        return self.call("derivatives" if derivatives else "values", None,
+                         args, self._interpret, args, derivatives,
+                         derivatives=derivatives)
+
+    def _interpret(self, coords: tuple, derivatives: bool) -> None:
+        """The steps of a bare pass: NonFiniteError at a non-finite
+        coordinate, else the interpreter's error (the entries' Fields in
+        order, with `derivatives`; a pair, at entry i*n + j, is the entry
+        h_ij of a system, which raises AsymmetricMetricError where its two
+        fields differ by more than 1e-12), else NonFiniteError for a value
+        or partial that is not finite."""
         for c in coords:
             if not math.isfinite(c):
                 raise NonFiniteError(f"cannot seed non-finite coordinate {c!r}")
@@ -148,29 +198,7 @@ class FieldPasses:
                     f"{self.name}: h[{i + 1},{j + 1}]={a!r} vs "
                     f"h[{j + 1},{i + 1}]={b!r} at u={u!r}")
         raise NonFiniteError(f"{self.name}: a value or partial is not finite "
-                             f"at {coords}")
-
-    def pipeline(self, kind, tail, derivatives: bool = True):
-        """The derivative pass, or the values pass, extended by `tail`
-        into the pipeline function `kind` (expr.compile_forward), built
-        on first use.  `kind` is a name, or (system, ..., name) for a
-        pipeline over those systems' fields too: systems of this
-        dimension, named in the function's label and passed to
-        tail(system, ..., emitter, nodes)."""
-        fn = self._fns.get(kind)
-        if fn is None:
-            label, systems = kind, ()
-            if not isinstance(kind, str):
-                *systems, name = kind
-                for system in systems:
-                    if system.n != self.n:
-                        raise ValueError(f"{self.name} has dimension {self.n}, "
-                                         f"{system.name} has {system.n}")
-                label = " ".join([system.name for system in systems] + [name])
-            fn = self._fns[kind] = compile_forward(
-                self.entries, self.n, derivatives, f"{self.name} {label}",
-                functools.partial(tail, *systems))
-        return fn
+                             f"at {list(coords)}")
 
 
 class HerglotzSystem:
@@ -186,8 +214,8 @@ class HerglotzSystem:
 
     eval_values and eval_bundle run one compiled straight-line pass over
     all fields (expr.compile_forward); FieldPasses.run explains a point
-    where the pass declines.  `pipeline` extends the pass into a compiled
-    right-hand side.
+    where the pass declines.  The system's pipelines (the right-hand
+    sides and the homogeneity check) extend the same FieldPasses.
     `w_dependent` is True when some field's expression mentions w.
     """
 
@@ -235,11 +263,6 @@ class HerglotzSystem:
         g = a[k:].reshape(n + 2, k)
         return FieldBundle(a[:n2].reshape(n, n), g[:, :n2].reshape(n + 2, n, n),
                            a[n2:k - 1], g[:, n2:k - 1], out[k - 1], g[:, k - 1])
-
-    def pipeline(self, kind: str, tail, derivatives: bool = True):
-        """The compiled pipeline function `kind`, which `tail` builds on
-        first use (FieldPasses.pipeline); cached with the field passes."""
-        return self._passes.pipeline(kind, tail, derivatives)
 
 
 def _min_abs_eigenvalue(h: np.ndarray) -> float:
@@ -342,28 +365,6 @@ def emit_kinetic_solve(em, h: list, cols: list) -> list:
     return out
 
 
-@contextlib.contextmanager
-def explain_decline(label: str, args):
-    """Explain a call that the compiled pipeline `label` declined with
-    the arguments `args`: the block raises its error, and never
-    completes.
-
-    The block reruns, in the order the formula reads them, the steps
-    that can be at fault: the field passes (FieldPasses.run raises the
-    error of a point a pass declines), solve_kinetic on h (which warns
-    and raises as its own) and a check's own guard.  Whatever the block
-    raises propagates.  numpy arithmetic in it that would warn, and a
-    block that raises nothing, raise NonFiniteError: the pipeline
-    declines where a value it computes is not finite.
-    """
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        pass
-    raise NonFiniteError(f"{label}: a value is not finite at {list(args)}")
-
-
 class BrinkmannMetric:
     """The lifted metric of a HerglotzSystem, with derivative machinery."""
 
@@ -449,7 +450,7 @@ class BrinkmannMetric:
         accelerations is the oracle that the factored contraction is
         tested against.  Built on first use and cached with the system's
         field passes."""
-        return self.system.pipeline("geodesic", _geodesic_tail)
+        return self.system._passes.pipeline("geodesic", _geodesic_tail)
 
 
 def tail_bundle(nodes, n: int):
@@ -543,17 +544,26 @@ def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point) -> np.ndarray
     + g_{mu c} d_nu K^c, which needs first derivatives only.
 
     One compiled pipeline over the joint pass of the system's fields and
-    the generator's components (SymmetryGenerator.pipeline) evaluates
-    it; where that declines, explain_decline raises the point's error."""
+    the generator's components (SymmetryGenerator.joint) evaluates it;
+    where that declines, FieldPasses.explain raises the point's error."""
     args = (*point.x.tolist(), float(point.u), float(point.w))
-    out = gen.pipeline(metric.system, "lie-derivative", _lie_tail)(*args)
-    if out is None:
-        with explain_decline(f"{metric.system.name} {gen.name} lie-derivative",
-                             args):
-            metric.system.eval_bundle(point)
-            gen.components_at(point)
+    out = gen.joint(metric.system).call(
+        "lie-derivative", _lie_tail, args, joint_steps, metric.system, gen,
+        point.x, point.u, point.w)
     m = metric.dim
     return np.array(out, dtype=float).reshape(m, m)
+
+
+def joint_steps(system: HerglotzSystem, gen, x, u: float, w: float,
+                solve: bool = False) -> None:
+    """The steps of a joint pipeline that can be at fault, in its order:
+    the system's derivative pass at (x, u, w), the generator's and, with
+    `solve`, the solve with h."""
+    point = Point(x, u, w)
+    b = system.eval_bundle(point)
+    gen.components_at(point)
+    if solve:
+        solve_kinetic(b.h, None, system.name)
 
 
 def tail_vector(nodes, n: int):
@@ -620,7 +630,7 @@ class CoordinateMap:
     same dimension n+2.  They are evaluated by one compiled pass, with
     derivatives for the Jacobian and without for the image alone.  The
     checks that relate two systems through the map extend its derivative
-    pass into pipelines (`pipeline`).
+    pass into pipelines over the pair (FieldPasses.pipeline's `systems`).
     """
 
     def __init__(self, n: int, components, params=None, name: str = "map"):
@@ -641,15 +651,6 @@ class CoordinateMap:
         vals, grads = eval_vector_fields(self._passes, point)
         return vals, grads.T
 
-    def pipeline(self, system_a: HerglotzSystem, system_b: HerglotzSystem,
-                 kind: str, tail):
-        """The compiled pipeline function `kind` over the map's derivative
-        pass (expr.compile_forward), for system_a at a point and system_b
-        at its image: tail(system_a, system_b, emitter, nodes) builds it
-        on first use, and the map's passes cache it per pair of systems
-        (FieldPasses.pipeline)."""
-        return self._passes.pipeline((system_a, system_b, kind), tail)
-
 
 def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetric,
                              cmap: CoordinateMap, point: Point, omega,
@@ -659,34 +660,41 @@ def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetri
     Zero means Phi pulls metric_b back to Omega times metric_a at p.
     `omega` is any field source over (x, u, w), evaluated by
     Field.__call__.  One compiled pipeline over the map's pass evaluates
-    the rest (CoordinateMap.pipeline); where Omega or that declines,
-    explain_decline raises the point's error.
+    the rest; where Omega or that declines, FieldPasses.explain raises the
+    point's error.
     """
     omega_f = as_field(omega, metric_a.system.n, params, name="omega")
+    systems = metric_a.system, metric_b.system
     x, u, w = point.x.tolist(), float(point.u), float(point.w)
     try:
         om = omega_f(x, u, w)
     except FieldEvalError:
         out = None
     else:
-        out = cmap.pipeline(metric_a.system, metric_b.system, "pullback",
-                            _pullback_tail)(*x, u, w, om)
+        out = cmap._passes.pipeline("pullback", _pullback_tail,
+                                    *systems)(*x, u, w, om)
     if out is None:
-        label = (f"{cmap.name} {metric_a.system.name} {metric_b.system.name} "
-                 "pullback")
-        with explain_decline(label, (*x, u, w)):
-            vals, _ = cmap.value_and_jacobian(point)
-            metric_b.system.eval_values(Point.from_coords(vals, cmap.n))
-            metric_a.system.eval_values(point)
-            omega_f(x, u, w)
+        cmap._passes.explain("pullback", (*x, u, w), _pullback_steps, cmap,
+                             omega_f, point, systems=systems)
     return out[0]
 
 
+def _pullback_steps(system_a: HerglotzSystem, system_b: HerglotzSystem,
+                    cmap: CoordinateMap, omega_f, point: Point) -> None:
+    """The pullback's steps that can be at fault, in its order: the map's
+    pass, system_b's values at the image, system_a's at the point and
+    Omega."""
+    vals, _ = cmap.value_and_jacobian(point)
+    system_b.eval_values(Point.from_coords(vals, cmap.n))
+    system_a.eval_values(point)
+    omega_f(point.x.tolist(), float(point.u), float(point.w))
+
+
 def _pullback_tail(system_a, system_b, em, nodes):
-    """max |J^T g_b J - Omega g_a| as a pipeline tail
-    over the map's derivative pass (CoordinateMap.pipeline), with Omega
-    the parameter _om, g_a from system_a's values at the point and g_b
-    from system_b's at the image (tail_values)."""
+    """max |J^T g_b J - Omega g_a| as a pipeline tail over the map's
+    derivative pass for the pair (system_a, system_b), with Omega the
+    parameter _om, g_a from system_a's values at the point and g_b from
+    system_b's at the image (tail_values)."""
     m = em.m
     J = [[None if k[1] is None else k[1][c] for c in range(m)] for k in nodes]
     g_a, g_b = (_tail_metric(h, A, em.mul(-2.0, V), -1.0)

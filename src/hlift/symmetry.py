@@ -13,9 +13,10 @@ space.  The same object is checked at three levels:
     degreewise_identities returns those coefficient tensors.
 
 Each check is one compiled pipeline over a joint pass of a system's
-fields and a generator's components, or over a coordinate map's pass;
-where it declines a call, geometry.explain_decline raises that call's
-error.
+fields and a generator's components (SymmetryGenerator.joint), or over a
+coordinate map's pass for a pair of systems.  FieldPasses.call runs it,
+and where it declines a call, raises the error that the check's own
+steps explain.
 
 Charges: the usual momentum-type charge of a generator, its full-space
 affine counterpart g(K, xdot), and the nonlocally rescaled charge that
@@ -36,9 +37,9 @@ from .errors import SingularJacobianError
 from .expr import as_field
 from .geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
                        HerglotzSystem, Point, covariant_sym_grad,
-                       emit_kinetic_solve, eval_vector_fields,
-                       explain_decline, lie_entries, solve_kinetic,
-                       tail_bundle, tail_lagrangian, tail_values, tail_vector)
+                       emit_kinetic_solve, eval_vector_fields, joint_steps,
+                       lie_entries, tail_bundle, tail_lagrangian, tail_values,
+                       tail_vector)
 
 __all__ = [
     "SymmetryGenerator", "killing_residual", "conformal_killing_residual",
@@ -56,7 +57,7 @@ class SymmetryGenerator:
     strings, numbers or Field objects.  components_at evaluates them all
     by one compiled pass with derivatives, built on first use.  The
     generator checks run compiled pipelines over a joint pass of a
-    system's fields and these components (`pipeline`).
+    system's fields and these components (`joint`).
     """
 
     def __init__(self, n: int, dx, du, dw, params=None, name: str = "generator"):
@@ -70,7 +71,7 @@ class SymmetryGenerator:
         self.du = as_field(du, n, params, f"{name}.du")
         self.dw = as_field(dw, n, params, f"{name}.dw")
         self._passes = FieldPasses(self.component_fields(), self.n, name)
-        self._joint = {}
+        self._joints = {}
 
     def component_fields(self):
         return [*self.dx, self.du, self.dw]
@@ -79,20 +80,18 @@ class SymmetryGenerator:
         """(values, grads) with grads[c, k] the c-th partial of component k."""
         return eval_vector_fields(self._passes, point)
 
-    def pipeline(self, system: HerglotzSystem, kind: str, tail):
-        """The compiled pipeline function `kind` (FieldPasses.pipeline)
-        over the joint pass of the system's entries (h pairs, A, V)
-        followed by this generator's (dx, du, dw); the joint pass is
-        built on first use and cached per system."""
-        passes = self._joint.get(system)
+    def joint(self, system: HerglotzSystem) -> FieldPasses:
+        """The FieldPasses of the system's entries (h pairs, A, V)
+        followed by this generator's (dx, du, dw), named "system
+        generator", where the generator checks' pipelines live; made on
+        first use and cached per system."""
+        passes = self._joints.get(system)
         if passes is None:
-            if system.n != self.n:
-                raise ValueError(f"{self.name} has dimension {self.n}, "
-                                 f"{system.name} has {system.n}")
-            passes = self._joint[system] = FieldPasses(
+            self._passes.check_dimension([system])
+            passes = self._joints[system] = FieldPasses(
                 system._passes.entries + self._passes.entries, self.n,
                 f"{system.name} {self.name}")
-        return passes.pipeline(kind, tail)
+        return passes
 
 
 # ---------------------------------------------------------------------
@@ -102,16 +101,10 @@ def killing_residual(metric: BrinkmannMetric, gen: SymmetryGenerator,
                      point: Point) -> float:
     """max entry of L_K g = nabla K + (nabla K)^T at the point.
 
-    The maximum of |S| is exact, so it is taken on Python floats; a
-    non-finite entry, or finite entries whose sum overflows, make the
-    sum non-finite, and numpy's reduction answers instead (nan for a
-    nan entry)."""
+    Every entry of S is finite (covariant_sym_grad raises where one is
+    not), so the exact maximum of |S| is taken on Python floats."""
     S = covariant_sym_grad(metric, gen, point)
-    vals = S.ravel().tolist()
-    total = sum(vals)
-    if total - total != 0.0:
-        return float(np.max(np.abs(S)))
-    return max(map(abs, vals))
+    return max(map(abs, S.ravel().tolist()))
 
 
 def conformal_killing_residual(metric: BrinkmannMetric, gen: SymmetryGenerator,
@@ -120,19 +113,12 @@ def conformal_killing_residual(metric: BrinkmannMetric, gen: SymmetryGenerator,
 
     Zero residual means K generates a conformal isometry with factor
     lambda at this point.  The compiled check evaluates it; where that
-    declines, explain_decline raises the point's error.
+    declines, FieldPasses.explain raises the point's error.
     """
     args = (*point.x.tolist(), float(point.u), float(point.w))
-    out = gen.pipeline(metric.system, "conformal-killing",
-                       _conformal_killing_tail)(*args)
-    if out is None:
-        system = metric.system
-        with explain_decline(f"{system.name} {gen.name} conformal-killing",
-                             args):
-            b = system.eval_bundle(point)
-            gen.components_at(point)
-            solve_kinetic(b.h, None, system.name)
-    return out
+    return gen.joint(metric.system).call(
+        "conformal-killing", _conformal_killing_tail, args, joint_steps,
+        metric.system, gen, point.x, point.u, point.w, True)
 
 
 def conformal_factor(metric: BrinkmannMetric, gen: SymmetryGenerator,
@@ -182,16 +168,13 @@ def symmetry_condition_residual(system: HerglotzSystem, gen: SymmetryGenerator,
     residual is a pointwise function of (x, x', u, w).  Zero for all
     states means the generator maps solutions to solutions.
 
-    The compiled check evaluates it; where that declines, explain_decline
-    raises the state's error.
+    The compiled check evaluates it; where that declines,
+    FieldPasses.explain raises the state's error.
     """
     args = (*rs.x.tolist(), *rs.xp.tolist(), float(rs.u), float(rs.w))
-    out = gen.pipeline(system, "symmetry", _symmetry_tail)(*args)
-    if out is None:
-        with explain_decline(f"{system.name} {gen.name} symmetry", args):
-            system.eval_bundle(rs.point())
-            gen.components_at(rs.point())
-    return out[0]
+    return gen.joint(system).call("symmetry", _symmetry_tail, args,
+                                  joint_steps, system, gen, rs.x, rs.u,
+                                  rs.w)[0]
 
 
 def _symmetry_tail(em, nodes):
@@ -274,16 +257,13 @@ def degreewise_max_residual(system: HerglotzSystem, gen: SymmetryGenerator,
                             point: Point) -> float:
     """Largest entry across all degreewise coefficient tensors.
 
-    The compiled check evaluates it; where that declines, explain_decline
-    raises the point's error.
+    The compiled check evaluates it; where that declines,
+    FieldPasses.explain raises the point's error.
     """
     args = (*point.x.tolist(), float(point.u), float(point.w))
-    out = gen.pipeline(system, "degreewise", _degreewise_tail)(*args)
-    if out is None:
-        with explain_decline(f"{system.name} {gen.name} degreewise", args):
-            system.eval_bundle(point)
-            gen.components_at(point)
-    return out[0]
+    return gen.joint(system).call("degreewise", _degreewise_tail, args,
+                                  joint_steps, system, gen, point.x, point.u,
+                                  point.w)[0]
 
 
 def _degreewise_tail(em, nodes):
@@ -391,36 +371,35 @@ def transform_rule_check(system_a: HerglotzSystem, system_b: HerglotzSystem,
     dx'/du taken by the chain rule.  A vanishing or negative du'/du
     means the map does not define a time reparametrization there.
 
-    One compiled pipeline over the map's derivative pass evaluates it
-    (CoordinateMap.pipeline); where that declines, explain_decline raises
-    the state's error: SingularJacobianError where |du'/du| < 1e-12.
+    One compiled pipeline over the map's derivative pass evaluates it;
+    where that declines, FieldPasses.explain raises the state's error:
+    SingularJacobianError where |du'/du| < 1e-12.
     """
     args = (*rs.x.tolist(), *rs.xp.tolist(), float(rs.u), float(rs.w))
-    out = cmap.pipeline(system_a, system_b, "transform-rule",
-                        _transform_rule_tail)(*args)
-    if out is None:
-        n = system_a.n
-        label = f"{cmap.name} {system_a.name} {system_b.name} transform-rule"
-        with explain_decline(label, args):
-            # the formula's inputs in the order it reads them: system_a's
-            # values, the map's pass, du'/du and system_b's values at the
-            # image
-            lag_a = reduced_lagrangian(system_a, rs)
-            vals, J = cmap.value_and_jacobian(rs.point())
-            dup_du = (J @ np.concatenate([rs.xp, [1.0, lag_a]]))[n]
-            if abs(dup_du) < 1e-12:
-                raise SingularJacobianError(
-                    f"{cmap.name}: du'/du = {dup_du!r} is not invertible at "
-                    "the state")
-            system_b.eval_values(Point.from_coords(vals, n))
-    return out[0]
+    return cmap._passes.call("transform-rule", _transform_rule_tail, args,
+                             _transform_rule_steps, cmap, rs,
+                             systems=(system_a, system_b))[0]
+
+
+def _transform_rule_steps(system_a: HerglotzSystem, system_b: HerglotzSystem,
+                          cmap: CoordinateMap, rs: ReducedState) -> None:
+    """The formula's inputs in the order it reads them: system_a's
+    values, the map's pass, du'/du and system_b's values at the image."""
+    n = system_a.n
+    lag_a = reduced_lagrangian(system_a, rs)
+    vals, J = cmap.value_and_jacobian(rs.point())
+    dup_du = float((J @ np.concatenate([rs.xp, [1.0, lag_a]]))[n])
+    if abs(dup_du) < 1e-12:
+        raise SingularJacobianError(
+            f"{cmap.name}: du'/du = {dup_du!r} is not invertible at the state")
+    system_b.eval_values(Point.from_coords(vals, n))
 
 
 def _transform_rule_tail(system_a, system_b, em, nodes):
     """transform_rule_check's formula as a pipeline tail over the map's
-    derivative pass (CoordinateMap.pipeline): (x1..xn, x'1..x'n, u, w)
-    -> the residual, with L_a from system_a's values at the point and L_b
-    from system_b's at the image (tail_values).  It declines where
+    derivative pass for the pair (system_a, system_b): (x1..xn, x'1..x'n,
+    u, w) -> the residual, with L_a from system_a's values at the point
+    and L_b from system_b's at the image (tail_values).  It declines where
     |du'/du| < 1e-12, and, as _symmetry_tail, unless every value that
     multiplies another is finite."""
     m = em.m

@@ -7,8 +7,8 @@ value_and_jacobian) with numpy arithmetic, and raises or warns as its
 own steps do: a field pass raises the error of a point it declines,
 solve_kinetic warns NearlySingularKineticWarning and raises
 SingularMetricError.  hlift computes each of them only by its compiled
-pipeline; where that declines a call, geometry.explain_decline raises
-the call's error, which the tests compare with these functions'
+pipeline; where that declines a call, geometry.FieldPasses.explain
+raises the call's error, which the tests compare with these functions'
 (assert_like_the_oracle).
 """
 
@@ -146,7 +146,8 @@ def transform_rule_numpy(system_a: HerglotzSystem, system_b: HerglotzSystem,
     dwp_du = rates[n + 1]
     if abs(dup_du) < 1e-12:
         raise SingularJacobianError(
-            f"{cmap.name}: du'/du = {dup_du!r} is not invertible at the state")
+            f"{cmap.name}: du'/du = {float(dup_du)!r} is not invertible at "
+            "the state")
     image = ReducedState(vals[:n], dxp_du / dup_du, float(vals[n]),
                          float(vals[n + 1]))
     lag_b = reduced_lagrangian(system_b, image)

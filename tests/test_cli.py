@@ -92,18 +92,33 @@ def no_integration(monkeypatch):
     monkeypatch.setattr(cli, "integrate_herglotz", fail)
 
 
-def _custom(V):
-    return {"system": {"n": 1, "h": [["1"]], "A": ["0"], "V": V}, "params": {}}
+def _custom(V, **fields):
+    system = {"n": 1, "h": [["1"]], "A": ["0"], "V": V}
+    return {"system": {**system, **fields}, "params": {}}
 
 
+# a JSON true is no number: as max_steps it stopped a run with "no
+# convergence within True steps", as n it built a 1-D system, and in h
+# or A it became 1.0 or 0.0
 @pytest.mark.parametrize("overrides, where", [
     ({"span": {"from": 0.0, "to": math.inf}}, "span.to"),
     ({"integrator": {"rtol": math.nan}}, "integrator.rtol"),
     ({"integrator": {"rtol": 0.0, "atol": 0.0}}, "both be zero"),
     ({"integrator": {"rtol": -1e-10}}, "must not be negative"),
     (_custom("0.5*x1^2 + 1e999"), "number out of range"),
+    ({"integrator": {"max_steps": True}},
+     "error: integrator.max_steps must be an integer, got True\n"),
+    ({"integrator": {"max_steps": 2.5}},
+     "error: integrator.max_steps must be an integer, got 2.5\n"),
+    (_custom("0.5*x1^2", n=True),
+     "error: system.n must be a positive integer\n"),
+    (_custom("0.5*x1^2", h=[[True]]),
+     "error: system: cannot build a field from bool\n"),
+    (_custom("0.5*x1^2", A=[False]),
+     "error: system: cannot build a field from bool\n"),
 ], ids=["infinite-span", "nan-rtol", "zero-tolerances", "negative-rtol",
-        "out-of-range-literal"])
+        "out-of-range-literal", "bool-max-steps", "float-max-steps",
+        "bool-n", "bool-h", "bool-A"])
 def test_invalid_numbers_rejected_at_load(tmp_path, capsys, no_integration,
                                           overrides, where):
     # json.dumps writes Infinity and NaN, which json.load reads back;
@@ -111,6 +126,14 @@ def test_invalid_numbers_rejected_at_load(tmp_path, capsys, no_integration,
     path = write_scenario(tmp_path, overrides)
     assert main(["check", path, "null-drift", "equivalence"]) == 2
     assert where in capsys.readouterr().err
+
+
+def test_a_system_name_need_not_be_a_string(tmp_path):
+    # the name labels the system's compiled pipelines
+    path = write_scenario(tmp_path, {**_custom("0.5*x1^2", name=5),
+                                     "span": {"from": 0.0, "to": 1.0}})
+    assert main(["check", path, "homogeneity", "--out-dir",
+                 str(tmp_path / "o")]) == 0
 
 
 def test_unknown_top_level_key(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """One route per compiled formula: where a compiled pipeline declines a
-call, the call's error is raised (geometry.explain_decline), and nothing
+call, the call's error is raised (FieldPasses.explain), and nothing
 computes the formula another way.
 
 Each of the nine pipelines is made to decline at a healthy catalog
 point: every public entry point over it, and the integrator that steps
-it, raise NonFiniteError naming the pipeline and the point.  Where
+it, raise NonFiniteError naming the pipeline, by the label of its
+generated code, and the point.  Where
 det h == 0, the three pipelines that solve with h raise the numpy
 oracle's SingularMetricError and warn NearlySingularKineticWarning
 exactly once, as the oracle does.
@@ -36,9 +37,10 @@ _CFG = IntegratorConfig(rtol=1e-8, atol=1e-10)
 
 def _subject(kind: str):
     """(label, cached functions, key, entry points) of the pipeline
-    `kind`: the label its explanation names, the dict that caches its
-    function under `key` once an entry point has built it, and the
-    zero-argument calls of every public entry point over it."""
+    `kind`: the label its explanation names, the FieldPasses dict that
+    caches its function under `key` = (kind, *systems) once an entry
+    point has built it, and the zero-argument calls of every public
+    entry point over it."""
     system = standard_catalog()["coupled"].system
     metric = BrinkmannMetric(system)
     gen = SymmetryGenerator(2, ["x2", "-x1"], "1", "0.1*w", name="probe")
@@ -47,12 +49,13 @@ def _subject(kind: str):
     ent_a, ent_b, cmap, factor = conformal_pair(n=2)
     a, b = ent_a.system, ent_b.system
     if kind in ("geodesic", "reduced", "homogeneity"):
-        label, fns, key = f"{system.name} {kind}", system._passes._fns, kind
+        label, passes, key = f"{system.name} {kind}", system._passes, (kind,)
     elif kind in ("transform-rule", "pullback"):
         label = f"{cmap.name} {a.name} {b.name} {kind}"
-        fns, key = cmap._passes._fns, (a, b, kind)
+        passes, key = cmap._passes, (kind, a, b)
     else:
-        label, fns, key = f"{system.name} {gen.name} {kind}", None, kind
+        label = f"{system.name} {gen.name} {kind}"
+        passes, key = gen.joint(system), (kind,)
     entries = {
         "geodesic": [lambda: integrate_geodesic(
             metric, lift_state(system, rs), (0.0, math.inf), config=_CFG,
@@ -74,9 +77,7 @@ def _subject(kind: str):
     }[kind]
     for entry in entries:
         entry()             # healthy: builds the function and returns
-    if fns is None:
-        fns = gen._joint[system]._fns
-    return label, fns, key, entries
+    return label, passes._fns, key, entries
 
 
 @pytest.mark.parametrize("kind", [
@@ -84,12 +85,17 @@ def _subject(kind: str):
     "degreewise", "symmetry", "homogeneity", "transform-rule", "pullback"])
 def test_a_declined_call_raises_naming_its_pipeline(kind, monkeypatch):
     label, fns, key, entries = _subject(kind)
-    assert key in fns
+    # the generated code's file is <forward label hash>
+    named = re.fullmatch(r"<forward (.+) [0-9a-f]{8}>",
+                         fns[key].__code__.co_filename)
+    assert named is not None and named[1] == label
     monkeypatch.setitem(fns, key, lambda *args: None)
     for entry in entries:
-        with pytest.raises(NonFiniteError, match="^" + re.escape(
-                f"{label}: a value is not finite at [")):
+        with pytest.raises(NonFiniteError) as info:
             entry()
+        message = str(info.value)
+        assert message.startswith(f"{label}: a value is not finite at [")
+        assert message.partition(": a value")[0] == named[1]
 
 
 def _raised(fn):

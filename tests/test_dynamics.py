@@ -239,8 +239,10 @@ def test_nearly_singular_kinetic_block_takes_the_compiled_path():
     ({"rtol": -1e-10}, "rtol must not be negative, got -1e-10"),
     ({"atol": -0.5}, "atol must not be negative, got -0.5"),
     ({"max_steps": 0}, "max_steps must be at least 1, got 0"),
+    ({"max_steps": True}, "max_steps must be an integer, got True"),
+    ({"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
 ], ids=["zero-tolerances", "nan-rtol", "inf-atol", "negative-rtol",
-        "negative-atol", "no-steps"])
+        "negative-atol", "no-steps", "bool-steps", "float-steps"])
 def test_integrator_config_rejects_invalid_settings(settings, message):
     # checked where the config is made, before any integration: zero
     # tolerances divided by zero in the loop, and a nan rtol was reported

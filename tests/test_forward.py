@@ -13,7 +13,7 @@ import pytest
 
 import dual_oracle
 from hlift.cloud import point_cloud
-from hlift.dynamics import (ReducedState, _declined, _null_form, _stepper,
+from hlift.dynamics import (ReducedState, _null_form, _rhs_steps, _stepper,
                             herglotz_rhs, reduced_function)
 from hlift.errors import HliftError, NonFiniteError
 from hlift.expr import FUNCTIONS, Field, compile_forward, parse, to_text
@@ -199,7 +199,9 @@ def _raised(fn, *args):
 
 
 def _declines(system, point, derivatives):
-    return system._passes.function(derivatives)(*point.coords().tolist()) is None
+    kind = "derivatives" if derivatives else "values"
+    fn = system._passes.pipeline(kind, None, derivatives=derivatives)
+    return fn(*point.coords().tolist()) is None
 
 
 def _assert_same_failure(system, point):
@@ -442,7 +444,9 @@ def _check_geodesic(system, x, u, w, v):
     v = np.array(v, dtype=float)
     y = np.concatenate([x, [u, w], v])
     got = _numpy(_route, metric.geodesic_function(),
-                 lambda y: _declined(system, "geodesic", y, point), *y.tolist())
+                 lambda y: system._passes.explain("geodesic", y, _rhs_steps,
+                                                  system, x, u, w),
+                 *y.tolist())
     want = _numpy(_numpy_geodesic, metric, point, v)
     if not _check_route(got, want, system.name, y):
         return
@@ -461,7 +465,8 @@ def _check_reduced(system, x, u, w, xp):
     rs = ReducedState(x, xp, u, w)
     z = [*rs.x.tolist(), *rs.xp.tolist(), w]
     got = _numpy(_route, reduced_function(system),
-                 lambda args: _declined(system, "reduced", args, rs.point()),
+                 lambda args: system._passes.explain(
+                     "reduced", args, _rhs_steps, system, x, u, w),
                  u, *z)
     want = _numpy(_numpy_reduced, system, rs)
     rhs = _numpy(_herglotz_route, system, rs)      # the same route

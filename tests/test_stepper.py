@@ -400,14 +400,14 @@ def test_a_declined_call_ends_the_integration(key, pipeline, declined,
     fns = ent.system._passes._fns
     kind = "geodesic" if pipeline == "geodesic" else "reduced"
     _scalar_run(pipeline, ent)          # builds the function
-    fn = fns[kind]
+    fn = fns[kind,]
 
     def declining(*args):
         declining.calls += 1
         return None if declining.calls - 1 == declined else fn(*args)
 
     declining.calls = 0
-    monkeypatch.setitem(fns, kind, declining)
+    monkeypatch.setitem(fns, (kind,), declining)
     label = re.escape(f"{ent.system.name} {kind}: ")
     with pytest.raises(NonFiniteError, match=f"^{label}"):
         _scalar_run(pipeline, ent)

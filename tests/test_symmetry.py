@@ -245,7 +245,7 @@ def test_affine_charge_constant_for_killing_field():
     for k in range(len(traj)):
         from hlift.dynamics import GeodesicState
         y = traj.y[k]
-        gs = GeodesicState(Point(y[:1], y[1], y[2]), y[3:], float(traj.t[k]))
+        gs = GeodesicState(Point(y[:1], y[1], y[2]), y[3:])
         vals.append(affine_charge(met, ts, gs))
     vals = np.array(vals)
     assert np.max(np.abs(vals - vals[0])) < 1e-10
@@ -282,7 +282,7 @@ def test_nonlocal_charge_equals_affine_over_udot0():
     from hlift.dynamics import GeodesicState
     for k in (0, len(rt) // 3, len(rt) - 1):
         y = traj.y[k]
-        gs = GeodesicState(Point(y[:1], y[1], y[2]), y[3:], float(traj.t[k]))
+        gs = GeodesicState(Point(y[:1], y[1], y[2]), y[3:])
         assert affine_charge(met, ts, gs) == pytest.approx(udot0 * qn[k],
                                                            rel=1e-8)
 
