@@ -26,8 +26,8 @@ from .errors import (AsymmetricMetricError, BlowUpError, ExprEvalError,
 from .expr import Field, as_field, free_names, parse, to_text
 from .geometry import (BrinkmannMetric, CoordinateMap, FieldBundle,
                        HerglotzSystem, NearlySingularKineticWarning, Point,
-                       conformal_factor_closed_form, conformal_pullback_check,
-                       covariant_sym_grad, eval_vector_fields)
+                       conformal_pullback_check, covariant_sym_grad,
+                       eval_vector_fields)
 from .symmetry import (SymmetryGenerator, affine_charge, charge_series,
                        conformal_factor, conformal_killing_residual,
                        degreewise_identities, degreewise_max_residual,

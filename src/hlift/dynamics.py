@@ -14,16 +14,19 @@ the reduced solution; the comparison machinery lives here as well.
 
 The stepper is DOP853, Dormand and Prince's 8th order pair with Hairer's
 5th/3rd order error estimate, PI step-size control, FSAL reuse and its
-7th order dense output, whose polynomial is stored per accepted step.
-It is deliberately hand-rolled: every accepted step records the
-diagnostics the equivalence checks need, and reruns are bit-for-bit
-deterministic.  A whole integration is one generated function per
-pipeline shape (_stepper): stages, error norm, PI control, dense rows
+7th order dense output.  It is deliberately hand-rolled: every accepted
+step records the diagnostics the equivalence checks need, and reruns are
+bit-for-bit deterministic.  A whole integration is one generated
+function per pipeline shape (_stepper): stages, error norm, PI control
 and sample buffers are float locals of one loop, which calls the
 compiled right-hand side directly; a call it declines ends the
 integration with that call's error (FieldPasses.explain, the loop's
-callback).  An array-form oracle of the same stepper reproduces its
-samples and dense rows bit for bit.
+callback).  The loop keeps per accepted step the stage derivatives the
+dense output reads; a step's 3 dense stages and 7 polynomial rows are
+made on its first query (_dense_rows, Trajectory._step), so most steps,
+which no query reads, never pay for them, and a dense stage's error or
+warning comes with that query.  An array-form oracle of the same stepper
+reproduces its samples and dense rows bit for bit.
 """
 
 from __future__ import annotations
@@ -245,6 +248,46 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
+def _k(i, size: int) -> list:
+    """The locals k{i}_j of stage i's derivative."""
+    return [f"k{i}_{j}" for j in range(size)]
+
+
+def _combo(row: dict, j: int) -> str:
+    """sum_c row[c] k{c + 1}_j over a tableau row, term by term from the
+    left."""
+    return " + ".join(f"{a!r} * k{c + 1}_{j}" for c, a in row.items())
+
+
+def _call(takes_t: bool, tc: str, state: list, out: list) -> list:
+    """fn's call at ([tc,] state), unpacked into the locals `out`; a call
+    it declines goes to explain, which raises."""
+    tc = f"{tc}, " if takes_t else ""
+    args = ", ".join(state)
+    return [f"_o = fn({tc}{args})",
+            "if _o is None:",
+            f"    explain({tc}({args},))",
+            f"{', '.join(out)}, = _o"]
+
+
+def _stage(i: int, size: int, takes_t: bool, action: str, out: list) -> list:
+    """Stage i from the state y_j at t, the step h and the earlier stages:
+    its input s{i}_j, the finite check of that input (which runs `action`)
+    and its call into `out`."""
+    s = [f"s{i}_{j}" for j in range(size)]
+    c = _C[i - 1]
+    tc = "t + h" if c == 1.0 else f"t + {c!r} * h"
+    return ([f"{s[j]} = y_{j} + h * ({_combo(_A[i - 1], j)})"
+             for j in range(size)]
+            + _finite_check(s, action) + _call(takes_t, tc, s, out))
+
+
+# the stages besides 14..16 that the dense stages and rows read: what the
+# loop keeps per accepted step for _dense_rows (k1 and k6..k13)
+_KEPT = sorted({1, 13} | {c + 1 for row in (*_A[13:], *_D) for c in row
+                          if c < 13})
+
+
 @functools.cache
 def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     """The whole adaptive integration of one pipeline shape, as one
@@ -259,41 +302,20 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     ends the integration.  The loop makes the initial-step
     probe and then DOP853 attempts until t reaches t_end (or, with a
     `stop` index, y[stop] reaches `target`).  An attempt makes 12 calls
-    (11 stages and the FSAL stage at the new state); an accepted one 3
-    more, for the dense output.  Each accepted step appends its sample to
-    the buffers ts and ys, the 7 rows of its dense polynomial (_dense) to
-    ds, and the auxiliary outputs of its FSAL stage, whose input is the
-    accepted state, to xs_a; the caller has appended the initial sample.
-    An attempt whose stage input, error norm or last dense stage is not
-    finite is rejected and its step quartered; nfev counts only the calls
-    it made.  Returns (rejected, nfev), nfev including the caller's call
-    at the initial state.
+    (11 stages and the FSAL stage at the new state).  Each accepted step
+    appends its sample to the buffers ts and ys, to ds its size h and the
+    stage derivatives its dense output reads (_KEPT, `size` floats each;
+    _dense_rows makes the 3 dense stages and the rows on demand), and to
+    xs_a the auxiliary outputs of its FSAL stage, whose input is the
+    accepted state; the caller has appended the initial sample.  An
+    attempt whose stage input, error norm or FSAL stage is not finite is
+    rejected and its step quartered; nfev counts only the calls it made.
+    Returns (rejected, nfev), nfev including the caller's call at the
+    initial state.
     """
     J = range(size)
     y = [f"y_{j}" for j in J]
-
-    def k(i):
-        return [f"k{i}_{j}" for j in J]
-
-    def call(tc: str, state: list, out: list) -> list:
-        tc = f"{tc}, " if takes_t else ""
-        args = ", ".join(state)
-        return [f"_o = fn({tc}{args})",
-                "if _o is None:",
-                f"    explain({tc}({args},))",
-                f"{', '.join(out)}, = _o"]
-
-    def combo(row, j):
-        return " + ".join(f"{a!r} * k{c + 1}_{j}" for c, a in row.items())
-
-    def stage(i: int, calls: int, aux: list) -> list:
-        """Stage i's input, its finite check (a rejection after `calls`
-        calls of this attempt) and its call."""
-        s = [f"s{i}_{j}" for j in J]
-        c = _C[i - 1]
-        tc = "t + h" if c == 1.0 else f"t + {c!r} * h"
-        return ([f"{s[j]} = y_{j} + h * ({combo(_A[i - 1], j)})" for j in J]
-                + _finite_check(s, reject(calls)) + call(tc, s, k(i) + aux))
+    k = functools.partial(_k, size=size)
 
     def rms(terms):
         return f"_sqrt(({' + '.join(terms)}) / {size})"
@@ -315,7 +337,8 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     body += [f"d0 = {rms([sq(f'y_{j} / _c{j}') for j in J])}",
              f"d1 = {rms([sq(f'k1_{j} / _c{j}') for j in J])}",
              "h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1"]
-    body += call("t + h0", [f"y_{j} + h0 * k1_{j}" for j in J], k("p") + spare)
+    body += _call(takes_t, "t + h0", [f"y_{j} + h0 * k1_{j}" for j in J],
+                  k("p") + spare)
     body += [f"d2 = {rms([sq(f'(kp_{j} - k1_{j}) / _c{j}') for j in J])} / h0",
              "if d1 <= 1e-15 and d2 <= 1e-15:",
              "    h1 = max(1e-6, h0 * 1e-3)",
@@ -344,13 +367,14 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
             "if h <= 1e-14 * (_at if _at > 1.0 else 1.0):",
             "    raise _BlowUp(f'step size underflow at t = {t!r}')"]
     for i in range(2, 14):
-        loop += stage(i, i - 2, aux if i == 13 else spare)
+        loop += _stage(i, size, takes_t, reject(i - 2),
+                       k(i) + (aux if i == 13 else spare))
     # Hairer's norm of the 5th order estimate corrected by the 3rd order one
     for j in J:
         loop += [f"_b{j} = abs(s13_{j})",
                  f"_w{j} = atol + rtol * (_a{j} if _a{j} > _b{j} else _b{j})",
-                 f"e{j} = ({combo(_E5, j)}) / _w{j}",
-                 f"g{j} = ({combo(_E3, j)}) / _w{j}"]
+                 f"e{j} = ({_combo(_E5, j)}) / _w{j}",
+                 f"g{j} = ({_combo(_E3, j)}) / _w{j}"]
     loop += [f"_e5 = {' + '.join(f'e{j} * e{j}' for j in J)}",
              f"_dn = _e5 + 0.01 * ({' + '.join(f'g{j} * g{j}' for j in J)})",
              f"err = h * _e5 / _sqrt({size} * (_dn if _dn > 0.0 else 1.0))",
@@ -362,25 +386,18 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
              f"    h = h * max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** "
              f"{-_ORDER_EXP!r})",
              "    continue"]
-    # accepted: the dense stages, then the polynomial's rows
-    for i in range(14, 17):
-        loop += stage(i, i - 14, spare)
-    loop += _finite_check(k(16), reject(3))
-    loop += ["nfev += 3"]
-    for j in J:
-        loop += [f"r0_{j} = s13_{j} - y_{j}",
-                 f"r1_{j} = h * k1_{j} - r0_{j}",
-                 f"r2_{j} = 2.0 * r0_{j} - h * (k13_{j} + k1_{j})",
-                 *[f"r{3 + r}_{j} = h * ({combo(row, j)})"
-                   for r, row in enumerate(_D)]]
-    loop += ["t = t_end if clipped else t + h",
+    # the FSAL stage, the next step's first, which the norm does not read
+    loop += _finite_check(k(13), reject(0))
+    # accepted: what the dense output reads, then the new sample
+    kept = ", ".join(v for i in _KEPT for v in k(i))
+    loop += [f"_de((h, {kept},))",
+             "t = t_end if clipped else t + h",
              f"{', '.join(y)}, = {', '.join(f's13_{j}' for j in J)},",
              f"{', '.join(k(1))}, = {', '.join(k(13))},",
              f"{', '.join(f'_a{j}' for j in J)}, = "
              f"{', '.join(f'_b{j}' for j in J)},",
              "_ta(t)",
              f"_ye(({', '.join(y)},))",
-             f"_de(({', '.join(f'r{r}_{j}' for r in range(7) for j in J)},))",
              *[f"_xa{a}(_x{a})" for a in range(n_aux)],
              f"if {' or '.join(f'_b{j} > {_BLOWUP_NORM!r}' for j in J)}:",
              f"    raise _BlowUp(f'state norm exceeded {_BLOWUP_NORM:g} "
@@ -409,25 +426,64 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
          "_BlowUp": BlowUpError, "_StepLimit": StepLimitExceededError})
 
 
+@functools.cache
+def _dense_rows(size: int, takes_t: bool):
+    """The rows of one accepted step's dense polynomial, as one function
+    generated on first use:
+
+        rows(fn, explain, t, h, y0, y1, ks)
+
+    t and h are the step's start and size, y0 and y1 its end states and
+    ks the stage derivatives the loop kept for it (_KEPT, `size` floats
+    each).  It makes the 3 dense stages 14..16 through fn and explain, as
+    the loop calls them, and returns the 7 rows (r0, ..., r6), tuples of
+    `size` floats; None where a dense stage's input or the last stage is
+    not finite.
+    """
+    J = range(size)
+    body = [f"{', '.join(f'y_{j}' for j in J)}, = y0",
+            f"{', '.join(f's13_{j}' for j in J)}, = y1",
+            f"{', '.join(v for i in _KEPT for v in _k(i, size))}, = ks"]
+    for i in range(14, 17):         # auxiliary outputs dropped
+        body += _stage(i, size, takes_t, "return None", _k(i, size) + ["*_"])
+    body += _finite_check(_k(16, size))
+    for j in J:
+        body += [f"r0_{j} = s13_{j} - y_{j}",
+                 f"r1_{j} = h * k1_{j} - r0_{j}",
+                 f"r2_{j} = 2.0 * r0_{j} - h * (k13_{j} + k1_{j})",
+                 *[f"r{3 + r}_{j} = h * ({_combo(row, j)})"
+                   for r, row in enumerate(_D)]]
+    body.append("return " + " ".join(
+        f"({', '.join(f'r{r}_{j}' for j in J)},)," for r in range(7)))
+    return define_function(
+        "_rows", ["fn", "explain", "t", "h", "y0", "y1", "ks"], body,
+        f"dop853 rows {size}{' t' if takes_t else ''}", {})
+
+
 class Trajectory:
     """Accepted samples of one adaptive integration.
 
     Stores parameter values and states per accepted sample, and per step
-    the 7 rows of DOP853's dense polynomial (`dense`, shape (steps, 7,
-    size)); evaluation between samples uses the polynomial of the
-    containing step (_dense), which is 7th order accurate and returns the
-    step's first sample exactly.
+    what its dense output reads (`steps`, flat: the step size and the
+    stage derivatives the loop kept, _stepper).  Evaluation between
+    samples uses DOP853's 7th order dense polynomial of the containing
+    step (_dense), which returns the step's first sample exactly.  A
+    step's 7 rows are built and kept on its first query (_step), by 3
+    calls of the right-hand side `fn` (_dense_rows); `dense`, shape
+    (steps, 7, size), builds every step.  The query raises NonFiniteError
+    naming the pipeline (`label`) and the step where a dense stage is not
+    finite, and the error of `explain` where fn declines a call.
 
-    Counters: `rejected` steps and `nfev` right-hand side calls (the
-    initial-step probe included).
+    Counters: `rejected` steps and `nfev` right-hand side calls, the
+    integration's (the initial-step probe included) and 3 per step built.
     """
 
-    def __init__(self, t, y, dense, kind: str, n: int, rejected: int,
-                 diagnostics: Optional[dict] = None, nfev: int = 0):
+    def __init__(self, t, y, steps, kind: str, n: int, rejected: int,
+                 diagnostics: Optional[dict] = None, nfev: int = 0,
+                 fn=None, explain=None, label: str = ""):
         self.t = np.asarray(t)
         self._t = self.t.tolist()       # the grid _bracket bisects
         self.y = np.asarray(y)
-        self.dense = np.asarray(dense)
         self.kind = kind
         self.n = n
         self.rejected = rejected
@@ -435,6 +491,9 @@ class Trajectory:
         self.diagnostics = diagnostics or {}
         if not np.all(np.diff(self.t) > 0):
             raise ValueError("trajectory parameter must increase strictly")
+        self._steps = steps
+        self._built = [None] * (len(self._t) - 1)
+        self._fn, self._explain, self._label = fn, explain, label
 
     def __len__(self):
         return len(self.t)
@@ -453,9 +512,33 @@ class Trajectory:
 
     def _step(self, k: int) -> tuple:
         """Step k, [t[k], t[k + 1]], as floats: (t0, t1, y0, rows), its
-        ends, the state at t0 and its dense polynomial's rows."""
-        return (*self._t[k:k + 2], self.y[k].tolist(),
-                self.dense[k].tolist())
+        ends, the state at t0 and its dense polynomial's rows, built on
+        the step's first query."""
+        step = self._built[k]
+        if step is None:
+            size = self.y.shape[1]
+            width = len(_KEPT) * size
+            at = k * (1 + width)
+            t0 = self._t[k]
+            y0, y1 = self.y[k:k + 2].tolist()
+            # the reduced right-hand side takes the parameter u
+            rows = _dense_rows(size, self.kind == "reduced")(
+                self._fn, self._explain, t0, self._steps[at], y0, y1,
+                self._steps[at + 1:at + 1 + width])
+            if rows is None:
+                raise NonFiniteError(f"{self._label}: the dense output of "
+                                     f"the step at {t0!r} is not finite")
+            self.nfev += 3
+            step = self._built[k] = (t0, self._t[k + 1], y0, rows)
+        return step
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """The rows of every step's dense polynomial, shape (steps, 7,
+        size); builds the steps no query has built."""
+        return np.array([self._step(k)[3] for k in range(len(self._built))],
+                        dtype=float).reshape(len(self._built), 7,
+                                              self.y.shape[1])
 
     @staticmethod
     def _dense(step: tuple, tq: float, cols) -> list:
@@ -488,11 +571,10 @@ def _bracket(grid: list, q: float, outside: str) -> int:
     return min(max(k, 0), len(grid) - 2)
 
 
-def _samples(ts: array, ys: array, ds: array) -> tuple:
-    """An integration's flat sample buffers as arrays (t, y, dense)."""
+def _samples(ts: array, ys: array) -> tuple:
+    """An integration's flat sample buffers as arrays (t, y)."""
     t = np.frombuffer(ts)
-    y = np.frombuffer(ys).reshape(len(t), -1)
-    return t, y, np.frombuffer(ds).reshape(len(t) - 1, 7, y.shape[1])
+    return t, np.frombuffer(ys).reshape(len(t), -1)
 
 
 # ---------------------------------------------------------------------
@@ -531,9 +613,11 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
     target = math.inf if stop_at_u is None else float(stop_at_u)
     rej, nfev = _stepper(len(y0), False, 1, n)(
         fn, explain, s0, s1, y0, out[:-1], cfg, ts, ys, ds, nulls, target)
-    return Trajectory(*_samples(ts, ys, ds), kind="geodesic", n=n,
+    return Trajectory(*_samples(ts, ys), ds, kind="geodesic", n=n,
                       rejected=rej, nfev=nfev,
-                      diagnostics={"null_residual": np.frombuffer(nulls)})
+                      diagnostics={"null_residual": np.frombuffer(nulls)},
+                      fn=fn, explain=explain,
+                      label=metric.system._passes.label("geodesic"))
 
 
 class ReducedTrajectory:
@@ -744,11 +828,12 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
         system._passes.explain("reduced", (u, *z), _rhs_steps, system,
                                z[:n], u, z[2 * n])
 
+    fn = reduced_function(system)
     rej, nfev = _stepper(len(z0), True, 0, None)(
-        reduced_function(system), explain, u0, float(u_span[1]), z0, k0, cfg,
-        ts, ys, ds)
-    traj = Trajectory(*_samples(ts, ys, ds), kind="reduced", n=n,
-                      rejected=rej, nfev=nfev)
+        fn, explain, u0, float(u_span[1]), z0, k0, cfg, ts, ys, ds)
+    traj = Trajectory(*_samples(ts, ys), ds, kind="reduced", n=n,
+                      rejected=rej, nfev=nfev, fn=fn, explain=explain,
+                      label=system._passes.label("reduced"))
     return ReducedTrajectory(traj)
 
 

@@ -41,8 +41,8 @@ from .expr import _ASYMMETRY_TOL, as_field, compile_forward, free_names
 __all__ = [
     "Point", "HerglotzSystem", "FieldBundle", "BrinkmannMetric",
     "CoordinateMap", "NearlySingularKineticWarning",
-    "covariant_sym_grad", "conformal_factor_closed_form",
-    "conformal_pullback_check", "eval_vector_fields", "solve_kinetic",
+    "covariant_sym_grad", "conformal_pullback_check", "eval_vector_fields",
+    "solve_kinetic",
 ]
 
 _EIGEN_WARN = 1e-8
@@ -95,6 +95,16 @@ class FieldBundle:
         partials at fixed x' (dL[n+1] = d L / d w)."""
         L = float(0.5 * xp @ self.h @ xp + self.A @ xp - self.V)
         return L, 0.5 * xp @ self.dh @ xp + self.dA @ xp - self.dV
+
+
+def as_dimension(n) -> int:
+    """n, the dimension of a system, generator or map; ValueError unless
+    it is an int (not a bool) of at least 1."""
+    if type(n) is not int:          # a bool is no dimension
+        raise ValueError(f"dimension must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"dimension must be at least 1, got {n}")
+    return n
 
 
 class FieldPasses:
@@ -220,9 +230,7 @@ class HerglotzSystem:
     """
 
     def __init__(self, n: int, h, A, V, params=None, name: str = ""):
-        if n < 1:
-            raise ValueError(f"dimension must be at least 1, got {n}")
-        self.n = int(n)
+        self.n = as_dimension(n)
         self.name = name or f"system(n={n})"
         self.params = dict(params or {})
         h = list(h)
@@ -610,17 +618,6 @@ def _lie_tail(em, nodes):
     return em.coords, [e for row in S for e in row]
 
 
-def conformal_factor_closed_form(system: HerglotzSystem, gen, point: Point) -> float:
-    """d_u(du) + d_w(dw) - A_i d_w(dx^i), the closed form the trace
-    reproduces whenever the generator actually satisfies the symmetry
-    identities.  Compared against symmetry.conformal_factor only in
-    tests."""
-    n = system.n
-    _, A, _ = system.eval_values(point)
-    _, dK = gen.components_at(point)
-    return float(dK[n, n] + dK[n + 1, n + 1] - A @ dK[n + 1, :n])
-
-
 # -- coordinate maps and conformal pullback ----------------------------
 
 class CoordinateMap:
@@ -634,7 +631,7 @@ class CoordinateMap:
     """
 
     def __init__(self, n: int, components, params=None, name: str = "map"):
-        self.n = n
+        self.n = as_dimension(n)
         self.dim = n + 2
         if len(components) != self.dim:
             raise ValueError(f"need {self.dim} components, got {len(components)}")

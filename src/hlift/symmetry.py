@@ -36,10 +36,10 @@ from .dynamics import (ReducedState, ReducedTrajectory, lagrangian_w_slope,
 from .errors import SingularJacobianError
 from .expr import as_field
 from .geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
-                       HerglotzSystem, Point, covariant_sym_grad,
-                       emit_kinetic_solve, eval_vector_fields, joint_steps,
-                       lie_entries, tail_bundle, tail_lagrangian, tail_values,
-                       tail_vector)
+                       HerglotzSystem, Point, as_dimension,
+                       covariant_sym_grad, emit_kinetic_solve,
+                       eval_vector_fields, joint_steps, lie_entries,
+                       tail_bundle, tail_lagrangian, tail_values, tail_vector)
 
 __all__ = [
     "SymmetryGenerator", "killing_residual", "conformal_killing_residual",
@@ -61,7 +61,7 @@ class SymmetryGenerator:
     """
 
     def __init__(self, n: int, dx, du, dw, params=None, name: str = "generator"):
-        self.n = int(n)
+        self.n = as_dimension(n)
         self.name = name
         dx = list(dx)
         if len(dx) != n:

@@ -132,6 +132,17 @@ def symmetry_condition_numpy(system: HerglotzSystem, gen,
     return abs(float(res))
 
 
+def conformal_factor_closed_form(system: HerglotzSystem, gen,
+                                 point: Point) -> float:
+    """d_u(du) + d_w(dw) - A_i d_w(dx^i), the closed form that
+    symmetry.conformal_factor's trace reproduces whenever the generator
+    satisfies the symmetry identities."""
+    n = system.n
+    _, A, _ = system.eval_values(point)
+    _, dK = gen.components_at(point)
+    return float(dK[n, n] + dK[n + 1, n + 1] - A @ dK[n + 1, :n])
+
+
 def transform_rule_numpy(system_a: HerglotzSystem, system_b: HerglotzSystem,
                          cmap: CoordinateMap, rs: ReducedState) -> float:
     """transform_rule_check by numpy."""

@@ -207,16 +207,19 @@ def test_catalog_runs_never_decline(key):
                               lift_state(ent.system, ent.default_state),
                               (0.0, math.inf), config=TIGHT, stop_at_u=5.0)
     for t in (rt.traj, traj):
-        # the first call, the initial-step probe, twelve stages per
-        # attempt and three dense stages per accepted step
+        # the first call, the initial-step probe and twelve stages per
+        # attempt; then three dense stages per step built
         steps = len(t) - 1
+        assert t.nfev == 2 + 12 * (steps + t.rejected)
+        t.dense
         assert t.nfev == 2 + 12 * (steps + t.rejected) + 3 * steps
 
 
 def test_nearly_singular_kinetic_block_takes_the_compiled_path():
     # h22 stays under the 1e-8 eigenvalue floor along the whole path: the
-    # compiled functions take every call and warn once per call; x2 stays
-    # at rest, so the motion itself is harmless
+    # compiled functions take every call and warn once per call, the dense
+    # stages' when the rows are built; x2 stays at rest, so the motion
+    # itself is harmless
     sys = HerglotzSystem(2, [["1", "0"], ["0", "1e-9*(1 + x1^2)"]],
                          ["0", "0"], "0.5*x1^2")
     rs0 = ReducedState([1.0, 0.0], [0.0, 0.0], 0.0, 0.0)
@@ -226,10 +229,16 @@ def test_nearly_singular_kinetic_block_takes_the_compiled_path():
         traj = integrate_geodesic(BrinkmannMetric(sys), lift_state(sys, rs0),
                                   (0.0, math.inf), config=TIGHT, stop_at_u=1.0)
     for t, warned in ((rt.traj, reduced_warned), (traj, geodesic_warned)):
-        assert len(warned) == t.nfev > 0
-        assert {str(w.message) for w in warned} == {
+        steps = len(t) - 1
+        assert len(warned) == t.nfev == 2 + 12 * (steps + t.rejected)
+        with pytest.warns(NearlySingularKineticWarning) as dense_warned:
+            t.dense
+        assert len(dense_warned) == t.nfev - len(warned) == 3 * steps > 0
+        assert {str(w.message) for w in [*warned, *dense_warned]} == {
             "kinetic block h is nearly singular"}
+    # the rows are built: a query makes no call and warns nothing
     assert rt.x_at(1.0)[0] == pytest.approx(math.cos(1.0), abs=1e-9)
+    assert rt.traj.nfev == len(reduced_warned) + 3 * (len(rt) - 1)
 
 
 @pytest.mark.parametrize("settings, message", [

@@ -13,8 +13,8 @@ import pytest
 
 import dual_oracle
 from hlift.cloud import point_cloud
-from hlift.dynamics import (ReducedState, _null_form, _rhs_steps, _stepper,
-                            herglotz_rhs, reduced_function)
+from hlift.dynamics import (ReducedState, _dense_rows, _null_form, _rhs_steps,
+                            _stepper, herglotz_rhs, reduced_function)
 from hlift.errors import HliftError, NonFiniteError
 from hlift.expr import FUNCTIONS, Field, compile_forward, parse, to_text
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldBundle,
@@ -523,6 +523,8 @@ def test_generated_source_is_in_linecache():
     # left the bounded code cache, and linecache with it)
     fns.append((_stepper.__wrapped__(8, False, 1, 2), "<dop853 8 aux1 stop2 ",
                 "def _loop(fn, explain, t, t_end, y, k, cfg, "))
+    fns.append((_dense_rows.__wrapped__(8, False), "<dop853 rows 8 ",
+                "def _rows(fn, explain, t, h, y0, y1, ks):"))
     for fn, prefix, head in fns:
         filename = fn.__code__.co_filename
         assert filename.startswith(prefix)

@@ -6,6 +6,7 @@ contracts them with plain numpy.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,14 +17,15 @@ from hlift.errors import (AsymmetricMetricError, FieldEvalError,
                           SingularMetricError)
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
                             HerglotzSystem, NearlySingularKineticWarning, Point,
-                            conformal_factor_closed_form,
                             conformal_pullback_check, covariant_sym_grad,
                             eval_vector_fields, solve_kinetic)
-from hlift.symmetry import conformal_factor
+from hlift.symmetry import SymmetryGenerator, conformal_factor
 from hlift.systems import (coupled_curved, damped_conformal_map,
                            damped_time_dependent, free_particle,
                            harmonic_oscillator, standard_catalog,
                            x_scaling_control)
+
+from numpy_oracle import conformal_factor_closed_form
 
 P0 = Point(np.array([0.3, -0.2]), 0.4, 0.1)
 
@@ -302,6 +304,22 @@ def test_conformal_factor_matches_closed_form():
     # and the sym grad really is lambda * g
     S = covariant_sym_grad(met, gen, p)
     assert np.allclose(S, lam * met.eval(p), atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: HerglotzSystem(n, [["1"]], ["0"], "0"),
+    lambda n: SymmetryGenerator(n, ["1"], "0", "0"),
+    lambda n: CoordinateMap(n, ["x1", "u", "w"]),
+], ids=["system", "generator", "map"])
+@pytest.mark.parametrize("n, message", [
+    (True, "dimension must be an integer, got True"),
+    (1.0, "dimension must be an integer, got 1.0"),
+    (0, "dimension must be at least 1, got 0"),
+], ids=["bool", "float", "zero"])
+def test_constructors_reject_an_invalid_dimension(make, n, message):
+    # to int(n), True and 1.0 are both the dimension 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(n)
 
 
 def test_coordinate_map_jacobian():

@@ -2,10 +2,11 @@
 DOP853 as an independent one.
 
 `_oracle_rk` is the array form of the stepper: the same tableau, the
-same PI control, the same checks and the same dense rows, on numpy
-arrays.  Every weighted sum is taken term by term, left to right over
-the nonzero entries, as the generated loop writes it, and the norms are
-summed as Python floats in the same order; so the two agree bit for bit.
+same PI control, the same checks and, per accepted step, the same dense
+rows (`_oracle_dense`), on numpy arrays.  Every weighted sum is taken
+term by term, left to right over the nonzero entries, as the generated
+code writes it, and the norms are summed as Python floats in the same
+order; so the two agree bit for bit.
 """
 
 import functools
@@ -18,8 +19,9 @@ import numpy as np
 import pytest
 
 from hlift.dynamics import (_A, _C, _D, _E3, _E5, IntegratorConfig,
-                            _stepper, integrate_geodesic, integrate_herglotz,
-                            lift_state, reduce_trajectory, reduced_function)
+                            Trajectory, _samples, _stepper, integrate_geodesic,
+                            integrate_herglotz, lift_state, reduce_trajectory,
+                            reduced_function)
 from hlift.errors import BlowUpError, NonFiniteError, StepLimitExceededError
 from hlift.geometry import BrinkmannMetric
 from hlift.systems import standard_catalog
@@ -80,9 +82,28 @@ def _finite(v):
     return bool(np.all(np.isfinite(v)))
 
 
+def _oracle_dense(f, t, h, y, y_new, K):
+    """The 7 dense rows of an accepted step from t by h, y to y_new, whose
+    stages 1..13 are K[:13]: the dense stages 14..16 into K, then the
+    rows; None where a dense stage's input or the last stage is not
+    finite."""
+    for i in range(13, 16):
+        yi = y + h * _lin(_A[i], K)
+        if not _finite(yi):
+            return None
+        K[i] = f(t + _C[i] * h, yi)
+    if not _finite(K[15]):
+        return None
+    d0 = y_new - y
+    return [d0, h * K[0] - d0, 2.0 * d0 - h * (K[12] + K[0]),
+            *[h * _lin(row, K) for row in _D]]
+
+
 def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
     """(ts, ys, dense, rejected, nfev) of the array-form stepper; f maps
-    (t, array) to an array."""
+    (t, array) to an array.  dense lists each step's rows
+    (_oracle_dense), and nfev counts the integration's calls, which
+    leave out the 3 dense stages of each step."""
     # Hairer's PI control on a 7th order estimate: exponents 1/8 - 0.2 beta
     # and beta, safety factor, growth bound
     beta = 0.04
@@ -110,6 +131,7 @@ def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
             raise BlowUpError("oracle step size underflow")
         K[0] = k1
         calls = 0
+        err = math.nan
         for i in range(1, 13):      # stages 2..13, 13 at the new state
             yi = y + h * _lin(_A[i], K)
             if not _finite(yi):
@@ -123,28 +145,19 @@ def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
             e5, dn = _sum(e5 * e5), _sum(e3 * e3)
             dn = e5 + 0.01 * dn
             err = h * e5 / math.sqrt(len(y) * (dn if dn > 0.0 else 1.0))
-            if err > 1.0:
-                nfev += 12
-                rejected += 1
-                just_rejected = True
-                h = h * max(0.2, safety * err ** -(1 / 8))
-                continue
-            if err <= 1.0:          # finite: the dense stages
-                for i in range(13, 16):
-                    yi = y + h * _lin(_A[i], K)
-                    if not _finite(yi):
-                        break
-                    K[i] = f(t + _C[i] * h, yi)
-                    calls += 1
         nfev += calls
-        if calls < 15 or not _finite(K[15]):
+        if err > 1.0:
+            rejected += 1
+            just_rejected = True
+            h = h * max(0.2, safety * err ** -(1 / 8))
+            continue
+        # a stage input, the norm or the FSAL stage (K[12]) not finite
+        if not (err <= 1.0 and _finite(K[12])):
             rejected += 1
             just_rejected = True
             h *= 0.25
             continue
-        d0 = y_new - y
-        dense.append([d0, h * K[0] - d0, 2.0 * d0 - h * (K[12] + K[0]),
-                      *[h * _lin(row, K) for row in _D]])
+        dense.append(_oracle_dense(f, t, h, y, y_new, K))
         t = t_end if clipped else t + h
         y, k1 = y_new, K[12].copy()
         ts.append(t)
@@ -164,8 +177,7 @@ def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
             break
         if math.isfinite(t_end) and t >= t_end:
             break
-    return (np.array(ts), np.array(ys),
-            np.array(dense).reshape(len(ts) - 1, 7, len(y)), rejected, nfev)
+    return np.array(ts), np.array(ys), dense, rejected, nfev
 
 
 def _on_arrays(f):
@@ -213,6 +225,11 @@ def test_scalar_stepper_matches_the_numpy_oracle(key, pipeline):
     traj, _ = _scalar_run(pipeline, ent)
     ts, ys, dense, rejected, nfev = _oracle_run(pipeline, ent)
     assert (traj.rejected, traj.nfev) == (rejected, nfev)
+    # forcing the dense output builds every step by its 3 dense stages
+    steps = len(ts) - 1
+    dense = np.array(dense).reshape(steps, 7, ys.shape[1])
+    traj.dense
+    assert (traj.rejected, traj.nfev) == (rejected, nfev + 3 * steps)
     for got, want in ((traj.t, ts), (traj.y, ys), (traj.dense, dense)):
         assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -280,6 +297,26 @@ def test_dense_output_is_the_numpy_hermite_bit_for_bit(key, pipeline):
         assert (got.u, got.w) == (uq, y[n + 1])
 
 
+@pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])
+@pytest.mark.parametrize("key", ["damped-action", "coupled"])
+def test_rows_do_not_depend_on_the_query_order(key, pipeline):
+    # a step's rows, built on its first query, are those of forcing the
+    # dense output, whichever step is queried first; a second query of a
+    # step calls nothing
+    ent = standard_catalog()[key]
+    forced = _scalar_run(pipeline, ent)[0].dense
+    steps = len(forced)
+    rng = np.random.default_rng(17)
+    for order in (range(steps - 1, -1, -1), rng.permutation(steps)):
+        traj, _ = _scalar_run(pipeline, ent)
+        nfev = traj.nfev
+        mids = 0.5 * (traj.t[:-1] + traj.t[1:])
+        for k in (*order, *order):
+            traj.eval(mids[k])
+        assert np.array_equal(traj.dense, forced)
+        assert traj.nfev == nfev + 3 * steps
+
+
 # ------------------------------------------------ independent oracle
 #
 # SciPy's DOP853 (the same method with its own step control and its own
@@ -329,15 +366,17 @@ def test_scalar_stepper_matches_scipy_dop853(key, pipeline):
 
 def _loop_run(f, y0, stop_at):
     """The generated loop on y' = f(t, y), one state entry, from t = 0
-    until y reaches stop_at: (ts, ys, rejected, nfev)."""
+    until y reaches stop_at, as a trajectory whose rows f builds."""
     def explain(t, y):
         raise AssertionError("f never declines")
     k0 = f(0.0, *y0)
-    ts, ys = array("d", (0.0,)), array("d", y0)
+    ts, ys, ds = array("d", (0.0,)), array("d", y0), array("d")
     rejected, nfev = _stepper(1, True, 0, 0)(
-        f, explain, 0.0, math.inf, tuple(y0), k0, TIGHT, ts, ys, array("d"),
-        stop_at)
-    return np.frombuffer(ts), np.frombuffer(ys), rejected, nfev
+        f, explain, 0.0, math.inf, tuple(y0), k0, TIGHT, ts, ys, ds, stop_at)
+    # the reduced kind: f takes the parameter
+    return Trajectory(*_samples(ts, ys), ds, kind="reduced", n=0,
+                      rejected=rejected, nfev=nfev, fn=f, explain=explain,
+                      label="y' = f")
 
 
 def test_non_finite_stage_rejects_the_step():
@@ -351,23 +390,26 @@ def test_non_finite_stage_rejects_the_step():
         calls.append(t)
         return (1.0 if t < 3.0 else math.inf,)
 
-    ts, ys, rejected, nfev = _loop_run(f, [0.0], 2.5)
+    traj = _loop_run(f, [0.0], 2.5)
+    ts, ys, rejected, nfev = traj.t, traj.y[:, 0], traj.rejected, traj.nfev
     steps = len(ts) - 1
     assert rejected >= 1
-    assert nfev == len(calls) < 2 + 12 * (steps + rejected) + 3 * steps
+    assert nfev == len(calls) < 2 + 12 * (steps + rejected)
     assert np.allclose(ys, ts, rtol=1e-15, atol=0.0)
     want = _oracle_rk(lambda t, y: np.array(f(t, y[0])), 0.0, [0.0], math.inf,
                       TIGHT, stop=lambda t, y: y[0] >= 2.5)
     assert np.array_equal(ts, want[0]) and np.array_equal(ys, want[1][:, 0])
     assert (rejected, nfev) == want[3:]
+    assert all(np.array_equal(traj._step(k)[3], rows)
+               for k, rows in enumerate(want[2]))
 
 
 def test_generated_step_rejects_with_its_call_count():
     # on y' = 1 the call of one stage of the first attempt returns inf:
-    # the next stage's input is not finite (for the FSAL stage 13, that of
-    # the first dense stage; for the last dense stage 16, its own output),
-    # so the attempt is rejected after stage - 1 calls of f
-    for stage in range(2, 17):
+    # the next stage's input is not finite (for the FSAL stage 13, the
+    # loop checks its output), so the attempt is rejected after stage - 1
+    # calls of f
+    for stage in range(2, 14):
         calls = []
 
         def f(t, y):
@@ -375,10 +417,32 @@ def test_generated_step_rejects_with_its_call_count():
             # the initial derivative and the initial-step probe come first
             return (math.inf if len(calls) == 2 + stage - 1 else 1.0,)
 
-        ts, ys, rejected, nfev = _loop_run(f, [0.0], 2.5)
-        assert rejected == 1
-        assert nfev == len(calls) == 2 + (stage - 1) + 15 * (len(ts) - 1)
-        assert np.allclose(ys, ts, rtol=1e-15, atol=0.0)
+        traj = _loop_run(f, [0.0], 2.5)
+        assert traj.rejected == 1
+        assert traj.nfev == len(calls) == 2 + (stage - 1) + 12 * (len(traj) - 1)
+        assert np.allclose(traj.y[:, 0], traj.t, rtol=1e-15, atol=0.0)
+    # a dense stage returns inf: the integration completes, and the query
+    # of the step raises (for the last dense stage 16, by its own output);
+    # once f is finite again the query builds the step's 3 stages
+    for stage in range(14, 17):
+        calls = []
+        bad = []
+
+        def f(t, y):
+            calls.append(t)
+            return (math.inf if len(calls) in bad else 1.0,)
+
+        traj = _loop_run(f, [0.0], 2.5)
+        steps = len(traj) - 1
+        assert traj.rejected == 0
+        assert traj.nfev == len(calls) == 2 + 12 * steps
+        bad.append(len(calls) + stage - 13)
+        with pytest.raises(NonFiniteError, match="^y' = f: the dense output "
+                           "of the step at 0.0 is not finite$"):
+            traj.eval(0.5 * traj.t[1])
+        assert len(calls) == bad[0] and traj.nfev == 2 + 12 * steps
+        assert traj.eval(0.5 * traj.t[1]) == pytest.approx(0.5 * traj.t[1])
+        assert traj.nfev == len(calls) - (stage - 13) == 2 + 12 * steps + 3
 
 
 # ---------------------------------------------- mid-integration declines
@@ -386,17 +450,15 @@ def test_generated_step_rejects_with_its_call_count():
 # The compiled right-hand side is wrapped so that it declines one chosen
 # call: 0 is the initial derivative, 1 the initial-step probe, and then
 # each attempt makes twelve calls, of which the last is the FSAL stage
-# whose input is the state the attempt accepts, and an accepted one three
-# more; 43 is the FSAL stage of the third attempt where none is rejected,
-# 61 a stage of the fifth.  The integration ends at that call with the
-# NonFiniteError that names the pipeline.
+# whose input is the state the attempt accepts; where none is rejected,
+# 43 is stage 7 of the fourth attempt and 61 the FSAL stage of the fifth.
+# The integration ends at that call with the NonFiniteError that names the
+# pipeline.  A dense stage's call is made when its step is first queried,
+# and a decline raises there.
 
-@pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])
-@pytest.mark.parametrize("key", ["harmonic", "coupled"])
-@pytest.mark.parametrize("declined", [0, 1, 43, 61])
-def test_a_declined_call_ends_the_integration(key, pipeline, declined,
-                                              monkeypatch):
-    ent = standard_catalog()[key]
+def _declining(ent, pipeline, monkeypatch):
+    """The pipeline's compiled function, wrapped to decline its call
+    number `declining.declined` (none at first), and its error label."""
     fns = ent.system._passes._fns
     kind = "geodesic" if pipeline == "geodesic" else "reduced"
     _scalar_run(pipeline, ent)          # builds the function
@@ -404,11 +466,41 @@ def test_a_declined_call_ends_the_integration(key, pipeline, declined,
 
     def declining(*args):
         declining.calls += 1
-        return None if declining.calls - 1 == declined else fn(*args)
+        if declining.calls - 1 == declining.declined:
+            return None
+        return fn(*args)
 
-    declining.calls = 0
+    declining.calls, declining.declined = 0, None
     monkeypatch.setitem(fns, (kind,), declining)
-    label = re.escape(f"{ent.system.name} {kind}: ")
+    return declining, re.escape(f"{ent.system.name} {kind}: ")
+
+
+@pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])
+@pytest.mark.parametrize("key", ["harmonic", "coupled"])
+@pytest.mark.parametrize("declined", [0, 1, 43, 61])
+def test_a_declined_call_ends_the_integration(key, pipeline, declined,
+                                              monkeypatch):
+    ent = standard_catalog()[key]
+    declining, label = _declining(ent, pipeline, monkeypatch)
+    declining.declined = declined
     with pytest.raises(NonFiniteError, match=f"^{label}"):
         _scalar_run(pipeline, ent)
     assert declining.calls == declined + 1
+
+
+@pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])
+@pytest.mark.parametrize("key", ["harmonic", "coupled"])
+def test_a_declined_dense_stage_raises_on_query(key, pipeline, monkeypatch):
+    # the second dense stage of the first step queried declines: the
+    # integration has completed, and only the query raises
+    ent = standard_catalog()[key]
+    declining, label = _declining(ent, pipeline, monkeypatch)
+    traj, _ = _scalar_run(pipeline, ent)
+    assert traj.nfev == declining.calls
+    declining.declined = declining.calls + 1
+    with pytest.raises(NonFiniteError, match=f"^{label}"):
+        traj.eval(traj.t[3])
+    assert declining.calls == traj.nfev + 2
+    # the other steps build
+    traj.eval(traj.t[4])
+    assert traj.nfev == declining.calls - 2
