@@ -45,7 +45,8 @@ from .errors import (BlowUpError, MonotonicityViolationError, NonFiniteError,
                      StepLimitExceededError, ZeroUdotError)
 from .expr import _finite_check, define_function
 from .geometry import (BrinkmannMetric, HerglotzSystem, Point,
-                       emit_kinetic_solve, solve_kinetic, tail_bundle)
+                       emit_kinetic_solve, solve_kinetic, tail_bundle,
+                       tail_lagrangian)
 
 __all__ = [
     "GeodesicState", "ReducedState", "IntegratorConfig", "Trajectory",
@@ -124,9 +125,53 @@ def reduced_lagrangian(system: HerglotzSystem, rs: ReducedState) -> float:
 
 
 def lagrangian_w_slope(system: HerglotzSystem, rs: ReducedState) -> float:
-    """d L / d w at the reduced state (the nonconservation rate)."""
-    _, dL = system.eval_bundle(rs.point()).lagrangian(rs.xp)
-    return float(dL[system.n + 1])
+    """d L / d w = (1/2) x'.d_w h.x' + d_w A.x' - d_w V at the reduced
+    state (the nonconservation rate).
+
+    The system's compiled w-slope function, a tail over its derivative
+    pass, evaluates it; where that declines, FieldPasses.explain raises
+    the state's error: NonFiniteError for a velocity that is not finite.
+    """
+    return w_slope_at(system, rs.x.tolist(), float(rs.u), float(rs.w),
+                      rs.xp.tolist())
+
+
+def w_slope_at(system: HerglotzSystem, x: list, u: float, w: float,
+               xp: list) -> float:
+    """lagrangian_w_slope at the state (x, x', u, w) given as floats."""
+    args = (*x, u, w, *xp)
+    return system._passes.call("w-slope", _w_slope_tail, args,
+                               _w_slope_steps, system, x, u, w, xp)[0]
+
+
+def _w_slope_steps(system: HerglotzSystem, x: list, u: float, w: float,
+                   xp: list) -> None:
+    """The w-slope's steps that can be at fault: the derivative pass at
+    the point, then its own check of the velocities."""
+    system.eval_bundle(Point(x, u, w))
+    require_finite_velocities("w-slope", xp)
+
+
+def _w_slope_tail(em, nodes):
+    """lagrangian_w_slope's formula as a pipeline tail over the derivative
+    pass (expr.compile_forward): (x1..xn, u, w, x'1..x'n) -> dL/dw, the
+    Lagrangian of the w-partials of (h, A, V) (geometry.tail_lagrangian).
+    The pass checks only the coordinates, so the tail checks the
+    velocities finite itself."""
+    n = em.m - 2
+    xp = [f"_p{i}" for i in range(n)]
+    _, dh, _, dA, _, dV = tail_bundle(nodes, n)
+    em.guard_finite(xp)
+    return ([*em.coords, *xp],
+            [tail_lagrangian(em, dh[n + 1], dA[n + 1], dV[n + 1], xp)])
+
+
+def require_finite_velocities(what: str, velocities) -> None:
+    """NonFiniteError naming the first of `velocities` that is not
+    finite: `what` needs finite velocities."""
+    for v in velocities:
+        if not math.isfinite(v):
+            raise NonFiniteError(f"{what} needs finite velocities, got {v!r}")
 
 
 def lift_state(system: HerglotzSystem, rs: ReducedState,
@@ -715,11 +760,17 @@ class ReducedTrajectory:
             f"{self._SIGMA_ITERS} iterations (last sigma = {s!r})")
 
     def state_at(self, u_target: float) -> ReducedState:
+        x, xp, w = self._state(u_target)
+        return ReducedState(x, xp, float(u_target), w)
+
+    def _state(self, u_target: float) -> tuple:
+        """(x, x', w) at u_target as float lists and a float, by the dense
+        output: of the reduced trajectory (Trajectory.eval), or of the
+        geodesic step that sigma_at finds."""
         n = self.n
         if self.traj.kind == "reduced":
-            y = self.traj.eval(u_target)
-            return ReducedState(y[:n], y[n:2 * n], float(u_target),
-                                float(y[2 * n]))
+            y = self.traj.eval(u_target).tolist()
+            return y[:n], y[n:2 * n], y[2 * n]
         m = n + 2
         s = self.sigma_at(u_target)
         # x, xdot, udot and w
@@ -728,8 +779,7 @@ class ReducedTrajectory:
         ud = v[2 * n]
         if ud <= 0.0:
             raise MonotonicityViolationError("du/dsigma is not positive", s)
-        return ReducedState(v[:n], [xd / ud for xd in v[n:2 * n]],
-                            float(u_target), v[-1])
+        return v[:n], [xd / ud for xd in v[n:2 * n]], v[-1]
 
     def x_at(self, u_target: float) -> np.ndarray:
         return self.state_at(u_target).x
@@ -924,10 +974,7 @@ def _homogeneity_steps(system: HerglotzSystem, rs: ReducedState,
     """The homogeneity check's steps that can be at fault: the values
     pass at the state, then its own check of the velocities in args."""
     system.eval_values(rs.point())
-    for v in args[system.n + 2:]:
-        if not math.isfinite(v):
-            raise NonFiniteError(f"homogeneity check needs finite "
-                                 f"velocities, got {v!r}")
+    require_finite_velocities("homogeneity check", args[system.n + 2:])
 
 
 def _homogeneity_tail(em, nodes):

@@ -491,7 +491,9 @@ def tail_values(em, system: HerglotzSystem, coords=None):
 
 def tail_lagrangian(em, h, A, V, xp):
     """FieldBundle.lagrangian's L = (0.5 x') h x' + A x' - V over emitter
-    values (h symmetric: its rows are its columns)."""
+    values (h symmetric: its rows are its columns).  L is linear in
+    (h, A, V), so over their c-th partials (dh[c], dA[c], dV[c]) it is
+    FieldBundle.lagrangian's dL[c], term for term."""
     half = [em.mul(0.5, x) for x in xp]
     return em.sub(em.add(em.dot([em.dot(half, row) for row in h], xp),
                          em.dot(A, xp)), V)

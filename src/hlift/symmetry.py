@@ -21,7 +21,11 @@ steps explain.
 Charges: the usual momentum-type charge of a generator, its full-space
 affine counterpart g(K, xdot), and the nonlocally rescaled charge that
 stays exactly constant for action-dependent dynamics (the rescaling
-integrates dL/dw along the trajectory).
+integrates dL/dw along the trajectory).  The integrand dL/dw is the
+system's compiled w-slope pipeline (dynamics.lagrangian_w_slope), called
+on float states read off the dense output.  A velocity that is not
+finite raises NonFiniteError naming it, in the plain charge and in the
+integrand alike.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import (ReducedState, ReducedTrajectory, lagrangian_w_slope,
-                       reduced_lagrangian)
+from .dynamics import (ReducedState, ReducedTrajectory, reduced_lagrangian,
+                       require_finite_velocities, w_slope_at)
 from .errors import SingularJacobianError
 from .expr import as_field
 from .geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
@@ -192,10 +196,8 @@ def _symmetry_tail(em, nodes):
     h, dh, A, dA, V, dV = tail_bundle(nodes, n)
     K, dK = tail_vector(nodes, n)
     # FieldBundle.lagrangian: L and its partials (dh[c] is symmetric)
-    half = [em.mul(0.5, x) for x in xp]
     lag = tail_lagrangian(em, h, A, V, xp)
-    dL = [em.sub(em.add(em.dot([em.dot(half, row) for row in dh[c]], xp),
-                        em.dot(dA[c], xp)), dV[c]) for c in range(m)]
+    dL = [tail_lagrangian(em, dh[c], dA[c], dV[c], xp) for c in range(m)]
     D = [em.add(em.add(em.dot(xp, [dK[l][k] for l in range(n)]), dK[n][k]),
                 em.mul(dK[n + 1][k], lag)) for k in range(m)]
     ddu = D[n]
@@ -306,11 +308,13 @@ def _degreewise_tail(em, nodes):
 
 def noether_charge(system: HerglotzSystem, gen: SymmetryGenerator,
                    rs: ReducedState) -> float:
-    """(h x' + A) . dx - ((1/2) h x' x' + V) du - dw at the state."""
+    """(h x' + A) . dx - ((1/2) h x' x' + V) du - dw at the state;
+    NonFiniteError naming the velocity where one is not finite."""
     h, A, V = system.eval_values(rs.point())
     n = len(A)
     K, _ = gen.components_at(rs.point())
     xp = rs.xp
+    require_finite_velocities("Noether charge", xp.tolist())
     p = h @ xp + A
     energy = float(0.5 * xp @ h @ xp + V)
     return float(p @ K[:n] - energy * K[n] - K[n + 1])
@@ -346,15 +350,21 @@ def nonlocal_charge(system: HerglotzSystem, gen: SymmetryGenerator,
 
     The integral runs from the first sample; each step contributes a
     3-point Gauss-Legendre rule on the dense output, whose error per step,
-    O(h^7), stays below the flow's own.
+    O(h^7), stays below the flow's own.  Each node reads its state off the
+    dense output as floats and evaluates dL/dw by the system's compiled
+    w-slope function (lagrangian_w_slope), which raises NonFiniteError
+    where a velocity is not finite.
     """
     u, qs = charge_series(system, gen, rt)
     integral = [0.0]
     for u0, u1 in zip(u.tolist(), u[1:].tolist()):
         du = u1 - u0
-        integral.append(integral[-1] + du * sum(
-            wt * lagrangian_w_slope(system, rt.state_at(u0 + a * du))
-            for a, wt in _GAUSS3))
+        acc = 0
+        for a, wt in _GAUSS3:
+            uq = u0 + a * du
+            x, xp, w = rt._state(uq)
+            acc += wt * w_slope_at(system, x, uq, w, xp)
+        integral.append(integral[-1] + du * acc)
     return u, np.exp(-np.array(integral)) * qs
 
 

@@ -1,7 +1,7 @@
-"""The numpy formulas of hlift's compiled checks and reduced right-hand
-side: the test oracles the compiled pipelines are held against.
+"""The numpy formulas of hlift's compiled checks, reduced right-hand side
+and w-slope: the test oracles the compiled pipelines are held against.
 
-Each function computes one check or right-hand side from the public
+Each function computes one of them from the public
 field passes (eval_bundle, eval_values, components_at,
 value_and_jacobian) with numpy arithmetic, and raises or warns as its
 own steps do: a field pass raises the error of a point it declines,
@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from hlift.dynamics import ReducedState, reduced_lagrangian
+from hlift.dynamics import ReducedState, ReducedTrajectory, reduced_lagrangian
 from hlift.errors import HliftError, NonFiniteError, SingularJacobianError
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldBundle,
                             HerglotzSystem, Point, solve_kinetic)
+from hlift.symmetry import _GAUSS3, charge_series
 
 
 def assert_like_the_oracle(got, want, *context) -> bool:
@@ -82,6 +83,32 @@ def homogeneity_numpy(system: HerglotzSystem, rs: ReducedState,
     d_ud = -0.5 * quad / (udot * udot) - V
     euler = float(xd @ d_xd) + udot * d_ud
     return abs(euler - lt)
+
+
+def lagrangian_w_slope_numpy(system: HerglotzSystem,
+                             rs: ReducedState) -> float:
+    """lagrangian_w_slope by numpy: the w entry of the partials of
+    FieldBundle.lagrangian."""
+    b = system.eval_bundle(rs.point())
+    for v in rs.xp.tolist():
+        if not math.isfinite(v):
+            raise NonFiniteError(f"w-slope needs finite velocities, got {v!r}")
+    _, dL = b.lagrangian(rs.xp)
+    return float(dL[system.n + 1])
+
+
+def nonlocal_charge_numpy(system: HerglotzSystem, gen,
+                          rt: ReducedTrajectory):
+    """nonlocal_charge from state_at and lagrangian_w_slope_numpy at the
+    same Gauss-Legendre nodes, summed in the same order."""
+    u, qs = charge_series(system, gen, rt)
+    integral = [0.0]
+    for u0, u1 in zip(u.tolist(), u[1:].tolist()):
+        du = u1 - u0
+        integral.append(integral[-1] + du * sum(
+            wt * lagrangian_w_slope_numpy(system, rt.state_at(u0 + a * du))
+            for a, wt in _GAUSS3))
+    return u, np.exp(-np.array(integral)) * qs
 
 
 def lie_derivative_numpy(metric: BrinkmannMetric, gen, point: Point,

@@ -2,24 +2,29 @@
 call, the call's error is raised (FieldPasses.explain), and nothing
 computes the formula another way.
 
-Each of the nine pipelines is made to decline at a healthy catalog
+Each of the ten pipelines is made to decline at a healthy catalog
 point: every public entry point over it, and the integrator that steps
 it, raise NonFiniteError naming the pipeline, by the label of its
-generated code, and the point.  Where
+generated code, and the point.  The table of pipelines is every kind
+that src/hlift builds or calls by name.  Where
 det h == 0, the three pipelines that solve with h raise the numpy
 oracle's SingularMetricError and warn NearlySingularKineticWarning
 exactly once, as the oracle does.
 """
 
+import ast
 import math
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 
+import hlift
 from hlift.dynamics import (IntegratorConfig, ReducedState, herglotz_rhs,
                             homogeneity_residual, integrate_geodesic,
-                            integrate_herglotz, lift_state)
+                            integrate_herglotz, lagrangian_w_slope,
+                            lift_state)
 from hlift.errors import NonFiniteError, SingularMetricError
 from hlift.geometry import (BrinkmannMetric, HerglotzSystem,
                             NearlySingularKineticWarning, Point,
@@ -27,12 +32,16 @@ from hlift.geometry import (BrinkmannMetric, HerglotzSystem,
 from hlift.symmetry import (SymmetryGenerator, conformal_factor,
                             conformal_killing_residual,
                             degreewise_max_residual, killing_residual,
-                            symmetry_condition_residual, transform_rule_check)
+                            nonlocal_charge, symmetry_condition_residual,
+                            transform_rule_check)
 from hlift.systems import conformal_pair, standard_catalog
 
 from numpy_oracle import conformal_split, herglotz_rhs_numpy
 
 _CFG = IntegratorConfig(rtol=1e-8, atol=1e-10)
+_KINDS = ("geodesic", "reduced", "lie-derivative", "conformal-killing",
+          "degreewise", "symmetry", "homogeneity", "transform-rule",
+          "pullback", "w-slope")
 
 
 def _subject(kind: str):
@@ -48,7 +57,7 @@ def _subject(kind: str):
     rs = ReducedState([0.3, -0.2], [0.5, 0.1], 0.5, 0.25)
     ent_a, ent_b, cmap, factor = conformal_pair(n=2)
     a, b = ent_a.system, ent_b.system
-    if kind in ("geodesic", "reduced", "homogeneity"):
+    if kind in ("geodesic", "reduced", "homogeneity", "w-slope"):
         label, passes, key = f"{system.name} {kind}", system._passes, (kind,)
     elif kind in ("transform-rule", "pullback"):
         label = f"{cmap.name} {a.name} {b.name} {kind}"
@@ -74,15 +83,31 @@ def _subject(kind: str):
         "transform-rule": [lambda: transform_rule_check(a, b, cmap, rs)],
         "pullback": [lambda: conformal_pullback_check(
             BrinkmannMetric(a), BrinkmannMetric(b), cmap, p, factor)],
+        "w-slope": [lambda: lagrangian_w_slope(system, rs),
+                    lambda: nonlocal_charge(system, gen, integrate_herglotz(
+                        system, rs, (rs.u, rs.u + 1.0), _CFG))],
     }[kind]
     for entry in entries:
         entry()             # healthy: builds the function and returns
     return label, passes._fns, key, entries
 
 
-@pytest.mark.parametrize("kind", [
-    "geodesic", "reduced", "lie-derivative", "conformal-killing",
-    "degreewise", "symmetry", "homogeneity", "transform-rule", "pullback"])
+def test_the_table_holds_every_pipeline_of_the_source():
+    # the kinds named in the first argument of a .call( or .pipeline(
+    # call, however many lines it spans; run's bare passes excluded
+    named = set()
+    for path in Path(hlift.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("call", "pipeline") and node.args):
+                named.update(c.value for c in ast.walk(node.args[0])
+                             if isinstance(c, ast.Constant)
+                             and isinstance(c.value, str))
+    assert named - {"values", "derivatives"} == set(_KINDS)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
 def test_a_declined_call_raises_naming_its_pipeline(kind, monkeypatch):
     label, fns, key, entries = _subject(kind)
     # the generated code's file is <forward label hash>

@@ -13,7 +13,7 @@ from hlift.cloud import point_cloud, state_cloud
 from hlift.dynamics import (IntegratorConfig, ReducedState, integrate_geodesic,
                             integrate_herglotz, lagrangian_w_slope, lift_state,
                             reduce_trajectory)
-from hlift.errors import SingularJacobianError
+from hlift.errors import NonFiniteError, SingularJacobianError
 from hlift.geometry import BrinkmannMetric, CoordinateMap, HerglotzSystem, Point
 from hlift.symmetry import (SymmetryGenerator, affine_charge, charge_series,
                             conformal_killing_residual, degreewise_identities,
@@ -24,6 +24,8 @@ from hlift.systems import (conformal_pair, coupled_curved,
                            damped_action_dependent, damped_time_dependent,
                            free_particle, harmonic_oscillator,
                            standard_catalog, x_scaling_control)
+
+from numpy_oracle import nonlocal_charge_numpy
 
 TIGHT = IntegratorConfig(rtol=1e-10, atol=1e-12)
 
@@ -208,6 +210,23 @@ def test_noether_charge_frozen_values():
     assert noether_charge(free.system, boost, rs2) == pytest.approx(-0.2, abs=1e-15)
 
 
+@pytest.mark.parametrize("key, x, xp, bad", [
+    ("damped-action", [0.1], [math.nan], "nan"),
+    ("coupled", [0.3, -0.2], [math.inf, 0.1], "inf")])
+def test_a_non_finite_velocity_raises_naming_it(key, x, xp, bad):
+    # raised before any arithmetic reads the velocity: a numpy warning
+    # ("invalid value encountered in matmul") would fail the suite
+    system = standard_catalog()[key].system
+    gen = SymmetryGenerator(system.n, ["0"] * system.n, "1", "0",
+                            name="time-shift")
+    rs = ReducedState(x, xp, 0.0, 0.0)
+    for what, call in (("Noether charge", lambda: noether_charge(system, gen, rs)),
+                       ("w-slope", lambda: lagrangian_w_slope(system, rs))):
+        with pytest.raises(NonFiniteError) as info:
+            call()
+        assert str(info.value) == f"{what} needs finite velocities, got {bad}"
+
+
 @pytest.mark.parametrize("key", ["free", "harmonic"])
 def test_charges_conserved_on_plain_systems(key):
     ent = standard_catalog()[key]
@@ -308,6 +327,31 @@ def test_nonlocal_quadrature_vs_trapezoid():
         total_trap = np.trapezoid(slopes, grid)
         total_gauss = -math.log(qn[-1] / plain[-1])
         assert total_trap == pytest.approx(total_gauss, abs=1e-7)
+
+
+@pytest.mark.parametrize("key", ["free", "harmonic", "damped-time",
+                                 "damped-action"])
+def test_nonlocal_charge_equals_its_numpy_oracle_bit_for_bit(key):
+    # state_at and the numpy slope at the same nodes, summed in the same
+    # order, for every generator, conformal ones included, on both
+    # trajectory kinds (coupled has no generators)
+    ent = standard_catalog()[key]
+    rs = ent.default_state
+    span = (rs.u, rs.u + 10.0)
+    traj = integrate_geodesic(BrinkmannMetric(ent.system),
+                              lift_state(ent.system, rs), (0.0, math.inf),
+                              config=TIGHT, stop_at_u=span[1])
+    views = (integrate_herglotz(ent.system, rs, span, config=TIGHT),
+             reduce_trajectory(traj))
+    gens = {**ent.generators,
+            **{name: gen for name, (gen, _) in ent.conformal.items()}}
+    assert gens
+    for name, gen in gens.items():
+        for rt in views:
+            u, got = nonlocal_charge(ent.system, gen, rt)
+            u_want, want = nonlocal_charge_numpy(ent.system, gen, rt)
+            assert u.tolist() == u_want.tolist()
+            assert got.tolist() == want.tolist(), (name, rt.traj.kind)
 
 
 # ------------------------------------------------------------ transform rule
