@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -207,7 +207,7 @@ def build_context(scn: dict) -> ScenarioContext:
 # checks
 
 class _RunCache:
-    """Integrations and systems shared between checks of one invocation."""
+    """Integrations shared between the checks of one invocation."""
 
     def __init__(self, ctx: ScenarioContext):
         self.ctx = ctx
@@ -228,13 +228,6 @@ class _RunCache:
         ctx = self.ctx
         return integrate_herglotz(ctx.system, ctx.rs0, ctx.span,
                                   config=ctx.config)
-
-    @cached_property
-    def damped_pair(self):
-        """The catalog's conformal pair at the parameters of the scenario
-        entry, built once so that its checks share the compiled passes."""
-        ctx = self.ctx
-        return conformal_pair(n=ctx.system.n, **ctx.entry.params)
 
 
 def _checkpoint_gaps(ctx: ScenarioContext, ta: ReducedTrajectory,
@@ -373,7 +366,8 @@ def _check_nonlocal_charge(ctx, cache, gen):
 @_check("conformal-pair", (("pullback", 1e-12), ("flow", 1e-6), ("w-map", 1e-6)),
         "conformal-pair-equivalence", needs_damped_pair=True)
 def _check_conformal_pair(ctx, cache, gen):
-    ent_a, ent_b, cmap, factor = cache.damped_pair
+    ent_a, ent_b, cmap, factor = conformal_pair(n=ctx.system.n,
+                                                **ctx.entry.params)
     met_a = BrinkmannMetric(ent_a.system)
     met_b = BrinkmannMetric(ent_b.system)
     pull = max(conformal_pullback_check(met_a, met_b, cmap, p, factor)
@@ -389,7 +383,8 @@ def _check_conformal_pair(ctx, cache, gen):
 @_check("transform-rule", 1e-12, "reduced-transform-rule",
         needs_damped_pair=True)
 def _check_transform_rule(ctx, cache, gen):
-    ent_a, ent_b, cmap, factor = cache.damped_pair
+    ent_a, ent_b, cmap, factor = conformal_pair(n=ctx.system.n,
+                                                **ctx.entry.params)
     return [max(transform_rule_check(ent_a.system, ent_b.system, cmap, rs)
                 for rs in state_cloud(ctx.system.n, 100))]
 
@@ -581,7 +576,9 @@ def cmd_list(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hlift",
         description="Integrate action-dependent systems and their lifted "
@@ -604,8 +601,11 @@ def main(argv=None) -> int:
     p_list = sub.add_parser("list", help="show the system catalog")
     p_list.add_argument("--json", dest="as_json", action="store_true")
     p_list.set_defaults(fn=cmd_list)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ScenarioError as err:

@@ -31,24 +31,23 @@ DEFAULT_BOUNDS: Dict[str, Tuple[float, float]] = {
 }
 
 
-def _radical_inverse(i: int, base: int) -> float:
-    out = 0.0
-    f = 1.0 / base
-    while i > 0:
-        out += f * (i % base)
-        i //= base
-        f /= base
-    return out
-
-
 def halton(count: int, dim: int, start: int = 1) -> np.ndarray:
-    """(count, dim) Halton points in [0, 1); rows start at index `start`."""
+    """(count, dim) Halton points in [0, 1); rows start at index `start`.
+
+    Column c is the radical inverse of the row index in base _PRIMES[c],
+    summed digit by digit from the lowest, as out += f * (i % base);
+    i //= base; f /= base (a row whose index ran out adds 0.0)."""
     if dim > len(_PRIMES):
         raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
-    out = np.empty((count, dim))
-    for r in range(count):
-        for c in range(dim):
-            out[r, c] = _radical_inverse(start + r, _PRIMES[c])
+    bases = np.array(_PRIMES[:dim], dtype=np.int64)
+    i = np.maximum(np.arange(start, start + count, dtype=np.int64), 0)
+    i = np.repeat(i[:, None], dim, axis=1)
+    out = np.zeros((count, dim))
+    f = 1.0 / bases
+    while i.any():
+        out += f * (i % bases)
+        i //= bases
+        f /= bases
     return out
 
 

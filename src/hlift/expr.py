@@ -33,7 +33,9 @@ import linecache
 import math
 import operator
 import re
+import types
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -895,13 +897,16 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool, name: str,
     return define_function("_forward", params, body, f"forward {name}", ns)
 
 
-# (label, source) -> code object, least recently used first: systems
-# built again with the same fields generate the same source, which is
-# compiled once.  The CLI and the benchmark build fewer than 100 distinct
-# functions; a process that builds ever new ones keeps the last
-# _CODE_CACHE of them, and their sources in linecache.
+# (label, source) -> the generated function's code, least recently used
+# first: systems built again with the same fields generate the same
+# source, which is compiled once.  The CLI and the benchmark build fewer
+# than 100 distinct functions; a process that builds ever new ones keeps
+# the last _CODE_CACHE of them.  A code pushed out while a function still
+# runs it waits in _LIVE, under a weak reference, until it is asked for
+# again or its last function goes; linecache serves its source meanwhile.
 _CODE_CACHE = 256
 _CODE: dict = {}
+_LIVE: dict = {}
 
 
 def define_function(name: str, params: Sequence, body: list, label: str,
@@ -909,22 +914,38 @@ def define_function(name: str, params: Sequence, body: list, label: str,
     """The function `name(*params)` whose body is the source lines `body`,
     defined in namespace `ns`.  linecache serves its source under the
     file name `<label hash>`, for tracebacks, profiles and
-    inspect.getsource, while the code stays in the cache.  A source
-    already compiled under the same label reuses its code object; the
-    function is still defined afresh."""
+    inspect.getsource, while the cache or a function holds its code.  A
+    source already compiled under the same label reuses its code object;
+    the function is still defined afresh."""
     src = (f"def {name}({', '.join(params)}):\n"
            + "\n".join(f"    {line}" for line in body) + "\n")
-    filename = f"<{label} {hashlib.sha1(src.encode()).hexdigest()[:8]}>"
-    code = _CODE.pop((label, src), None)
+    key = (label, src)
+    code = _CODE.pop(key, None)
+    if code is None and key in _LIVE:
+        code = _LIVE.pop(key)()  # the dropped reference never calls back
     if code is None:
-        code = compile(src, filename, "exec")
+        filename = f"<{label} {hashlib.sha1(src.encode()).hexdigest()[:8]}>"
+        code, = (c for c in compile(src, filename, "exec").co_consts
+                 if isinstance(c, types.CodeType))
+        linecache.cache[filename] = (len(src), None, src.splitlines(True),
+                                     filename)
         if len(_CODE) >= _CODE_CACHE:
-            oldest = _CODE.pop(next(iter(_CODE)))
-            linecache.cache.pop(oldest.co_filename, None)
-    _CODE[label, src] = code
-    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    exec(code, ns)
-    return ns[name]
+            _evict(next(iter(_CODE)))
+    _CODE[key] = code
+    return types.FunctionType(code, ns)
+
+
+def _evict(key) -> None:
+    """Move the code under `key` from _CODE to _LIVE; its source leaves
+    linecache with the last function that runs it, at once if none does."""
+    code = _CODE.pop(key)
+    live, lines, filename = _LIVE, linecache.cache, code.co_filename
+
+    def forget(ref):
+        if live.get(key) is ref:
+            del live[key]
+            lines.pop(filename, None)
+    live[key] = weakref.ref(code, forget)
 
 
 def _guarded(lines: list) -> list:

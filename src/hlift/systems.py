@@ -13,6 +13,13 @@ time-dependent coefficients and once as an action-dependent system with
 a w-linear potential.  The two lifts are conformally related by the map
 returned from damped_conformal_map, and their reduced flows agree after
 rescaling the action coordinate; several checks are built on that pair.
+
+get_entry, standard_catalog and conformal_pair build each entry (and
+the pair's map and factor) once per process: a bounded memo keyed by the
+factory and its bound arguments, each by type and repr, returns the same
+object to every call with equal arguments, so the compiled pipelines its
+systems and generators cache serve every later call.  Nothing mutates a
+built entry.  Calling a factory directly builds afresh.
 """
 
 from __future__ import annotations
@@ -283,14 +290,15 @@ def damped_conformal_map(gamma: float, n: int = 1):
 
 def conformal_pair(gamma: Optional[float] = None,
                    omega: Optional[float] = None, n: int = 1):
-    """(time-flavor entry, action-flavor entry, map, conformal factor);
-    gamma and omega default to the damped factories' defaults."""
+    """(time-flavor entry, action-flavor entry, map, conformal factor),
+    each built once per process (_built); gamma and omega default to the
+    damped factories' defaults."""
     defaults = factory_params(damped_time_dependent)
     gamma = defaults["gamma"] if gamma is None else gamma
     omega = defaults["omega"] if omega is None else omega
-    ent_a = damped_time_dependent(gamma, omega, n)
-    ent_b = damped_action_dependent(gamma, omega, n)
-    cmap, factor = damped_conformal_map(gamma, n)
+    ent_a = _built(damped_time_dependent, gamma, omega, n)
+    ent_b = _built(damped_action_dependent, gamma, omega, n)
+    cmap, factor = _built(damped_conformal_map, gamma, n)
     return ent_a, ent_b, cmap, factor
 
 
@@ -316,6 +324,32 @@ CATALOG: Dict[str, Callable[..., CatalogEntry]] = {
 }
 
 
+# (factory, (name, type, repr) of each bound argument) -> what it built,
+# least recently used first.  The CLI and the benchmark build fewer than
+# ten; a process that asks for ever new parameters keeps the last
+# _BUILT_CACHE of them.
+_BUILT_CACHE = 64
+_BUILT: dict = {}
+
+
+def _built(factory, *args, **kwargs):
+    """factory(*args, **kwargs), built once per process: arguments bound
+    with defaults applied and equal in type and repr (so 0.0 and -0.0, or
+    1 and 1.0, never share) return the first build.  A factory that
+    raises stores nothing."""
+    bound = inspect.signature(factory).bind(*args, **kwargs)
+    bound.apply_defaults()
+    key = (factory, *((name, type(v), repr(v))
+                      for name, v in bound.arguments.items()))
+    built = _BUILT.pop(key, None)
+    if built is None:
+        built = factory(*bound.args, **bound.kwargs)
+        if len(_BUILT) >= _BUILT_CACHE:
+            del _BUILT[next(iter(_BUILT))]
+    _BUILT[key] = built
+    return built
+
+
 def factory_params(factory) -> Dict[str, float]:
     """The parameters a catalog factory accepts, with their defaults:
     its keyword defaults apart from the dimension `n`."""
@@ -325,8 +359,9 @@ def factory_params(factory) -> Dict[str, float]:
 
 
 def get_entry(key: str, /, **params) -> CatalogEntry:
-    """The entry `key` built with `params`; KeyError for an unknown key,
-    ValueError for a parameter its factory does not declare."""
+    """The entry `key` built with `params`, once per process (_built);
+    KeyError for an unknown key, ValueError for a parameter its factory
+    does not declare."""
     if key not in CATALOG:
         raise KeyError(f"unknown catalog key {key!r}; "
                        f"known keys: {', '.join(sorted(CATALOG))}")
@@ -334,7 +369,7 @@ def get_entry(key: str, /, **params) -> CatalogEntry:
     if unknown:
         raise ValueError(
             f"system {key!r} does not accept parameter {unknown[0]!r}")
-    return CATALOG[key](**params)
+    return _built(CATALOG[key], **params)
 
 
 def standard_catalog(**params):

@@ -1,5 +1,6 @@
 """The numpy formulas of hlift's compiled checks, reduced right-hand side
-and w-slope: the test oracles the compiled pipelines are held against.
+and w-slope: the test oracles the compiled pipelines are held against;
+and the scalar radical inverse that cloud.halton vectorizes.
 
 Each function computes one of them from the public
 field passes (eval_bundle, eval_values, components_at,
@@ -190,3 +191,16 @@ def transform_rule_numpy(system_a: HerglotzSystem, system_b: HerglotzSystem,
                          float(vals[n + 1]))
     lag_b = reduced_lagrangian(system_b, image)
     return abs(float(lag_b * dup_du - dwp_du))
+
+
+def radical_inverse(i: int, base: int) -> float:
+    """The radical inverse of i in `base` on Python numbers, digit by
+    digit from the lowest: column c of cloud.halton at index i, for base
+    the c-th prime, bit for bit."""
+    out = 0.0
+    f = 1.0 / base
+    while i > 0:
+        out += f * (i % base)
+        i //= base
+        f /= base
+    return out

@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hlift import expr, symmetry
+from hlift import expr, symmetry, systems
 from hlift.cloud import halton, point_cloud, state_cloud
 from hlift.dynamics import ReducedState, homogeneity_residual
 from hlift.errors import NonFiniteError, SingularJacobianError
@@ -296,6 +296,9 @@ def test_catalog_and_conformal_pair_compile_nothing(monkeypatch):
     define = expr.define_function
     monkeypatch.setattr(expr, "define_function",
                         lambda *args: built.append(args[3]) or define(*args))
+    # built afresh: an empty memo, so that nothing compiled earlier in
+    # this process is reused
+    monkeypatch.setattr(systems, "_BUILT", {})
     catalog = standard_catalog()
     ent_a, ent_b, cmap, factor = conformal_pair(n=2)
     assert built == []
@@ -324,12 +327,14 @@ def test_catalog_and_conformal_pair_compile_nothing(monkeypatch):
 def test_a_source_compiled_once_is_not_compiled_again(monkeypatch):
     compiled = []
     monkeypatch.setattr(expr, "_CODE", {})
+    monkeypatch.setattr(expr, "_LIVE", {})
     monkeypatch.setattr(expr, "compile", lambda *args: compiled.append(args[1])
                         or compile(*args), raising=False)
     rs = ReducedState([0.3, -0.2], [0.5, 0.1], 0.5, 0.25)
     fns = []
     for _ in range(2):
-        system = standard_catalog()["coupled"].system
+        # two equal systems, each built directly (not through the memo)
+        system = coupled_curved().system
         homogeneity_residual(system, rs, 2.0)
         fns.append(system._passes._fns["homogeneity",])
     assert len(compiled) == 1

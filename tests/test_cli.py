@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hlift
 from hlift import cli
 from hlift.cli import main
 
@@ -373,6 +377,66 @@ def test_readme_checks_table_matches_check_table():
         name: (check.needs_generator, tuple(t for _, t in check.rows),
                check.certifies)
         for name, check in cli.CHECKS.items()}
+
+
+# ------------------------------------------------------- one process
+
+def _rows(out_dir):
+    """The report rows in `out_dir`, without their timings."""
+    return [{k: v for k, v in json.loads(line).items() if k != "seconds"}
+            for line in (out_dir / "report.jsonl").read_text().splitlines()]
+
+
+def test_one_parser_parses_every_call_afresh(tmp_path, capsys):
+    # the parser is built once per process, and each call parses as a
+    # freshly built one does: nothing carries over between calls
+    path = write_scenario(tmp_path, {"checks": ["null-drift"]})
+    calls = [["check", path, "u-accel", "w-redundancy", "--out-dir",
+              str(tmp_path / "a")],
+             ["check", path, "--out-dir", str(tmp_path / "b")],
+             ["list", "--json"],
+             ["run", path, "--out-dir", str(tmp_path / "c")]]
+    outs = []
+    for argv in calls:
+        assert cli._parser() is cli._parser()
+        assert (vars(cli._parser().parse_args(argv))
+                == vars(cli._parser.__wrapped__().parse_args(argv)))
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert [r["check"] for r in _rows(tmp_path / "a")] == ["u-accel",
+                                                          "w-redundancy"]
+    assert [r["check"] for r in _rows(tmp_path / "b")] == ["null-drift"]
+    assert [r["check"] for r in _rows(tmp_path / "c")] == [
+        "equivalence-x", "equivalence-w", "null-drift"]
+    assert len(json.loads(outs[2])) == 5
+
+
+def test_a_run_does_not_depend_on_earlier_calls(tmp_path, capsys):
+    # run A, check B, run A in one process write what run A writes in a
+    # fresh process.  B selects A's catalog entry with default parameters,
+    # so that both calls get the one memoized system, and its checks
+    # compile pipelines into it before the second run.
+    a = write_scenario(tmp_path, {"checks": ["noether-charge:time-shift",
+                                             "nonlocal-charge:time-shift"]},
+                       name="a.json")
+    b = write_scenario(tmp_path, {"checks": [
+        "conformal-pair", "transform-rule", "homogeneity",
+        "symmetry:action-exp", "nonlocal-charge:time-shift"]},
+        drop=("params",), name="b.json")
+    src = str(Path(hlift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "hlift.cli", "run", a,
+                    "--out-dir", str(tmp_path / "fresh")],
+                   env=env, check=True, capture_output=True)
+    assert main(["run", a, "--out-dir", str(tmp_path / "first")]) == 0
+    assert main(["check", b, "--out-dir", str(tmp_path / "b")]) == 0
+    assert main(["run", a, "--out-dir", str(tmp_path / "again")]) == 0
+    for out in ("first", "again"):
+        for name in ("geodesic.csv", "reduced.csv"):
+            assert ((tmp_path / out / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+        assert _rows(tmp_path / out) == _rows(tmp_path / "fresh")
 
 
 # ------------------------------------------------------------------ list

@@ -1,8 +1,12 @@
 """Deterministic low-discrepancy sampling."""
 
 import numpy as np
+import pytest
 
-from hlift.cloud import DEFAULT_BOUNDS, halton, point_cloud, state_cloud
+from hlift.cloud import (_PRIMES, DEFAULT_BOUNDS, halton, point_cloud,
+                         state_cloud)
+
+from numpy_oracle import radical_inverse
 
 
 def test_halton_base2_prefix():
@@ -19,6 +23,26 @@ def test_halton_deterministic_and_in_range():
     assert np.all((a >= 0) & (a < 1))
     # equidistribution sanity
     assert np.allclose(a.mean(axis=0), 0.5, atol=0.08)
+
+
+def test_halton_is_the_scalar_radical_inverse_bit_for_bit():
+    # the benchmark's starts (1 + 4096 seed, seeds 0-64), every dimension
+    # and counts 1-512, each a prefix of the oracle's 512 x 30 block
+    for seed in range(65):
+        start = 1 + 4096 * seed
+        want = np.array([[radical_inverse(start + r, p) for p in _PRIMES]
+                         for r in range(512)])
+        assert halton(512, 30, start).tobytes() == want.tobytes()
+        for dim in range(1, 31):
+            count = 1 + (37 * seed + 17 * dim) % 512
+            got = halton(count, dim, start)
+            assert got.shape == (count, dim)
+            assert got.tobytes() == want[:count, :dim].tobytes()
+    # an index of at most zero has no digits
+    assert halton(3, 2, -1).tobytes() == np.array(
+        [[radical_inverse(i, p) for p in (2, 3)] for i in (-1, 0, 1)]).tobytes()
+    with pytest.raises(ValueError, match="at most 30 dimensions"):
+        halton(1, 31)
 
 
 def test_point_cloud_bounds():

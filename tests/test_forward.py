@@ -3,6 +3,8 @@ oracle (dual_oracle.py), and the compiled right-hand sides against their
 numpy oracles (numpy_oracle.py)."""
 
 import dataclasses
+import functools
+import gc
 import inspect
 import linecache
 import math
@@ -12,15 +14,17 @@ import numpy as np
 import pytest
 
 import dual_oracle
+from hlift import dynamics, expr, systems
 from hlift.cloud import point_cloud
 from hlift.dynamics import (ReducedState, _dense_rows, _null_form, _rhs_steps,
-                            _stepper, herglotz_rhs, reduced_function)
+                            _stepper, herglotz_rhs, homogeneity_residual,
+                            reduced_function)
 from hlift.errors import HliftError, NonFiniteError
 from hlift.expr import FUNCTIONS, Field, compile_forward, parse, to_text
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldBundle,
                             HerglotzSystem, Point, solve_kinetic)
 from hlift.symmetry import SymmetryGenerator
-from hlift.systems import (conformal_pair, damped_conformal_map,
+from hlift.systems import (conformal_pair, damped_conformal_map, get_entry,
                            standard_catalog)
 
 from numpy_oracle import assert_like_the_oracle, herglotz_rhs_numpy
@@ -530,3 +534,42 @@ def test_generated_source_is_in_linecache():
         assert filename.startswith(prefix)
         assert linecache.getline(filename, 1).startswith(head)
         assert inspect.getsource(fn) == "".join(linecache.getlines(filename))
+
+
+def test_a_referenced_function_keeps_its_source(monkeypatch):
+    # a cached integration loop and a pipeline of a memoized catalog
+    # system are generated into a code cache of two, and later functions
+    # push their code objects out of it while they are referenced: their
+    # sources stay.  Fresh caches and memo keep this independent of
+    # whatever ran before.
+    monkeypatch.setattr(expr, "_CODE", {})
+    monkeypatch.setattr(expr, "_LIVE", {})
+    monkeypatch.setattr(expr, "_CODE_CACHE", 2)
+    monkeypatch.setattr(systems, "_BUILT", {})
+    monkeypatch.setattr(dynamics, "_stepper",
+                        functools.cache(_stepper.__wrapped__))
+    loop = dynamics._stepper(5, True, 0, None)
+    system = get_entry("coupled").system
+    homogeneity_residual(system, ReducedState([0.3, -0.2], [0.5, 0.1],
+                                              0.5, 0.25), 2.0)
+    pipeline = get_entry("coupled").system._passes._fns["homogeneity",]
+    del system
+
+    def define(k):
+        return compile_forward([Field(1, f"x1^3 + {k}.125", name="filler")],
+                               1, False, f"filler {k}")
+    dropped = define(0).__code__.co_filename
+    for k in range(1, 4):
+        define(k)
+    gc.collect()
+    assert not {loop.__code__, pipeline.__code__} & set(expr._CODE.values())
+    for fn, head in ((loop, "def _loop(fn, explain, t, t_end, "),
+                     (pipeline, "def _forward(x1, x2, u, w, ")):
+        filename = fn.__code__.co_filename
+        assert linecache.getline(filename, 1).startswith(head)
+        assert inspect.getsource(fn) == "".join(linecache.getlines(filename))
+    # a function nothing references takes its source along
+    assert dropped not in linecache.cache
+    # generated again, the source finds its live code and is not compiled
+    again = _stepper.__wrapped__(5, True, 0, None)
+    assert again is not loop and again.__code__ is loop.__code__

@@ -234,3 +234,49 @@ def test_catalog_with_overridden_rates():
     rs = ReducedState([1.0], [0.0], 0.0, 1.0)
     from hlift.dynamics import lagrangian_w_slope
     assert lagrangian_w_slope(ent.system, rs) == pytest.approx(-0.5, abs=1e-15)
+
+
+# ------------------------------------------------------------- the memo
+
+def test_equal_arguments_share_one_build():
+    # defaults and explicit equal arguments, through every builder
+    entry = get_entry("damped-action")
+    assert get_entry("damped-action", gamma=0.2, omega=1.0) is entry
+    assert standard_catalog()["damped-action"] is entry
+    pair = conformal_pair(n=1)
+    assert pair[0] is get_entry("damped-time") and pair[1] is entry
+    assert all(a is b for a, b in zip(conformal_pair(0.2, 1.0), pair))
+    assert standard_catalog(gamma=0.2)["damped-time"] is pair[0]
+    assert standard_catalog()["free"] is get_entry("free")
+    # a direct factory call builds afresh
+    assert damped_action_dependent() is not entry
+
+
+def test_arguments_of_another_type_or_sign_build_apart():
+    zero, minus_zero = (get_entry("harmonic", omega=w) for w in (0.0, -0.0))
+    assert zero is not minus_zero
+    assert math.copysign(1.0, minus_zero.params["omega"]) == -1.0
+    assert get_entry("harmonic", omega=1) is not get_entry("harmonic",
+                                                           omega=1.0)
+    assert type(get_entry("harmonic", omega=1).params["omega"]) is int
+    pair, other = conformal_pair(gamma=0.0), conformal_pair(gamma=-0.0)
+    assert not any(a is b for a, b in zip(pair, other))
+
+
+def test_the_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(systems, "_BUILT", {})
+    monkeypatch.setattr(systems, "_BUILT_CACHE", 3)
+    # a factory that raises, or arguments refused before it, store nothing
+    with pytest.raises(ValueError, match="nonnegative"):
+        get_entry("harmonic", omega=-1.0)
+    with pytest.raises(ValueError, match="does not accept"):
+        get_entry("harmonic", gamma=1.0)
+    assert systems._BUILT == {}
+    for omega in (math.nan, 0.5, float("nan"), 1.5, 2.5, -math.nan, 0.5):
+        get_entry("harmonic", omega=omega)
+        assert len(systems._BUILT) <= 3
+    # every nan has the one repr, and shares its build
+    assert get_entry("harmonic", omega=math.nan) is get_entry(
+        "harmonic", omega=float("nan"))
+    conformal_pair(gamma=math.nan)
+    assert len(systems._BUILT) == 3
