@@ -41,7 +41,8 @@ from .symmetry import (SymmetryGenerator, charge_series,
                        conformal_killing_residual, degreewise_max_residual,
                        killing_residual, nonlocal_charge,
                        symmetry_condition_residual, transform_rule_check)
-from .systems import CatalogEntry, conformal_pair, get_entry, standard_catalog
+from .systems import (CatalogEntry, _built, conformal_pair, get_entry,
+                      standard_catalog)
 from .geometry import conformal_pullback_check
 
 _CHECKPOINTS = 33
@@ -112,7 +113,8 @@ def load_scenario(path: str) -> dict:
 
 
 def _build_system(scn: dict):
-    """(system, catalog entry or None) from the scenario's selection."""
+    """(system, catalog entry or None) from the scenario's selection, each
+    built once per process (systems._built)."""
     sel = scn["system"]
     params = scn.get("params", {})
     _need(isinstance(params, dict), "params must be an object")
@@ -131,8 +133,8 @@ def _build_system(scn: dict):
     n = sel["n"]
     _need(type(n) is int and n >= 1, "system.n must be a positive integer")
     try:
-        system = HerglotzSystem(n, sel["h"], sel["A"], sel["V"], params=params,
-                                name=sel.get("name", "custom"))
+        system = _built(HerglotzSystem, n, sel["h"], sel["A"], sel["V"],
+                        params=params, name=sel.get("name", "custom"))
     except (HliftError, TypeError, ValueError) as err:
         raise ScenarioError(f"system: {err}") from err
     return system, None

@@ -897,16 +897,12 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool, name: str,
     return define_function("_forward", params, body, f"forward {name}", ns)
 
 
-# (label, source) -> the generated function's code, least recently used
-# first: systems built again with the same fields generate the same
-# source, which is compiled once.  The CLI and the benchmark build fewer
-# than 100 distinct functions; a process that builds ever new ones keeps
-# the last _CODE_CACHE of them.  A code pushed out while a function still
-# runs it waits in _LIVE, under a weak reference, until it is asked for
-# again or its last function goes; linecache serves its source meanwhile.
-_CODE_CACHE = 256
-_CODE: dict = {}
-_LIVE: dict = {}
+# (label, source) -> the code of live generated functions: systems built
+# again with the same fields generate the same source, which is compiled
+# once while a function runs its code.  Code and source go with the last
+# function; the objects that hold the functions (systems._built, the
+# cached loops of dynamics) decide how long that is.
+_CODE = weakref.WeakValueDictionary()
 
 
 def define_function(name: str, params: Sequence, body: list, label: str,
@@ -914,38 +910,22 @@ def define_function(name: str, params: Sequence, body: list, label: str,
     """The function `name(*params)` whose body is the source lines `body`,
     defined in namespace `ns`.  linecache serves its source under the
     file name `<label hash>`, for tracebacks, profiles and
-    inspect.getsource, while the cache or a function holds its code.  A
-    source already compiled under the same label reuses its code object;
-    the function is still defined afresh."""
+    inspect.getsource, while a function runs its code.  The source of a
+    live function, under the same label, reuses that function's code
+    object; the function is still defined afresh."""
     src = (f"def {name}({', '.join(params)}):\n"
            + "\n".join(f"    {line}" for line in body) + "\n")
     key = (label, src)
-    code = _CODE.pop(key, None)
-    if code is None and key in _LIVE:
-        code = _LIVE.pop(key)()  # the dropped reference never calls back
+    code = _CODE.get(key)
     if code is None:
         filename = f"<{label} {hashlib.sha1(src.encode()).hexdigest()[:8]}>"
         code, = (c for c in compile(src, filename, "exec").co_consts
                  if isinstance(c, types.CodeType))
         linecache.cache[filename] = (len(src), None, src.splitlines(True),
                                      filename)
-        if len(_CODE) >= _CODE_CACHE:
-            _evict(next(iter(_CODE)))
-    _CODE[key] = code
+        weakref.finalize(code, linecache.cache.pop, filename, None)
+        _CODE[key] = code
     return types.FunctionType(code, ns)
-
-
-def _evict(key) -> None:
-    """Move the code under `key` from _CODE to _LIVE; its source leaves
-    linecache with the last function that runs it, at once if none does."""
-    code = _CODE.pop(key)
-    live, lines, filename = _LIVE, linecache.cache, code.co_filename
-
-    def forget(ref):
-        if live.get(key) is ref:
-            del live[key]
-            lines.pop(filename, None)
-    live[key] = weakref.ref(code, forget)
 
 
 def _guarded(lines: list) -> list:

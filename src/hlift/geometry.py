@@ -652,17 +652,16 @@ class CoordinateMap:
 
 
 def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetric,
-                             cmap: CoordinateMap, point: Point, omega,
-                             params=None) -> float:
+                             cmap: CoordinateMap, point: Point, omega) -> float:
     """max | (J^T g_b(Phi(p)) J) - Omega(p) g_a(p) |.
 
     Zero means Phi pulls metric_b back to Omega times metric_a at p.
-    `omega` is any field source over (x, u, w), evaluated by
-    Field.__call__.  One compiled pipeline over the map's pass evaluates
-    the rest; where Omega or that declines, FieldPasses.explain raises the
-    point's error.
+    `omega` is a Field over (x, u, w), or a parameter-free expression or
+    number, evaluated by Field.__call__.  One compiled pipeline over the
+    map's pass evaluates the rest; where Omega or that declines,
+    FieldPasses.explain raises the point's error.
     """
-    omega_f = as_field(omega, metric_a.system.n, params, name="omega")
+    omega_f = as_field(omega, metric_a.system.n, name="omega")
     systems = metric_a.system, metric_b.system
     x, u, w = point.x.tolist(), float(point.u), float(point.w)
     try:

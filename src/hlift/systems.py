@@ -325,9 +325,10 @@ CATALOG: Dict[str, Callable[..., CatalogEntry]] = {
 
 
 # (factory, (name, type, repr) of each bound argument) -> what it built,
-# least recently used first.  The CLI and the benchmark build fewer than
-# ten; a process that asks for ever new parameters keeps the last
-# _BUILT_CACHE of them.
+# least recently used first: the catalog entries, the conformal pair and
+# the CLI's inline systems.  The CLI and the benchmark build fewer than
+# ten; a process that asks for ever new ones keeps the last _BUILT_CACHE
+# of them, and with them their compiled code (expr._CODE).
 _BUILT_CACHE = 64
 _BUILT: dict = {}
 

@@ -19,8 +19,8 @@ transform rule and the pullback are stated where they are computed.
 
 import gc
 import linecache
-import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -36,8 +36,8 @@ from hlift.symmetry import (SymmetryGenerator, _conformal_killing_tail,
                             conformal_killing_residual, degreewise_identities,
                             degreewise_max_residual, killing_residual,
                             symmetry_condition_residual, transform_rule_check)
-from hlift.systems import (conformal_pair, coupled_curved, standard_catalog,
-                           x_scaling_control)
+from hlift.systems import (conformal_pair, coupled_curved, get_entry,
+                           standard_catalog, x_scaling_control)
 
 from numpy_oracle import (assert_like_the_oracle, conformal_split,
                           homogeneity_numpy, lie_derivative_numpy,
@@ -326,8 +326,7 @@ def test_catalog_and_conformal_pair_compile_nothing(monkeypatch):
 
 def test_a_source_compiled_once_is_not_compiled_again(monkeypatch):
     compiled = []
-    monkeypatch.setattr(expr, "_CODE", {})
-    monkeypatch.setattr(expr, "_LIVE", {})
+    monkeypatch.setattr(expr, "_CODE", weakref.WeakValueDictionary())
     monkeypatch.setattr(expr, "compile", lambda *args: compiled.append(args[1])
                         or compile(*args), raising=False)
     rs = ReducedState([0.3, -0.2], [0.5, 0.1], 0.5, 0.25)
@@ -343,39 +342,52 @@ def test_a_source_compiled_once_is_not_compiled_again(monkeypatch):
     assert fns[0].__globals__ is not fns[1].__globals__
 
 
-def test_ever_new_systems_keep_memory_flat(monkeypatch):
-    # once the code cache is full, each new function evicts the least
-    # recently used one, and its source from linecache
-    cache = {}
-    monkeypatch.setattr(expr, "_CODE", cache)
-    size = expr._CODE_CACHE
-    point = Point([0.3], 0.5, 0.25)
-
-    def build(batch):
-        for i in range(batch * size, (batch + 1) * size):
-            HerglotzSystem(1, [["1"]], ["0"],
-                           f"0.5*x1^2 + {i}*x1^3").eval_values(point)
-
-    build(0)
-    first = [code.co_filename for code in cache.values()]
+def test_ever_new_systems_keep_memory_flat():
+    # a generated code, and its source in linecache, lives as long as a
+    # function runs it: systems built and dropped leave nothing behind
     gc.collect()
-    retained = []
-    tracemalloc.start()
-    try:
-        for batch in (1, 2, 3):
-            build(batch)
-            gc.collect()
-            retained.append(tracemalloc.get_traced_memory()[0])
-    finally:
-        tracemalloc.stop()
-        for code in cache.values():
-            linecache.cache.pop(code.co_filename, None)
-    assert len(cache) == size
-    assert not any(filename in linecache.cache for filename in first)
-    # a further cache's worth of systems retains no more: an unbounded
-    # cache would add as much again (tracemalloc itself keeps the file
-    # name of every frame it traced, about 70 bytes a function)
-    assert retained[2] - retained[1] < 0.1 * retained[1]
+    size = len(expr._CODE)
+    point = Point([0.3], 0.5, 0.25)
+    for batch in range(3):
+        codes = []
+        for i in range(batch * 256, (batch + 1) * 256):
+            system = HerglotzSystem(1, [["1"]], ["0"],
+                                    f"0.5*x1^2 + {i}*x1^3")
+            system.eval_values(point)
+            codes += [fn.__code__ for fn in system._passes._fns.values()]
+        assert len(codes) == 256
+        files = [code.co_filename for code in codes]
+        assert all(f.startswith("<forward") and f in linecache.cache
+                   for f in files)
+        refs = [weakref.ref(code) for code in codes]
+        del system, codes
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert not set(files) & set(linecache.cache)
+        assert len(expr._CODE) == size
+
+
+def test_a_generator_keeps_no_system_it_checked():
+    # the joint passes of a memoized generator go with the systems it
+    # was checked against, and their compiled code with them
+    gen = get_entry("harmonic").generators["time-shift"]
+    gc.collect()
+    size = len(gen._joints)
+    point = Point([0.3], 0.5, 0.25)
+    checked, refs, files = [], [], []
+    for i in range(32):
+        system = HerglotzSystem(1, [["1"]], ["0"], f"0.5*x1^2 + {i}*x1^4")
+        killing_residual(BrinkmannMetric(system), gen, point)
+        checked.append(system)
+        refs.append(weakref.ref(gen._joints[system]))
+        files += [fn.__code__.co_filename
+                  for fn in gen._joints[system]._fns.values()]
+    assert len(files) == 32 and len(gen._joints) == size + 32
+    del checked, system
+    gc.collect()
+    assert len(gen._joints) == size
+    assert all(ref() is None for ref in refs)
+    assert not set(files) & set(linecache.cache)
 
 
 # ---------------------------------------------- homogeneity and the pair

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hlift
-from hlift import cli
+from hlift import cli, systems
 from hlift.cli import main
 
 BASE = {
@@ -312,6 +312,23 @@ def test_conformal_checks_need_damped_system(tmp_path, capsys):
     assert main(["check", path]) == 2
 
 
+def test_time_scaling_is_conformal_killing_but_not_killing(tmp_path):
+    # the damped-time lift's time scaling is a conformal Killing vector
+    # (the paper's conformal pair), not a Killing one
+    path = write_scenario(tmp_path, {"system": "damped-time", "params": {}})
+    assert main(["check", path, "conformal-killing:time-scaling",
+                 "--out-dir", str(tmp_path / "ck")]) == 0
+    row, = _rows(tmp_path / "ck")
+    assert (row["check"], row["status"], row["tol"]) == (
+        "conformal-killing:time-scaling", "pass", 1e-8)
+    assert row["residual"] < 1e-15
+    assert main(["check", path, "killing:time-scaling",
+                 "--out-dir", str(tmp_path / "k")]) == 4
+    row, = _rows(tmp_path / "k")
+    assert (row["check"], row["status"]) == ("killing:time-scaling", "fail")
+    assert row["residual"] == pytest.approx(1.03, abs=0.01)
+
+
 # an inline system that borrows a catalog name is not that catalog system
 _IMPOSTOR = {"system": {"n": 1, "h": [["1"]], "A": ["0"],
                         "V": "5*x1^4 + 3*w", "name": "damped-action"},
@@ -411,18 +428,34 @@ def test_one_parser_parses_every_call_afresh(tmp_path, capsys):
     assert len(json.loads(outs[2])) == 5
 
 
-def test_a_run_does_not_depend_on_earlier_calls(tmp_path, capsys):
+# a coupled-like inline system with a parameter
+_INLINE = {"system": {"n": 2, "h": [["1 + 0.25*x2^2", 0.3], [0.3, 2.0]],
+                      "A": ["0.4*x2", "-0.1*x1"],
+                      "V": "0.5*(x1^2 + x2^2) + k*w + 0.1*sin(u)",
+                      "name": "inline-coupled"},
+           "params": {"k": 0.3},
+           "initial": {"x": [0.6, -0.3], "xp": [0.2, 0.4], "u": 0.0, "w": 0.0}}
+
+
+@pytest.mark.parametrize("a, b, b_drop", [
+    ({"checks": ["noether-charge:time-shift", "nonlocal-charge:time-shift"]},
+     {"checks": ["conformal-pair", "transform-rule", "homogeneity",
+                 "symmetry:action-exp", "nonlocal-charge:time-shift"]},
+     ("params",)),
+    (_INLINE, dict(_INLINE, checks=["u-accel", "w-redundancy", "homogeneity",
+                                    "equivalence"]), ()),
+], ids=["catalog", "inline"])
+def test_a_run_does_not_depend_on_earlier_calls(tmp_path, capsys, a, b,
+                                                b_drop):
     # run A, check B, run A in one process write what run A writes in a
-    # fresh process.  B selects A's catalog entry with default parameters,
-    # so that both calls get the one memoized system, and its checks
-    # compile pipelines into it before the second run.
-    a = write_scenario(tmp_path, {"checks": ["noether-charge:time-shift",
-                                             "nonlocal-charge:time-shift"]},
-                       name="a.json")
-    b = write_scenario(tmp_path, {"checks": [
-        "conformal-pair", "transform-rule", "homogeneity",
-        "symmetry:action-exp", "nonlocal-charge:time-shift"]},
-        drop=("params",), name="b.json")
+    # fresh process.  B selects A's system (the catalog entry with default
+    # parameters, or an equal inline system), so that both calls get the
+    # one memoized system, and its checks compile pipelines into it
+    # before the second run.
+    a = write_scenario(tmp_path, a, name="a.json")
+    b = write_scenario(tmp_path, b, drop=b_drop, name="b.json")
+    assert (cli._build_system(cli.load_scenario(a))[0]
+            is cli._build_system(cli.load_scenario(b))[0])
     src = str(Path(hlift.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -437,6 +470,50 @@ def test_a_run_does_not_depend_on_earlier_calls(tmp_path, capsys):
             assert ((tmp_path / out / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes())
         assert _rows(tmp_path / out) == _rows(tmp_path / "fresh")
+
+
+def _build_inline(scenario):
+    """The system that a scenario with this (JSON) selection builds."""
+    system, entry = cli._build_system(json.loads(json.dumps(scenario)))
+    assert entry is None
+    return system
+
+
+def test_equal_inline_systems_are_built_once(monkeypatch):
+    monkeypatch.setattr(systems, "_BUILT", {})
+    system = _build_inline(_INLINE)
+    assert _build_inline(_INLINE) is system
+    assert _build_inline(dict(_INLINE, params={"k": 0.5})) is not system
+    assert len(systems._BUILT) == 2
+
+
+# equal as numbers, but not in type or sign
+@pytest.mark.parametrize("first, second", [
+    (_custom("0.5*x1^2", h=[[1]]), _custom("0.5*x1^2", h=[[1.0]])),
+    (dict(_custom("0.5*x1^2 + k*w"), params={"k": 0.0}),
+     dict(_custom("0.5*x1^2 + k*w"), params={"k": -0.0})),
+    (dict(_custom("0.5*x1^2 + k*w"), params={"k": 1}),
+     dict(_custom("0.5*x1^2 + k*w"), params={"k": 1.0})),
+    (_custom("0.5*x1^2", n=2, h=[[1, 0.0], [0.0, 1]], A=["0", "0"]),
+     _custom("0.5*x1^2", n=2, h=[[1, -0.0], [-0.0, 1]], A=["0", "0"])),
+], ids=["int-float-h", "signed-zero-params", "int-float-params",
+        "signed-zero-h"])
+def test_inline_systems_of_other_types_or_signs_are_distinct(
+        monkeypatch, first, second):
+    monkeypatch.setattr(systems, "_BUILT", {})
+    assert _build_inline(first) is not _build_inline(second)
+    assert len(systems._BUILT) == 2
+
+
+def test_an_invalid_inline_system_caches_nothing(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(systems, "_BUILT", {})
+    path = write_scenario(tmp_path, _custom("0.5*x1^2", h=[[True]]))
+    for _ in range(2):
+        assert main(["check", path, "null-drift"]) == 2
+        assert capsys.readouterr().err == (
+            "error: system: cannot build a field from bool\n")
+        assert systems._BUILT == {}
 
 
 # ------------------------------------------------------------------ list

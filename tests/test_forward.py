@@ -9,6 +9,7 @@ import inspect
 import linecache
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -523,8 +524,7 @@ def test_generated_source_is_in_linecache():
         BrinkmannMetric(system).geodesic_function(),
         reduced_function(system),
         compile_forward(system._passes.entries, 2, True, "coupled"))]
-    # the integration loop, generated afresh (its cached build may have
-    # left the bounded code cache, and linecache with it)
+    # the integration loops, generated afresh
     fns.append((_stepper.__wrapped__(8, False, 1, 2), "<dop853 8 aux1 stop2 ",
                 "def _loop(fn, explain, t, t_end, y, k, cfg, "))
     fns.append((_dense_rows.__wrapped__(8, False), "<dop853 rows 8 ",
@@ -538,13 +538,10 @@ def test_generated_source_is_in_linecache():
 
 def test_a_referenced_function_keeps_its_source(monkeypatch):
     # a cached integration loop and a pipeline of a memoized catalog
-    # system are generated into a code cache of two, and later functions
-    # push their code objects out of it while they are referenced: their
-    # sources stay.  Fresh caches and memo keep this independent of
-    # whatever ran before.
-    monkeypatch.setattr(expr, "_CODE", {})
-    monkeypatch.setattr(expr, "_LIVE", {})
-    monkeypatch.setattr(expr, "_CODE_CACHE", 2)
+    # system keep their code and source while they are referenced, and
+    # functions nothing references take theirs along.  A fresh registry,
+    # memo and loop cache keep this independent of whatever ran before.
+    monkeypatch.setattr(expr, "_CODE", weakref.WeakValueDictionary())
     monkeypatch.setattr(systems, "_BUILT", {})
     monkeypatch.setattr(dynamics, "_stepper",
                         functools.cache(_stepper.__wrapped__))
@@ -558,18 +555,16 @@ def test_a_referenced_function_keeps_its_source(monkeypatch):
     def define(k):
         return compile_forward([Field(1, f"x1^3 + {k}.125", name="filler")],
                                1, False, f"filler {k}")
-    dropped = define(0).__code__.co_filename
-    for k in range(1, 4):
-        define(k)
+    dropped = [define(k).__code__.co_filename for k in range(4)]
     gc.collect()
-    assert not {loop.__code__, pipeline.__code__} & set(expr._CODE.values())
+    assert set(expr._CODE.values()) == {loop.__code__, pipeline.__code__}
     for fn, head in ((loop, "def _loop(fn, explain, t, t_end, "),
                      (pipeline, "def _forward(x1, x2, u, w, ")):
         filename = fn.__code__.co_filename
         assert linecache.getline(filename, 1).startswith(head)
         assert inspect.getsource(fn) == "".join(linecache.getlines(filename))
     # a function nothing references takes its source along
-    assert dropped not in linecache.cache
+    assert not set(dropped) & set(linecache.cache)
     # generated again, the source finds its live code and is not compiled
     again = _stepper.__wrapped__(5, True, 0, None)
     assert again is not loop and again.__code__ is loop.__code__
