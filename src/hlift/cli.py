@@ -134,7 +134,8 @@ def _build_system(scn: dict):
     _need(type(n) is int and n >= 1, "system.n must be a positive integer")
     try:
         system = _built(HerglotzSystem, n, sel["h"], sel["A"], sel["V"],
-                        params=params, name=sel.get("name", "custom"))
+                        params=dict(sorted(params.items())),
+                        name=sel.get("name", "custom"))
     except (HliftError, TypeError, ValueError) as err:
         raise ScenarioError(f"system: {err}") from err
     return system, None

@@ -897,11 +897,12 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool, name: str,
     return define_function("_forward", params, body, f"forward {name}", ns)
 
 
-# (label, source) -> the code of live generated functions: systems built
-# again with the same fields generate the same source, which is compiled
-# once while a function runs its code.  Code and source go with the last
-# function; the objects that hold the functions (systems._built, the
-# cached loops of dynamics) decide how long that is.
+# (label, source) -> the code of live generated functions.  It keeps one
+# live code per linecache file name, so that the finalizer of a dead
+# twin cannot drop a source that a live code still shows; it is not a
+# cache for repeated work, which systems._built and the cached loops of
+# dynamics already serve, and needs no bound.  Code and source go with
+# the last function that runs them.
 _CODE = weakref.WeakValueDictionary()
 
 

@@ -31,7 +31,6 @@ integrand alike.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,7 +75,7 @@ class SymmetryGenerator:
         self.du = as_field(du, n, params, f"{name}.du")
         self.dw = as_field(dw, n, params, f"{name}.dw")
         self._passes = FieldPasses(self.component_fields(), self.n, name)
-        self._joints = weakref.WeakKeyDictionary()
+        self._joints = {}
 
     def component_fields(self):
         return [*self.dx, self.du, self.dw]
@@ -89,7 +88,7 @@ class SymmetryGenerator:
         """The FieldPasses of the system's entries (h pairs, A, V)
         followed by this generator's (dx, du, dw), named "system
         generator", where the generator checks' pipelines live; made on
-        first use and cached per system while the system lives."""
+        first use and cached per system."""
         passes = self._joints.get(system)
         if passes is None:
             self._passes.check_dimension([system])

@@ -36,8 +36,8 @@ from hlift.symmetry import (SymmetryGenerator, _conformal_killing_tail,
                             conformal_killing_residual, degreewise_identities,
                             degreewise_max_residual, killing_residual,
                             symmetry_condition_residual, transform_rule_check)
-from hlift.systems import (conformal_pair, coupled_curved, get_entry,
-                           standard_catalog, x_scaling_control)
+from hlift.systems import (conformal_pair, coupled_curved, standard_catalog,
+                           x_scaling_control)
 
 from numpy_oracle import (assert_like_the_oracle, conformal_split,
                           homogeneity_numpy, lie_derivative_numpy,
@@ -365,29 +365,6 @@ def test_ever_new_systems_keep_memory_flat():
         assert all(ref() is None for ref in refs)
         assert not set(files) & set(linecache.cache)
         assert len(expr._CODE) == size
-
-
-def test_a_generator_keeps_no_system_it_checked():
-    # the joint passes of a memoized generator go with the systems it
-    # was checked against, and their compiled code with them
-    gen = get_entry("harmonic").generators["time-shift"]
-    gc.collect()
-    size = len(gen._joints)
-    point = Point([0.3], 0.5, 0.25)
-    checked, refs, files = [], [], []
-    for i in range(32):
-        system = HerglotzSystem(1, [["1"]], ["0"], f"0.5*x1^2 + {i}*x1^4")
-        killing_residual(BrinkmannMetric(system), gen, point)
-        checked.append(system)
-        refs.append(weakref.ref(gen._joints[system]))
-        files += [fn.__code__.co_filename
-                  for fn in gen._joints[system]._fns.values()]
-    assert len(files) == 32 and len(gen._joints) == size + 32
-    del checked, system
-    gc.collect()
-    assert len(gen._joints) == size
-    assert all(ref() is None for ref in refs)
-    assert not set(files) & set(linecache.cache)
 
 
 # ---------------------------------------------- homogeneity and the pair

@@ -484,7 +484,11 @@ def test_equal_inline_systems_are_built_once(monkeypatch):
     system = _build_inline(_INLINE)
     assert _build_inline(_INLINE) is system
     assert _build_inline(dict(_INLINE, params={"k": 0.5})) is not system
-    assert len(systems._BUILT) == 2
+    # the order in which the parameters are written does not matter
+    two = _build_inline(dict(_INLINE, params={"k": 0.3, "c": 0.1}))
+    assert _build_inline(dict(_INLINE, params={"c": 0.1, "k": 0.3})) is two
+    assert two is not system
+    assert len(systems._BUILT) == 3
 
 
 # equal as numbers, but not in type or sign
