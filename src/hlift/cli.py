@@ -19,6 +19,7 @@ Exit codes: 0 ok, 2 scenario/config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -234,15 +235,18 @@ class _RunCache:
 
 
 def _checkpoint_gaps(ctx: ScenarioContext, ta: ReducedTrajectory,
-                     tb: ReducedTrajectory, w_rate: float = 0.0):
+                     *others: ReducedTrajectory, w_rate: float = 0.0):
     """Largest |x_a - x_b|, |exp(-w_rate u) w_a - w_b| and |xp_a - xp_b|
-    over the u checkpoints of two trajectories."""
+    over the u checkpoints of trajectory a and each of the others, with
+    each state of a read once."""
     gap_x = gap_w = gap_xp = 0.0
     for u in np.linspace(ctx.span[0], ctx.span[1], _CHECKPOINTS):
-        a, b = ta.state_at(u), tb.state_at(u)
-        gap_x = max(gap_x, float(np.max(np.abs(a.x - b.x))))
-        gap_w = max(gap_w, abs(math.exp(-w_rate * u) * a.w - b.w))
-        gap_xp = max(gap_xp, float(np.max(np.abs(a.xp - b.xp))))
+        a = ta.state_at(u)
+        for tb in others:
+            b = tb.state_at(u)
+            gap_x = max(gap_x, float(np.max(np.abs(a.x - b.x))))
+            gap_w = max(gap_w, abs(math.exp(-w_rate * u) * a.w - b.w))
+            gap_xp = max(gap_xp, float(np.max(np.abs(a.xp - b.xp))))
     return gap_x, gap_w, gap_xp
 
 
@@ -309,8 +313,7 @@ def _check_reparam(ctx, cache, gen):
         traj = integrate_geodesic(ctx.metric, gs0, (0.0, math.inf),
                                   config=cfg, stop_at_u=ctx.span[1])
         views.append(reduce_trajectory(traj))
-    return [max(max(_checkpoint_gaps(ctx, views[0], other))
-                for other in views[1:])]
+    return [max(_checkpoint_gaps(ctx, *views))]
 
 
 @_check("homogeneity", 1e-12, "velocity-degree-one-homogeneity")
@@ -380,7 +383,7 @@ def _check_conformal_pair(ctx, cache, gen):
     rs0_b = ReducedState(ctx.rs0.x, ctx.rs0.xp, ctx.rs0.u,
                          math.exp(-gamma * ctx.rs0.u) * ctx.rs0.w)
     tb = integrate_herglotz(ent_b.system, rs0_b, ctx.span, config=ctx.config)
-    return [pull, *_checkpoint_gaps(ctx, ta, tb, gamma)[:2]]
+    return [pull, *_checkpoint_gaps(ctx, ta, tb, w_rate=gamma)[:2]]
 
 
 @_check("transform-rule", 1e-12, "reduced-transform-rule",
@@ -487,6 +490,7 @@ def _write_trajectory(path: str, ctx: ScenarioContext,
 def _report(ctx: ScenarioContext, rows: List[dict]) -> str:
     """Write the rows to report.jsonl in the output directory, print
     them, and return the file's path."""
+    os.makedirs(ctx.out_dir, exist_ok=True)
     path = os.path.join(ctx.out_dir, "report.jsonl")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
@@ -499,6 +503,23 @@ def _report(ctx: ScenarioContext, rows: List[dict]) -> str:
     return path
 
 
+@contextlib.contextmanager
+def _reported_on_error(ctx: ScenarioContext, rows: List[dict], check: str,
+                       certifies: str):
+    """Where the block raises an HliftError, report `rows` and an `error`
+    row for `check` ("Type: message") before the error goes on, so that
+    no earlier report stands in for the failed one."""
+    start = time.perf_counter()
+    try:
+        yield
+    except HliftError as err:
+        row = _row(check, None, None, time.perf_counter() - start, certifies,
+                   "error")
+        row["error"] = f"{type(err).__name__}: {err}"
+        _report(ctx, rows + [row])
+        raise
+
+
 # ---------------------------------------------------------------------
 # subcommands
 
@@ -509,22 +530,25 @@ def cmd_run(args) -> int:
         ctx.out_dir = args.out_dir
     os.makedirs(ctx.out_dir, exist_ok=True)
     cache = _RunCache(ctx)
-    start = time.perf_counter()
-    rt, ht = cache.reduced, cache.herglotz
-    seconds = time.perf_counter() - start
-    geo_csv = os.path.join(ctx.out_dir, "geodesic.csv")
-    red_csv = os.path.join(ctx.out_dir, "reduced.csv")
-    _write_trajectory(geo_csv, ctx, rt)
-    _write_trajectory(red_csv, ctx, ht)
-
-    gap_x, gap_w, _ = _checkpoint_gaps(ctx, rt, ht)
     equiv, drift = CHECKS["equivalence"], CHECKS["null-drift"]
-    rows = [
-        _row("equivalence-x", gap_x, equiv.rows[0][1], seconds, equiv.certifies),
-        _row("equivalence-w", gap_w, None, 0.0, equiv.certifies, status="info"),
-        _row("null-drift", drift.fn(ctx, cache, None)[0], drift.rows[0][1],
-             0.0, drift.certifies),
-    ]
+    with _reported_on_error(ctx, [], "run", equiv.certifies):
+        start = time.perf_counter()
+        rt, ht = cache.reduced, cache.herglotz
+        seconds = time.perf_counter() - start
+        geo_csv = os.path.join(ctx.out_dir, "geodesic.csv")
+        red_csv = os.path.join(ctx.out_dir, "reduced.csv")
+        _write_trajectory(geo_csv, ctx, rt)
+        _write_trajectory(red_csv, ctx, ht)
+
+        gap_x, gap_w, _ = _checkpoint_gaps(ctx, rt, ht)
+        rows = [
+            _row("equivalence-x", gap_x, equiv.rows[0][1], seconds,
+                 equiv.certifies),
+            _row("equivalence-w", gap_w, None, 0.0, equiv.certifies,
+                 status="info"),
+            _row("null-drift", drift.fn(ctx, cache, None)[0],
+                 drift.rows[0][1], 0.0, drift.certifies),
+        ]
     print(f"wrote {geo_csv}, {red_csv}, {_report(ctx, rows)}")
     return 0
 
@@ -541,8 +565,9 @@ def cmd_check(args) -> int:
     cache = _RunCache(ctx)
     rows = []
     for resolved in checks:
-        rows.extend(run_check(ctx, cache, resolved))
-    os.makedirs(ctx.out_dir, exist_ok=True)
+        name, check, _ = resolved
+        with _reported_on_error(ctx, rows, name, check.certifies):
+            rows.extend(run_check(ctx, cache, resolved))
     _report(ctx, rows)
     failed = [r for r in rows if r["status"] == "fail"]
     if failed:

@@ -521,6 +521,10 @@ class Trajectory:
 
     Counters: `rejected` steps and `nfev` right-hand side calls, the
     integration's (the initial-step probe included) and 3 per step built.
+
+    `memo` keeps what several checks read off the trajectory, such as
+    the geodesic samples' Christoffel pass and a charge series, for the
+    trajectory's life.
     """
 
     def __init__(self, t, y, steps, kind: str, n: int, rejected: int,
@@ -539,6 +543,7 @@ class Trajectory:
         self._steps = steps
         self._built = [None] * (len(self._t) - 1)
         self._fn, self._explain, self._label = fn, explain, label
+        self._memo = {}
 
     def __len__(self):
         return len(self.t)
@@ -576,6 +581,12 @@ class Trajectory:
             self.nfev += 3
             step = self._built[k] = (t0, self._t[k + 1], y0, rows)
         return step
+
+    def memo(self, key, make):
+        """make() on the first request for `key`, kept unless it raises."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
@@ -697,6 +708,9 @@ class ReducedTrajectory:
                     "u is not strictly increasing across samples",
                     float(traj.t[0]))
             self._u = self.u.tolist()
+            # the state entries the dense output reads: u and udot for
+            # sigma_at; x, xdot, udot and w for _state
+            self._cols = (n, m + n), (*range(n), *range(m, m + n + 1), n + 1)
         else:
             raise ValueError(f"unknown trajectory kind {traj.kind!r}")
 
@@ -726,10 +740,14 @@ class ReducedTrajectory:
         """Invert u(sigma) on the geodesic samples (geodesic kind only)."""
         if self.traj.kind != "geodesic":
             raise ValueError("sigma_at applies to geodesic-backed trajectories")
+        return self._sigma_in(
+            _bracket(self._u, u_target, "u = {!r} outside covered"), u_target)
+
+    def _sigma_in(self, k: int, u_target: float) -> float:
+        """sigma_at(u_target) on step k, which holds u_target."""
         traj = self.traj
-        cols = (self.n, 2 * self.n + 2)     # u and udot
-        k = _bracket(self._u, u_target, "u = {!r} outside covered")
-        # state_at interpolates the rest of the state on the same step
+        dense, cols, tol = traj._dense, self._cols[0], self._SIGMA_TOL
+        # _state interpolates the rest of the state on the same step
         bracket = self._last_step = traj._step(k)
         lo, hi = bracket[:2]
         u0, u1 = self._u[k:k + 2]
@@ -740,7 +758,7 @@ class ReducedTrajectory:
         if not lo <= s <= hi:
             traj._locate(s)     # raises outside the samples, as eval would
         for _ in range(self._SIGMA_ITERS):
-            u, udot = traj._dense(bracket, s, cols)
+            u, udot = dense(bracket, s, cols)
             fval = u - target
             if fval > 0:
                 hi = min(hi, s)
@@ -752,7 +770,7 @@ class ReducedTrajectory:
             s_new = s - step if step is not None else 0.5 * (lo + hi)
             if not (lo <= s_new <= hi):
                 s_new = 0.5 * (lo + hi)
-            if abs(s_new - s) <= self._SIGMA_TOL:
+            if abs(s_new - s) <= tol:
                 return s_new
             s = s_new
         raise SigmaInversionError(
@@ -763,19 +781,23 @@ class ReducedTrajectory:
         x, xp, w = self._state(u_target)
         return ReducedState(x, xp, float(u_target), w)
 
-    def _state(self, u_target: float) -> tuple:
+    def _state(self, u_target: float, k: Optional[int] = None) -> tuple:
         """(x, x', w) at u_target as float lists and a float, by the dense
         output: of the reduced trajectory (Trajectory.eval), or of the
-        geodesic step that sigma_at finds."""
+        geodesic step that sigma_at finds.  Given the step k that holds
+        u_target, as _bracket assigns steps, the same floats come off it
+        without bracketing; a u_target outside it is bracketed."""
         n = self.n
-        if self.traj.kind == "reduced":
-            y = self.traj.eval(u_target).tolist()
+        traj = self.traj
+        if k is not None and not self._u[k] <= u_target < self._u[k + 1]:
+            k = None
+        if traj.kind == "reduced":
+            y = (traj.eval(u_target).tolist() if k is None else
+                 traj._dense(traj._step(k), u_target, range(2 * n + 1)))
             return y[:n], y[n:2 * n], y[2 * n]
-        m = n + 2
-        s = self.sigma_at(u_target)
-        # x, xdot, udot and w
-        v = self.traj._dense(self._last_step, s,
-                             (*range(n), *range(m, m + n + 1), n + 1))
+        s = (self.sigma_at(u_target) if k is None
+             else self._sigma_in(k, u_target))
+        v = traj._dense(self._last_step, s, self._cols[1])
         ud = v[2 * n]
         if ud <= 0.0:
             raise MonotonicityViolationError("du/dsigma is not positive", s)
@@ -890,7 +912,14 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
 # ---------------------------------------------------------------------
 # consistency residuals along geodesic trajectories
 
-def _geodesic_samples(metric: BrinkmannMetric, traj: Trajectory):
+def _geodesic_samples(metric: BrinkmannMetric, traj: Trajectory) -> list:
+    """_sample_pass as a list, made once per metric for the trajectory's
+    life (Trajectory.memo)."""
+    return traj.memo(("samples", metric),
+                     lambda: list(_sample_pass(metric, traj)))
+
+
+def _sample_pass(metric: BrinkmannMetric, traj: Trajectory):
     """(velocity, bundle, accelerations) at each accepted sample of a
     geodesic trajectory; ZeroUdotError where du/dsigma vanishes."""
     n = traj.n

@@ -333,10 +333,13 @@ def affine_charge(metric: BrinkmannMetric, gen: SymmetryGenerator, gs) -> float:
 
 def charge_series(system: HerglotzSystem, gen: SymmetryGenerator,
                   rt: ReducedTrajectory):
-    """(u grid, reduced charge at each accepted sample)."""
-    qs = np.array([noether_charge(system, gen, rt.sample_state(k))
-                   for k in range(len(rt))])
-    return rt.u.copy(), qs
+    """(u grid, reduced charge at each accepted sample), copies of the
+    series made once per system and generator for the trajectory's life
+    (Trajectory.memo)."""
+    qs = rt.traj.memo(("charges", system, gen), lambda: np.array(
+        [noether_charge(system, gen, rt.sample_state(k))
+         for k in range(len(rt))]))
+    return rt.u.copy(), qs.copy()
 
 
 # 3-point Gauss-Legendre on [0, 1], (node, weight): exact for degree 5
@@ -351,18 +354,20 @@ def nonlocal_charge(system: HerglotzSystem, gen: SymmetryGenerator,
     The integral runs from the first sample; each step contributes a
     3-point Gauss-Legendre rule on the dense output, whose error per step,
     O(h^7), stays below the flow's own.  Each node reads its state off the
-    dense output as floats and evaluates dL/dw by the system's compiled
-    w-slope function (lagrangian_w_slope), which raises NonFiniteError
-    where a velocity is not finite.
+    dense output of its step as floats and evaluates dL/dw by the
+    system's compiled w-slope function (lagrangian_w_slope), which raises
+    NonFiniteError where a velocity is not finite.
     """
     u, qs = charge_series(system, gen, rt)
+    grid = u.tolist()
     integral = [0.0]
-    for u0, u1 in zip(u.tolist(), u[1:].tolist()):
-        du = u1 - u0
+    for k in range(len(grid) - 1):
+        u0 = grid[k]
+        du = grid[k + 1] - u0
         acc = 0
         for a, wt in _GAUSS3:
             uq = u0 + a * du
-            x, xp, w = rt._state(uq)
+            x, xp, w = rt._state(uq, k)
             acc += wt * w_slope_at(system, x, uq, w, xp)
         integral.append(integral[-1] + du * acc)
     return u, np.exp(-np.array(integral)) * qs

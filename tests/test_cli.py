@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import hlift
-from hlift import cli, systems
+from hlift import cli, geometry, systems
 from hlift.cli import main
 
 BASE = {
@@ -217,7 +218,9 @@ def test_unknown_generator_listed(tmp_path, capsys):
 
 def test_numerical_failure_exit(tmp_path, capsys):
     path = write_scenario(tmp_path, {"integrator": {"max_steps": 10}})
-    assert main(["run", path]) == 3
+    assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 3
+    assert _rows(tmp_path / "o")[0]["error"].startswith(
+        "StepLimitExceededError: no convergence within 10 steps")
 
 
 def test_field_overflow_is_a_numerical_failure(tmp_path, capsys):
@@ -227,6 +230,32 @@ def test_field_overflow_is_a_numerical_failure(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------ check
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_a_failed_invocation_replaces_the_report(tmp_path, capsys, command):
+    # at gamma = 5 the damped-action lift blows up before u = 10; the rows
+    # finished before the failure are kept, and an error row names the
+    # check that failed, so no earlier report stands in for this one
+    out = tmp_path / "o"
+    checks = {"checks": ["homogeneity", "equivalence", "null-drift"]}
+    path = write_scenario(tmp_path, checks)
+    assert main([command, path, "--out-dir", str(out)]) == 0
+    failing = write_scenario(tmp_path, {**checks,
+                                        "params": {"gamma": 5.0, "omega": 1.0},
+                                        "span": {"from": 0.0, "to": 10.0}},
+                             name="gamma5.json")
+    assert main([command, failing, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: state norm exceeded 1e+12" in err
+    rows = _rows(out)
+    done = [r["check"] for r in rows[:-1]]
+    assert done == (["homogeneity"] if command == "check" else [])
+    assert rows[-1] == {
+        "check": "equivalence" if command == "check" else "run",
+        "status": "error", "residual": None, "tol": None, "margin": None,
+        "certifies": "lift-reduce-equivalence",
+        "error": "BlowUpError: " + err.split("numerical failure: ")[1].strip()}
+
 
 def test_check_pass_and_report(tmp_path):
     out = tmp_path / "out"
@@ -426,6 +455,61 @@ def test_one_parser_parses_every_call_afresh(tmp_path, capsys):
     assert [r["check"] for r in _rows(tmp_path / "c")] == [
         "equivalence-x", "equivalence-w", "null-drift"]
     assert len(json.loads(outs[2])) == 5
+
+
+def test_u_and_w_equations_share_one_christoffel_pass(tmp_path, monkeypatch):
+    # u-accel and w-redundancy read one Christoffel pass over the geodesic
+    # samples, and report what each reports when it runs alone
+    path = write_scenario(tmp_path, {"system": "coupled"},
+                          drop=("params", "initial", "span"))
+    lengths, calls = [], [0]
+    integrate = cli.integrate_geodesic
+    christoffel = geometry.BrinkmannMetric.christoffel
+
+    def integrate_counted(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        lengths.append(len(traj))
+        return traj
+
+    def christoffel_counted(*args, **kwargs):
+        calls[0] += 1
+        return christoffel(*args, **kwargs)
+    monkeypatch.setattr(cli, "integrate_geodesic", integrate_counted)
+    monkeypatch.setattr(geometry.BrinkmannMetric, "christoffel",
+                        christoffel_counted)
+    assert main(["check", path, "u-accel", "w-redundancy",
+                 "--out-dir", str(tmp_path / "both")]) == 0
+    assert lengths[0] > 1 and calls == lengths
+    alone = []
+    for name in ("u-accel", "w-redundancy"):
+        out = tmp_path / name
+        assert main(["check", path, name, "--out-dir", str(out)]) == 0
+        alone += _rows(out)
+    assert _rows(tmp_path / "both") == alone
+
+
+def test_an_invocation_frees_its_trajectories(tmp_path, monkeypatch, capsys):
+    # what one invocation computes once (samples, charge series, dense
+    # steps) lives on its trajectories, which die when main returns
+    refs = []
+
+    def recorded(integrate):
+        def call(*args, **kwargs):
+            out = integrate(*args, **kwargs)
+            refs.append(weakref.ref(out))
+            refs.append(weakref.ref(getattr(out, "traj", out)))
+            return out
+        return call
+    for name in ("integrate_geodesic", "integrate_herglotz"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    charges = ["noether-charge:time-shift", "nonlocal-charge:time-shift"]
+    path = write_scenario(tmp_path, {"checks": charges})
+    for argv in (["run", path], ["check", path, "u-accel", "w-redundancy",
+                                 "equivalence", "reparam", *charges]):
+        refs.clear()
+        assert main([*argv, "--out-dir", str(tmp_path / argv[0])]) == 0
+        assert len(refs) >= 4
+        assert [ref() for ref in refs] == [None] * len(refs)
 
 
 # a coupled-like inline system with a parameter

@@ -17,8 +17,9 @@ from hlift.dynamics import (GeodesicState, IntegratorConfig, ReducedState,
                             reduced_lagrangian, u_equation_residual,
                             w_equation_residual)
 from hlift.errors import (BlowUpError, MonotonicityViolationError,
-                          NonPositiveUdotError, SigmaInversionError,
-                          StepLimitExceededError)
+                          NonFiniteError, NonPositiveUdotError,
+                          SigmaInversionError, StepLimitExceededError,
+                          ZeroUdotError)
 from hlift.geometry import (BrinkmannMetric, HerglotzSystem,
                             NearlySingularKineticWarning, Point)
 from hlift.systems import (coupled_curved, damped_action_dependent,
@@ -500,6 +501,27 @@ def test_w_equation_residual_flags_off_cone(damped_run):
     assert w_equation_residual(met, traj) > 1e-4
     # the u equation does not care about the cone
     assert u_equation_residual(met, traj) < 1e-10
+
+
+@pytest.mark.parametrize("col, value, error", [(4, 0.0, ZeroUdotError),
+                                              (0, math.nan, NonFiniteError)])
+def test_a_failed_sample_pass_keeps_nothing(col, value, error):
+    # the u- and w-equation residuals share one pass over the samples;
+    # where it raises at a sample (udot = 0, x = nan), it keeps nothing
+    # and every later residual raises the same error
+    ent = damped_action_dependent(gamma=0.2, omega=1.0)
+    met = BrinkmannMetric(ent.system)
+    gs0 = lift_state(ent.system, ReducedState([1.0], [0.0], 0.0, 0.25), 1.0)
+    traj = integrate_geodesic(met, gs0, (0.0, math.inf), config=TIGHT,
+                              stop_at_u=2.0)
+    traj.y[5, col] = value
+    messages = []
+    for residual in (u_equation_residual, w_equation_residual,
+                     u_equation_residual):
+        with pytest.raises(error) as info:
+            residual(met, traj)
+        messages.append(str(info.value))
+    assert messages == [messages[0]] * 3
 
 
 def test_null_drift_along_run(damped_run):

@@ -9,16 +9,17 @@ import math
 import numpy as np
 import pytest
 
+from hlift import dynamics
 from hlift.cloud import point_cloud, state_cloud
 from hlift.dynamics import (IntegratorConfig, ReducedState, integrate_geodesic,
                             integrate_herglotz, lagrangian_w_slope, lift_state,
-                            reduce_trajectory)
+                            reduce_trajectory, w_slope_at)
 from hlift.errors import NonFiniteError, SingularJacobianError
 from hlift.geometry import BrinkmannMetric, CoordinateMap, HerglotzSystem, Point
-from hlift.symmetry import (SymmetryGenerator, affine_charge, charge_series,
-                            conformal_killing_residual, degreewise_identities,
-                            degreewise_max_residual, killing_residual,
-                            noether_charge, nonlocal_charge,
+from hlift.symmetry import (_GAUSS3, SymmetryGenerator, affine_charge,
+                            charge_series, conformal_killing_residual,
+                            degreewise_identities, degreewise_max_residual,
+                            killing_residual, noether_charge, nonlocal_charge,
                             symmetry_condition_residual, transform_rule_check)
 from hlift.systems import (conformal_pair, coupled_curved,
                            damped_action_dependent, damped_time_dependent,
@@ -329,6 +330,18 @@ def test_nonlocal_quadrature_vs_trapezoid():
         assert total_trap == pytest.approx(total_gauss, abs=1e-7)
 
 
+def _both_views(ent):
+    """The Herglotz trajectory of the default start over u-span 10, and
+    the geodesic one reduced."""
+    rs = ent.default_state
+    span = (rs.u, rs.u + 10.0)
+    traj = integrate_geodesic(BrinkmannMetric(ent.system),
+                              lift_state(ent.system, rs), (0.0, math.inf),
+                              config=TIGHT, stop_at_u=span[1])
+    return (integrate_herglotz(ent.system, rs, span, config=TIGHT),
+            reduce_trajectory(traj))
+
+
 @pytest.mark.parametrize("key", ["free", "harmonic", "damped-time",
                                  "damped-action"])
 def test_nonlocal_charge_equals_its_numpy_oracle_bit_for_bit(key):
@@ -336,22 +349,99 @@ def test_nonlocal_charge_equals_its_numpy_oracle_bit_for_bit(key):
     # order, for every generator, conformal ones included, on both
     # trajectory kinds (coupled has no generators)
     ent = standard_catalog()[key]
-    rs = ent.default_state
-    span = (rs.u, rs.u + 10.0)
-    traj = integrate_geodesic(BrinkmannMetric(ent.system),
-                              lift_state(ent.system, rs), (0.0, math.inf),
-                              config=TIGHT, stop_at_u=span[1])
-    views = (integrate_herglotz(ent.system, rs, span, config=TIGHT),
-             reduce_trajectory(traj))
     gens = {**ent.generators,
             **{name: gen for name, (gen, _) in ent.conformal.items()}}
     assert gens
+    views = _both_views(ent)
     for name, gen in gens.items():
         for rt in views:
             u, got = nonlocal_charge(ent.system, gen, rt)
             u_want, want = nonlocal_charge_numpy(ent.system, gen, rt)
             assert u.tolist() == u_want.tolist()
             assert got.tolist() == want.tolist(), (name, rt.traj.kind)
+
+
+def nonlocal_charge_bracketed(system, gen, rt):
+    """nonlocal_charge as it read each node before it knew the node's
+    step: rt._state brackets every node on the whole u grid."""
+    u, qs = charge_series(system, gen, rt)
+    integral = [0.0]
+    for u0, u1 in zip(u.tolist(), u[1:].tolist()):
+        du = u1 - u0
+        acc = 0
+        for a, wt in _GAUSS3:
+            uq = u0 + a * du
+            x, xp, w = rt._state(uq)
+            acc += wt * w_slope_at(system, x, uq, w, xp)
+        integral.append(integral[-1] + du * acc)
+    return u, np.exp(-np.array(integral)) * qs
+
+
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    """The number of dynamics._bracket calls so far, as a one-item list."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return bracket(*args)
+    bracket = dynamics._bracket
+    monkeypatch.setattr(dynamics, "_bracket", counted)
+    return calls
+
+
+@pytest.mark.parametrize("key", sorted(standard_catalog()))
+def test_nonlocal_nodes_on_their_steps_equal_bracketed_nodes(key,
+                                                             bracket_calls):
+    # every node is read off the step it lies in, without bracketing, and
+    # gives the bracketed path's floats on both trajectory kinds; coupled
+    # has no generator, so it takes the u-shift
+    ent = standard_catalog()[key]
+    n = ent.system.n
+    gens = {**ent.generators,
+            **{name: gen for name, (gen, _) in ent.conformal.items()}}
+    gens = gens or {"u-shift": SymmetryGenerator(n, ["0"] * n, "1", "0")}
+    for rt in _both_views(ent):
+        for name, gen in gens.items():
+            before = bracket_calls[0]
+            u, got = nonlocal_charge(ent.system, gen, rt)
+            assert bracket_calls[0] == before, (name, rt.traj.kind)
+            u_want, want = nonlocal_charge_bracketed(ent.system, gen, rt)
+            assert bracket_calls[0] == before + 3 * (len(u) - 1)
+            assert u.tolist() == u_want.tolist()
+            assert got.tolist() == want.tolist(), (name, rt.traj.kind)
+
+
+def test_a_node_outside_its_step_takes_the_bracketed_path(bracket_calls):
+    # a node that rounds onto the step's end belongs to the next step, as
+    # _bracket assigns steps; further out it is bracketed all the same
+    for rt in _both_views(standard_catalog()["damped-action"]):
+        grid = rt.u.tolist()
+        for k, uq in ((3, grid[4]), (3, 0.5 * (grid[6] + grid[7])),
+                      (len(grid) - 2, grid[-1]),
+                      (5, 0.5 * (grid[5] + grid[6]))):
+            before = bracket_calls[0]
+            got = rt._state(uq, k)
+            outside = not grid[k] <= uq < grid[k + 1]
+            assert bracket_calls[0] == before + outside, (k, rt.traj.kind)
+            assert got == rt._state(uq)
+
+
+def test_the_charge_series_hands_out_copies():
+    # the series is made once per trajectory; writing into an array a
+    # caller got changes neither later series nor the nonlocal charge
+    ent = standard_catalog()["damped-action"]
+    gen = ent.generators["time-shift"]
+    for rt in _both_views(ent):
+        u, qs = charge_series(ent.system, gen, rt)
+        _, qnl = nonlocal_charge(ent.system, gen, rt)
+        want = (u.tolist(), qs.tolist(), qnl.tolist())
+        u[:] = 0.0
+        qs[:] = 0.0
+        qnl[:] = 0.0
+        u, qs = charge_series(ent.system, gen, rt)
+        assert (u.tolist(), qs.tolist(),
+                nonlocal_charge(ent.system, gen, rt)[1].tolist()) == want
 
 
 # ------------------------------------------------------------ transform rule
