@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cloud import point_cloud, state_cloud
+from .cloud import MAX_DIMENSIONS, point_cloud, state_cloud
 from .dynamics import (IntegratorConfig, ReducedState, ReducedTrajectory,
                        Trajectory, homogeneity_residual, integrate_geodesic,
                        integrate_herglotz, lift_state, reduce_trajectory,
@@ -261,10 +261,14 @@ class Check:
     needs_damped_pair: bool = False  # runs on the damped catalog pair only
     info_if_w_dependent: bool = False  # rows are `info`, without a tolerance
     column: Optional[Tuple[str, Callable]] = None  # run's (prefix, charge fn)
+    cloud: Optional[str] = None  # the Halton cloud it samples, _CLOUD_DIMS
 
 
 CHECKS: Dict[str, Check] = {}
 _DAMPED_PAIR = ("damped-time", "damped-action")
+# the Halton dimensions of a point cloud (x, u, w) and of a state cloud
+# (x, x', u, w) at dimension n
+_CLOUD_DIMS = {"point": lambda n: n + 2, "state": lambda n: 2 * n + 2}
 
 
 def _check(name: str, tol, certifies: str, **flags):
@@ -316,7 +320,8 @@ def _check_reparam(ctx, cache, gen):
     return [max(_checkpoint_gaps(ctx, *views))]
 
 
-@_check("homogeneity", 1e-12, "velocity-degree-one-homogeneity")
+@_check("homogeneity", 1e-12, "velocity-degree-one-homogeneity",
+        cloud="state")
 def _check_homogeneity(ctx, cache, gen):
     worst = 0.0
     for rs in state_cloud(ctx.system.n, 100):
@@ -325,28 +330,29 @@ def _check_homogeneity(ctx, cache, gen):
     return [worst]
 
 
-@_check("killing", 1e-8, "killing-equation", needs_generator=True)
+@_check("killing", 1e-8, "killing-equation", needs_generator=True,
+        cloud="point")
 def _check_killing(ctx, cache, gen):
     return [max(killing_residual(ctx.metric, gen, p)
                 for p in point_cloud(ctx.system.n, 100))]
 
 
 @_check("conformal-killing", 1e-8, "conformal-killing-equation",
-        needs_generator=True)
+        needs_generator=True, cloud="point")
 def _check_conformal_killing(ctx, cache, gen):
     return [max(conformal_killing_residual(ctx.metric, gen, p)[0]
                 for p in point_cloud(ctx.system.n, 100))]
 
 
 @_check("degreewise", 1e-10, "degreewise-invariance-identities",
-        needs_generator=True)
+        needs_generator=True, cloud="point")
 def _check_degreewise(ctx, cache, gen):
     return [max(degreewise_max_residual(ctx.system, gen, p)
                 for p in point_cloud(ctx.system.n, 100))]
 
 
 @_check("symmetry", 1e-10, "reduced-invariance-condition",
-        needs_generator=True)
+        needs_generator=True, cloud="state")
 def _check_symmetry(ctx, cache, gen):
     return [max(symmetry_condition_residual(ctx.system, gen, rs)
                 for rs in state_cloud(ctx.system.n, 100))]
@@ -370,7 +376,7 @@ def _check_nonlocal_charge(ctx, cache, gen):
 
 
 @_check("conformal-pair", (("pullback", 1e-12), ("flow", 1e-6), ("w-map", 1e-6)),
-        "conformal-pair-equivalence", needs_damped_pair=True)
+        "conformal-pair-equivalence", needs_damped_pair=True, cloud="point")
 def _check_conformal_pair(ctx, cache, gen):
     ent_a, ent_b, cmap, factor = conformal_pair(n=ctx.system.n,
                                                 **ctx.entry.params)
@@ -387,7 +393,7 @@ def _check_conformal_pair(ctx, cache, gen):
 
 
 @_check("transform-rule", 1e-12, "reduced-transform-rule",
-        needs_damped_pair=True)
+        needs_damped_pair=True, cloud="state")
 def _check_transform_rule(ctx, cache, gen):
     ent_a, ent_b, cmap, factor = conformal_pair(n=ctx.system.n,
                                                 **ctx.entry.params)
@@ -427,6 +433,12 @@ def resolve_checks(ctx: ScenarioContext, names: List[str]) -> List[tuple]:
             raise ScenarioError(
                 f"check {base!r} applies to the catalog systems "
                 f"{' / '.join(map(repr, _DAMPED_PAIR))}")
+        if check.cloud is not None:
+            dims = _CLOUD_DIMS[check.cloud](ctx.system.n)
+            _need(dims <= MAX_DIMENSIONS,
+                  f"check {base!r} samples a {check.cloud} cloud of {dims} "
+                  f"dimensions at n = {ctx.system.n}; Halton clouds have at "
+                  f"most {MAX_DIMENSIONS}")
         gen = _find_generator(ctx, gen_name) if gen_name else None
         out.append((name, check, gen))
     return out
@@ -459,10 +471,9 @@ def run_check(ctx: ScenarioContext, cache: _RunCache,
 # ---------------------------------------------------------------------
 # output helpers
 
-def _write_trajectory(path: str, ctx: ScenarioContext,
-                      rt: ReducedTrajectory) -> None:
-    """One trajectory CSV: a row per accepted step, plus a column per
-    charge check of the scenario; floats round-trip through %.17g."""
+def _trajectory_csv(ctx: ScenarioContext, rt: ReducedTrajectory) -> str:
+    """One trajectory CSV's text: a row per accepted step, plus a column
+    per charge check of the scenario; floats round-trip through %.17g."""
     n = ctx.system.n
     header = (["u", "sigma"] + [f"x{i + 1}" for i in range(n)]
               + [f"xp{i + 1}" for i in range(n)] + ["w", "null_residual"])
@@ -483,8 +494,7 @@ def _write_trajectory(path: str, ctx: ScenarioContext,
         row = [rs.u, sigma, *rs.x, *rs.xp, rs.w, null]
         row.extend(float(q[k]) for q in charges)
         lines.append(",".join("%.17g" % v for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _report(ctx: ScenarioContext, rows: List[dict]) -> str:
@@ -529,17 +539,20 @@ def cmd_run(args) -> int:
     if args.out_dir:
         ctx.out_dir = args.out_dir
     os.makedirs(ctx.out_dir, exist_ok=True)
+    # an earlier run's CSVs never stand beside this run's report: they go
+    # now, and this run's are written once all of it has succeeded
+    csvs = [os.path.join(ctx.out_dir, name)
+            for name in ("geodesic.csv", "reduced.csv")]
+    for path in csvs:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     cache = _RunCache(ctx)
     equiv, drift = CHECKS["equivalence"], CHECKS["null-drift"]
     with _reported_on_error(ctx, [], "run", equiv.certifies):
         start = time.perf_counter()
         rt, ht = cache.reduced, cache.herglotz
         seconds = time.perf_counter() - start
-        geo_csv = os.path.join(ctx.out_dir, "geodesic.csv")
-        red_csv = os.path.join(ctx.out_dir, "reduced.csv")
-        _write_trajectory(geo_csv, ctx, rt)
-        _write_trajectory(red_csv, ctx, ht)
-
+        texts = [_trajectory_csv(ctx, rt), _trajectory_csv(ctx, ht)]
         gap_x, gap_w, _ = _checkpoint_gaps(ctx, rt, ht)
         rows = [
             _row("equivalence-x", gap_x, equiv.rows[0][1], seconds,
@@ -549,7 +562,10 @@ def cmd_run(args) -> int:
             _row("null-drift", drift.fn(ctx, cache, None)[0],
                  drift.rows[0][1], 0.0, drift.certifies),
         ]
-    print(f"wrote {geo_csv}, {red_csv}, {_report(ctx, rows)}")
+    for path, text in zip(csvs, texts):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    print(f"wrote {', '.join(csvs)}, {_report(ctx, rows)}")
     return 0
 
 

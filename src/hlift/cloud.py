@@ -18,10 +18,14 @@ import numpy as np
 from .dynamics import ReducedState
 from .geometry import Point
 
-__all__ = ["halton", "point_cloud", "state_cloud", "DEFAULT_BOUNDS"]
+__all__ = ["halton", "point_cloud", "state_cloud", "DEFAULT_BOUNDS",
+           "MAX_DIMENSIONS"]
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
            53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
+# halton's limit: one prime base per dimension, so a point cloud takes
+# n <= 28 and a state cloud n <= 14
+MAX_DIMENSIONS = len(_PRIMES)
 
 DEFAULT_BOUNDS: Dict[str, Tuple[float, float]] = {
     "x": (-2.0, 2.0),
@@ -37,8 +41,8 @@ def halton(count: int, dim: int, start: int = 1) -> np.ndarray:
     Column c is the radical inverse of the row index in base _PRIMES[c],
     summed digit by digit from the lowest, as out += f * (i % base);
     i //= base; f /= base (a row whose index ran out adds 0.0)."""
-    if dim > len(_PRIMES):
-        raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
+    if dim > MAX_DIMENSIONS:
+        raise ValueError(f"at most {MAX_DIMENSIONS} dimensions supported")
     bases = np.array(_PRIMES[:dim], dtype=np.int64)
     i = np.maximum(np.arange(start, start + count, dtype=np.int64), 0)
     i = np.repeat(i[:, None], dim, axis=1)

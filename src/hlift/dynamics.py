@@ -19,13 +19,15 @@ step records the diagnostics the equivalence checks need, and reruns are
 bit-for-bit deterministic.  A whole integration is one generated
 function per pipeline shape (_stepper): stages, error norm, PI control
 and sample buffers are float locals of one loop, which calls the
-compiled right-hand side directly; a call it declines ends the
-integration with that call's error (FieldPasses.explain, the loop's
-callback).  The loop keeps per accepted step the stage derivatives the
-dense output reads; a step's 3 dense stages and 7 polynomial rows are
-made on its first query (_dense_rows, Trajectory._step), so most steps,
-which no query reads, never pay for them, and a dense stage's error or
-warning comes with that query.  An array-form oracle of the same stepper
+compiled right-hand side directly and trusts its contract, finite
+outputs or None where an input or output is not finite: a call declined
+at a non-finite stage input rejects the attempt, any other ends the
+integration with its error (FieldPasses.explain, the loop's callback).
+The loop keeps per accepted step the stage derivatives the dense output
+reads; a step's 3 dense stages and 7 polynomial rows are made on its
+first query (_dense_rows, Trajectory._step), so most steps, which no
+query reads, never pay for them, and a dense stage's error or warning
+comes with that query.  An array-form oracle of the same stepper
 reproduces its samples and dense rows bit for bit.
 """
 
@@ -304,27 +306,29 @@ def _combo(row: dict, j: int) -> str:
     return " + ".join(f"{a!r} * k{c + 1}_{j}" for c, a in row.items())
 
 
-def _call(takes_t: bool, tc: str, state: list, out: list) -> list:
+def _call(takes_t: bool, tc: str, state: list, out: list, declined=()):
     """fn's call at ([tc,] state), unpacked into the locals `out`; a call
-    it declines goes to explain, which raises."""
+    it declines runs the lines `declined`, then explain, which raises."""
     tc = f"{tc}, " if takes_t else ""
     args = ", ".join(state)
     return [f"_o = fn({tc}{args})",
             "if _o is None:",
+            *[f"    {line}" for line in declined],
             f"    explain({tc}({args},))",
             f"{', '.join(out)}, = _o"]
 
 
 def _stage(i: int, size: int, takes_t: bool, action: str, out: list) -> list:
     """Stage i from the state y_j at t, the step h and the earlier stages:
-    its input s{i}_j, the finite check of that input (which runs `action`)
-    and its call into `out`."""
+    its input s{i}_j and its call into `out`.  fn declines a non-finite
+    input, so a declined call runs `action` where its input is not finite
+    and goes to explain where it is."""
     s = [f"s{i}_{j}" for j in range(size)]
     c = _C[i - 1]
     tc = "t + h" if c == 1.0 else f"t + {c!r} * h"
     return ([f"{s[j]} = y_{j} + h * ({_combo(_A[i - 1], j)})"
              for j in range(size)]
-            + _finite_check(s, action) + _call(takes_t, tc, s, out))
+            + _call(takes_t, tc, s, out, _finite_check(s, action)))
 
 
 # the stages besides 14..16 that the dense stages and rows read: what the
@@ -342,9 +346,9 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
 
     y is the initial state, a tuple of `size` floats, and k its derivative.
     fn is the compiled right-hand side: fn([t,] y_0, ...) returns the
-    derivative followed by `n_aux` auxiliary outputs, or None where it
-    declines; explain([t,] y) raises the error of a declined call, which
-    ends the integration.  The loop makes the initial-step
+    derivative followed by `n_aux` auxiliary outputs, all finite, or None
+    where it declines, as it does at any non-finite input; explain([t,] y)
+    raises the error of a declined call.  The loop makes the initial-step
     probe and then DOP853 attempts until t reaches t_end (or, with a
     `stop` index, y[stop] reaches `target`).  An attempt makes 12 calls
     (11 stages and the FSAL stage at the new state).  Each accepted step
@@ -352,11 +356,12 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     stage derivatives its dense output reads (_KEPT, `size` floats each;
     _dense_rows makes the 3 dense stages and the rows on demand), and to
     xs_a the auxiliary outputs of its FSAL stage, whose input is the
-    accepted state; the caller has appended the initial sample.  An
-    attempt whose stage input, error norm or FSAL stage is not finite is
-    rejected and its step quartered; nfev counts only the calls it made.
-    Returns (rejected, nfev), nfev including the caller's call at the
-    initial state.
+    accepted state; the caller has appended the initial sample.  fn's
+    contract is the only finite check of a stage: an attempt is rejected
+    and its step quartered where fn declines a non-finite stage input
+    (nfev counts that call) or the error norm is not finite; any other
+    declined call ends the integration.  Returns (rejected, nfev), nfev
+    including the caller's call at the initial state.
     """
     J = range(size)
     y = [f"y_{j}" for j in J]
@@ -412,7 +417,7 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
             "if h <= 1e-14 * (_at if _at > 1.0 else 1.0):",
             "    raise _BlowUp(f'step size underflow at t = {t!r}')"]
     for i in range(2, 14):
-        loop += _stage(i, size, takes_t, reject(i - 2),
+        loop += _stage(i, size, takes_t, reject(i - 1),
                        k(i) + (aux if i == 13 else spare))
     # Hairer's norm of the 5th order estimate corrected by the 3rd order one
     for j in J:
@@ -431,8 +436,6 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
              f"    h = h * max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** "
              f"{-_ORDER_EXP!r})",
              "    continue"]
-    # the FSAL stage, the next step's first, which the norm does not read
-    loop += _finite_check(k(13), reject(0))
     # accepted: what the dense output reads, then the new sample
     kept = ", ".join(v for i in _KEPT for v in k(i))
     loop += [f"_de((h, {kept},))",
@@ -482,8 +485,8 @@ def _dense_rows(size: int, takes_t: bool):
     ks the stage derivatives the loop kept for it (_KEPT, `size` floats
     each).  It makes the 3 dense stages 14..16 through fn and explain, as
     the loop calls them, and returns the 7 rows (r0, ..., r6), tuples of
-    `size` floats; None where a dense stage's input or the last stage is
-    not finite.
+    `size` floats; None where fn declines a dense stage's input as not
+    finite.
     """
     J = range(size)
     body = [f"{', '.join(f'y_{j}' for j in J)}, = y0",
@@ -491,7 +494,6 @@ def _dense_rows(size: int, takes_t: bool):
             f"{', '.join(v for i in _KEPT for v in _k(i, size))}, = ks"]
     for i in range(14, 17):         # auxiliary outputs dropped
         body += _stage(i, size, takes_t, "return None", _k(i, size) + ["*_"])
-    body += _finite_check(_k(16, size))
     for j in J:
         body += [f"r0_{j} = s13_{j} - y_{j}",
                  f"r1_{j} = h * k1_{j} - r0_{j}",
@@ -523,7 +525,7 @@ class Trajectory:
     integration's (the initial-step probe included) and 3 per step built.
 
     `memo` keeps what several checks read off the trajectory, such as
-    the geodesic samples' Christoffel pass and a charge series, for the
+    the u- and w-equation residuals and a charge series, for the
     trajectory's life.
     """
 
@@ -912,26 +914,39 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
 # ---------------------------------------------------------------------
 # consistency residuals along geodesic trajectories
 
-def _geodesic_samples(metric: BrinkmannMetric, traj: Trajectory) -> list:
-    """_sample_pass as a list, made once per metric for the trajectory's
-    life (Trajectory.memo)."""
-    return traj.memo(("samples", metric),
-                     lambda: list(_sample_pass(metric, traj)))
+def _equation_residuals(metric: BrinkmannMetric, traj: Trajectory) -> tuple:
+    """(u_equation_residual, w_equation_residual) of a geodesic
+    trajectory, made in one pass over its accepted samples, once per
+    metric for the trajectory's life (Trajectory.memo): each sample's
+    field pass, Christoffel accelerations and Lagrangian at x' serve
+    both.  ZeroUdotError where du/dsigma vanishes."""
+    return traj.memo(("residuals", metric),
+                     lambda: _residual_pass(metric, traj))
 
 
-def _sample_pass(metric: BrinkmannMetric, traj: Trajectory):
-    """(velocity, bundle, accelerations) at each accepted sample of a
-    geodesic trajectory; ZeroUdotError where du/dsigma vanishes."""
+def _residual_pass(metric: BrinkmannMetric, traj: Trajectory) -> tuple:
     n = traj.n
     m = n + 2
+    worst_u = worst_w = 0.0
     for k in range(len(traj)):
         y = traj.y[k]
         v = y[m:]
-        if v[n] == 0.0:
+        xd, ud, wd = v[:n], v[n], v[n + 1]
+        if ud == 0.0:
             raise ZeroUdotError(f"du/dsigma vanished at sigma = {traj.t[k]!r}")
         point = Point(y[:n], y[n], y[n + 1])
         b = metric.system.eval_bundle(point)
-        yield v, b, metric.accelerations(point, v, b)
+        acc = metric.accelerations(point, v, b)
+        xp = xd / ud
+        lag, dL = b.lagrangian(xp)
+        worst_u = max(worst_u, abs(acc[n] / (ud * ud) + dL[n + 1]))
+        p_vel = b.h @ xp + b.A
+        dxp = acc[:n] / ud - xd * (acc[n] / (ud * ud))
+        dL_dsigma = float(dL[:n] @ xd + dL[n] * ud + dL[n + 1] * wd
+                          + p_vel @ dxp)
+        wddot_null = acc[n] * lag + ud * dL_dsigma
+        worst_w = max(worst_w, abs(wddot_null - acc[n + 1]))
+    return worst_u, worst_w
 
 
 def u_equation_residual(metric: BrinkmannMetric, traj: Trajectory) -> float:
@@ -941,13 +956,7 @@ def u_equation_residual(metric: BrinkmannMetric, traj: Trajectory) -> float:
     derivatives at the reduced velocities; agreement certifies that the
     u-geodesic equation is the w-slope equation of the reduced system.
     """
-    n = metric.system.n
-    worst = 0.0
-    for v, b, acc in _geodesic_samples(metric, traj):
-        ud = v[n]
-        _, dL = b.lagrangian(v[:n] / ud)
-        worst = max(worst, abs(acc[n] / (ud * ud) + dL[n + 1]))
-    return worst
+    return _equation_residuals(metric, traj)[0]
 
 
 def w_equation_residual(metric: BrinkmannMetric, traj: Trajectory) -> float:
@@ -960,19 +969,7 @@ def w_equation_residual(metric: BrinkmannMetric, traj: Trajectory) -> float:
     the cone the gap is |2 L_residual / udot| * |uddot / udot^2| scaled,
     which is what the negative control exercises.
     """
-    n = metric.system.n
-    worst = 0.0
-    for v, b, acc in _geodesic_samples(metric, traj):
-        xd, ud, wd = v[:n], v[n], v[n + 1]
-        xp = xd / ud
-        lag, dL = b.lagrangian(xp)
-        p_vel = b.h @ xp + b.A
-        dxp = acc[:n] / ud - xd * (acc[n] / (ud * ud))
-        dL_dsigma = float(dL[:n] @ xd + dL[n] * ud + dL[n + 1] * wd
-                          + p_vel @ dxp)
-        wddot_null = acc[n] * lag + ud * dL_dsigma
-        worst = max(worst, abs(wddot_null - acc[n + 1]))
-    return worst
+    return _equation_residuals(metric, traj)[1]
 
 
 def homogeneity_residual(system: HerglotzSystem, rs: ReducedState,

@@ -1,5 +1,6 @@
 """Scenario CLI: exit codes, file outputs, and reproducibility."""
 
+import inspect
 import json
 import math
 import os
@@ -240,11 +241,15 @@ def test_a_failed_invocation_replaces_the_report(tmp_path, capsys, command):
     checks = {"checks": ["homogeneity", "equivalence", "null-drift"]}
     path = write_scenario(tmp_path, checks)
     assert main([command, path, "--out-dir", str(out)]) == 0
+    csvs = [out / "geodesic.csv", out / "reduced.csv"]
+    assert all(csv.exists() == (command == "run") for csv in csvs)
     failing = write_scenario(tmp_path, {**checks,
                                         "params": {"gamma": 5.0, "omega": 1.0},
                                         "span": {"from": 0.0, "to": 10.0}},
                              name="gamma5.json")
     assert main([command, failing, "--out-dir", str(out)]) == 3
+    # nor do the earlier run's CSVs
+    assert not any(csv.exists() for csv in csvs)
     err = capsys.readouterr().err
     assert "numerical failure: state norm exceeded 1e+12" in err
     rows = _rows(out)
@@ -390,6 +395,36 @@ def test_bad_checks_rejected_at_load(tmp_path, capsys, no_integration,
     path = write_scenario(tmp_path, overrides)
     assert main([argv[0], path, *argv[1:]]) == 2
     assert where in capsys.readouterr().err
+
+
+def _inline(n: int) -> dict:
+    """An inline n-dimensional system with its initial state."""
+    eye = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    return {"system": {"n": n, "h": eye, "A": ["0"] * n, "V": "0.5*x1^2"},
+            "params": {}, "span": {"from": 0.0, "to": 1.0},
+            "initial": {"x": [0.1] * n, "xp": [0.0] * n, "u": 0.0, "w": 0.0}}
+
+
+def test_a_cloud_beyond_the_halton_limit_is_rejected_at_load(
+        tmp_path, capsys, no_integration):
+    # a state cloud has 2n + 2 Halton dimensions, of which there are 30:
+    # n = 14 loads, and n = 15 is exit 2 naming the limit
+    assert cli.build_context({**_inline(14), "checks": ["homogeneity"]})
+    path = write_scenario(tmp_path, {**_inline(15), "checks": ["homogeneity"]})
+    assert main(["check", path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: check 'homogeneity' samples a state cloud of 32 dimensions "
+        "at n = 15; Halton clouds have at most 30\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_check_that_samples_a_cloud_declares_it():
+    # resolve_checks bounds a check's cloud only where the table names it
+    for name, check in cli.CHECKS.items():
+        source = inspect.getsource(check.fn)
+        sampled = [kind for kind in ("point", "state")
+                   if f"{kind}_cloud(" in source]
+        assert sampled == ([check.cloud] if check.cloud else []), name
 
 
 def test_pair_checks_follow_catalog_params(tmp_path):

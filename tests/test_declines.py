@@ -44,18 +44,28 @@ _KINDS = ("geodesic", "reduced", "lie-derivative", "conformal-killing",
           "pullback", "w-slope")
 
 
-def _subject(kind: str):
+# an n = 3 system, whose pipelines that solve with h call numpy's solve
+_INLINE_3 = HerglotzSystem(
+    3, [["1 + 0.1*w^2", "0.2*x3", "0"], ["0.2*x3", "1.5", "0.1*w"],
+        ["0", "0.1*w", "2 + 0.1*x1^2"]],
+    ["0.3*w*x2", "-0.2*w*x1", "0.1*u"], "0.5*(x1^2 + x2^2 + x3^2) + 0.2*w",
+    name="inline-3")
+
+
+def _subject(kind: str, n: int = 2):
     """(label, cached functions, key, entry points) of the pipeline
     `kind`: the label its explanation names, the FieldPasses dict that
     caches its function under `key` = (kind, *systems) once an entry
     point has built it, and the zero-argument calls of every public
-    entry point over it."""
-    system = standard_catalog()["coupled"].system
+    entry point over it.  The system is `coupled` for n = 2, _INLINE_3
+    for n = 3."""
+    system = standard_catalog()["coupled"].system if n == 2 else _INLINE_3
     metric = BrinkmannMetric(system)
-    gen = SymmetryGenerator(2, ["x2", "-x1"], "1", "0.1*w", name="probe")
-    p = Point([0.3, -0.2], 0.5, 0.25)
-    rs = ReducedState([0.3, -0.2], [0.5, 0.1], 0.5, 0.25)
-    ent_a, ent_b, cmap, factor = conformal_pair(n=2)
+    gen = SymmetryGenerator(n, ["x2", "-x1", *["0"] * (n - 2)], "1", "0.1*w",
+                            name="probe")
+    p = Point([0.3, -0.2, 0.1][:n], 0.5, 0.25)
+    rs = ReducedState([0.3, -0.2, 0.1][:n], [0.5, 0.1, -0.3][:n], 0.5, 0.25)
+    ent_a, ent_b, cmap, factor = conformal_pair(n=n)
     a, b = ent_a.system, ent_b.system
     if kind in ("geodesic", "reduced", "homogeneity", "w-slope"):
         label, passes, key = f"{system.name} {kind}", system._passes, (kind,)
@@ -121,6 +131,29 @@ def test_a_declined_call_raises_naming_its_pipeline(kind, monkeypatch):
         message = str(info.value)
         assert message.startswith(f"{label}: a value is not finite at [")
         assert message.partition(": a value")[0] == named[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_a_compiled_pipeline_declines_every_non_finite_argument(
+        kind, n, monkeypatch):
+    # the contract that the stepper trusts: at an inf or a nan in any one
+    # argument (coordinate, velocity or other), the compiled function
+    # returns None, raising and warning nothing; the arguments are those
+    # of its first call by an entry point at a healthy point
+    _, fns, key, entries = _subject(kind, n)
+    fn = fns[key]
+    seen = []
+    monkeypatch.setitem(fns, key, lambda *args: seen.append(args) or fn(*args))
+    entries[0]()
+    args = seen[0]
+    assert fn(*args) is not None
+    for c in range(len(args)):
+        for bad in (math.inf, math.nan):
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                out = fn(*args[:c], bad, *args[c + 1:])
+            assert out is None and warned == [], (c, bad)
 
 
 def _raised(fn):

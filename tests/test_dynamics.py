@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -522,6 +523,30 @@ def test_a_failed_sample_pass_keeps_nothing(col, value, error):
             residual(met, traj)
         messages.append(str(info.value))
     assert messages == [messages[0]] * 3
+
+
+def test_the_sample_pass_keeps_two_floats():
+    # the pass over the coupled default geodesic's 62 samples keeps the
+    # two residuals, not a field bundle or an array per sample (85 KB);
+    # a first pass builds the system's derivative pass
+    ent = coupled_curved()
+    met = BrinkmannMetric(ent.system)
+    rs0 = ent.default_state
+    first, traj = (integrate_geodesic(met, lift_state(ent.system, rs0, 1.0),
+                                      (0.0, math.inf), config=TIGHT,
+                                      stop_at_u=rs0.u + 10.0)
+                   for _ in range(2))
+    u_equation_residual(met, first)
+    tracemalloc.start()
+    try:
+        u = u_equation_residual(met, traj)
+        w = w_equation_residual(met, traj)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(traj._memo.values()) == [(u, w)]
+    assert isinstance(u, float) and isinstance(w, float)
+    assert kept <= 10_000
 
 
 def test_null_drift_along_run(damped_run):

@@ -3,25 +3,29 @@ DOP853 as an independent one.
 
 `_oracle_rk` is the array form of the stepper: the same tableau, the
 same PI control, the same checks and, per accepted step, the same dense
-rows (`_oracle_dense`), on numpy arrays.  Every weighted sum is taken
+rows (`_oracle_dense`), on numpy arrays.  Its f keeps the compiled
+right-hand side's contract: finite outputs, or None, which only a
+non-finite input may give (`_oracle_stage`).  Every weighted sum is taken
 term by term, left to right over the nonzero entries, as the generated
 code writes it, and the norms are summed as Python floats in the same
 order; so the two agree bit for bit.
 """
 
 import functools
+import linecache
 import math
 import operator
 import re
+import sys
 from array import array
 
 import numpy as np
 import pytest
 
 from hlift.dynamics import (_A, _C, _D, _E3, _E5, IntegratorConfig,
-                            Trajectory, _samples, _stepper, integrate_geodesic,
-                            integrate_herglotz, lift_state, reduce_trajectory,
-                            reduced_function)
+                            Trajectory, _dense_rows, _samples, _stepper,
+                            integrate_geodesic, integrate_herglotz,
+                            lift_state, reduce_trajectory, reduced_function)
 from hlift.errors import BlowUpError, NonFiniteError, StepLimitExceededError
 from hlift.geometry import BrinkmannMetric
 from hlift.systems import standard_catalog
@@ -82,18 +86,23 @@ def _finite(v):
     return bool(np.all(np.isfinite(v)))
 
 
+def _oracle_stage(f, t, y):
+    """f(t, y), which declines (None) only a non-finite input."""
+    out = f(t, y)
+    if out is None and _finite(y):
+        raise NonFiniteError("oracle: f declined a finite input")
+    return out
+
+
 def _oracle_dense(f, t, h, y, y_new, K):
     """The 7 dense rows of an accepted step from t by h, y to y_new, whose
     stages 1..13 are K[:13]: the dense stages 14..16 into K, then the
-    rows; None where a dense stage's input or the last stage is not
-    finite."""
+    rows; None where f declines a dense stage's input."""
     for i in range(13, 16):
-        yi = y + h * _lin(_A[i], K)
-        if not _finite(yi):
+        out = _oracle_stage(f, t + _C[i] * h, y + h * _lin(_A[i], K))
+        if out is None:
             return None
-        K[i] = f(t + _C[i] * h, yi)
-    if not _finite(K[15]):
-        return None
+        K[i] = out
     d0 = y_new - y
     return [d0, h * K[0] - d0, 2.0 * d0 - h * (K[12] + K[0]),
             *[h * _lin(row, K) for row in _D]]
@@ -101,9 +110,10 @@ def _oracle_dense(f, t, h, y, y_new, K):
 
 def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
     """(ts, ys, dense, rejected, nfev) of the array-form stepper; f maps
-    (t, array) to an array.  dense lists each step's rows
-    (_oracle_dense), and nfev counts the integration's calls, which
-    leave out the 3 dense stages of each step."""
+    (t, array) to an array, or to None at a non-finite input.  dense
+    lists each step's rows (_oracle_dense), and nfev counts the
+    integration's calls, declined ones included, which leave out the 3
+    dense stages of each step."""
     # Hairer's PI control on a 7th order estimate: exponents 1/8 - 0.2 beta
     # and beta, safety factor, growth bound
     beta = 0.04
@@ -134,11 +144,12 @@ def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
         err = math.nan
         for i in range(1, 13):      # stages 2..13, 13 at the new state
             yi = y + h * _lin(_A[i], K)
-            if not _finite(yi):
-                break
-            K[i] = f(t + _C[i] * h, yi)
+            out = _oracle_stage(f, t + _C[i] * h, yi)
             calls += 1
-        if calls == 12:
+            if out is None:
+                break
+            K[i] = out
+        else:
             y_new = yi
             scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
             e5, e3 = (_lin(row, K) / scale for row in (_E5, _E3))
@@ -151,8 +162,8 @@ def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
             just_rejected = True
             h = h * max(0.2, safety * err ** -(1 / 8))
             continue
-        # a stage input, the norm or the FSAL stage (K[12]) not finite
-        if not (err <= 1.0 and _finite(K[12])):
+        # a stage input or the norm not finite
+        if not err <= 1.0:
             rejected += 1
             just_rejected = True
             h *= 0.25
@@ -180,9 +191,13 @@ def _oracle_rk(f, t0, y0, t_end, cfg, stop=None):
     return np.array(ts), np.array(ys), dense, rejected, nfev
 
 
-def _on_arrays(f):
-    """f on tuples as the oracle's f on arrays."""
-    return lambda t, y: np.array(f(t, tuple(y.tolist())))
+def _on_arrays(f, outputs=None):
+    """f on tuples as the oracle's f on arrays: its first `outputs`
+    outputs (all by default), or None where f declines."""
+    def on_arrays(t, y):
+        out = f(t, tuple(y.tolist()))
+        return None if out is None else np.array(out[:outputs])
+    return on_arrays
 
 
 # ------------------------------------------------------ catalog runs
@@ -205,10 +220,10 @@ def _oracle_run(pipeline, ent):
     if pipeline == "geodesic":
         metric = BrinkmannMetric(system)
         fn = metric.geodesic_function()
-        f = lambda t, y: fn(*y)[:-1]        # without the null residual
+        f = lambda t, y: fn(*y)     # the null residual dropped below
         gs0 = lift_state(system, rs0)
         target = rs0.u + SPAN
-        return _oracle_rk(_on_arrays(f), 0.0,
+        return _oracle_rk(_on_arrays(f, -1), 0.0,
                           np.concatenate([gs0.point.coords(), gs0.velocity]),
                           math.inf, TIGHT, stop=lambda t, y: y[n] >= target)
     fn = reduced_function(system)
@@ -363,12 +378,33 @@ def test_scalar_stepper_matches_scipy_dop853(key, pipeline):
 
 
 # ------------------------------------------------- non-finite stages
+#
+# The loop's f keeps the compiled right-hand side's contract: finite
+# outputs, or None wherever an input is not finite (_contract).  A stage
+# input becomes non-finite where an earlier stage's finite but huge
+# output overflows the stage sum; f then declines it, and the loop
+# rejects the attempt, counting the declined call.  A call declined at a
+# finite input raises the error of explain.
+
+_BIG = sys.float_info.max
+
+
+def _contract(g, calls):
+    """y' = g(t, y) as the compiled function computes it: None at a
+    non-finite input, g's value (or None) elsewhere; `calls` records
+    each call's input."""
+    def f(t, y):
+        calls.append(y)
+        return g(t, y) if math.isfinite(y) else None
+    return f
+
 
 def _loop_run(f, y0, stop_at):
     """The generated loop on y' = f(t, y), one state entry, from t = 0
-    until y reaches stop_at, as a trajectory whose rows f builds."""
+    until y reaches stop_at, as a trajectory whose rows f builds; explain
+    raises NonFiniteError "y' = f declined at t"."""
     def explain(t, y):
-        raise AssertionError("f never declines")
+        raise NonFiniteError(f"y' = f declined at {t!r}")
     k0 = f(0.0, *y0)
     ts, ys, ds = array("d", (0.0,)), array("d", y0), array("d")
     rejected, nfev = _stepper(1, True, 0, 0)(
@@ -380,24 +416,22 @@ def _loop_run(f, y0, stop_at):
 
 
 def test_non_finite_stage_rejects_the_step():
-    # y' = 1 up to t = 3, inf beyond: the step keeps growing until a stage
-    # lands past 3, whose inf makes the next stage input (or the error
-    # norm) non-finite; the attempt is rejected and counts only the calls
-    # of f it made
+    # y' = 1 up to t = 3, the largest float beyond: the step keeps growing
+    # until stages land past 3, whose outputs overflow a later stage's
+    # input (or the error norm); the attempt is rejected and counts the
+    # calls of f it made, the declined one included
     calls = []
-
-    def f(t, y):
-        calls.append(t)
-        return (1.0 if t < 3.0 else math.inf,)
-
+    f = _contract(lambda t, y: (1.0 if t < 3.0 else _BIG,), calls)
     traj = _loop_run(f, [0.0], 2.5)
     ts, ys, rejected, nfev = traj.t, traj.y[:, 0], traj.rejected, traj.nfev
     steps = len(ts) - 1
     assert rejected >= 1
+    assert not all(map(math.isfinite, calls))
     assert nfev == len(calls) < 2 + 12 * (steps + rejected)
     assert np.allclose(ys, ts, rtol=1e-15, atol=0.0)
-    want = _oracle_rk(lambda t, y: np.array(f(t, y[0])), 0.0, [0.0], math.inf,
-                      TIGHT, stop=lambda t, y: y[0] >= 2.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _oracle_rk(_on_arrays(lambda t, y: f(t, *y)), 0.0, [0.0],
+                          math.inf, TIGHT, stop=lambda t, y: y[0] >= 2.5)
     assert np.array_equal(ts, want[0]) and np.array_equal(ys, want[1][:, 0])
     assert (rejected, nfev) == want[3:]
     assert all(np.array_equal(traj._step(k)[3], rows)
@@ -405,33 +439,38 @@ def test_non_finite_stage_rejects_the_step():
 
 
 def test_generated_step_rejects_with_its_call_count():
-    # on y' = 1 the call of one stage of the first attempt returns inf:
-    # the next stage's input is not finite (for the FSAL stage 13, the
-    # loop checks its output), so the attempt is rejected after stage - 1
-    # calls of f
+    # on y' = 1 the call of one stage of the first attempt returns the
+    # largest float: the first later stage whose tableau entry for it
+    # exceeds 1 in size gets an infinite input, which f declines, so the
+    # attempt is rejected after the calls of stages 2..that stage
+    overflows = {}
     for stage in range(2, 14):
+        later = [r + 1 for r in range(stage, 13)
+                 if abs(_A[r].get(stage - 1, 0.0)) > 1.0]
+        if later:
+            overflows[stage] = later[0]
+    assert overflows == {4: 9, 5: 11, 6: 9, 7: 9, 8: 9, 9: 11, 10: 11}
+    for stage, declined in overflows.items():
         calls = []
-
-        def f(t, y):
-            calls.append(t)
-            # the initial derivative and the initial-step probe come first
-            return (math.inf if len(calls) == 2 + stage - 1 else 1.0,)
-
+        # the initial derivative and the initial-step probe come first
+        f = _contract(lambda t, y: (_BIG if len(calls) == 2 + stage - 1
+                                    else 1.0,), calls)
         traj = _loop_run(f, [0.0], 2.5)
         assert traj.rejected == 1
-        assert traj.nfev == len(calls) == 2 + (stage - 1) + 12 * (len(traj) - 1)
+        assert [k for k, y in enumerate(calls)
+                if not math.isfinite(y)] == [2 + declined - 2]
+        assert (traj.nfev == len(calls)
+                == 2 + (declined - 1) + 12 * (len(traj) - 1))
         assert np.allclose(traj.y[:, 0], traj.t, rtol=1e-15, atol=0.0)
-    # a dense stage returns inf: the integration completes, and the query
-    # of the step raises (for the last dense stage 16, by its own output);
-    # once f is finite again the query builds the step's 3 stages
-    for stage in range(14, 17):
+    # a dense stage returns the largest float: the integration completes,
+    # and the query of the step raises where the last dense stage's input
+    # overflows; once f is finite again the query builds the step's 3
+    # stages
+    for stage in (14, 15):
         calls = []
         bad = []
-
-        def f(t, y):
-            calls.append(t)
-            return (math.inf if len(calls) in bad else 1.0,)
-
+        f = _contract(lambda t, y: (_BIG if len(calls) in bad else 1.0,),
+                      calls)
         traj = _loop_run(f, [0.0], 2.5)
         steps = len(traj) - 1
         assert traj.rejected == 0
@@ -440,9 +479,61 @@ def test_generated_step_rejects_with_its_call_count():
         with pytest.raises(NonFiniteError, match="^y' = f: the dense output "
                            "of the step at 0.0 is not finite$"):
             traj.eval(0.5 * traj.t[1])
-        assert len(calls) == bad[0] and traj.nfev == 2 + 12 * steps
+        assert len(calls) == 2 + 12 * steps + 3 and traj.nfev == len(calls) - 3
+        assert not math.isfinite(calls[-1])
         assert traj.eval(0.5 * traj.t[1]) == pytest.approx(0.5 * traj.t[1])
-        assert traj.nfev == len(calls) - (stage - 13) == 2 + 12 * steps + 3
+        assert traj.nfev == len(calls) - 3 == 2 + 12 * steps + 3
+
+
+def test_a_call_declined_at_a_finite_input_raises_its_explanation():
+    # f declines one call at a finite input: the initial-step probe (call
+    # 1), a stage of the first attempt (calls 2..13, 13 the FSAL stage),
+    # or, on query, a dense stage; explain's error ends the integration
+    # or the query at that call
+    for number in range(1, 14):
+        calls = []
+        f = _contract(lambda t, y: None if len(calls) == number + 1
+                      else (1.0,), calls)
+        with pytest.raises(NonFiniteError, match="^y' = f declined at "):
+            _loop_run(f, [0.0], 2.5)
+        assert len(calls) == number + 1 and all(map(math.isfinite, calls))
+    for stage in (14, 15, 16):
+        calls = []
+        bad = []
+        f = _contract(lambda t, y: None if len(calls) in bad else (1.0,),
+                      calls)
+        traj = _loop_run(f, [0.0], 2.5)
+        nfev = traj.nfev
+        bad.append(len(calls) + stage - 13)
+        with pytest.raises(NonFiniteError, match="^y' = f declined at "):
+            traj.eval(0.5 * traj.t[1])
+        assert len(calls) == bad[0] and traj.nfev == nfev
+        assert all(map(math.isfinite, calls))
+
+
+@pytest.mark.parametrize("size, takes_t, n_aux, stop",
+                         [(4, False, 1, 1), (2, True, 0, None), (3, True, 2, 0)])
+def test_a_stage_is_checked_finite_only_where_f_declines_it(size, takes_t,
+                                                           n_aux, stop):
+    # in the generated source (linecache), each stage's finite test sits
+    # in the branch of its declined call: 12 in the loop (stages 2..13,
+    # none on the FSAL output) and 3 in the dense rows (stages 14..16,
+    # none on the last output); the loop's one other test is the error
+    # norm's.  The functions are generated afresh, in shapes that no
+    # pipeline has, so that the source read is theirs alone.
+    for fn, stages in ((_stepper.__wrapped__(size, takes_t, n_aux, stop), 12),
+                       (_dense_rows.__wrapped__(size, takes_t), 3)):
+        lines = linecache.getlines(fn.__code__.co_filename)
+        assert lines and lines[0].startswith(f"def {fn.__name__}(")
+        checks = [k for k, line in enumerate(lines) if "_s - _s" in line]
+        assert len(checks) == stages
+        for k in checks:
+            depth = len(lines[k]) - len(lines[k].lstrip())
+            block = next(line for line in reversed(lines[:k])
+                         if len(line) - len(line.lstrip()) < depth)
+            assert block.strip() == "if _o is None:"
+        assert sum(" - " in line and "!= 0.0" in line
+                   for line in lines) == stages + (stages == 12)
 
 
 # ---------------------------------------------- mid-integration declines
