@@ -238,15 +238,17 @@ def _checkpoint_gaps(ctx: ScenarioContext, ta: ReducedTrajectory,
                      *others: ReducedTrajectory, w_rate: float = 0.0):
     """Largest |x_a - x_b|, |exp(-w_rate u) w_a - w_b| and |xp_a - xp_b|
     over the u checkpoints of trajectory a and each of the others, with
-    each state of a read once."""
+    each state of a read once, as floats."""
     gap_x = gap_w = gap_xp = 0.0
-    for u in np.linspace(ctx.span[0], ctx.span[1], _CHECKPOINTS):
-        a = ta.state_at(u)
+    for u in np.linspace(ctx.span[0], ctx.span[1], _CHECKPOINTS).tolist():
+        x_a, xp_a, w_a = ta._state(u)
         for tb in others:
-            b = tb.state_at(u)
-            gap_x = max(gap_x, float(np.max(np.abs(a.x - b.x))))
-            gap_w = max(gap_w, abs(math.exp(-w_rate * u) * a.w - b.w))
-            gap_xp = max(gap_xp, float(np.max(np.abs(a.xp - b.xp))))
+            x_b, xp_b, w_b = tb._state(u)
+            for a, b in zip(x_a, x_b):
+                gap_x = max(gap_x, abs(a - b))
+            gap_w = max(gap_w, abs(math.exp(-w_rate * u) * w_a - w_b))
+            for a, b in zip(xp_a, xp_b):
+                gap_xp = max(gap_xp, abs(a - b))
     return gap_x, gap_w, gap_xp
 
 

@@ -306,29 +306,33 @@ def _combo(row: dict, j: int) -> str:
     return " + ".join(f"{a!r} * k{c + 1}_{j}" for c, a in row.items())
 
 
-def _call(takes_t: bool, tc: str, state: list, out: list, declined=()):
-    """fn's call at ([tc,] state), unpacked into the locals `out`; a call
-    it declines runs the lines `declined`, then explain, which raises."""
+def _call(takes_t: bool, tc: str, state: list, out: list, declined=(),
+          via=("fn", "explain")):
+    """The call at ([tc,] state) of the function named by via[0],
+    unpacked into the locals `out`; a call it declines runs the lines
+    `declined`, then its explain, via[1], which raises."""
+    fn, explain = via
     tc = f"{tc}, " if takes_t else ""
     args = ", ".join(state)
-    return [f"_o = fn({tc}{args})",
+    return [f"_o = {fn}({tc}{args})",
             "if _o is None:",
             *[f"    {line}" for line in declined],
-            f"    explain({tc}({args},))",
+            f"    {explain}({tc}({args},))",
             f"{', '.join(out)}, = _o"]
 
 
-def _stage(i: int, size: int, takes_t: bool, action: str, out: list) -> list:
+def _stage(i: int, size: int, takes_t: bool, action: str, out: list,
+           via=("fn", "explain")) -> list:
     """Stage i from the state y_j at t, the step h and the earlier stages:
-    its input s{i}_j and its call into `out`.  fn declines a non-finite
-    input, so a declined call runs `action` where its input is not finite
-    and goes to explain where it is."""
+    its input s{i}_j and its call (_call, `via`) into `out`.  The function
+    declines a non-finite input, so a declined call runs `action` where
+    its input is not finite and goes to explain where it is."""
     s = [f"s{i}_{j}" for j in range(size)]
     c = _C[i - 1]
     tc = "t + h" if c == 1.0 else f"t + {c!r} * h"
     return ([f"{s[j]} = y_{j} + h * ({_combo(_A[i - 1], j)})"
              for j in range(size)]
-            + _call(takes_t, tc, s, out, _finite_check(s, action)))
+            + _call(takes_t, tc, s, out, _finite_check(s, action), via))
 
 
 # the stages besides 14..16 that the dense stages and rows read: what the
@@ -342,26 +346,29 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     """The whole adaptive integration of one pipeline shape, as one
     function generated on first use:
 
-        loop(fn, explain, t, t_end, y, k, cfg, ts, ys, ds, xs_0.., [target])
+        loop(fn, explain, t, t_end, y, k, cfg, ts, ys, ds,
+             [fa, explain_a, xs_0..], [target])
 
     y is the initial state, a tuple of `size` floats, and k its derivative.
     fn is the compiled right-hand side: fn([t,] y_0, ...) returns the
-    derivative followed by `n_aux` auxiliary outputs, all finite, or None
-    where it declines, as it does at any non-finite input; explain([t,] y)
-    raises the error of a declined call.  The loop makes the initial-step
-    probe and then DOP853 attempts until t reaches t_end (or, with a
-    `stop` index, y[stop] reaches `target`).  An attempt makes 12 calls
-    (11 stages and the FSAL stage at the new state).  Each accepted step
-    appends its sample to the buffers ts and ys, to ds its size h and the
-    stage derivatives its dense output reads (_KEPT, `size` floats each;
-    _dense_rows makes the 3 dense stages and the rows on demand), and to
-    xs_a the auxiliary outputs of its FSAL stage, whose input is the
-    accepted state; the caller has appended the initial sample.  fn's
-    contract is the only finite check of a stage: an attempt is rejected
-    and its step quartered where fn declines a non-finite stage input
-    (nfev counts that call) or the error norm is not finite; any other
-    declined call ends the integration.  Returns (rejected, nfev), nfev
-    including the caller's call at the initial state.
+    derivative, all finite, or None where it declines, as it does at any
+    non-finite input; explain([t,] y) raises the error of a declined
+    call.  With `n_aux` auxiliary outputs, fa is the same right-hand side
+    followed by them, and explain_a explains its declined calls.  The
+    loop makes the initial-step probe and then DOP853 attempts until t
+    reaches t_end (or, with a `stop` index, y[stop] reaches `target`).
+    An attempt makes 12 calls (11 stages and the FSAL stage at the new
+    state).  Each accepted step appends its sample to the buffers ts and
+    ys, to ds its size h and the stage derivatives its dense output reads
+    (_KEPT, `size` floats each; _dense_rows makes the 3 dense stages and
+    the rows on demand), and to xs_a the auxiliary outputs of its FSAL
+    stage, the one call by fa, whose input is the accepted state; the
+    caller has appended the initial sample.  The functions' contract is
+    the only finite check of a stage: an attempt is rejected and its step
+    quartered where a call declines a non-finite stage input (nfev counts
+    that call) or the error norm is not finite; any other declined call
+    ends the integration.  Returns (rejected, nfev), nfev including the
+    caller's call at the initial state.
     """
     J = range(size)
     y = [f"y_{j}" for j in J]
@@ -376,7 +383,6 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
 
     sq = lambda a: f"({a}) * ({a})"
     aux = [f"_x{a}" for a in range(n_aux)]
-    spare = [f"_z{a}" for a in range(n_aux)]    # other stages' aux outputs
     body = [f"{', '.join(y)}, = y", f"{', '.join(k(1))}, = k",
             "atol, rtol, max_steps = cfg.atol, cfg.rtol, cfg.max_steps",
             "_ta, _ye, _de = ts.append, ys.extend, ds.extend",
@@ -388,7 +394,7 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
              f"d1 = {rms([sq(f'k1_{j} / _c{j}') for j in J])}",
              "h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1"]
     body += _call(takes_t, "t + h0", [f"y_{j} + h0 * k1_{j}" for j in J],
-                  k("p") + spare)
+                  k("p"))
     body += [f"d2 = {rms([sq(f'(kp_{j} - k1_{j}) / _c{j}') for j in J])} / h0",
              "if d1 <= 1e-15 and d2 <= 1e-15:",
              "    h1 = max(1e-6, h0 * 1e-3)",
@@ -416,9 +422,11 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
             "_at = abs(t)",
             "if h <= 1e-14 * (_at if _at > 1.0 else 1.0):",
             "    raise _BlowUp(f'step size underflow at t = {t!r}')"]
-    for i in range(2, 14):
-        loop += _stage(i, size, takes_t, reject(i - 1),
-                       k(i) + (aux if i == 13 else spare))
+    for i in range(2, 13):
+        loop += _stage(i, size, takes_t, reject(i - 1), k(i))
+    # the FSAL stage, whose input the attempt accepts, with the aux outputs
+    loop += _stage(13, size, takes_t, reject(12), k(13) + aux,
+                   ("fa", "explain_a") if n_aux else ("fn", "explain"))
     # Hairer's norm of the 5th order estimate corrected by the 3rd order one
     for j in J:
         loop += [f"_b{j} = abs(s13_{j})",
@@ -465,6 +473,7 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
     body += ["while True:"] + [f"    {line}" for line in loop]
     body.append("return rejected, nfev")
     params = (["fn", "explain", "t", "t_end", "y", "k", "cfg", "ts", "ys", "ds"]
+              + (["fa", "explain_a"] if n_aux else [])
               + [f"xs_{a}" for a in range(n_aux)]
               + (["target"] if stop is not None else []))
     return define_function(
@@ -483,8 +492,9 @@ def _dense_rows(size: int, takes_t: bool):
 
     t and h are the step's start and size, y0 and y1 its end states and
     ks the stage derivatives the loop kept for it (_KEPT, `size` floats
-    each).  It makes the 3 dense stages 14..16 through fn and explain, as
-    the loop calls them, and returns the 7 rows (r0, ..., r6), tuples of
+    each).  It makes the 3 dense stages 14..16 through the loop's fn
+    (the right-hand side without auxiliary outputs) and explain, as the
+    loop calls them, and returns the 7 rows (r0, ..., r6), tuples of
     `size` floats; None where fn declines a dense stage's input as not
     finite.
     """
@@ -492,8 +502,8 @@ def _dense_rows(size: int, takes_t: bool):
     body = [f"{', '.join(f'y_{j}' for j in J)}, = y0",
             f"{', '.join(f's13_{j}' for j in J)}, = y1",
             f"{', '.join(v for i in _KEPT for v in _k(i, size))}, = ks"]
-    for i in range(14, 17):         # auxiliary outputs dropped
-        body += _stage(i, size, takes_t, "return None", _k(i, size) + ["*_"])
+    for i in range(14, 17):
+        body += _stage(i, size, takes_t, "return None", _k(i, size))
     for j in J:
         body += [f"r0_{j} = s13_{j} - y_{j}",
                  f"r1_{j} = h * k1_{j} - r0_{j}",
@@ -507,6 +517,29 @@ def _dense_rows(size: int, takes_t: bool):
         f"dop853 rows {size}{' t' if takes_t else ''}", {})
 
 
+@functools.cache
+def _reader(cols: tuple):
+    """The state entries `cols` by a step's dense polynomial, as one
+    function generated on first use:
+
+        read(step, tq) -> [y_c at tq for c in cols]
+
+    step is (t0, t1, y0, rows) as Trajectory._step builds it and tq a
+    float.  With x = (tq - t0) / (t1 - t0), each entry is y0 + x (r0 +
+    (1 - x) (r1 + x (r2 + (1 - x) (r3 + ...)))), Horner from the last
+    row, so a step's polynomial returns its first sample exactly.
+    """
+    body = ["t0, t1, y0, (r0, r1, r2, r3, r4, r5, r6) = step",
+            "x = (tq - t0) / (t1 - t0)",
+            "x1 = 1.0 - x",
+            "return [" + ", ".join(
+                f"((((((r6[{c}] * x + r5[{c}]) * x1 + r4[{c}]) * x + r3[{c}])"
+                f" * x1 + r2[{c}]) * x + r1[{c}]) * x1 + r0[{c}]) * x + y0[{c}]"
+                for c in cols) + "]"]
+    return define_function("_read", ["step", "tq"], body,
+                           f"dop853 read {' '.join(map(str, cols))}", {})
+
+
 class Trajectory:
     """Accepted samples of one adaptive integration.
 
@@ -514,7 +547,7 @@ class Trajectory:
     what its dense output reads (`steps`, flat: the step size and the
     stage derivatives the loop kept, _stepper).  Evaluation between
     samples uses DOP853's 7th order dense polynomial of the containing
-    step (_dense), which returns the step's first sample exactly.  A
+    step (_reader), which returns the step's first sample exactly.  A
     step's 7 rows are built and kept on its first query (_step), by 3
     calls of the right-hand side `fn` (_dense_rows); `dense`, shape
     (steps, 7, size), builds every step.  The query raises NonFiniteError
@@ -544,6 +577,7 @@ class Trajectory:
             raise ValueError("trajectory parameter must increase strictly")
         self._steps = steps
         self._built = [None] * (len(self._t) - 1)
+        self._read = _reader(tuple(range(self.y.shape[1])))
         self._fn, self._explain, self._label = fn, explain, label
         self._memo = {}
 
@@ -559,8 +593,7 @@ class Trajectory:
 
     def eval(self, tq: float) -> np.ndarray:
         """Dense evaluation of the state at parameter tq."""
-        step = self._step(self._locate(tq))
-        return np.array(self._dense(step, tq, range(self.y.shape[1])))
+        return np.array(self._read(self._step(self._locate(tq)), float(tq)))
 
     def _step(self, k: int) -> tuple:
         """Step k, [t[k], t[k + 1]], as floats: (t0, t1, y0, rows), its
@@ -597,19 +630,6 @@ class Trajectory:
         return np.array([self._step(k)[3] for k in range(len(self._built))],
                         dtype=float).reshape(len(self._built), 7,
                                               self.y.shape[1])
-
-    @staticmethod
-    def _dense(step: tuple, tq: float, cols) -> list:
-        """The state entries `cols` at parameter tq by the dense
-        polynomial of a step (_step), as floats: with x = (tq - t0) / h,
-        y0 + x (r0 + (1 - x) (r1 + x (r2 + (1 - x) (r3 + ...)))), Horner
-        from the last row."""
-        t0, t1, y0, (r0, r1, r2, r3, r4, r5, r6) = step
-        x = (float(tq) - t0) / (t1 - t0)
-        x1 = 1.0 - x
-        return [((((((r6[c] * x + r5[c]) * x1 + r4[c]) * x + r3[c]) * x1
-                   + r2[c]) * x + r1[c]) * x1 + r0[c]) * x + y0[c]
-                for c in cols]
 
 
 def _bracket(grid: list, q: float, outside: str) -> int:
@@ -657,25 +677,31 @@ def integrate_geodesic(metric: BrinkmannMetric, gs0: GeodesicState,
     n = metric.system.n
     s0, s1 = float(sigma_span[0]), float(sigma_span[1])
     y0 = tuple(np.concatenate([gs0.point.coords(), gs0.velocity]).tolist())
-    fn = metric.geodesic_function()
+    passes = metric.system._passes
 
-    def explain(y):
-        metric.system._passes.explain("geodesic", y, _rhs_steps, metric.system,
-                                      y[:n], y[n], y[n + 1])
+    def explainer(kind):
+        return lambda y: passes.explain(kind, y, _rhs_steps, metric.system,
+                                        y[:n], y[n], y[n + 1])
 
-    out = fn(*y0)
+    # the null residual only at accepted states: the first and each FSAL
+    # stage's; every other call runs the right-hand side without it
+    fa, explain_a = metric.geodesic_function(), explainer("geodesic")
+    fn = metric.geodesic_function(null=False)
+    explain = explainer("geodesic-flow")
+    out = fa(*y0)
     if out is None:
-        explain(y0)
+        explain_a(y0)
     ts, ys, ds = array("d", (s0,)), array("d", y0), array("d")
     nulls = array("d", out[-1:])
     target = math.inf if stop_at_u is None else float(stop_at_u)
     rej, nfev = _stepper(len(y0), False, 1, n)(
-        fn, explain, s0, s1, y0, out[:-1], cfg, ts, ys, ds, nulls, target)
+        fn, explain, s0, s1, y0, out[:-1], cfg, ts, ys, ds, fa, explain_a,
+        nulls, target)
     return Trajectory(*_samples(ts, ys), ds, kind="geodesic", n=n,
                       rejected=rej, nfev=nfev,
                       diagnostics={"null_residual": np.frombuffer(nulls)},
                       fn=fn, explain=explain,
-                      label=metric.system._passes.label("geodesic"))
+                      label=passes.label("geodesic-flow"))
 
 
 class ReducedTrajectory:
@@ -712,7 +738,9 @@ class ReducedTrajectory:
             self._u = self.u.tolist()
             # the state entries the dense output reads: u and udot for
             # sigma_at; x, xdot, udot and w for _state
-            self._cols = (n, m + n), (*range(n), *range(m, m + n + 1), n + 1)
+            self._read_u = _reader((n, m + n))
+            self._read_state = _reader((*range(n), *range(m, m + n + 1),
+                                        n + 1))
         else:
             raise ValueError(f"unknown trajectory kind {traj.kind!r}")
 
@@ -748,7 +776,7 @@ class ReducedTrajectory:
     def _sigma_in(self, k: int, u_target: float) -> float:
         """sigma_at(u_target) on step k, which holds u_target."""
         traj = self.traj
-        dense, cols, tol = traj._dense, self._cols[0], self._SIGMA_TOL
+        read, tol = self._read_u, self._SIGMA_TOL
         # _state interpolates the rest of the state on the same step
         bracket = self._last_step = traj._step(k)
         lo, hi = bracket[:2]
@@ -760,7 +788,7 @@ class ReducedTrajectory:
         if not lo <= s <= hi:
             traj._locate(s)     # raises outside the samples, as eval would
         for _ in range(self._SIGMA_ITERS):
-            u, udot = dense(bracket, s, cols)
+            u, udot = read(bracket, s)
             fval = u - target
             if fval > 0:
                 hi = min(hi, s)
@@ -795,11 +823,11 @@ class ReducedTrajectory:
             k = None
         if traj.kind == "reduced":
             y = (traj.eval(u_target).tolist() if k is None else
-                 traj._dense(traj._step(k), u_target, range(2 * n + 1)))
+                 traj._read(traj._step(k), float(u_target)))
             return y[:n], y[n:2 * n], y[2 * n]
         s = (self.sigma_at(u_target) if k is None
              else self._sigma_in(k, u_target))
-        v = traj._dense(self._last_step, s, self._cols[1])
+        v = self._read_state(self._last_step, s)
         ud = v[2 * n]
         if ud <= 0.0:
             raise MonotonicityViolationError("du/dsigma is not positive", s)

@@ -28,6 +28,7 @@ to the point.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import linecache
 import math
@@ -897,13 +898,26 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool, name: str,
     return define_function("_forward", params, body, f"forward {name}", ns)
 
 
-# (label, source) -> the code of live generated functions.  It keeps one
-# live code per linecache file name, so that the finalizer of a dead
-# twin cannot drop a source that a live code still shows; it is not a
+# (label, source) -> the code of live generated functions.  It is not a
 # cache for repeated work, which systems._built and the cached loops of
 # dynamics already serve, and needs no bound.  Code and source go with
 # the last function that runs them.
 _CODE = weakref.WeakValueDictionary()
+# linecache file name -> the number of live codes that show it.  Twins,
+# codes of one label and source compiled apart (by another registry, or
+# by a purged and re-imported copy of hlift), show one file, and its
+# source goes with the last of them.  The count is kept on linecache
+# itself, which every copy of hlift shares.
+_LIVE = vars(linecache).setdefault("_hlift_live_codes", collections.Counter())
+
+
+def _release(filename: str) -> None:
+    """A code showing `filename` has died: drop its source from
+    linecache unless a live code still shows it."""
+    _LIVE[filename] -= 1
+    if _LIVE[filename] <= 0:
+        del _LIVE[filename]
+        linecache.cache.pop(filename, None)
 
 
 def define_function(name: str, params: Sequence, body: list, label: str,
@@ -924,7 +938,8 @@ def define_function(name: str, params: Sequence, body: list, label: str,
                  if isinstance(c, types.CodeType))
         linecache.cache[filename] = (len(src), None, src.splitlines(True),
                                      filename)
-        weakref.finalize(code, linecache.cache.pop, filename, None)
+        _LIVE[filename] += 1
+        weakref.finalize(code, _release, filename)
         _CODE[key] = code
     return types.FunctionType(code, ns)
 

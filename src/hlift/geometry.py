@@ -399,15 +399,18 @@ class BrinkmannMetric:
 
     def eval_with_derivatives(self, point: Point, bundle: Optional[FieldBundle] = None):
         """(g, dg) with dg[c, mu, nu] the c-th coordinate partial."""
-        n = self.system.n
         b = bundle if bundle is not None else self.system.eval_bundle(point)
-        g = self._assemble(b.h, b.A, b.V)
+        return self._assemble(b.h, b.A, b.V), self._derivatives(b)
+
+    def _derivatives(self, b: FieldBundle) -> np.ndarray:
+        """dg of eval_with_derivatives from the bundle's partials."""
+        n = self.system.n
         dg = np.zeros((self.dim, self.dim, self.dim))
         dg[:, :n, :n] = b.dh
         dg[:, :n, n] = b.dA
         dg[:, n, :n] = b.dA
         dg[:, n, n] = -2.0 * b.dV
-        return g, dg
+        return dg
 
     # -- inverse (block closed form) -----------------------------------
 
@@ -437,7 +440,7 @@ class BrinkmannMetric:
         """Gamma[mu, nu, rho] = (1/2) g^{mu s} (d_nu g_{s rho}
         + d_rho g_{s nu} - d_s g_{nu rho}); exactly symmetric in (nu, rho)."""
         b = bundle if bundle is not None else self.system.eval_bundle(point)
-        g, dg = self.eval_with_derivatives(point, b)
+        dg = self._derivatives(b)
         ginv = self._inverse_from(b.h, b.A, b.V)
         m = self.dim
         term = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
@@ -448,7 +451,7 @@ class BrinkmannMetric:
         """-Gamma^mu_{nu rho} v^nu v^rho, the contraction of christoffel."""
         return -(self.christoffel(point, bundle) @ velocity) @ velocity
 
-    def geodesic_function(self):
+    def geodesic_function(self, null: bool = True):
         """The compiled geodesic right-hand side of the first-order system
         y = (x, u, w, xdot, udot, wdot): f(y_0, ..., y_{2m-1}) returns
         (ydot_0, ..., ydot_{2m-1}, null residual), where ydot carries the
@@ -456,9 +459,14 @@ class BrinkmannMetric:
         where the field pass or the kinetic solve declines or an output
         is not finite (emit_kinetic_solve); eval_bundle with
         accelerations is the oracle that the factored contraction is
-        tested against.  Built on first use and cached with the system's
-        field passes."""
-        return self.system._passes.pipeline("geodesic", _geodesic_tail)
+        tested against.  Without `null`, the pipeline "geodesic-flow",
+        which returns ydot alone, the same bits.  Built on first use and
+        cached with the system's field passes."""
+        if null:
+            return self.system._passes.pipeline("geodesic", _geodesic_tail)
+        return self.system._passes.pipeline(
+            "geodesic-flow", functools.partial(_geodesic_tail,
+                                               with_null=False))
 
 
 def tail_bundle(nodes, n: int):
@@ -499,11 +507,11 @@ def tail_lagrangian(em, h, A, V, xp):
                          em.dot(A, xp)), V)
 
 
-def _geodesic_tail(em, nodes):
+def _geodesic_tail(em, nodes, with_null: bool = True):
     """accelerations' -Gamma v v, factored as -g^{mu s} [ (v . d) g_{s rho}
     v^rho - (1/2) d_s (g v v) ] = -g^{-1}(M v - q/2) over the Brinkmann
-    blocks of g and dg, plus the null residual term for term as
-    dynamics.null_residual computes it (a pipeline tail, see
+    blocks of g and dg, plus, `with_null`, the null residual term for
+    term as dynamics.null_residual computes it (a pipeline tail, see
     expr.compile_forward)."""
     m = em.m
     n = m - 2
@@ -528,6 +536,8 @@ def _geodesic_tail(em, nodes):
     acc.append(r[n + 1])
     acc.append(em.sub(None, em.add(em.sub(em.dot(hiA, r), r[n]),
                                    em.mul(gww, r[n + 1]))))
+    if not with_null:
+        return em.coords + v, v + acc
     # (1/2) g(v, v), in dynamics.null_residual's order
     quad = em.dot([em.dot(row, xd) for row in h], xd)
     null = em.sub(em.sub(em.add(em.mul(0.5, quad), em.mul(em.dot(A, xd), ud)),

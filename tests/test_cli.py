@@ -10,11 +10,13 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hlift
 from hlift import cli, geometry, systems
 from hlift.cli import main
+from hlift.dynamics import integrate_geodesic, lift_state, reduce_trajectory
 
 BASE = {
     "system": "damped-action",
@@ -458,6 +460,42 @@ def test_readme_checks_table_matches_check_table():
         name: (check.needs_generator, tuple(t for _, t in check.rows),
                check.certifies)
         for name, check in cli.CHECKS.items()}
+
+
+# ------------------------------------------------------- checkpoints
+
+def _checkpoint_gaps_numpy(ctx, ta, *others, w_rate=0.0):
+    """cli._checkpoint_gaps on the ReducedStates of state_at, by numpy:
+    its oracle."""
+    gap_x = gap_w = gap_xp = 0.0
+    for u in np.linspace(ctx.span[0], ctx.span[1], cli._CHECKPOINTS):
+        a = ta.state_at(u)
+        for tb in others:
+            b = tb.state_at(u)
+            gap_x = max(gap_x, float(np.max(np.abs(a.x - b.x))))
+            gap_w = max(gap_w, abs(math.exp(-w_rate * u) * a.w - b.w))
+            gap_xp = max(gap_xp, float(np.max(np.abs(a.xp - b.xp))))
+    return gap_x, gap_w, gap_xp
+
+
+@pytest.mark.parametrize("key", ["free", "harmonic", "damped-time",
+                                 "damped-action", "coupled"])
+def test_checkpoint_gaps_are_their_numpy_form(key):
+    # the gaps on floats are those of ReducedStates and numpy, bit for
+    # bit, in the shapes of run and equivalence (a geodesic view against
+    # the Herglotz flow), of reparam (against two more views) and of the
+    # conformal pair (a w_rate)
+    ctx = cli.build_context({"system": key})
+    cache = cli._RunCache(ctx)
+    views = [reduce_trajectory(integrate_geodesic(
+        ctx.metric, lift_state(ctx.system, ctx.rs0, udot0), (0.0, math.inf),
+        config=ctx.config, stop_at_u=ctx.span[1])) for udot0 in (0.5, 2.0)]
+    for args, w_rate in (((cache.reduced, cache.herglotz), 0.0),
+                         ((cache.reduced, *views), 0.0),
+                         ((cache.herglotz, cache.reduced), 0.2)):
+        got = cli._checkpoint_gaps(ctx, *args, w_rate=w_rate)
+        assert got == _checkpoint_gaps_numpy(ctx, *args, w_rate=w_rate)
+        assert all(type(g) is float for g in got)
 
 
 # ------------------------------------------------------- one process

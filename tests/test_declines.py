@@ -2,7 +2,7 @@
 call, the call's error is raised (FieldPasses.explain), and nothing
 computes the formula another way.
 
-Each of the ten pipelines is made to decline at a healthy catalog
+Each of the eleven pipelines is made to decline at a healthy catalog
 point: every public entry point over it, and the integrator that steps
 it, raise NonFiniteError naming the pipeline, by the label of its
 generated code, and the point.  The table of pipelines is every kind
@@ -39,9 +39,9 @@ from hlift.systems import conformal_pair, standard_catalog
 from numpy_oracle import conformal_split, herglotz_rhs_numpy
 
 _CFG = IntegratorConfig(rtol=1e-8, atol=1e-10)
-_KINDS = ("geodesic", "reduced", "lie-derivative", "conformal-killing",
-          "degreewise", "symmetry", "homogeneity", "transform-rule",
-          "pullback", "w-slope")
+_KINDS = ("geodesic", "geodesic-flow", "reduced", "lie-derivative",
+          "conformal-killing", "degreewise", "symmetry", "homogeneity",
+          "transform-rule", "pullback", "w-slope")
 
 
 # an n = 3 system, whose pipelines that solve with h call numpy's solve
@@ -67,7 +67,8 @@ def _subject(kind: str, n: int = 2):
     rs = ReducedState([0.3, -0.2, 0.1][:n], [0.5, 0.1, -0.3][:n], 0.5, 0.25)
     ent_a, ent_b, cmap, factor = conformal_pair(n=n)
     a, b = ent_a.system, ent_b.system
-    if kind in ("geodesic", "reduced", "homogeneity", "w-slope"):
+    if kind in ("geodesic", "geodesic-flow", "reduced", "homogeneity",
+                "w-slope"):
         label, passes, key = f"{system.name} {kind}", system._passes, (kind,)
     elif kind in ("transform-rule", "pullback"):
         label = f"{cmap.name} {a.name} {b.name} {kind}"
@@ -75,10 +76,12 @@ def _subject(kind: str, n: int = 2):
     else:
         label = f"{system.name} {gen.name} {kind}"
         passes, key = gen.joint(system), (kind,)
+    geodesic = [lambda: integrate_geodesic(
+        metric, lift_state(system, rs), (0.0, math.inf), config=_CFG,
+        stop_at_u=rs.u + 1.0)]
     entries = {
-        "geodesic": [lambda: integrate_geodesic(
-            metric, lift_state(system, rs), (0.0, math.inf), config=_CFG,
-            stop_at_u=rs.u + 1.0)],
+        "geodesic": geodesic,
+        "geodesic-flow": geodesic,
         "reduced": [lambda: herglotz_rhs(system, rs),
                     lambda: integrate_herglotz(system, rs,
                                                (rs.u, rs.u + 1.0), _CFG)],

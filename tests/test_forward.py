@@ -5,6 +5,7 @@ numpy oracles (numpy_oracle.py)."""
 import dataclasses
 import functools
 import gc
+import importlib.util
 import inspect
 import linecache
 import math
@@ -568,3 +569,38 @@ def test_a_referenced_function_keeps_its_source(monkeypatch):
     # generated again, the source finds its live code and is not compiled
     again = _stepper.__wrapped__(5, True, 0, None)
     assert again is not loop and again.__code__ is loop.__code__
+
+
+def _fresh_registry(monkeypatch):
+    monkeypatch.setattr(expr, "_CODE", weakref.WeakValueDictionary())
+    return expr
+
+
+def _second_copy(monkeypatch):
+    # hlift.expr loaded again, beside the imported one, as a purged and
+    # re-imported hlift loads it
+    spec = importlib.util.find_spec("hlift.expr")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("twin_of", [_fresh_registry, _second_copy])
+def test_a_dying_twin_leaves_a_live_function_its_source(twin_of, monkeypatch):
+    # a registry that does not know a live function's code compiles a
+    # twin of it, whose code shows the same linecache file; the twin's
+    # death leaves the live function its source, which goes with the
+    # last code that shows it
+    define = ("_g", ["a"], ["return a + 1"], "demo twin", {})
+    live = expr.define_function(*define)
+    twin = twin_of(monkeypatch).define_function(*define)
+    filename = live.__code__.co_filename
+    assert twin.__code__ is not live.__code__
+    assert twin.__code__.co_filename == filename
+    del twin
+    gc.collect()
+    assert linecache.getlines(filename) == ["def _g(a):\n",
+                                            "    return a + 1\n"]
+    del live
+    gc.collect()
+    assert filename not in linecache.cache

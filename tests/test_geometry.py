@@ -153,6 +153,17 @@ def test_christoffel_vs_finite_difference(metric):
     assert np.allclose(metric.christoffel(P0), want, atol=1e-9)
 
 
+def test_christoffel_reads_dg_alone(metric, monkeypatch):
+    # christoffel builds no g: its Gamma from the bundle's dg and g^-1 is
+    # that of eval_with_derivatives' dg, bit for bit
+    m = metric.dim
+    _, dg = metric.eval_with_derivatives(P0)
+    term = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    want = 0.5 * (metric.inverse(P0) @ term.reshape(m, m * m)).reshape(m, m, m)
+    monkeypatch.setattr(BrinkmannMetric, "_assemble", None)
+    assert np.array_equal(metric.christoffel(P0), want)
+
+
 def test_metric_compatibility(metric):
     # nabla_c g_ab = d_c g_ab - Gamma^d_ca g_db - Gamma^d_cb g_ad = 0
     g, dg = metric.eval_with_derivatives(P0)

@@ -17,15 +17,18 @@ import math
 import operator
 import re
 import sys
+import types
 from array import array
 
 import numpy as np
 import pytest
 
+from hlift import dynamics
 from hlift.dynamics import (_A, _C, _D, _E3, _E5, IntegratorConfig,
-                            Trajectory, _dense_rows, _samples, _stepper,
-                            integrate_geodesic, integrate_herglotz,
-                            lift_state, reduce_trajectory, reduced_function)
+                            ReducedTrajectory, Trajectory, _dense_rows,
+                            _samples, _stepper, integrate_geodesic,
+                            integrate_herglotz, lift_state, reduce_trajectory,
+                            reduced_function)
 from hlift.errors import BlowUpError, NonFiniteError, StepLimitExceededError
 from hlift.geometry import BrinkmannMetric
 from hlift.systems import standard_catalog
@@ -312,6 +315,61 @@ def test_dense_output_is_the_numpy_hermite_bit_for_bit(key, pipeline):
         assert (got.u, got.w) == (uq, y[n + 1])
 
 
+def _horner(step, tq, cols):
+    """The state entries `cols` at tq by the dense polynomial of a step
+    (Trajectory._step), Horner from the last row in a list comprehension:
+    the oracle of the generated readers (dynamics._reader)."""
+    t0, t1, y0, (r0, r1, r2, r3, r4, r5, r6) = step
+    x = (float(tq) - t0) / (t1 - t0)
+    x1 = 1.0 - x
+    return [((((((r6[c] * x + r5[c]) * x1 + r4[c]) * x + r3[c]) * x1
+               + r2[c]) * x + r1[c]) * x1 + r0[c]) * x + y0[c]
+            for c in cols]
+
+
+def _views(ent):
+    """The reduced views of both pipelines' runs from the default start."""
+    return [reduce_trajectory(_scalar_run("geodesic", ent)[0]),
+            ReducedTrajectory(_scalar_run("herglotz", ent)[0])]
+
+
+@pytest.mark.parametrize("key", ["free", "harmonic", "damped-time",
+                                 "damped-action", "coupled"])
+def test_generated_readers_are_the_horner_list_comprehension(key,
+                                                             monkeypatch):
+    # every reader, and sigma_at, state_at and eval through them, give
+    # the list comprehension's bits (_horner): on both views of a run,
+    # against the same views built with _horner as their every reader
+    ent = standard_catalog()[key]
+    views = _views(ent)
+    monkeypatch.setattr(dynamics, "_reader",
+                        lambda cols: functools.partial(_horner, cols=cols))
+    oracles = _views(ent)
+    for view, oracle in zip(views, oracles):
+        traj = view.traj
+        readers = [(traj._read, oracle.traj._read)]
+        if traj.kind == "geodesic":
+            readers += [(view._read_u, oracle._read_u),
+                        (view._read_state, oracle._read_state)]
+        t = traj.t.tolist()
+        for k in range(len(t) - 1):
+            step = traj._step(k)
+            for a in (0.0, 0.3, 0.5, 1.0):
+                tq = t[k] + a * (t[k + 1] - t[k])
+                for read, want in readers:
+                    assert read(step, tq) == want(step, tq)
+                assert np.array_equal(traj.eval(tq), oracle.traj.eval(tq))
+        u = view.u
+        for uq in np.concatenate([u, u[:-1] + 0.3 * np.diff(u),
+                                  0.5 * (u[:-1] + u[1:])]):
+            got, want = view.state_at(uq), oracle.state_at(uq)
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.xp, want.xp)
+            assert (got.u, got.w) == (want.u, want.w)
+            if traj.kind == "geodesic":
+                assert view.sigma_at(uq) == oracle.sigma_at(uq)
+
+
 @pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])
 @pytest.mark.parametrize("key", ["damped-action", "coupled"])
 def test_rows_do_not_depend_on_the_query_order(key, pipeline):
@@ -536,9 +594,35 @@ def test_a_stage_is_checked_finite_only_where_f_declines_it(size, takes_t,
                    for line in lines) == stages + (stages == 12)
 
 
+def test_only_the_fsal_stage_calls_the_function_with_aux_outputs():
+    # in the generated geodesic loop (linecache), fa, the right-hand side
+    # with the null residual, makes one call, stage 13's at the state the
+    # attempt accepts, and its declines go to explain_a; the probe and
+    # stages 2..12 call fn, which returns the derivative alone.  The loop
+    # is generated afresh, so that the source read is its own.
+    fn = _stepper.__wrapped__(8, False, 1, 2)
+    lines = [line.strip()
+             for line in linecache.getlines(fn.__code__.co_filename)]
+    assert lines[0] == ("def _loop(fn, explain, t, t_end, y, k, cfg, ts, ys, "
+                        "ds, fa, explain_a, xs_0, target):")
+    calls = [line for line in lines if line.startswith("_o = ")]
+    assert [line.partition("(")[0] for line in calls] == (
+        ["_o = fn"] * 12 + ["_o = fa"])
+    assert calls[0].startswith("_o = fn(y_0 + h0 * k1_0, ")
+    for i, call in enumerate(calls[1:], start=2):
+        assert call.partition("(")[2].startswith(f"s{i}_0, ")
+    explained = [line.partition("(")[0] for line in lines
+                 if line.startswith("explain")]
+    assert explained == ["explain"] * 12 + ["explain_a"]
+    # its one aux output comes from fa's call alone, and is kept
+    unpacked = ", ".join(f"k13_{j}" for j in range(8)) + ", _x0, = _o"
+    assert [line for line in lines if "_x0" in line] == [unpacked,
+                                                         "_xa0(_x0)"]
+
+
 # ---------------------------------------------- mid-integration declines
 #
-# The compiled right-hand side is wrapped so that it declines one chosen
+# The compiled right-hand sides are wrapped so that they decline one chosen
 # call: 0 is the initial derivative, 1 the initial-step probe, and then
 # each attempt makes twelve calls, of which the last is the FSAL stage
 # whose input is the state the attempt accepts; where none is rejected,
@@ -548,22 +632,29 @@ def test_a_stage_is_checked_finite_only_where_f_declines_it(size, takes_t,
 # and a decline raises there.
 
 def _declining(ent, pipeline, monkeypatch):
-    """The pipeline's compiled function, wrapped to decline its call
-    number `declining.declined` (none at first), and its error label."""
+    """The pipeline's compiled functions (for the geodesic, those with and
+    without the null residual), wrapped to count their calls together
+    and to decline call number `declining.declined` (none at first);
+    `declining.kinds` lists the kind of each call.  Also the error label
+    of a kind."""
     fns = ent.system._passes._fns
-    kind = "geodesic" if pipeline == "geodesic" else "reduced"
-    _scalar_run(pipeline, ent)          # builds the function
-    fn = fns[kind,]
+    kinds = (("geodesic", "geodesic-flow") if pipeline == "geodesic"
+             else ("reduced",))
+    _scalar_run(pipeline, ent)          # builds the functions
 
-    def declining(*args):
-        declining.calls += 1
-        if declining.calls - 1 == declining.declined:
-            return None
-        return fn(*args)
+    def wrap(kind, fn):
+        def wrapped(*args):
+            declining.kinds.append(kind)
+            declining.calls += 1
+            if declining.calls - 1 == declining.declined:
+                return None
+            return fn(*args)
+        return wrapped
 
-    declining.calls, declining.declined = 0, None
-    monkeypatch.setitem(fns, (kind,), declining)
-    return declining, re.escape(f"{ent.system.name} {kind}: ")
+    declining = types.SimpleNamespace(calls=0, declined=None, kinds=[])
+    for kind in kinds:
+        monkeypatch.setitem(fns, (kind,), wrap(kind, fns[kind,]))
+    return declining, lambda kind: re.escape(f"{ent.system.name} {kind}: ")
 
 
 @pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])
@@ -571,27 +662,42 @@ def _declining(ent, pipeline, monkeypatch):
 @pytest.mark.parametrize("declined", [0, 1, 43, 61])
 def test_a_declined_call_ends_the_integration(key, pipeline, declined,
                                               monkeypatch):
+    # the geodesic's calls at the initial and the FSAL stage (0 and 61)
+    # are those of its function with the null residual
     ent = standard_catalog()[key]
     declining, label = _declining(ent, pipeline, monkeypatch)
     declining.declined = declined
-    with pytest.raises(NonFiniteError, match=f"^{label}"):
+    with pytest.raises(NonFiniteError) as info:
         _scalar_run(pipeline, ent)
     assert declining.calls == declined + 1
+    kind = declining.kinds[-1]
+    if pipeline == "geodesic":
+        assert kind == ("geodesic" if declined in (0, 61) else "geodesic-flow")
+    assert re.match(label(kind), str(info.value))
 
 
 @pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])
 @pytest.mark.parametrize("key", ["harmonic", "coupled"])
 def test_a_declined_dense_stage_raises_on_query(key, pipeline, monkeypatch):
     # the second dense stage of the first step queried declines: the
-    # integration has completed, and only the query raises
+    # integration has completed, and only the query raises.  The
+    # geodesic's null residual is computed at the initial state and at
+    # the FSAL stage of each attempt, whatever its error norm decides,
+    # and never at a dense stage
     ent = standard_catalog()[key]
     declining, label = _declining(ent, pipeline, monkeypatch)
     traj, _ = _scalar_run(pipeline, ent)
     assert traj.nfev == declining.calls
+    if pipeline == "geodesic":
+        assert declining.kinds.count("geodesic") == len(traj) + traj.rejected
     declining.declined = declining.calls + 1
-    with pytest.raises(NonFiniteError, match=f"^{label}"):
+    with pytest.raises(NonFiniteError) as info:
         traj.eval(traj.t[3])
     assert declining.calls == traj.nfev + 2
+    kind = declining.kinds[-1]
+    assert kind == ("reduced" if pipeline == "herglotz" else "geodesic-flow")
+    assert re.match(label(kind), str(info.value))
     # the other steps build
     traj.eval(traj.t[4])
     assert traj.nfev == declining.calls - 2
+    assert declining.kinds[-3:] == [kind] * 3
