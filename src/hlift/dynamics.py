@@ -517,29 +517,6 @@ def _dense_rows(size: int, takes_t: bool):
         f"dop853 rows {size}{' t' if takes_t else ''}", {})
 
 
-@functools.cache
-def _reader(cols: tuple):
-    """The state entries `cols` by a step's dense polynomial, as one
-    function generated on first use:
-
-        read(step, tq) -> [y_c at tq for c in cols]
-
-    step is (t0, t1, y0, rows) as Trajectory._step builds it and tq a
-    float.  With x = (tq - t0) / (t1 - t0), each entry is y0 + x (r0 +
-    (1 - x) (r1 + x (r2 + (1 - x) (r3 + ...)))), Horner from the last
-    row, so a step's polynomial returns its first sample exactly.
-    """
-    body = ["t0, t1, y0, (r0, r1, r2, r3, r4, r5, r6) = step",
-            "x = (tq - t0) / (t1 - t0)",
-            "x1 = 1.0 - x",
-            "return [" + ", ".join(
-                f"((((((r6[{c}] * x + r5[{c}]) * x1 + r4[{c}]) * x + r3[{c}])"
-                f" * x1 + r2[{c}]) * x + r1[{c}]) * x1 + r0[{c}]) * x + y0[{c}]"
-                for c in cols) + "]"]
-    return define_function("_read", ["step", "tq"], body,
-                           f"dop853 read {' '.join(map(str, cols))}", {})
-
-
 class Trajectory:
     """Accepted samples of one adaptive integration.
 
@@ -547,7 +524,7 @@ class Trajectory:
     what its dense output reads (`steps`, flat: the step size and the
     stage derivatives the loop kept, _stepper).  Evaluation between
     samples uses DOP853's 7th order dense polynomial of the containing
-    step (_reader), which returns the step's first sample exactly.  A
+    step (_dense), which returns the step's first sample exactly.  A
     step's 7 rows are built and kept on its first query (_step), by 3
     calls of the right-hand side `fn` (_dense_rows); `dense`, shape
     (steps, 7, size), builds every step.  The query raises NonFiniteError
@@ -577,7 +554,6 @@ class Trajectory:
             raise ValueError("trajectory parameter must increase strictly")
         self._steps = steps
         self._built = [None] * (len(self._t) - 1)
-        self._read = _reader(tuple(range(self.y.shape[1])))
         self._fn, self._explain, self._label = fn, explain, label
         self._memo = {}
 
@@ -593,7 +569,8 @@ class Trajectory:
 
     def eval(self, tq: float) -> np.ndarray:
         """Dense evaluation of the state at parameter tq."""
-        return np.array(self._read(self._step(self._locate(tq)), float(tq)))
+        step = self._step(self._locate(tq))
+        return np.array(self._dense(step, tq, range(self.y.shape[1])))
 
     def _step(self, k: int) -> tuple:
         """Step k, [t[k], t[k + 1]], as floats: (t0, t1, y0, rows), its
@@ -630,6 +607,19 @@ class Trajectory:
         return np.array([self._step(k)[3] for k in range(len(self._built))],
                         dtype=float).reshape(len(self._built), 7,
                                               self.y.shape[1])
+
+    @staticmethod
+    def _dense(step: tuple, tq: float, cols) -> list:
+        """The state entries `cols` at parameter tq by the dense
+        polynomial of a step (_step), as floats: with x = (tq - t0) / h,
+        y0 + x (r0 + (1 - x) (r1 + x (r2 + (1 - x) (r3 + ...)))), Horner
+        from the last row."""
+        t0, t1, y0, (r0, r1, r2, r3, r4, r5, r6) = step
+        x = (float(tq) - t0) / (t1 - t0)
+        x1 = 1.0 - x
+        return [((((((r6[c] * x + r5[c]) * x1 + r4[c]) * x + r3[c]) * x1
+                   + r2[c]) * x + r1[c]) * x1 + r0[c]) * x + y0[c]
+                for c in cols]
 
 
 def _bracket(grid: list, q: float, outside: str) -> int:
@@ -738,9 +728,7 @@ class ReducedTrajectory:
             self._u = self.u.tolist()
             # the state entries the dense output reads: u and udot for
             # sigma_at; x, xdot, udot and w for _state
-            self._read_u = _reader((n, m + n))
-            self._read_state = _reader((*range(n), *range(m, m + n + 1),
-                                        n + 1))
+            self._cols = (n, m + n), (*range(n), *range(m, m + n + 1), n + 1)
         else:
             raise ValueError(f"unknown trajectory kind {traj.kind!r}")
 
@@ -776,7 +764,7 @@ class ReducedTrajectory:
     def _sigma_in(self, k: int, u_target: float) -> float:
         """sigma_at(u_target) on step k, which holds u_target."""
         traj = self.traj
-        read, tol = self._read_u, self._SIGMA_TOL
+        dense, cols, tol = traj._dense, self._cols[0], self._SIGMA_TOL
         # _state interpolates the rest of the state on the same step
         bracket = self._last_step = traj._step(k)
         lo, hi = bracket[:2]
@@ -788,7 +776,7 @@ class ReducedTrajectory:
         if not lo <= s <= hi:
             traj._locate(s)     # raises outside the samples, as eval would
         for _ in range(self._SIGMA_ITERS):
-            u, udot = read(bracket, s)
+            u, udot = dense(bracket, s, cols)
             fval = u - target
             if fval > 0:
                 hi = min(hi, s)
@@ -823,11 +811,11 @@ class ReducedTrajectory:
             k = None
         if traj.kind == "reduced":
             y = (traj.eval(u_target).tolist() if k is None else
-                 traj._read(traj._step(k), float(u_target)))
+                 traj._dense(traj._step(k), u_target, range(2 * n + 1)))
             return y[:n], y[n:2 * n], y[2 * n]
         s = (self.sigma_at(u_target) if k is None
              else self._sigma_in(k, u_target))
-        v = self._read_state(self._last_step, s)
+        v = traj._dense(self._last_step, s, self._cols[1])
         ud = v[2 * n]
         if ud <= 0.0:
             raise MonotonicityViolationError("du/dsigma is not positive", s)

@@ -10,11 +10,11 @@ holds three sections:
 
   * "pairs": the pair-batch-shaped integrations (both pipelines at rtol
     1e-10 over a u-span of 10, the geodesic lifted with udot0 = 1) of
-    every catalog system from its default start and from the first
-    --starts pair-batch starts of each seed (all 64 by default): t, y,
-    the null residuals, rejected and nfev of each trajectory, and the 33
-    checkpoint states (x, x', w, and the geodesic's sigma) of both views,
-    then nfev again, which counts the dense steps the reads built;
+    every catalog system from its default start and from the pair-batch
+    starts of each seed (PairBatch.POOL, 64): t, y, the null residuals,
+    rejected and nfev of each trajectory, and the 33 checkpoint states
+    (x, x', w, and the geodesic's sigma) of both views, then nfev again,
+    which counts the dense steps the reads built;
   * "cli": per seed, every cli-scenario invocation once: its exit code,
     its report rows without `seconds`, and the SHA-256 of its CSVs;
   * "acceptance": the acceptance batch (five systems, twenty starts
@@ -92,7 +92,7 @@ def _pair(system, metric, rs0) -> dict:
     return out
 
 
-def pairs(seeds, starts: int) -> dict:
+def pairs(seeds) -> dict:
     out = {}
     for key, ent in standard_catalog().items():
         system = ent.system
@@ -100,7 +100,8 @@ def pairs(seeds, starts: int) -> dict:
         out[f"{key}/default"] = _pair(system, metric, ent.default_state)
         for seed in seeds:
             states = workloads.reduced_states(
-                hlift, system.n, starts, workloads.halton_start(seed))
+                hlift, system.n, workloads.PairBatch.POOL,
+                workloads.halton_start(seed))
             for k, rs0 in enumerate(states):
                 out[f"{key}/seed{seed}/{k}"] = _pair(system, metric, rs0)
     return out
@@ -163,11 +164,8 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="*", default=[3, 7],
                    help="hbench seeds of the pair starts and the "
                         "cli-scenario invocations (default: 3 7)")
-    p.add_argument("--starts", type=int, default=workloads.PairBatch.POOL,
-                   help="pair-batch starts per system and seed (default: "
-                        f"{workloads.PairBatch.POOL})")
     args = p.parse_args(argv)
-    numbers = {"pairs": pairs(args.seeds, args.starts), "cli": cli(args.seeds),
+    numbers = {"pairs": pairs(args.seeds), "cli": cli(args.seeds),
                "acceptance": acceptance()}
     json.dump(numbers, sys.stdout, indent=0, sort_keys=True)
     sys.stdout.write("\n")

@@ -23,12 +23,10 @@ from array import array
 import numpy as np
 import pytest
 
-from hlift import dynamics
 from hlift.dynamics import (_A, _C, _D, _E3, _E5, IntegratorConfig,
-                            ReducedTrajectory, Trajectory, _dense_rows,
-                            _samples, _stepper, integrate_geodesic,
-                            integrate_herglotz, lift_state, reduce_trajectory,
-                            reduced_function)
+                            Trajectory, _dense_rows, _samples, _stepper,
+                            integrate_geodesic, integrate_herglotz,
+                            lift_state, reduce_trajectory, reduced_function)
 from hlift.errors import BlowUpError, NonFiniteError, StepLimitExceededError
 from hlift.geometry import BrinkmannMetric
 from hlift.systems import standard_catalog
@@ -313,61 +311,6 @@ def test_dense_output_is_the_numpy_hermite_bit_for_bit(key, pipeline):
         assert np.array_equal(got.x, y[:n])
         assert np.array_equal(got.xp, y[m:m + n] / y[m + n])
         assert (got.u, got.w) == (uq, y[n + 1])
-
-
-def _horner(step, tq, cols):
-    """The state entries `cols` at tq by the dense polynomial of a step
-    (Trajectory._step), Horner from the last row in a list comprehension:
-    the oracle of the generated readers (dynamics._reader)."""
-    t0, t1, y0, (r0, r1, r2, r3, r4, r5, r6) = step
-    x = (float(tq) - t0) / (t1 - t0)
-    x1 = 1.0 - x
-    return [((((((r6[c] * x + r5[c]) * x1 + r4[c]) * x + r3[c]) * x1
-               + r2[c]) * x + r1[c]) * x1 + r0[c]) * x + y0[c]
-            for c in cols]
-
-
-def _views(ent):
-    """The reduced views of both pipelines' runs from the default start."""
-    return [reduce_trajectory(_scalar_run("geodesic", ent)[0]),
-            ReducedTrajectory(_scalar_run("herglotz", ent)[0])]
-
-
-@pytest.mark.parametrize("key", ["free", "harmonic", "damped-time",
-                                 "damped-action", "coupled"])
-def test_generated_readers_are_the_horner_list_comprehension(key,
-                                                             monkeypatch):
-    # every reader, and sigma_at, state_at and eval through them, give
-    # the list comprehension's bits (_horner): on both views of a run,
-    # against the same views built with _horner as their every reader
-    ent = standard_catalog()[key]
-    views = _views(ent)
-    monkeypatch.setattr(dynamics, "_reader",
-                        lambda cols: functools.partial(_horner, cols=cols))
-    oracles = _views(ent)
-    for view, oracle in zip(views, oracles):
-        traj = view.traj
-        readers = [(traj._read, oracle.traj._read)]
-        if traj.kind == "geodesic":
-            readers += [(view._read_u, oracle._read_u),
-                        (view._read_state, oracle._read_state)]
-        t = traj.t.tolist()
-        for k in range(len(t) - 1):
-            step = traj._step(k)
-            for a in (0.0, 0.3, 0.5, 1.0):
-                tq = t[k] + a * (t[k + 1] - t[k])
-                for read, want in readers:
-                    assert read(step, tq) == want(step, tq)
-                assert np.array_equal(traj.eval(tq), oracle.traj.eval(tq))
-        u = view.u
-        for uq in np.concatenate([u, u[:-1] + 0.3 * np.diff(u),
-                                  0.5 * (u[:-1] + u[1:])]):
-            got, want = view.state_at(uq), oracle.state_at(uq)
-            assert np.array_equal(got.x, want.x)
-            assert np.array_equal(got.xp, want.xp)
-            assert (got.u, got.w) == (want.u, want.w)
-            if traj.kind == "geodesic":
-                assert view.sigma_at(uq) == oracle.sigma_at(uq)
 
 
 @pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])
