@@ -532,6 +532,15 @@ def _reported_on_error(ctx: ScenarioContext, rows: List[dict], check: str,
         raise
 
 
+def _exit_code(rows: List[dict]) -> int:
+    """4, saying how many, where a reported row failed; else 0."""
+    failed = sum(r["status"] == "fail" for r in rows)
+    if failed:
+        print(f"{failed} check(s) failed")
+        return 4
+    return 0
+
+
 # ---------------------------------------------------------------------
 # subcommands
 
@@ -568,7 +577,7 @@ def cmd_run(args) -> int:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     print(f"wrote {', '.join(csvs)}, {_report(ctx, rows)}")
-    return 0
+    return _exit_code(rows)
 
 
 def cmd_check(args) -> int:
@@ -587,11 +596,7 @@ def cmd_check(args) -> int:
         with _reported_on_error(ctx, rows, name, check.certifies):
             rows.extend(run_check(ctx, cache, resolved))
     _report(ctx, rows)
-    failed = [r for r in rows if r["status"] == "fail"]
-    if failed:
-        print(f"{len(failed)} check(s) failed")
-        return 4
-    return 0
+    return _exit_code(rows)
 
 
 def cmd_list(args) -> int:

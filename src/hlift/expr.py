@@ -469,7 +469,10 @@ def _power(b: float, e: float, vb: bool, ve: bool) -> float:
 # component; without derivatives it is the interpreter's float operation.
 # Partials that are structurally zero are never computed, and
 # coordinate-free subtrees are folded once at compile time by the
-# interpreter itself.
+# interpreter itself.  Nor is anything else the compiler already knows:
+# a power by 1.0 is its base and by 0.0 is 1.0, a guard or a warning
+# whose condition is a constant is settled, and an assignment that no
+# later line reads and that cannot raise is left out.
 #
 # The generated code raises nothing of its own.  It returns None when a
 # coordinate is not finite, when a guard would trip (log/sqrt domain,
@@ -535,6 +538,7 @@ class _ForwardEmitter:
         self.checked: set = set()  # locals the code has checked finite
         self.lines: list = []
         self.temps: dict = {}
+        self.pure: set = set()     # locals whose expression cannot raise
         self.consts: dict = {}
         self.globals: dict = {}    # names a pipeline tail calls
         self.warned: list = []     # lines that warn, run just before return
@@ -553,33 +557,51 @@ class _ForwardEmitter:
             self.consts[key] = f"_k{len(self.consts)}"
         return self.consts[key]
 
-    def let(self, expr: str) -> str:
+    def let(self, expr: str, pure: bool = False) -> str:
+        """A local holding `expr`; `pure` when the expression cannot
+        raise, so that compile_forward may leave it out where nothing
+        reads it."""
         # identical expressions of identical locals give identical bits
         name = self.temps.get(expr)
         if name is None:
             name = f"_t{len(self.temps)}"
             self.temps[expr] = name
             self.lines.append(f"{name} = {expr}")
+            if pure:
+                self.pure.add(name)
         return name
 
-    def guard(self, cond: str) -> None:
+    def guard(self, cond) -> None:
+        """Decline where `cond` holds: the code's test, or a bool the
+        compiler knows (True declines every call)."""
+        if cond is True:
+            raise _AlwaysFails()
+        if cond is False:
+            return
         line = f"if {cond}: return None"
         if line not in self.lines:
             self.lines.append(line)
 
-    def warn(self, cond: str, category, message: str) -> None:
+    def warn(self, cond, category, message: str) -> None:
         """Warn `message` as `category` where `cond` holds, once per call
         and only as the function returns its outputs: a call it declines
-        has not warned."""
+        has not warned.  `cond` is the code's test, or a bool the compiler
+        knows (True warns at every call it returns from)."""
+        if cond is False:
+            return
         self.globals[category.__name__] = category
-        line = (f"if {cond}: _warn({message!r}, {category.__name__}, "
-                "stacklevel=2)")
+        line = f"_warn({message!r}, {category.__name__}, stacklevel=2)"
+        if cond is not True:
+            line = f"if {cond}: {line}"
         if line not in self.warned:
             self.warned.append(line)
 
     def guard_finite(self, values) -> None:
         """Decline unless each of `values` is finite (_finite_check); the
-        code is straight-line, so a local checked once stays checked."""
+        code is straight-line, so a local checked once stays checked, and
+        a constant that is not finite declines every call."""
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise _AlwaysFails()
         refs = [self.ref(v) for v in dict.fromkeys(values) if v is not None]
         refs = [r for r in refs if not r.startswith("(") and r not in self.checked]
         self.checked.update(refs)
@@ -589,21 +611,25 @@ class _ForwardEmitter:
         """a sym b, folded when both are constants."""
         if sym == "*" and isinstance(a, float) and a == 1.0:
             return b  # 1.0 * x is x in every bit, nan and signed zero included
-        if sym in "*/" and isinstance(b, float) and b == 1.0:
-            return a  # and x / 1.0 is x
+        if sym in ("*", "/", "**") and isinstance(b, float) and b == 1.0:
+            return a  # and x / 1.0 and x ** 1.0 are x
+        if sym == "**" and isinstance(b, float) and b == 0.0:
+            return 1.0  # x ** 0.0 is 1.0, also for nan and inf
         if not (isinstance(a, str) or isinstance(b, str)):
             try:
                 return _FOLD[sym](a, b)
             except ZeroDivisionError:
                 raise _AlwaysFails() from None
-        return self.let(f"{self.ref(a)} {sym} {self.ref(b)}")
+        # float +, - and * never raise (an overflow is inf)
+        return self.let(f"{self.ref(a)} {sym} {self.ref(b)}",
+                        sym in ("+", "-", "*"))
 
     def neg(self, a):
         if not isinstance(a, str):
             return -a
         if a in self.negated:      # -(-x) is x in every bit
             return self.negated[a]
-        name = self.let(f"-{a}")
+        name = self.let(f"-{a}", True)
         self.negated[name] = a
         return name
 
@@ -795,18 +821,18 @@ class _ForwardEmitter:
         if e != int(e):
             self.guard(f"{base} < 0.0")
         # b ** e and (e * b ** (e - 1.0)) * grad, with _power's own values
-        # at b == 0 where it has them; its other zero cases raise here too
-        pv = f"{base} ** {self.ref(e)}"
-        pd = f"{base} ** {self.ref(e - 1.0)}"
+        # at b == 0 where it has them; its other zero cases raise here too.
+        # b ** 1.0 is b, and the b == 0 guard keeps the sign of a zero slope
+        pd = base if e == 2.0 else f"{base} ** {self.ref(e - 1.0)}"
         if e == 0.0:
-            v = self.let(pv)
+            v = self.let("1.0", True)   # a local: its partials are not None
             dv = self.let(f"0.0 if {base} == 0.0 else 0.0 * {pd}")
         elif e > 1.0:
-            v = self.let(f"0.0 if {base} == 0.0 else {pv}")
+            v = self.let(f"0.0 if {base} == 0.0 else {base} ** {self.ref(e)}")
             dv = self.let(f"0.0 if {base} == 0.0 else {self.ref(e)} * {pd}")
         else:
-            v = self.let(pv)
-            dv = self.op(e, "*", self.let(pd))
+            v = self.op(base, "**", e)
+            dv = self.op(e, "*", self.op(base, "**", e - 1.0))
         return v, self.scale(dv, a[1])
 
     def op_call(self, name: str, a):
@@ -882,16 +908,18 @@ def compile_forward(entries: Sequence, n: int, derivatives: bool, name: str,
             params, outputs = tail(em, nodes)
     except _AlwaysFails:
         return lambda *args: None
-    body += _guarded(em.lines[:n_field_lines])
-    if derivatives:
-        body += _finite_check([r for r in out if r.startswith("_t")])
+    pass_check = _finite_check([r for r in out if r.startswith("_t")]
+                               if derivatives else [])
+    ending = []
     if tail is not None:
         out = [em.ref(0.0 if v is None else v) for v in outputs]
-        body += _guarded(em.lines[n_field_lines:])
-        body += _finite_check([r for r in out if not r.startswith("(")
-                               and r not in em.checked])
-        body += em.warned
-    body.append(f"return ({', '.join(out)},)")
+        ending = _finite_check([r for r in out if not r.startswith("(")
+                                and r not in em.checked]) + em.warned
+    ending.append(f"return ({', '.join(out)},)")
+    fields, _, tail_lines, _ = _drop_unread(
+        em.pure, [em.lines[:n_field_lines], pass_check,
+                  em.lines[n_field_lines:], ending])
+    body += _guarded(fields) + pass_check + _guarded(tail_lines) + ending
     ns = dict(_FORWARD_GLOBALS)
     ns.update(em.globals)
     ns.update({v: float(k) for k, v in em.consts.items()})
@@ -944,20 +972,45 @@ def define_function(name: str, params: Sequence, body: list, label: str,
     return types.FunctionType(code, ns)
 
 
+_LOCAL = re.compile(r"\b_t\d+\b")
+
+
+def _drop_unread(pure: set, sections: list) -> list:
+    """`sections`, consecutive lists of lines, without the assignments
+    to a local of `pure` that no later line reads."""
+    read: set = set()
+    kept = []
+    for lines in reversed(sections):
+        section = []
+        for line in reversed(lines):
+            target = line.partition(" = ")[0]
+            if target in pure and target not in read:
+                continue
+            read.update(_LOCAL.findall(line))
+            section.append(line)
+        kept.append(section[::-1])
+    return kept[::-1]
+
+
 def _guarded(lines: list) -> list:
-    return (["try:"] + [f"    {line}" for line in lines or ["pass"]]
+    if not lines:
+        return []
+    return (["try:"] + [f"    {line}" for line in lines]
             + ["except _Declined:", "    return None"])
 
 
 def _finite_check(names: list, action: str = "return None") -> list:
     """Run `action` (return None) unless every one of the locals `names`
-    is finite.  The sum is the fast test; only where it is not finite are
-    the terms tested overflow-free (x * 0.0 is nan exactly for a
-    non-finite x, and never overflows), so that finite values whose sum
-    overflows pass."""
+    is finite.  x - x is nan exactly for a non-finite x.  Over several
+    names the sum is the fast test; only where it is not finite are the
+    terms tested overflow-free (x * 0.0 is nan exactly for a non-finite
+    x, and never overflows), so that finite values whose sum overflows
+    pass."""
     names = list(dict.fromkeys(names))
     if not names:
         return []
+    if len(names) == 1:
+        return [f"if {names[0]} - {names[0]} != 0.0: {action}"]
     zeros = " + ".join(f"{n} * 0.0" for n in names)
     return [f"_s = {' + '.join(names)}",
             f"if _s - _s != 0.0 and {zeros} != 0.0: {action}"]

@@ -6,7 +6,7 @@ benchmark's inputs from its hbench/:
     python tests/same_numbers.py --seeds 3 7 > numbers.json
 
 Two trees that compute the same bits write the same bytes.  The output
-holds three sections:
+holds four sections:
 
   * "pairs": the pair-batch-shaped integrations (both pipelines at rtol
     1e-10 over a u-span of 10, the geodesic lifted with udot0 = 1) of
@@ -19,7 +19,11 @@ holds three sections:
     its report rows without `seconds`, and the SHA-256 of its CSVs;
   * "acceptance": the acceptance batch (five systems, twenty starts
     each): per start, the equivalence gap over the 33 checkpoints, the
-    null drift, the u-accel and w-redundancy residuals and nfev.
+    null drift, the u-accel and w-redundancy residuals and nfev;
+  * "clouds": per seed, every cloud-sweep unit (the killing,
+    conformal-killing, degreewise, symmetry, homogeneity, transform-rule
+    and conformal-pair residuals of the catalog) at each point of its
+    cloud (CloudSweep.POOL, 512), in the order cloud-sweep visits them.
 
 Floats are written as float.hex, so that a change in the last bit shows.
 pytest does not collect this file.
@@ -159,14 +163,29 @@ def acceptance() -> dict:
     return out
 
 
+def clouds(seeds) -> dict:
+    out = {}
+    for seed in seeds:
+        wl = workloads.CloudSweep()
+        wl.setup(hlift, seed)
+        units = len(wl.units)
+        for u, (check, _, _) in enumerate(wl.units):
+            out[f"seed{seed}/{u}"] = {
+                "check": check,
+                "residuals": [float(wl.op(k * units + u)).hex()
+                              for k in range(wl.POOL)]}
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", type=int, nargs="*", default=[3, 7],
-                   help="hbench seeds of the pair starts and the "
-                        "cli-scenario invocations (default: 3 7)")
+                   help="hbench seeds of the pair starts, the "
+                        "cli-scenario invocations and the cloud-sweep "
+                        "clouds (default: 3 7)")
     args = p.parse_args(argv)
     numbers = {"pairs": pairs(args.seeds), "cli": cli(args.seeds),
-               "acceptance": acceptance()}
+               "acceptance": acceptance(), "clouds": clouds(args.seeds)}
     json.dump(numbers, sys.stdout, indent=0, sort_keys=True)
     sys.stdout.write("\n")
     return 0

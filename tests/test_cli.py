@@ -89,6 +89,24 @@ def test_run_free_system_defaults(tmp_path):
     assert head == "u,sigma,x1,x2,xp1,xp2,w,null_residual"
 
 
+def test_run_exits_4_where_one_of_its_rows_fails(tmp_path, capsys):
+    # this start's null drift fails its tolerance: run writes everything,
+    # then exits as check does on the same file
+    path = write_scenario(tmp_path, {
+        "params": {"gamma": 2.0, "omega": 1.0},
+        "initial": {"x": [1.0], "xp": [0.0], "u": 0.0, "w": 0.0},
+        "span": {"from": 0.0, "to": 10.0}}, drop=("udot0", "integrator"))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out)]) == 4
+    assert capsys.readouterr().out.endswith("\n1 check(s) failed\n")
+    assert (out / "geodesic.csv").exists() and (out / "reduced.csv").exists()
+    status = {r["check"]: r["status"] for r in _rows(out)}
+    assert status == {"equivalence-x": "pass", "equivalence-w": "info",
+                      "null-drift": "fail"}
+    assert main(["check", path, "null-drift",
+                 "--out-dir", str(tmp_path / "c")]) == 4
+
+
 # ------------------------------------------------------------------ config errors
 
 @pytest.fixture
