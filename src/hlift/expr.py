@@ -471,8 +471,9 @@ def _power(b: float, e: float, vb: bool, ve: bool) -> float:
 # coordinate-free subtrees are folded once at compile time by the
 # interpreter itself.  Nor is anything else the compiler already knows:
 # a power by 1.0 is its base and by 0.0 is 1.0, a guard or a warning
-# whose condition is a constant is settled, and an assignment that no
-# later line reads and that cannot raise is left out.
+# whose condition reads only constants is settled by evaluating it, and
+# an assignment that no later line reads and that cannot raise is left
+# out.
 #
 # The generated code raises nothing of its own.  It returns None when a
 # coordinate is not finite, when a guard would trip (log/sqrt domain,
@@ -496,6 +497,8 @@ _FORWARD_GLOBALS = {
     "_Declined": (ArithmeticError, ValueError, HliftError),
     "_warn": warnings.warn,
 }
+# a local of the generated code
+_LOCAL = re.compile(r"\b_t\d+\b")
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
          "/": operator.truediv}
 # f'(x) given x and v = f(x) (exp is its own slope)
@@ -571,27 +574,38 @@ class _ForwardEmitter:
                 self.pure.add(name)
         return name
 
-    def guard(self, cond) -> None:
-        """Decline where `cond` holds: the code's test, or a bool the
-        compiler knows (True declines every call)."""
-        if cond is True:
+    def known(self, cond: str):
+        """The truth of the code's test `cond` where it reads only
+        constants, by evaluating that test on them; else None."""
+        if _LOCAL.search(cond):
+            return None
+        code = compile(cond, "<condition>", "eval")
+        consts = {v: float(k) for k, v in self.consts.items()}
+        if not set(code.co_names) <= consts.keys() | {"abs"}:
+            return None
+        return bool(eval(code, {"__builtins__": {"abs": abs}}, consts))
+
+    def guard(self, cond: str) -> None:
+        """Decline where `cond` holds; where it reads only constants the
+        compiler settles it (holding, it declines every call)."""
+        known = self.known(cond)
+        if known:
             raise _AlwaysFails()
-        if cond is False:
-            return
         line = f"if {cond}: return None"
-        if line not in self.lines:
+        if known is None and line not in self.lines:
             self.lines.append(line)
 
-    def warn(self, cond, category, message: str) -> None:
+    def warn(self, cond: str, category, message: str) -> None:
         """Warn `message` as `category` where `cond` holds, once per call
         and only as the function returns its outputs: a call it declines
-        has not warned.  `cond` is the code's test, or a bool the compiler
-        knows (True warns at every call it returns from)."""
-        if cond is False:
+        has not warned.  Where `cond` reads only constants the compiler
+        settles it (holding, it warns at every call it returns from)."""
+        known = self.known(cond)
+        if known is False:
             return
         self.globals[category.__name__] = category
         line = f"_warn({message!r}, {category.__name__}, stacklevel=2)"
-        if cond is not True:
+        if known is None:
             line = f"if {cond}: {line}"
         if line not in self.warned:
             self.warned.append(line)
@@ -614,7 +628,9 @@ class _ForwardEmitter:
         if sym in ("*", "/", "**") and isinstance(b, float) and b == 1.0:
             return a  # and x / 1.0 and x ** 1.0 are x
         if sym == "**" and isinstance(b, float) and b == 0.0:
-            return 1.0  # x ** 0.0 is 1.0, also for nan and inf
+            # x ** 0.0 is 1.0, also for nan and inf; a local, as the
+            # power was, since no power of two constants is folded here
+            return self.let("1.0", True)
         if not (isinstance(a, str) or isinstance(b, str)):
             try:
                 return _FOLD[sym](a, b)
@@ -850,10 +866,7 @@ class _ForwardEmitter:
 
     def pair(self, a, b):
         """0.5 * (a + b) with the asymmetry guard of HerglotzSystem."""
-        if isinstance(a[0], float) and isinstance(b[0], float):
-            if abs(a[0] - b[0]) > _ASYMMETRY_TOL:
-                raise _AlwaysFails()
-        elif a[0] != b[0]:
+        if a[0] != b[0]:
             self.guard(f"abs({self.ref(a[0])} - {self.ref(b[0])}) > "
                        f"{_ASYMMETRY_TOL!r}")
         return self.op_mul((0.5, None), self.op_add(a, b))
@@ -970,9 +983,6 @@ def define_function(name: str, params: Sequence, body: list, label: str,
         weakref.finalize(code, _release, filename)
         _CODE[key] = code
     return types.FunctionType(code, ns)
-
-
-_LOCAL = re.compile(r"\b_t\d+\b")
 
 
 def _drop_unread(pure: set, sections: list) -> list:

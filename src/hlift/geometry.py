@@ -323,19 +323,16 @@ def emit_kinetic_solve(em, h: list, cols: list) -> list:
 
     Where min |eig h| < 1e-8 the code warns NearlySingularKineticWarning
     as solve_kinetic does, once per call, and carries on (emitter.warn);
-    where h is constant the compiler settles the warning.  It declines
-    (returns None) where solve_kinetic raises (det h == 0; for n > 2,
-    where numpy's solve fails) and at an overflow that the numpy
-    arithmetic would warn about.
+    for n <= 2, where h is constant, the compiler settles the warning.
+    It declines (returns None) where solve_kinetic raises (det h == 0;
+    for n > 2, where numpy's solve fails) and at an overflow that the
+    numpy arithmetic would warn about.
     """
     n = len(h)
     ref = lambda v: em.ref(0.0 if v is None else v)
 
-    def far(v):
-        """|v| >= 1e-8 for a v that is not nan: a bool where v is a
-        constant, else the code's test."""
-        if isinstance(v, float):
-            return v >= _EIGEN_WARN or v <= -_EIGEN_WARN
+    def far(v: str) -> str:
+        """|v| >= 1e-8, by comparisons, for a v that is not nan."""
         return f"({v} >= {_EIGEN_WARN!r} or {v} <= {-_EIGEN_WARN!r})"
 
     if n > 2:
@@ -346,12 +343,8 @@ def emit_kinetic_solve(em, h: list, cols: list) -> list:
             return "(" + ", ".join("(" + ", ".join(map(ref, row)) + ",)"
                                    for row in rows) + ",)"
         hm = em.let(f"_np_array({mat(h)})")
-        known = [[0.0 if v is None else v for v in row] for row in h]
-        if all(isinstance(v, float) and math.isfinite(v)
-               for row in known for v in row):
-            well = _min_abs_eigenvalue(np.array(known)) >= _EIGEN_WARN
-        else:
-            well = f"{em.let(f'_min_abs_eigenvalue({hm})')} >= {_EIGEN_WARN!r}"
+        eig = em.let(f"_min_abs_eigenvalue({hm})")
+        well = f"{eig} >= {_EIGEN_WARN!r}"
         sol = em.let(f"_np_solve({hm}, _np_array({mat(zip(*cols))})).tolist()")
         out = [[em.let(f"{sol}[{i}][{k}]") for i in range(n)]
                for k in range(len(cols))]
@@ -360,7 +353,7 @@ def emit_kinetic_solve(em, h: list, cols: list) -> list:
         if n == 1:
             # the division declines at h == 0, where solve_kinetic raises
             inv = [[em.op(1.0, "/", h[0][0])]]
-            well = far(h[0][0])
+            well = far(ref(h[0][0]))
         else:
             (h00, h01), (h10, h11) = h
             # _min_abs_eigenvalue's closed form; the tr and q guard leaves
@@ -371,25 +364,22 @@ def emit_kinetic_solve(em, h: list, cols: list) -> list:
             q = em.op(em.op(d, "*", d), "+",
                       em.op(em.op(4.0, "*", h01), "*", h10))
             em.guard_finite([tr, q])
-            if isinstance(tr, float) and isinstance(q, float):
+            if isinstance(q, float):
                 disc = math.sqrt(q) if q > 0.0 else 0.0
-                well = far(0.5 * (tr - disc)) and far(0.5 * (tr + disc))
             else:
-                tr, q = ref(tr), ref(q)
                 disc = em.let(f"_sqrt({q}) if {q} > 0.0 else 0.0")
-                lo, hi = (far(f"0.5 * ({tr} {s} {disc})") for s in "-+")
-                well = f"{lo} and {hi}"
+            tr, disc = ref(tr), ref(disc)
+            well = " and ".join(far(f"0.5 * ({tr} {s} {disc})") for s in "-+")
             det = em.op(em.op(h00, "*", h11), "-", em.op(h01, "*", h10))
             em.guard_finite([det])
-            em.guard(det == 0.0 if isinstance(det, float) else f"{det} == 0.0")
+            em.guard(f"{ref(det)} == 0.0")
             inv = [[em.div(h11, det), em.div(em.sub(None, h01), det)],
                    [em.div(em.sub(None, h10), det), em.div(h00, det)]]
         # numpy computes every entry, also those a structural zero multiplies
         em.guard_finite([e for row in inv for e in row])
         out = [[em.total([em.mul(inv[i][j], c[j]) for j in range(n)])
                 for i in range(n)] for c in cols]
-    em.warn(not well if isinstance(well, bool) else f"not ({well})",
-            NearlySingularKineticWarning, _THIN)
+    em.warn(f"not ({well})", NearlySingularKineticWarning, _THIN)
     return out
 
 

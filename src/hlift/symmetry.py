@@ -429,8 +429,7 @@ def _transform_rule_tail(system_a, system_b, em, nodes):
              for k in nodes]
     em.guard_finite(rates)
     dup = 0.0 if rates[n] is None else rates[n]
-    em.guard(abs(dup) < 1e-12 if isinstance(dup, float)
-             else f"abs({dup}) < 1e-12")
+    em.guard(f"abs({em.ref(dup)}) < 1e-12")
     xp_b = [em.div(r, dup) for r in rates[:n]]
     em.guard_finite(xp_b)
     lag_b = tail_lagrangian(

@@ -19,11 +19,9 @@ import re
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hlift
-from hlift import expr
 from hlift.dynamics import (IntegratorConfig, ReducedState, herglotz_rhs,
                             homogeneity_residual, integrate_geodesic,
                             integrate_herglotz, lagrangian_w_slope,
@@ -31,9 +29,7 @@ from hlift.dynamics import (IntegratorConfig, ReducedState, herglotz_rhs,
 from hlift.errors import NonFiniteError, SingularMetricError
 from hlift.geometry import (BrinkmannMetric, HerglotzSystem,
                             NearlySingularKineticWarning, Point,
-                            _min_abs_eigenvalue, conformal_pullback_check,
-                            covariant_sym_grad, emit_kinetic_solve,
-                            solve_kinetic)
+                            conformal_pullback_check, covariant_sym_grad)
 from hlift.symmetry import (SymmetryGenerator, conformal_factor,
                             conformal_killing_residual,
                             degreewise_max_residual, killing_residual,
@@ -42,7 +38,6 @@ from hlift.symmetry import (SymmetryGenerator, conformal_factor,
 from hlift.systems import conformal_pair, standard_catalog
 
 from numpy_oracle import conformal_split, herglotz_rhs_numpy
-from test_forward import hypothesis, st
 
 _CFG = IntegratorConfig(rtol=1e-8, atol=1e-10)
 _KINDS = ("geodesic", "geodesic-flow", "reduced", "lie-derivative",
@@ -233,141 +228,6 @@ def test_a_thin_h_whose_solution_overflows_warns_once_and_raises():
         xpp, _ = herglotz_rhs_numpy(system, rs)
     assert math.isinf(xpp[0])
     assert [w.category for w in oracle_warned][0] is NearlySingularKineticWarning
-
-
-# ------------------------------------------- the kinetic block's conditioning
-
-_NEXT = math.nextafter
-# the warning's threshold and its neighbours, as an entry and as the trace
-_EDGES = [1e-8, -1e-8, _NEXT(1e-8, 0.0), _NEXT(1e-8, 1.0),
-          _NEXT(-1e-8, 0.0), _NEXT(-1e-8, -1.0), 2e-8, _NEXT(2e-8, 0.0),
-          _NEXT(2e-8, 1.0), 5e-9, 0.0, -0.0, 0.5, 1.0, -1.0, 1e155, 1e160,
-          -1e200, 1e200, 1e-300, 5e-324, 1.7e308]
-_ENTRY = st.one_of(st.sampled_from(_EDGES), st.floats(-4.0, 4.0),
-                   st.floats(allow_nan=False, allow_infinity=False))
-
-
-@st.composite
-def _thin_blocks(draw):
-    """A symmetric 2 x 2 block R diag(l1, l2) R', rounded, whose first
-    eigenvalue is at the threshold: its computed eigenvalues straddle
-    1e-8 by a few ulps."""
-    l1 = draw(st.sampled_from(_EDGES[:10]))
-    l2 = draw(st.one_of(st.sampled_from(_EDGES[:10]), st.floats(-4.0, 4.0)))
-    t = draw(st.floats(0.0, math.pi))
-    c, s = math.cos(t), math.sin(t)
-    return [c * c * l1 + s * s * l2, c * s * (l1 - l2),
-            s * s * l1 + c * c * l2]
-
-
-def _kinetic_probe(entries, constant):
-    """The compiled h^-1 of a 1 x 1 (`entries` = [h11]) or symmetric
-    2 x 2 (h11, h12, h22) kinetic block, by emit_kinetic_solve on the unit
-    columns, and its arguments: entry k is a constant where constant[k]
-    (the compiler settles what it can), else the k-th coordinate."""
-    n = 1 if len(entries) == 1 else 2
-    coords = ["x1", "x2", "u"][:len(entries)]
-    fields = [expr.Field(n, v if const else name)
-              for v, const, name in zip(entries, constant, coords)]
-
-    def tail(em, nodes):
-        v = [node[0] for node in nodes]
-        h = [v] if n == 1 else [v[:2], v[1:]]
-        units = [[1.0 if i == k else 0.0 for i in range(n)] for k in range(n)]
-        return em.coords, [e for col in emit_kinetic_solve(em, h, units)
-                           for e in col]
-
-    fn = expr.compile_forward(fields, n, False, "probe", tail)
-    args = [0.0] * (n + 2)
-    for k, (v, const) in enumerate(zip(entries, constant)):
-        if not const:
-            args[k] = v
-    return fn, args
-
-
-def _outcome(fn, *args):
-    """(value or None, NearlySingularKineticWarnings) of fn(*args)."""
-    with warnings.catch_warnings(record=True) as warned:
-        warnings.simplefilter("always")
-        try:
-            out = fn(*args)
-        except (SingularMetricError, FloatingPointError):
-            out = None
-    return out, [w.category for w in warned]
-
-
-@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
-@hypothesis.given(st.one_of(st.lists(_ENTRY, min_size=1, max_size=1),
-                            st.lists(_ENTRY, min_size=3, max_size=3),
-                            _thin_blocks()),
-                  st.lists(st.booleans(), min_size=3, max_size=3))
-# eigenvalues at +-1e-8, and 1e-8 from a trace next to 2e-8
-@hypothesis.example([1e-8], [False] * 3)
-@hypothesis.example([-1e-8], [True] * 3)
-@hypothesis.example([1e-8, 0.0, 1e-8], [False] * 3)
-@hypothesis.example([-1e-8, 0.0, -1e-8], [True] * 3)
-@hypothesis.example([_NEXT(1e-8, 0.0)] + [0.0, _NEXT(1e-8, 0.0)], [False] * 3)
-@hypothesis.example([_NEXT(1e-8, 1.0)] + [0.0, _NEXT(1e-8, 1.0)], [True] * 3)
-# trace 0: eigenvalues -+1e-8, and an indefinite block
-@hypothesis.example([1e-8, 0.0, -1e-8], [False, True, False])
-@hypothesis.example([1.0, 2.0, 1.0], [False] * 3)
-@hypothesis.example([1.0, 0.5, -1.0], [True] * 3)
-@hypothesis.example([-1.0, 0.0, 5e-9], [True] * 3)
-@hypothesis.example([-1.0, 0.0, 5e-9], [False] * 3)
-# det h == 0
-@hypothesis.example([0.0], [True] * 3)
-@hypothesis.example([0.0], [False] * 3)
-@hypothesis.example([1.0, 1.0, 1.0], [False] * 3)
-@hypothesis.example([0.0, 0.0, 1.0], [True] * 3)
-# q overflows, from the diagonal and from the off-diagonal pair
-@hypothesis.example([1e200, 0.0, -1e200], [False] * 3)
-@hypothesis.example([1e200, 0.0, -1e200], [True] * 3)
-@hypothesis.example([1.0, 1e160, 1.0], [False, False, True])
-def test_the_compiled_kinetic_solve_warns_and_declines_as_solve_kinetic(
-        entries, constant):
-    # it warns exactly where min |eig h| < 1e-8 and declines exactly where
-    # solve_kinetic raises, or where numpy's arithmetic would warn; what
-    # it returns is solve_kinetic's h^-1
-    h = [entries] if len(entries) == 1 else [entries[:2], entries[1:]]
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        inv, thin = _outcome(lambda: solve_kinetic(np.array(h), None, "probe"))
-    fn, args = _kinetic_probe(entries, constant)
-    out, warned = _outcome(fn, *args)
-    if inv is None:
-        assert (out, warned) == (None, [])
-    else:
-        assert thin == ([NearlySingularKineticWarning]
-                        if _min_abs_eigenvalue(np.array(h)) < 1e-8 else [])
-        assert out == tuple(inv.T.ravel()) and warned == thin
-
-
-@pytest.mark.parametrize("d3", [1.0, 2e-8, 5e-9, -5e-9, 0.0])
-@pytest.mark.parametrize("constant", [True, False])
-def test_an_n3_kinetic_solve_warns_and_declines_as_solve_kinetic(d3,
-                                                                  constant):
-    # numpy's route; where h is constant the kernel computes no eigenvalue
-    h = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, d3]]
-    upper = [h[0][0], h[0][1], h[0][2], h[1][1], h[1][2],
-             d3 if constant else "x3"]
-
-    def tail(em, nodes):
-        a, b, c, d, e, f = (node[0] for node in nodes)
-        units = [[1.0 if i == k else 0.0 for i in range(3)] for k in range(3)]
-        return em.coords, [v for col in emit_kinetic_solve(
-            em, [[a, b, c], [b, d, e], [c, e, f]], units) for v in col]
-
-    fn = expr.compile_forward([expr.Field(3, v) for v in upper], 3, False,
-                              "probe", tail)
-    src = "".join(linecache.getlines(fn.__code__.co_filename))
-    assert ("_min_abs_eigenvalue(" in src) is not constant
-    inv, thin = _outcome(lambda: solve_kinetic(np.array(h), np.eye(3), "p"))
-    out, warned = _outcome(fn, 0.0, 0.0, d3, 0.0, 0.0)
-    if inv is None:
-        assert (out, warned) == (None, [])
-    else:
-        assert out == tuple(inv.T.ravel()) and warned == thin
-        assert thin == ([NearlySingularKineticWarning] if abs(d3) < 1e-8
-                        else [])
 
 
 # ------------------------------------------------ what the compiler knows

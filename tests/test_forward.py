@@ -120,6 +120,30 @@ def test_random_expressions_match_the_dual_path(text, k, coords):
                             text, coords)
 
 
+@pytest.mark.parametrize("text", ["(x1^0)^2", "2^(x1^0 + 1)", "(x1^k)^2",
+                                  "(x1^0)^0.5", "(-(x1^0))^0.5",
+                                  "(x1^0)^(-1) * x2"])
+@pytest.mark.parametrize("coords", [[0.5, -1.0, 0.0, 1.0],
+                                    [0.0, -0.0, 2.0, 0.0],
+                                    [-2.0, 3.0, -1.0, 0.5]])
+def test_a_power_by_zero_is_read_like_any_value(text, coords):
+    # x^0 compiles to 1.0; the powers and sums that read it keep the
+    # float path's values, the Dual path's partials and their errors
+    field = Field(2, text, {"k": 0.0})
+    plain = _float_pass(field, coords)
+    got = compile_forward([field], 2, False, "zero power")(*coords)
+    if isinstance(plain, Exception):
+        assert got is None, (text, coords, plain)
+    else:
+        assert got == (plain,), (text, coords, got, plain)
+    oracle = _dual_pass(field, coords)
+    got = compile_forward([field], 2, True, "zero power")(*coords)
+    if isinstance(oracle, Exception):
+        assert got is None, (text, coords, oracle)
+    else:
+        assert np.array_equal(np.array(got), oracle), (text, coords, got)
+
+
 def _outcome(fn, *args):
     """fn's numbers as one flat array, or its error as (class, message)."""
     try:
