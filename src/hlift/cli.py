@@ -387,10 +387,15 @@ def _check_conformal_pair(ctx, cache, gen):
     pull = max(conformal_pullback_check(met_a, met_b, cmap, p, factor)
                for p in point_cloud(ctx.system.n, 100))
     gamma = ctx.entry.params["gamma"]
-    ta = integrate_herglotz(ent_a.system, ctx.rs0, ctx.span, config=ctx.config)
     rs0_b = ReducedState(ctx.rs0.x, ctx.rs0.xp, ctx.rs0.u,
                          math.exp(-gamma * ctx.rs0.u) * ctx.rs0.w)
-    tb = integrate_herglotz(ent_b.system, rs0_b, ctx.span, config=ctx.config)
+
+    def flow(ent, rs0):
+        # the scenario's own flow from its own start is cache.herglotz
+        if ent is ctx.entry and rs0.w == ctx.rs0.w:
+            return cache.herglotz
+        return integrate_herglotz(ent.system, rs0, ctx.span, config=ctx.config)
+    ta, tb = flow(ent_a, ctx.rs0), flow(ent_b, rs0_b)
     return [pull, *_checkpoint_gaps(ctx, ta, tb, w_rate=gamma)[:2]]
 
 

@@ -46,7 +46,7 @@ from .errors import (BlowUpError, MonotonicityViolationError, NonFiniteError,
                      NonPositiveUdotError, SigmaInversionError,
                      StepLimitExceededError, ZeroUdotError)
 from .expr import _finite_check, define_function
-from .geometry import (BrinkmannMetric, HerglotzSystem, Point,
+from .geometry import (BrinkmannMetric, HerglotzSystem, Point, _dot, _mv,
                        emit_kinetic_solve, solve_kinetic, tail_bundle,
                        tail_lagrangian)
 
@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 _BLOWUP_NORM = 1e12
+# samples per numpy pass of the u- and w-equation residuals: a block pays
+# the pass's fixed cost of some fifty numpy calls once, and bounds its
+# arrays (dg, its symmetrized sum and Gamma hold m^3 floats a sample each)
+_RESIDUAL_BLOCK = 128
 
 
 @dataclass
@@ -933,35 +937,46 @@ def integrate_herglotz(system: HerglotzSystem, rs0: ReducedState, u_span,
 def _equation_residuals(metric: BrinkmannMetric, traj: Trajectory) -> tuple:
     """(u_equation_residual, w_equation_residual) of a geodesic
     trajectory, made in one pass over its accepted samples, once per
-    metric for the trajectory's life (Trajectory.memo): each sample's
-    field pass, Christoffel accelerations and Lagrangian at x' serve
-    both.  ZeroUdotError where du/dsigma vanishes."""
+    metric for the trajectory's life (Trajectory.memo): the field pass,
+    Christoffel accelerations and Lagrangian at x' of a block of samples
+    serve both.  ZeroUdotError where du/dsigma vanishes."""
     return traj.memo(("residuals", metric),
                      lambda: _residual_pass(metric, traj))
 
 
 def _residual_pass(metric: BrinkmannMetric, traj: Trajectory) -> tuple:
+    """Both residuals over the samples before the first with udot = 0,
+    then ZeroUdotError at that sample if there is one.  Each numpy pass
+    takes a block of _RESIDUAL_BLOCK samples: its field passes run before
+    its kinetic solves, so a singular h raises after the field error of a
+    later sample of its block."""
     n = traj.n
     m = n + 2
+    zero = np.flatnonzero(traj.y[:, m + n] == 0.0)
+    stop = zero[0] if len(zero) else len(traj)
     worst_u = worst_w = 0.0
-    for k in range(len(traj)):
-        y = traj.y[k]
-        v = y[m:]
-        xd, ud, wd = v[:n], v[n], v[n + 1]
-        if ud == 0.0:
-            raise ZeroUdotError(f"du/dsigma vanished at sigma = {traj.t[k]!r}")
-        point = Point(y[:n], y[n], y[n + 1])
+    for k in range(0, stop, _RESIDUAL_BLOCK):
+        y = traj.y[k:min(k + _RESIDUAL_BLOCK, stop)]
+        v = y[:, m:]
+        xd, ud, wd = v[:, :n], v[:, n], v[:, n + 1]
+        point = Point(y[:, :n], y[:, n], y[:, n + 1])
         b = metric.system.eval_bundle(point)
         acc = metric.accelerations(point, v, b)
-        xp = xd / ud
+        xp = xd / ud[:, None]
         lag, dL = b.lagrangian(xp)
-        worst_u = max(worst_u, abs(acc[n] / (ud * ud) + dL[n + 1]))
-        p_vel = b.h @ xp + b.A
-        dxp = acc[:n] / ud - xd * (acc[n] / (ud * ud))
-        dL_dsigma = float(dL[:n] @ xd + dL[n] * ud + dL[n + 1] * wd
-                          + p_vel @ dxp)
-        wddot_null = acc[n] * lag + ud * dL_dsigma
-        worst_w = max(worst_w, abs(wddot_null - acc[n + 1]))
+        uddot = acc[:, n] / (ud * ud)
+        p_vel = _mv(b.h, xp) + b.A
+        dxp = acc[:, :n] / ud[:, None] - xd * uddot[:, None]
+        dL_dsigma = (_dot(dL[:, :n], xd) + dL[:, n] * ud + dL[:, n + 1] * wd
+                     + _dot(p_vel, dxp))
+        wddot_null = acc[:, n] * lag + ud * dL_dsigma
+        # fmax, like a running max(), passes over a nan residual
+        worst_u = float(np.fmax.reduce(np.abs(uddot + dL[:, n + 1]),
+                                       initial=worst_u))
+        worst_w = float(np.fmax.reduce(np.abs(wddot_null - acc[:, n + 1]),
+                                       initial=worst_w))
+    if stop < len(traj):
+        raise ZeroUdotError(f"du/dsigma vanished at sigma = {traj.t[stop]!r}")
     return worst_u, worst_w
 
 

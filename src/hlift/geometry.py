@@ -74,27 +74,46 @@ class Point:
         return Point(coords[:n].copy(), float(coords[n]), float(coords[n + 1]))
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b over the last axis, broadcast over the leading ones: a matmul
+    of a row by a column, which numpy computes as the dot of two vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v, broadcast over leading axes: a matmul of M by a column, which
+    numpy computes as M @ v with v a vector."""
+    return (M @ v[..., :, None])[..., 0]
+
+
 @dataclass
 class FieldBundle:
-    """Values and coordinate gradients of (h, A, V) at one point.
+    """Values and coordinate gradients of (h, A, V) at one point, or at
+    many: then every field carries the same leading sample axes.
 
-    Index convention for gradients: axis 0 runs over the n+2 coordinates
-    (x1..xn, u, w), so dh[c, i, j] is the c-th partial of h_ij.
+    Index convention for gradients: the first axis after the sample axes
+    runs over the n+2 coordinates (x1..xn, u, w), so dh[c, i, j] is the
+    c-th partial of h_ij.
     """
 
     h: np.ndarray    # (n, n)
     dh: np.ndarray   # (n+2, n, n)
     A: np.ndarray    # (n,)
     dA: np.ndarray   # (n+2, n)
-    V: float
+    V: float         # or an array over the sample axes
     dV: np.ndarray   # (n+2,)
 
     def lagrangian(self, xp: np.ndarray):
         """(L, dL) at reduced velocity x': the reduced Lagrangian
         L = (1/2) h_ij x'^i x'^j + A_i x'^i - V and its n+2 coordinate
-        partials at fixed x' (dL[n+1] = d L / d w)."""
-        L = float(0.5 * xp @ self.h @ xp + self.A @ xp - self.V)
-        return L, 0.5 * xp @ self.dh @ xp + self.dA @ xp - self.dV
+        partials at fixed x' (dL[n+1] = d L / d w); at one point L is a
+        float, over sample axes an array like V."""
+        half = 0.5 * xp
+        L = (_dot((half[..., None, :] @ self.h)[..., 0, :], xp)
+             + _dot(self.A, xp) - self.V)
+        dL = (_mv((half[..., None, None, :] @ self.dh)[..., 0, :], xp)
+              + _mv(self.dA, xp) - self.dV)
+        return (float(L) if np.ndim(L) == 0 else L), dL
 
 
 def as_dimension(n) -> int:
@@ -177,13 +196,24 @@ class FieldPasses:
         raise NonFiniteError(f"{self.label(kind, systems)}: a value is not "
                              f"finite at {list(args)}")
 
-    def run(self, point: Point, derivatives: bool) -> tuple:
+    def run(self, point: Point, derivatives: bool):
         """The bare pass's flat tuple at the point; where it declines, the
-        error that _interpret finds."""
-        args = (*point.x.tolist(), float(point.u), float(point.w))
-        return self.call("derivatives" if derivatives else "values", None,
-                         args, self._interpret, args, derivatives,
-                         derivatives=derivatives)
+        error that _interpret finds.  At a point whose x, u and w carry
+        leading sample axes, the array of the samples' tuples over those
+        axes: the pass runs at each sample in order, and the first sample
+        it declines raises."""
+        kind = "derivatives" if derivatives else "values"
+        x = point.x
+        if x.ndim == 1:
+            args = (*x.tolist(), float(point.u), float(point.w))
+            return self.call(kind, None, args, self._interpret, args,
+                             derivatives, derivatives=derivatives)
+        rows = np.column_stack((x.reshape(-1, self.n), np.ravel(point.u),
+                                np.ravel(point.w))).tolist()
+        return np.array([self.call(kind, None, args, self._interpret, args,
+                                   derivatives, derivatives=derivatives)
+                         for args in map(tuple, rows)]).reshape(
+                             x.shape[:-1] + (-1,))
 
     def _interpret(self, coords: tuple, derivatives: bool) -> None:
         """The steps of a bare pass: NonFiniteError at a non-finite
@@ -262,52 +292,63 @@ class HerglotzSystem:
 
     def eval_bundle(self, point: Point) -> FieldBundle:
         """Values plus all first coordinate derivatives, one forward pass
-        (FieldPasses.run raises the error of a point it declines)."""
+        per sample; at a point with leading sample axes (FieldPasses.run)
+        the bundle carries them.  FieldPasses.run raises the error of the
+        first sample it declines."""
         n = self.n
-        out = self._passes.run(point, True)
+        a = np.asarray(self._passes.run(point, True))
+        lead = a.shape[:-1]
         n2 = n * n
         k = n2 + n + 1
-        a = np.array(out)
-        g = a[k:].reshape(n + 2, k)
-        return FieldBundle(a[:n2].reshape(n, n), g[:, :n2].reshape(n + 2, n, n),
-                           a[n2:k - 1], g[:, n2:k - 1], out[k - 1], g[:, k - 1])
+        g = a[..., k:].reshape(lead + (n + 2, k))
+        V = a[..., k - 1]
+        return FieldBundle(a[..., :n2].reshape(lead + (n, n)),
+                           g[..., :n2].reshape(lead + (n + 2, n, n)),
+                           a[..., n2:k - 1], g[..., n2:k - 1],
+                           V if lead else float(V), g[..., k - 1])
 
 
-def _min_abs_eigenvalue(h: np.ndarray) -> float:
-    n = h.shape[0]
+def _min_abs_eigenvalue(h: np.ndarray):
+    """min |eig h| of each n x n block of h (leading axes broadcast); a
+    float for a single block with n > 2, as the compiled kernels read it."""
+    n = h.shape[-1]
     if n == 1:
-        return abs(h[0, 0])
+        return abs(h[..., 0, 0])
     if n == 2:
         # closed form avoids a LAPACK call in the stepping hot path
-        tr = h[0, 0] + h[1, 1]
-        disc = np.sqrt(max((h[0, 0] - h[1, 1]) ** 2 + 4.0 * h[0, 1] * h[1, 0], 0.0))
-        return min(abs(0.5 * (tr - disc)), abs(0.5 * (tr + disc)))
-    return float(np.min(np.abs(np.linalg.eigvalsh(h))))
+        tr = h[..., 0, 0] + h[..., 1, 1]
+        disc = np.sqrt(np.maximum((h[..., 0, 0] - h[..., 1, 1]) ** 2
+                                  + 4.0 * h[..., 0, 1] * h[..., 1, 0], 0.0))
+        return np.minimum(abs(0.5 * (tr - disc)), abs(0.5 * (tr + disc)))
+    eig = np.min(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    return eig if eig.ndim else float(eig)
 
 
 def solve_kinetic(h: np.ndarray, rhs: Optional[np.ndarray], context: str
                   ) -> np.ndarray:
     """h^{-1} rhs, or h^{-1} itself when rhs is None: the one guarded
-    kinetic solve.
+    kinetic solve.  With rhs None, h may carry leading axes: one inverse
+    per n x n block.
 
-    Warns NearlySingularKineticWarning when min |eig h| < 1e-8 and raises
-    SingularMetricError where h cannot be inverted.  For n <= 2 the
-    closed-form inverse dodges LAPACK dispatch; emit_kinetic_solve is its
-    compiled form.
+    Warns NearlySingularKineticWarning, once per call, when some block
+    has min |eig h| < 1e-8 and raises SingularMetricError where some
+    block cannot be inverted.  For n <= 2 the closed-form inverse dodges
+    LAPACK dispatch; emit_kinetic_solve is its compiled form.
     """
-    if _min_abs_eigenvalue(h) < _EIGEN_WARN:
+    if np.any(_min_abs_eigenvalue(h) < _EIGEN_WARN):
         warnings.warn(_THIN, NearlySingularKineticWarning, stacklevel=3)
-    n = h.shape[0]
+    n = h.shape[-1]
     if n == 1:
-        a = h[0, 0]
-        if a == 0.0:
+        if np.any(h == 0.0):
             raise SingularMetricError(f"{context}: kinetic block is zero")
-        inv = np.array([[1.0 / a]])
+        inv = 1.0 / h
     elif n == 2:
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        if det == 0.0:
+        det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
+        if np.any(det == 0.0):
             raise SingularMetricError(f"{context}: kinetic block not invertible")
-        inv = np.array([[h[1, 1], -h[0, 1]], [-h[1, 0], h[0, 0]]]) / det
+        adj = np.stack([h[..., 1, 1], -h[..., 0, 1], -h[..., 1, 0], h[..., 0, 0]],
+                       axis=-1).reshape(h.shape)
+        inv = adj / det[..., None, None]
     else:
         try:
             return np.linalg.inv(h) if rhs is None else np.linalg.solve(h, rhs)
@@ -413,13 +454,14 @@ class BrinkmannMetric:
         return self._assemble(b.h, b.A, b.V), self._derivatives(b)
 
     def _derivatives(self, b: FieldBundle) -> np.ndarray:
-        """dg of eval_with_derivatives from the bundle's partials."""
+        """dg of eval_with_derivatives from the bundle's partials, over
+        the bundle's sample axes."""
         n = self.system.n
-        dg = np.zeros((self.dim, self.dim, self.dim))
-        dg[:, :n, :n] = b.dh
-        dg[:, :n, n] = b.dA
-        dg[:, n, :n] = b.dA
-        dg[:, n, n] = -2.0 * b.dV
+        dg = np.zeros(np.shape(b.V) + (self.dim,) * 3)
+        dg[..., :n, :n] = b.dh
+        dg[..., :n, n] = b.dA
+        dg[..., n, :n] = b.dA
+        dg[..., n, n] = -2.0 * b.dV
         return dg
 
     # -- inverse (block closed form) -----------------------------------
@@ -432,34 +474,41 @@ class BrinkmannMetric:
         return self._inverse_from(h, A, V)
 
     def _inverse_from(self, h: np.ndarray, A: np.ndarray, V: float) -> np.ndarray:
+        """g^{-1} from (h, A, V), over their leading sample axes."""
         n = self.system.n
         hinv = solve_kinetic(h, None, self.system.name)
-        hiA = hinv @ A
-        ginv = np.zeros((self.dim, self.dim))
-        ginv[:n, :n] = hinv
-        ginv[:n, n + 1] = hiA
-        ginv[n + 1, :n] = hiA
-        ginv[n, n + 1] = -1.0
-        ginv[n + 1, n] = -1.0
-        ginv[n + 1, n + 1] = 2.0 * V + A @ hiA
+        hiA = _mv(hinv, A)
+        ginv = np.zeros(np.shape(V) + (self.dim, self.dim))
+        ginv[..., :n, :n] = hinv
+        ginv[..., :n, n + 1] = hiA
+        ginv[..., n + 1, :n] = hiA
+        ginv[..., n, n + 1] = -1.0
+        ginv[..., n + 1, n] = -1.0
+        ginv[..., n + 1, n + 1] = 2.0 * V + _dot(A, hiA)
         return ginv
 
     # -- Christoffel symbols -------------------------------------------
 
     def christoffel(self, point: Point, bundle: Optional[FieldBundle] = None) -> np.ndarray:
         """Gamma[mu, nu, rho] = (1/2) g^{mu s} (d_nu g_{s rho}
-        + d_rho g_{s nu} - d_s g_{nu rho}); exactly symmetric in (nu, rho)."""
+        + d_rho g_{s nu} - d_s g_{nu rho}); exactly symmetric in (nu, rho).
+        At a point (or bundle) with leading sample axes, one Gamma per
+        sample, the same bits as at each sample alone."""
         b = bundle if bundle is not None else self.system.eval_bundle(point)
         dg = self._derivatives(b)
         ginv = self._inverse_from(b.h, b.A, b.V)
         m = self.dim
-        term = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-        return 0.5 * (ginv @ term.reshape(m, m * m)).reshape(m, m, m)
+        lead = dg.shape[:-3]
+        term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
+        return 0.5 * (ginv @ term.reshape(lead + (m, m * m))).reshape(
+            lead + (m, m, m))
 
     def accelerations(self, point: Point, velocity: np.ndarray,
                       bundle: Optional[FieldBundle] = None) -> np.ndarray:
-        """-Gamma^mu_{nu rho} v^nu v^rho, the contraction of christoffel."""
-        return -(self.christoffel(point, bundle) @ velocity) @ velocity
+        """-Gamma^mu_{nu rho} v^nu v^rho, the contraction of christoffel,
+        per sample over leading sample axes."""
+        gamma = self.christoffel(point, bundle)
+        return _mv(-_mv(gamma, velocity[..., None, :]), velocity)
 
     def geodesic_function(self, null: bool = True):
         """The compiled geodesic right-hand side of the first-order system

@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from hlift.dynamics import ReducedState, ReducedTrajectory, reduced_lagrangian
-from hlift.errors import HliftError, NonFiniteError, SingularJacobianError
+from hlift.errors import (HliftError, NonFiniteError, SingularJacobianError,
+                          ZeroUdotError)
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldBundle,
                             HerglotzSystem, Point, solve_kinetic)
 from hlift.symmetry import _GAUSS3, charge_series
@@ -66,6 +67,32 @@ def herglotz_rhs_numpy(system: HerglotzSystem, rs: ReducedState):
     rhs = -(gterm + b.dV[:n] + fterm + du_vec + dw_vec * lag - p * dwL)
     xpp = solve_kinetic(b.h, rhs, system.name)
     return xpp, lag
+
+
+def equation_residuals_numpy(metric: BrinkmannMetric, traj) -> tuple:
+    """(u_equation_residual, w_equation_residual) of a geodesic trajectory
+    by single-point calls, one accepted sample after another, each step
+    raising and warning at its own sample."""
+    n = traj.n
+    m = n + 2
+    worst_u = worst_w = 0.0
+    for k, y in enumerate(traj.y):
+        v = y[m:]
+        xd, ud, wd = v[:n], v[n], v[n + 1]
+        if ud == 0.0:
+            raise ZeroUdotError(f"du/dsigma vanished at sigma = {traj.t[k]!r}")
+        point = Point(y[:n], y[n], y[n + 1])
+        b = metric.system.eval_bundle(point)
+        acc = metric.accelerations(point, v, b)
+        xp = xd / ud
+        lag, dL = b.lagrangian(xp)
+        worst_u = max(worst_u, abs(acc[n] / (ud * ud) + dL[n + 1]))
+        p_vel = b.h @ xp + b.A
+        dxp = acc[:n] / ud - xd * (acc[n] / (ud * ud))
+        dL_dsigma = float(dL[:n] @ xd + dL[n] * ud + dL[n + 1] * wd
+                          + p_vel @ dxp)
+        worst_w = max(worst_w, abs(acc[n] * lag + ud * dL_dsigma - acc[n + 1]))
+    return worst_u, worst_w
 
 
 def homogeneity_numpy(system: HerglotzSystem, rs: ReducedState,

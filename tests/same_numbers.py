@@ -19,7 +19,11 @@ holds four sections:
     its report rows without `seconds`, and the SHA-256 of its CSVs;
   * "acceptance": the acceptance batch (five systems, twenty starts
     each): per start, the equivalence gap over the 33 checkpoints, the
-    null drift, the u-accel and w-redundancy residuals and nfev;
+    null drift, the u-accel and w-redundancy residuals and nfev; then
+    u-accel and w-redundancy again on the geodesic from the same start
+    at rtol 1e-13 / atol 1e-15, and its sample count (up to about 170,
+    so that most of these geodesics take more than one block of the
+    residual pass);
   * "clouds": per seed, every cloud-sweep unit (the killing,
     conformal-killing, degreewise, symmetry, homogeneity, transform-rule
     and conformal-pair residuals of the catalog) at each point of its
@@ -59,6 +63,7 @@ from hbench import workloads  # noqa: E402
 
 SPAN = 10.0
 CFG = IntegratorConfig(rtol=1e-10, atol=1e-12)
+TIGHT = IntegratorConfig(rtol=1e-13, atol=1e-15)
 CHECKPOINTS = 33
 
 
@@ -154,12 +159,19 @@ def acceptance() -> dict:
                 gap = max(gap, float(np.max(np.abs(red.state_at(u).x
                                                    - her.state_at(u).x))))
             nulls = geo.diagnostics["null_residual"]
+            tight = integrate_geodesic(metric, lift_state(system, rs0, 1.0),
+                                       (0.0, math.inf), config=TIGHT,
+                                       stop_at_u=rs0.u + SPAN)
             out[f"{key}/{k}"] = {
                 "equivalence": gap.hex(),
                 "null-drift": float(np.max(np.abs(nulls))).hex(),
                 "u-accel": u_equation_residual(metric, geo).hex(),
                 "w-redundancy": w_equation_residual(metric, geo).hex(),
-                "nfev": [geo.nfev, her.traj.nfev]}
+                "nfev": [geo.nfev, her.traj.nfev],
+                "tight": {"u-accel": u_equation_residual(metric, tight).hex(),
+                          "w-redundancy": w_equation_residual(metric,
+                                                              tight).hex(),
+                          "samples": len(tight)}}
     return out
 
 

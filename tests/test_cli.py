@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hlift
-from hlift import cli, geometry, systems
+from hlift import cli, dynamics, geometry, systems
 from hlift.cli import main
 from hlift.dynamics import integrate_geodesic, lift_state, reduce_trajectory
 
@@ -464,6 +464,40 @@ def test_pair_checks_follow_catalog_params(tmp_path):
     assert all(r["status"] == "pass" for r in rows)
 
 
+@pytest.mark.parametrize("system, gen, u0, calls", [
+    ("damped-time", "action-shift", 0.0, 2),
+    ("damped-time", "action-shift", 0.5, 2),
+    ("damped-action", "time-shift", 0.0, 2),
+    ("damped-action", "time-shift", 0.5, 3)])
+def test_conformal_pair_reads_the_scenarios_own_flow(tmp_path, monkeypatch,
+                                                     system, gen, u0, calls):
+    # the flavor that is the scenario's own entry, started where the
+    # scenario starts (the action flavor's w map is the identity at u0 = 0),
+    # is cache.herglotz, which noether-charge integrates too: one call
+    # fewer, and the rows of the checks run alone
+    path = write_scenario(tmp_path, {
+        "system": system, "initial": dict(BASE["initial"], u=u0),
+        "span": {"from": u0, "to": u0 + 4.0}})
+    counted = [0]
+    integrate = cli.integrate_herglotz
+
+    def integrate_counted(*args, **kwargs):
+        counted[0] += 1
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(cli, "integrate_herglotz", integrate_counted)
+    names = [f"noether-charge:{gen}", "conformal-pair"]
+    assert main(["check", path, *names,
+                 "--out-dir", str(tmp_path / "both")]) == 0
+    assert counted == [calls]
+    alone = []
+    for k, name in enumerate(names):
+        out = tmp_path / f"alone{k}"
+        assert main(["check", path, name, "--out-dir", str(out)]) == 0
+        alone += _rows(out)
+    assert _rows(tmp_path / "both") == alone
+    assert [r["status"] for r in alone[1:]] == ["pass"] * 3
+
+
 def test_readme_checks_table_matches_check_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Checks", 1)[1].split("Notes:", 1)[0]
@@ -550,7 +584,8 @@ def test_one_parser_parses_every_call_afresh(tmp_path, capsys):
 
 def test_u_and_w_equations_share_one_christoffel_pass(tmp_path, monkeypatch):
     # u-accel and w-redundancy read one Christoffel pass over the geodesic
-    # samples, and report what each reports when it runs alone
+    # samples, one call per block of samples, and report what each
+    # reports when it runs alone
     path = write_scenario(tmp_path, {"system": "coupled"},
                           drop=("params", "initial", "span"))
     lengths, calls = [], [0]
@@ -570,7 +605,8 @@ def test_u_and_w_equations_share_one_christoffel_pass(tmp_path, monkeypatch):
                         christoffel_counted)
     assert main(["check", path, "u-accel", "w-redundancy",
                  "--out-dir", str(tmp_path / "both")]) == 0
-    assert lengths[0] > 1 and calls == lengths
+    blocks = [math.ceil(k / dynamics._RESIDUAL_BLOCK) for k in lengths]
+    assert lengths[0] > 1 and calls == blocks
     alone = []
     for name in ("u-accel", "w-redundancy"):
         out = tmp_path / name

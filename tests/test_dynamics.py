@@ -5,10 +5,12 @@ import math
 import operator
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from hlift import dynamics
 from hlift.cloud import state_cloud
 from hlift.dynamics import (GeodesicState, IntegratorConfig, ReducedState,
                             ReducedTrajectory, Trajectory, herglotz_rhs,
@@ -27,7 +29,7 @@ from hlift.systems import (coupled_curved, damped_action_dependent,
                            free_particle, harmonic_oscillator,
                            standard_catalog)
 
-from numpy_oracle import lagrangian_w_slope_numpy
+from numpy_oracle import equation_residuals_numpy, lagrangian_w_slope_numpy
 
 TIGHT = IntegratorConfig(rtol=1e-10, atol=1e-12)
 
@@ -504,18 +506,18 @@ def test_w_equation_residual_flags_off_cone(damped_run):
     assert u_equation_residual(met, traj) < 1e-10
 
 
-@pytest.mark.parametrize("col, value, error", [(4, 0.0, ZeroUdotError),
-                                              (0, math.nan, NonFiniteError)])
-def test_a_failed_sample_pass_keeps_nothing(col, value, error):
-    # the u- and w-equation residuals share one pass over the samples;
-    # where it raises at a sample (udot = 0, x = nan), it keeps nothing
-    # and every later residual raises the same error
+@pytest.fixture
+def damped_sample_run():
     ent = damped_action_dependent(gamma=0.2, omega=1.0)
     met = BrinkmannMetric(ent.system)
     gs0 = lift_state(ent.system, ReducedState([1.0], [0.0], 0.0, 0.25), 1.0)
-    traj = integrate_geodesic(met, gs0, (0.0, math.inf), config=TIGHT,
-                              stop_at_u=2.0)
-    traj.y[5, col] = value
+    return met, integrate_geodesic(met, gs0, (0.0, math.inf), config=TIGHT,
+                                   stop_at_u=2.0)
+
+
+def _raised_three_times(met, traj, error) -> str:
+    """The message of `error`, which the u- and w-equation residuals
+    raise alike, first, second and third; the oracle raises it too."""
     messages = []
     for residual in (u_equation_residual, w_equation_residual,
                      u_equation_residual):
@@ -523,6 +525,80 @@ def test_a_failed_sample_pass_keeps_nothing(col, value, error):
             residual(met, traj)
         messages.append(str(info.value))
     assert messages == [messages[0]] * 3
+    with pytest.raises(error) as info:
+        equation_residuals_numpy(met, traj)
+    assert messages[0] == str(info.value)
+    return messages[0]
+
+
+@pytest.mark.parametrize("col, value, error", [(4, 0.0, ZeroUdotError),
+                                              (0, math.nan, NonFiniteError)])
+def test_a_failed_sample_pass_keeps_nothing(damped_sample_run, col, value,
+                                            error):
+    # the u- and w-equation residuals share one pass over the samples;
+    # where it raises at a sample (udot = 0, x = nan), it keeps nothing
+    # and every later residual raises the same error
+    met, traj = damped_sample_run
+    traj.y[5, col] = value
+    _raised_three_times(met, traj, error)
+
+
+# column 4 is udot, column 0 is x of damped_sample_run's samples
+@pytest.mark.parametrize("edits, error", [
+    ({5: (4, 0.0), 3: (0, math.nan)}, NonFiniteError),
+    ({3: (4, 0.0), 5: (0, math.nan)}, ZeroUdotError)])
+@pytest.mark.parametrize("block", [None, 2])
+def test_the_first_sample_at_fault_raises(damped_sample_run, monkeypatch,
+                                          edits, error, block):
+    # of udot = 0 at one sample and x = nan at another, the earlier one,
+    # sample 3, raises, whether the pass takes the samples in one block
+    # or in many
+    met, traj = damped_sample_run
+    if block is not None:
+        monkeypatch.setattr(dynamics, "_RESIDUAL_BLOCK", block)
+    for k, (col, value) in edits.items():
+        traj.y[k, col] = value
+    message = _raised_three_times(met, traj, error)
+    if error is ZeroUdotError:
+        assert repr(traj.t[3]) in message
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 10_000])
+def test_the_sample_pass_in_blocks_is_the_pass_sample_by_sample(
+        monkeypatch, block):
+    # however the samples of the coupled default geodesic, started off
+    # the null cone so that both residuals vary from sample to sample,
+    # are split into blocks, the residuals are those of single-point
+    # calls, bit for bit
+    ent = coupled_curved()
+    met = BrinkmannMetric(ent.system)
+    gs0 = lift_state(ent.system, ent.default_state, 1.0)
+    gs0.velocity[3] += 0.1
+    traj = integrate_geodesic(met, gs0, (0.0, math.inf), config=TIGHT,
+                              stop_at_u=ent.default_state.u + 2.0)
+    if block is not None:
+        monkeypatch.setattr(dynamics, "_RESIDUAL_BLOCK", block)
+    want = equation_residuals_numpy(met, traj)
+    assert len(traj) > 10 and min(want) > 0.0
+    assert dynamics._residual_pass(met, traj) == want
+
+
+def test_a_thin_kinetic_block_warns_once_per_pass():
+    # h = exp(x1) is thin (below 1e-8) at the samples moved to x1 = -20:
+    # the stacked pass warns once and returns the single-point residuals
+    system = HerglotzSystem(1, [["exp(x1)"]], ["0.1*x1"], "0.5*x1^2 + 0.2*w",
+                            name="thin-at-x-20")
+    met = BrinkmannMetric(system)
+    gs0 = lift_state(system, ReducedState([1.0], [0.3], 0.0, 0.25), 1.0)
+    traj = integrate_geodesic(met, gs0, (0.0, math.inf), config=TIGHT,
+                              stop_at_u=2.0)
+    traj.y[[2, 6], 0] = -20.0
+    with pytest.warns(NearlySingularKineticWarning) as record:
+        got = (u_equation_residual(met, traj), w_equation_residual(met, traj))
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearlySingularKineticWarning)
+        assert got == equation_residuals_numpy(met, traj)
 
 
 def test_the_sample_pass_keeps_two_floats():

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hlift.cloud import point_cloud
+from hlift.cloud import point_cloud, state_cloud
 from hlift.errors import (AsymmetricMetricError, FieldEvalError,
                           SingularMetricError)
 from hlift.geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
@@ -188,6 +188,48 @@ def test_accelerations_match_christoffel_contraction(metric):
         gamma = metric.christoffel(p)
         want = -np.einsum("mab,a,b->m", gamma, v, v)
         assert np.allclose(metric.accelerations(p, v), want, atol=1e-13)
+
+
+# n = 3 takes solve_kinetic's LAPACK path; w enters h, A and V
+_INLINE_N3 = HerglotzSystem(
+    3, [["2 + 0.1*w^2", "0.2*sin(x1)", "0.1*u"],
+        ["0.2*sin(x1)", "1.5 + 0.1*x2*w", "0"],
+        ["0.1*u", "0", "1 + 0.3*x3^2"]],
+    ["0.3*w*x2", "-0.2*w*x1 + 0.1*u", "0.1*x3"],
+    "0.5*(x1^2 + x2^2 + x3^2) + 0.2*w + 0.05*w^2*x1", name="inline-n3")
+
+
+@pytest.mark.parametrize("system", [
+    *(ent.system for ent in standard_catalog().values()), _INLINE_N3],
+    ids=[*standard_catalog(), "inline-n3"])
+def test_a_stacked_gamma_route_equals_each_sample_alone(system):
+    # over a state cloud stacked on a leading axis, the field bundle,
+    # g^{-1}, Gamma, the accelerations and (L, dL) at x' are, sample by
+    # sample, the single-point results
+    n = system.n
+    met = BrinkmannMetric(system)
+    states = state_cloud(n, 200)
+    x = np.array([rs.x for rs in states])
+    xp = np.array([rs.xp for rs in states])
+    u = np.array([rs.u for rs in states])
+    w = np.array([rs.w for rs in states])
+    rng = np.random.default_rng(11)
+    ud = rng.uniform(0.5, 2.0, size=len(states))
+    v = np.column_stack([xp * ud[:, None], ud,
+                         rng.uniform(-1.0, 1.0, size=len(states))])
+    b = system.eval_bundle(Point(x, u, w))
+    stacked = [met._inverse_from(b.h, b.A, b.V), met.christoffel(None, b),
+               met.accelerations(None, v, b), *b.lagrangian(xp)]
+    assert stacked[0].shape == (len(states), n + 2, n + 2)
+    for k, rs in enumerate(states):
+        p = rs.point()
+        bk = system.eval_bundle(p)
+        for name in ("h", "dh", "A", "dA", "V", "dV"):
+            assert np.array_equal(getattr(b, name)[k], getattr(bk, name)), name
+        alone = [met._inverse_from(bk.h, bk.A, bk.V), met.christoffel(p),
+                 met.accelerations(p, v[k]), *bk.lagrangian(rs.xp)]
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got[k], want)
 
 
 def test_flat_systems_have_zero_u_row():
