@@ -35,7 +35,8 @@ from .cloud import MAX_DIMENSIONS, point_cloud, state_cloud
 from .dynamics import (IntegratorConfig, ReducedState, ReducedTrajectory,
                        Trajectory, homogeneity_residual, integrate_geodesic,
                        integrate_herglotz, lift_state, reduce_trajectory,
-                       u_equation_residual, w_equation_residual)
+                       sample_blocks, u_equation_residual,
+                       w_equation_residual)
 from .errors import HliftError, ScenarioError
 from .geometry import BrinkmannMetric, HerglotzSystem
 from .symmetry import (SymmetryGenerator, charge_series,
@@ -491,16 +492,14 @@ def _trajectory_csv(ctx: ScenarioContext, rt: ReducedTrajectory) -> str:
             header.append(prefix + name.partition(":")[2])
             charges.append(charge(ctx.system, gen, rt)[1])
     traj = rt.traj
-    geo = rt.traj.kind == "geodesic"
-    nulls = traj.diagnostics.get("null_residual")
+    nulls = traj.diagnostics.get("null_residual", np.zeros(len(rt)))
     lines = [",".join(header)]
-    for k in range(len(rt)):
-        rs = rt.sample_state(k)
-        sigma = float(traj.t[k])
-        null = float(nulls[k]) if geo else 0.0
-        row = [rs.u, sigma, *rs.x, *rs.xp, rs.w, null]
-        row.extend(float(q[k]) for q in charges)
-        lines.append(",".join("%.17g" % v for v in row))
+    for block in sample_blocks(len(rt)):
+        x, xp, u, w = rt.sample_arrays(block)
+        rows = np.column_stack([u, traj.t[block], x, xp, w, nulls[block],
+                                *[q[block] for q in charges]])
+        lines += [",".join(["%.17g" % v for v in row])
+                  for row in rows.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -64,12 +64,10 @@ def point_cloud(n: int, count: int = 100,
     """Deterministic points (x, u, w) filling the sampling box."""
     b = {**DEFAULT_BOUNDS, **(bounds or {})}
     raw = halton(count, n + 2)
-    pts = []
-    for row in raw:
-        x = _span(*b["x"], row[:n])
-        pts.append(Point(x, float(_span(*b["u"], row[n])),
-                         float(_span(*b["w"], row[n + 1]))))
-    return pts
+    x = _span(*b["x"], raw[:, :n])
+    u, w = (_span(*b[k], raw[:, c]).tolist()
+            for k, c in (("u", n), ("w", n + 1)))
+    return [Point(*p) for p in zip(x, u, w)]
 
 
 def state_cloud(n: int, count: int = 100,
@@ -77,10 +75,7 @@ def state_cloud(n: int, count: int = 100,
     """Deterministic reduced states (x, x', u, w) filling the box."""
     b = {**DEFAULT_BOUNDS, **(bounds or {})}
     raw = halton(count, 2 * n + 2)
-    states = []
-    for row in raw:
-        x = _span(*b["x"], row[:n])
-        xp = _span(*b["xp"], row[n:2 * n])
-        states.append(ReducedState(x, xp, float(_span(*b["u"], row[2 * n])),
-                                   float(_span(*b["w"], row[2 * n + 1]))))
-    return states
+    x, xp = _span(*b["x"], raw[:, :n]), _span(*b["xp"], raw[:, n:2 * n])
+    u, w = (_span(*b[k], raw[:, c]).tolist()
+            for k, c in (("u", 2 * n), ("w", 2 * n + 1)))
+    return [ReducedState(*s) for s in zip(x, xp, u, w)]

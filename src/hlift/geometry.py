@@ -284,11 +284,14 @@ class HerglotzSystem:
         self.w_dependent = any("w" in free_names(f.ast) for f in fields)
 
     def eval_values(self, point: Point):
-        """(h, A, V) as plain float arrays at a point."""
+        """(h, A, V) as plain float arrays at a point, V a float; at a point
+        with leading sample axes (FieldPasses.run), arrays over them."""
         out = self._passes.run(point, False)
-        n2 = self.n * self.n
-        a = np.array(out)
-        return a[:n2].reshape(self.n, self.n), a[n2:-1], out[-1]
+        n = self.n
+        a = np.asarray(out)
+        lead = a.shape[:-1]
+        return (a[..., :n * n].reshape(lead + (n, n)), a[..., n * n:-1],
+                a[..., -1] if lead else out[-1])
 
     def eval_bundle(self, point: Point) -> FieldBundle:
         """Values plus all first coordinate derivatives, one forward pass
@@ -609,11 +612,11 @@ def _geodesic_tail(em, nodes, with_null: bool = True):
 def eval_vector_fields(passes: FieldPasses, point: Point):
     """Values and coordinate gradients of the fields of a FieldPasses
     over (x, u, w), by its compiled derivative pass.  Returns
-    (vals, grads) with grads[c, k] the c-th partial of field k."""
-    out = passes.run(point, True)
+    (vals, grads) with grads[c, k] the c-th partial of field k, over the
+    point's leading sample axes if it has any (FieldPasses.run)."""
+    a = np.asarray(passes.run(point, True))
     k = len(passes.entries)
-    a = np.array(out)
-    return a[:k], a[k:].reshape(passes.n + 2, k)
+    return a[..., :k], a[..., k:].reshape(a.shape[:-1] + (passes.n + 2, k))
 
 
 def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point) -> np.ndarray:

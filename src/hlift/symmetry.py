@@ -21,11 +21,11 @@ steps explain.
 Charges: the usual momentum-type charge of a generator, its full-space
 affine counterpart g(K, xdot), and the nonlocally rescaled charge that
 stays exactly constant for action-dependent dynamics (the rescaling
-integrates dL/dw along the trajectory).  The integrand dL/dw is the
-system's compiled w-slope pipeline (dynamics.lagrangian_w_slope), called
-on float states read off the dense output.  A velocity that is not
-finite raises NonFiniteError naming it, in the plain charge and in the
-integrand alike.
+integrates dL/dw along the trajectory).  Both read a block of samples,
+or of dense-output nodes, at once.  The integrand dL/dw is the system's
+compiled w-slope pipeline (dynamics.lagrangian_w_slope), called on float
+states.  A velocity that is not finite raises NonFiniteError naming it,
+in the plain charge and in the integrand alike.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import (ReducedState, ReducedTrajectory, reduced_lagrangian,
-                       require_finite_velocities, w_slope_at)
-from .errors import SingularJacobianError
+                       require_finite_velocities, sample_blocks, w_slope_at)
+from .errors import HliftError, SingularJacobianError
 from .expr import as_field
 from .geometry import (BrinkmannMetric, CoordinateMap, FieldPasses,
                        HerglotzSystem, Point, as_dimension,
@@ -309,15 +309,31 @@ def _degreewise_tail(em, nodes):
 def noether_charge(system: HerglotzSystem, gen: SymmetryGenerator,
                    rs: ReducedState) -> float:
     """(h x' + A) . dx - ((1/2) h x' x' + V) du - dw at the state;
-    NonFiniteError naming the velocity where one is not finite."""
-    h, A, V = system.eval_values(rs.point())
-    n = len(A)
-    K, _ = gen.components_at(rs.point())
-    xp = rs.xp
-    require_finite_velocities("Noether charge", xp.tolist())
-    p = h @ xp + A
-    energy = float(0.5 * xp @ h @ xp + V)
-    return float(p @ K[:n] - energy * K[n] - K[n + 1])
+    NonFiniteError naming the velocity where one is not finite.  The
+    one-sample case of charge_series."""
+    return float(_charges(system, gen, *(np.array([a], dtype=float)
+                                         for a in (rs.x, rs.xp, rs.u, rs.w)))[0])
+
+
+def _charges(system: HerglotzSystem, gen: SymmetryGenerator, x, xp, u, w):
+    """noether_charge at the states (x, x', u, w), arrays over one sample
+    axis, with each state's floats and error alone: the first sample at
+    fault raises, its passes' errors before its velocities'."""
+    point = Point(x, u, w)
+    try:
+        h, A, V = system.eval_values(point)
+        K, _ = gen.components_at(point)
+        require_finite_velocities("Noether charge", xp.ravel().tolist())
+    except HliftError:
+        if len(xp) > 1:     # a sample at a time finds the first at fault
+            for k in range(len(xp)):
+                _charges(system, gen, *(a[k:k + 1] for a in (x, xp, u, w)))
+        raise
+    n = x.shape[1]
+    p = (h @ xp[..., None])[..., 0] + A
+    E = (((0.5 * xp)[..., None, :] @ h) @ xp[..., :, None])[..., 0, 0] + V
+    return ((p[..., None, :] @ K[..., :n, None])[..., 0, 0] - E * K[..., n]
+            - K[..., n + 1])
 
 
 def affine_charge(metric: BrinkmannMetric, gen: SymmetryGenerator, gs) -> float:
@@ -335,10 +351,10 @@ def charge_series(system: HerglotzSystem, gen: SymmetryGenerator,
                   rt: ReducedTrajectory):
     """(u grid, reduced charge at each accepted sample), copies of the
     series made once per system and generator for the trajectory's life
-    (Trajectory.memo)."""
-    qs = rt.traj.memo(("charges", system, gen), lambda: np.array(
-        [noether_charge(system, gen, rt.sample_state(k))
-         for k in range(len(rt))]))
+    (Trajectory.memo), a block of samples at a time (_charges)."""
+    qs = rt.traj.memo(("charges", system, gen), lambda: np.concatenate(
+        [_charges(system, gen, *rt.sample_arrays(block))
+         for block in sample_blocks(len(rt))]))
     return rt.u.copy(), qs.copy()
 
 
@@ -353,23 +369,34 @@ def nonlocal_charge(system: HerglotzSystem, gen: SymmetryGenerator,
 
     The integral runs from the first sample; each step contributes a
     3-point Gauss-Legendre rule on the dense output, whose error per step,
-    O(h^7), stays below the flow's own.  Each node reads its state off the
-    dense output of its step as floats and evaluates dL/dw by the
-    system's compiled w-slope function (lagrangian_w_slope), which raises
-    NonFiniteError where a velocity is not finite.
+    O(h^7), stays below the flow's own.  The nodes of a block of steps
+    read their states off the dense output at once (_states); each then
+    evaluates dL/dw by the system's compiled w-slope function
+    (lagrangian_w_slope), which raises NonFiniteError where a velocity is
+    not finite.  The first node at fault raises its error.
     """
     u, qs = charge_series(system, gen, rt)
     grid = u.tolist()
     integral = [0.0]
-    for k in range(len(grid) - 1):
-        u0 = grid[k]
-        du = grid[k + 1] - u0
-        acc = 0
-        for a, wt in _GAUSS3:
-            uq = u0 + a * du
-            x, xp, w = rt._state(uq, k)
-            acc += wt * w_slope_at(system, x, uq, w, xp)
-        integral.append(integral[-1] + du * acc)
+    for block in sample_blocks(len(grid) - 1):
+        ks = range(len(grid) - 1)[block]
+        us = [grid[k] + a * (grid[k + 1] - grid[k])
+              for k in ks for a, _ in _GAUSS3]
+        try:
+            x, xp, w = rt._states(us, [k for k in ks for _ in _GAUSS3])
+        except (HliftError, ValueError):
+            # a node at a time finds the first at fault
+            for uq in us:
+                x, xp, w = rt._state(uq)
+                w_slope_at(system, x, uq, w, xp)
+            raise
+        slopes = [w_slope_at(system, *state) for state in
+                  zip(x.tolist(), us, w.tolist(), xp.tolist())]
+        for j, k in enumerate(ks):
+            acc = 0
+            for (_, wt), slope in zip(_GAUSS3, slopes[3 * j:3 * j + 3]):
+                acc += wt * slope
+            integral.append(integral[-1] + (grid[k + 1] - grid[k]) * acc)
     return u, np.exp(-np.array(integral)) * qs
 
 

@@ -72,13 +72,19 @@ def herglotz_rhs_numpy(system: HerglotzSystem, rs: ReducedState):
 def equation_residuals_numpy(metric: BrinkmannMetric, traj) -> tuple:
     """(u_equation_residual, w_equation_residual) of a geodesic trajectory
     by single-point calls, one accepted sample after another, each step
-    raising and warning at its own sample."""
+    raising and warning at its own sample: first its velocities, which
+    must be finite, and udot, which must not be zero."""
     n = traj.n
     m = n + 2
     worst_u = worst_w = 0.0
     for k, y in enumerate(traj.y):
         v = y[m:]
         xd, ud, wd = v[:n], v[n], v[n + 1]
+        for vel in v.tolist():
+            if not math.isfinite(vel):
+                raise NonFiniteError(
+                    f"u/w-equation residual at sigma = {float(traj.t[k])!r} "
+                    f"needs finite velocities, got {vel!r}")
         if ud == 0.0:
             raise ZeroUdotError(f"du/dsigma vanished at sigma = {traj.t[k]!r}")
         point = Point(y[:n], y[n], y[n + 1])
@@ -123,6 +129,22 @@ def lagrangian_w_slope_numpy(system: HerglotzSystem,
             raise NonFiniteError(f"w-slope needs finite velocities, got {v!r}")
     _, dL = b.lagrangian(rs.xp)
     return float(dL[system.n + 1])
+
+
+def noether_charge_numpy(system: HerglotzSystem, gen,
+                         rs: ReducedState) -> float:
+    """noether_charge at one state by numpy, the field passes first:
+    (h x' + A) . dx - ((1/2) h x' x' + V) du - dw."""
+    h, A, V = system.eval_values(rs.point())
+    n = len(A)
+    K, _ = gen.components_at(rs.point())
+    for v in rs.xp.tolist():
+        if not math.isfinite(v):
+            raise NonFiniteError(f"Noether charge needs finite velocities, "
+                                 f"got {v!r}")
+    p = h @ rs.xp + A
+    energy = float(0.5 * rs.xp @ h @ rs.xp + V)
+    return float(p @ K[:n] - energy * K[n] - K[n + 1])
 
 
 def nonlocal_charge_numpy(system: HerglotzSystem, gen,

@@ -6,7 +6,7 @@ benchmark's inputs from its hbench/:
     python tests/same_numbers.py --seeds 3 7 > numbers.json
 
 Two trees that compute the same bits write the same bytes.  The output
-holds four sections:
+holds five sections:
 
   * "pairs": the pair-batch-shaped integrations (both pipelines at rtol
     1e-10 over a u-span of 10, the geodesic lifted with udot0 = 1) of
@@ -27,7 +27,16 @@ holds four sections:
   * "clouds": per seed, every cloud-sweep unit (the killing,
     conformal-killing, degreewise, symmetry, homogeneity, transform-rule
     and conformal-pair residuals of the catalog) at each point of its
-    cloud (CloudSweep.POOL, 512), in the order cloud-sweep visits them.
+    cloud (CloudSweep.POOL, 512), in the order cloud-sweep visits them;
+  * "charges": charge_series and nonlocal_charge of every catalog
+    generator, conformal ones included, and on coupled, which has none,
+    of the u-shift and of a generator whose components depend on x, u
+    and w; each on the Herglotz trajectory and on the reduced geodesic
+    (udot0 = 1) from the default start over a u-span of 10, at rtol
+    1e-10 and at rtol 1e-13 / atol 1e-15, then the nfev of both
+    trajectories, which counts the dense steps the reads built; and the
+    point and state clouds of 100 points at n = 1, 2 and 3, with the
+    type of each u and w.
 
 Floats are written as float.hex, so that a change in the last bit shows.
 pytest does not collect this file.
@@ -53,11 +62,13 @@ import numpy as np  # noqa: E402
 
 import hlift  # noqa: E402
 import hlift.cli  # noqa: E402
-from hlift.cloud import state_cloud  # noqa: E402
+from hlift.cloud import point_cloud, state_cloud  # noqa: E402
 from hlift.dynamics import (IntegratorConfig, integrate_geodesic,  # noqa: E402
                             integrate_herglotz, lift_state, reduce_trajectory,
                             u_equation_residual, w_equation_residual)
 from hlift.geometry import BrinkmannMetric  # noqa: E402
+from hlift.symmetry import (SymmetryGenerator, charge_series,  # noqa: E402
+                            nonlocal_charge)
 from hlift.systems import standard_catalog  # noqa: E402
 from hbench import workloads  # noqa: E402
 
@@ -189,6 +200,46 @@ def clouds(seeds) -> dict:
     return out
 
 
+def _generators(key: str, ent) -> dict:
+    if key == "coupled":        # it has no generator
+        return {"u-shift": SymmetryGenerator(2, ["0", "0"], "1", "0"),
+                "probe": SymmetryGenerator(2, ["0.2*u", "x1"], "0.3", "x2*w",
+                                           name="probe")}
+    return {**ent.generators,
+            **{name: gen for name, (gen, _) in ent.conformal.items()}}
+
+
+def charges() -> dict:
+    out = {}
+    for key, ent in standard_catalog().items():
+        system = ent.system
+        metric = BrinkmannMetric(system)
+        rs0 = ent.default_state
+        span = (rs0.u, rs0.u + SPAN)
+        for tol, cfg in (("1e-10", CFG), ("1e-13", TIGHT)):
+            geo = integrate_geodesic(metric, lift_state(system, rs0, 1.0),
+                                     (0.0, math.inf), config=cfg,
+                                     stop_at_u=span[1])
+            views = {"herglotz": integrate_herglotz(system, rs0, span,
+                                                    config=cfg),
+                     "geodesic": reduce_trajectory(geo)}
+            for view, rt in views.items():
+                for name, gen in _generators(key, ent).items():
+                    out[f"{key}/{tol}/{view}/{name}"] = {
+                        "noether": _hex(charge_series(system, gen, rt)[1]),
+                        "nonlocal": _hex(nonlocal_charge(system, gen, rt)[1])}
+                out[f"{key}/{tol}/{view}/nfev"] = rt.traj.nfev
+    for n in (1, 2, 3):
+        out[f"points/{n}"] = [[*_hex(p.x), float(p.u).hex(), float(p.w).hex(),
+                               type(p.u).__name__, type(p.w).__name__]
+                              for p in point_cloud(n, 100)]
+        out[f"states/{n}"] = [[*_hex(rs.x), *_hex(rs.xp), float(rs.u).hex(),
+                               float(rs.w).hex(), type(rs.u).__name__,
+                               type(rs.w).__name__]
+                              for rs in state_cloud(n, 100)]
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", type=int, nargs="*", default=[3, 7],
@@ -197,7 +248,8 @@ def main(argv=None) -> int:
                         "clouds (default: 3 7)")
     args = p.parse_args(argv)
     numbers = {"pairs": pairs(args.seeds), "cli": cli(args.seeds),
-               "acceptance": acceptance(), "clouds": clouds(args.seeds)}
+               "acceptance": acceptance(), "clouds": clouds(args.seeds),
+               "charges": charges()}
     json.dump(numbers, sys.stdout, indent=0, sort_keys=True)
     sys.stdout.write("\n")
     return 0

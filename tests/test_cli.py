@@ -605,7 +605,7 @@ def test_u_and_w_equations_share_one_christoffel_pass(tmp_path, monkeypatch):
                         christoffel_counted)
     assert main(["check", path, "u-accel", "w-redundancy",
                  "--out-dir", str(tmp_path / "both")]) == 0
-    blocks = [math.ceil(k / dynamics._RESIDUAL_BLOCK) for k in lengths]
+    blocks = [math.ceil(k / dynamics._BLOCK) for k in lengths]
     assert lengths[0] > 1 and calls == blocks
     alone = []
     for name in ("u-accel", "w-redundancy"):

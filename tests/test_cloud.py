@@ -5,6 +5,8 @@ import pytest
 
 from hlift.cloud import (_PRIMES, DEFAULT_BOUNDS, halton, point_cloud,
                          state_cloud)
+from hlift.dynamics import ReducedState
+from hlift.geometry import Point
 
 from numpy_oracle import radical_inverse
 
@@ -74,3 +76,32 @@ def test_custom_bounds():
     for p in pts:
         assert 5.0 <= p.x[0] <= 6.0
         assert -0.5 <= p.w <= 0.5
+
+
+def _span(lo, hi, t):
+    return lo + (hi - lo) * t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bounds", [None, {"x": (5, 6), "u": (0.0, 1.0)}])
+def test_clouds_are_their_rows_one_at_a_time(n, bounds):
+    # the box applied to whole columns gives each row's floats, and u and
+    # w stay Python floats
+    b = {**DEFAULT_BOUNDS, **(bounds or {})}
+    points = [Point(_span(*b["x"], row[:n]), float(_span(*b["u"], row[n])),
+                    float(_span(*b["w"], row[n + 1])))
+              for row in halton(100, n + 2)]
+    states = [ReducedState(_span(*b["x"], row[:n]),
+                           _span(*b["xp"], row[n:2 * n]),
+                           float(_span(*b["u"], row[2 * n])),
+                           float(_span(*b["w"], row[2 * n + 1])))
+              for row in halton(100, 2 * n + 2)]
+    for got, want in zip(point_cloud(n, 100, bounds), points, strict=True):
+        assert got.x.tobytes() == want.x.tobytes()
+        assert type(got.u) is type(got.w) is float
+        assert (got.u.hex(), got.w.hex()) == (want.u.hex(), want.w.hex())
+    for got, want in zip(state_cloud(n, 100, bounds), states, strict=True):
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.xp.tobytes() == want.xp.tobytes()
+        assert type(got.u) is type(got.w) is float
+        assert (got.u.hex(), got.w.hex()) == (want.u.hex(), want.w.hex())

@@ -14,7 +14,7 @@ from hlift.cloud import point_cloud, state_cloud
 from hlift.dynamics import (IntegratorConfig, ReducedState, integrate_geodesic,
                             integrate_herglotz, lagrangian_w_slope, lift_state,
                             reduce_trajectory, w_slope_at)
-from hlift.errors import NonFiniteError, SingularJacobianError
+from hlift.errors import HliftError, NonFiniteError, SingularJacobianError
 from hlift.geometry import BrinkmannMetric, CoordinateMap, HerglotzSystem, Point
 from hlift.symmetry import (_GAUSS3, SymmetryGenerator, affine_charge,
                             charge_series, conformal_killing_residual,
@@ -26,7 +26,7 @@ from hlift.systems import (conformal_pair, coupled_curved,
                            free_particle, harmonic_oscillator,
                            standard_catalog, x_scaling_control)
 
-from numpy_oracle import nonlocal_charge_numpy
+from numpy_oracle import noether_charge_numpy, nonlocal_charge_numpy
 
 TIGHT = IntegratorConfig(rtol=1e-10, atol=1e-12)
 
@@ -421,10 +421,106 @@ def test_a_node_outside_its_step_takes_the_bracketed_path(bracket_calls):
                       (len(grid) - 2, grid[-1]),
                       (5, 0.5 * (grid[5] + grid[6]))):
             before = bracket_calls[0]
-            got = rt._state(uq, k)
+            x, xp, w = rt._states([uq], [k])
             outside = not grid[k] <= uq < grid[k + 1]
             assert bracket_calls[0] == before + outside, (k, rt.traj.kind)
-            assert got == rt._state(uq)
+            assert (x[0].tolist(), xp[0].tolist(), w[0]) == rt._state(uq)
+
+
+def _series_generators(key: str) -> dict:
+    """Every generator of catalog system `key`, conformal ones included;
+    coupled has none, so it takes the u-shift and one whose components
+    depend on x, u and w."""
+    if key == "coupled":
+        return {"u-shift": SymmetryGenerator(2, ["0", "0"], "1", "0"),
+                "probe": SymmetryGenerator(2, ["0.2*u", "x1"], "0.3",
+                                           "x2*w", name="probe")}
+    ent = standard_catalog()[key]
+    return {**ent.generators,
+            **{name: gen for name, (gen, _) in ent.conformal.items()}}
+
+
+@pytest.mark.parametrize("key", sorted(standard_catalog()))
+def test_the_charge_series_is_the_charge_sample_by_sample(key, monkeypatch):
+    # made in blocks of 128 and of 7 samples, the series is noether_charge
+    # at each sample alone, and that is the numpy formula, bit for bit
+    ent = standard_catalog()[key]
+    for block in (128, 7):
+        monkeypatch.setattr(dynamics, "_BLOCK", block)
+        for rt in _both_views(ent):
+            states = [rt.sample_state(k) for k in range(len(rt))]
+            for name, gen in _series_generators(key).items():
+                _, qs = charge_series(ent.system, gen, rt)
+                want = [noether_charge_numpy(ent.system, gen, rs)
+                        for rs in states]
+                assert qs.tolist() == want, (name, rt.traj.kind)
+                assert [noether_charge(ent.system, gen, rs)
+                        for rs in states] == want
+
+
+def _damped_samples(edits: dict):
+    """The damped-action Herglotz trajectory from x = 1, w = 0.25 over
+    u-span 2, its samples' (x, x', w) columns edited: {sample: (column,
+    value)}."""
+    ent = damped_action_dependent(gamma=0.2, omega=1.0)
+    rt = integrate_herglotz(ent.system, ReducedState([1.0], [0.0], 0.0, 0.25),
+                            (0.0, 2.0), config=TIGHT)
+    for k, (col, value) in edits.items():
+        rt.traj.y[k, col] = value
+    return ent, rt
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({3: (1, math.nan), 5: (0, math.nan)},
+     "Noether charge needs finite velocities, got nan"),
+    ({5: (1, math.nan), 3: (0, math.nan)},
+     "cannot seed non-finite coordinate nan"),
+    ({3: (0, -20.0), 5: (0, math.nan)}, "log"),
+    ({5: (0, -20.0), 3: (0, math.nan)},
+     "cannot seed non-finite coordinate nan")])
+def test_the_first_sample_at_fault_raises_its_charge_error(edits, message):
+    # of a non-finite x' (column 1) at one sample and a declined field
+    # pass (x = nan, column 0) at another, or a generator's declined pass
+    # (log of x + 10 < 0) and the system's, the earlier sample raises
+    # what noether_charge raises there, in blocks of any size
+    ent, rt = _damped_samples(edits)
+    gen = SymmetryGenerator(1, ["0"], "1", "log(x1 + 10)", name="log-w")
+    k = min(edits)
+    with pytest.raises(HliftError) as want:
+        noether_charge(ent.system, gen, rt.sample_state(k))
+    assert message in str(want.value)
+    for block in (128, 2):
+        ent, rt = _damped_samples(edits)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_BLOCK", block)
+            with pytest.raises(HliftError) as got:
+                charge_series(ent.system, gen, rt)
+        assert (type(got.value), str(got.value)) == (type(want.value),
+                                                     str(want.value))
+
+
+@pytest.mark.parametrize("slope_fails", [False, True])
+def test_the_first_node_at_fault_raises_its_nonlocal_error(slope_fails):
+    # a kept stage of step 4 made nan fails the stacked read of the block;
+    # with x also made nan on step 2, the w-slope of a node there fails
+    # first: nonlocal_charge raises what a node at a time raises
+    ent = standard_catalog()["damped-action"]
+    gen = ent.generators["time-shift"]
+    errors = []
+    for charge in (nonlocal_charge_bracketed, nonlocal_charge):
+        for rt in _both_views(ent):
+            traj = rt.traj
+            width = len(dynamics._KEPT) * traj.y.shape[1]
+            traj._steps[4 * (1 + width) + 1] = math.nan
+            if slope_fails:
+                t0, t1, y0, rows = traj._step(2)
+                traj._built[2] = (t0, t1, [math.nan, *y0[1:]], rows)
+            with pytest.raises(HliftError) as info:
+                charge(ent.system, gen, rt)
+            errors.append((type(info.value), str(info.value)))
+    assert errors[:2] == errors[2:]
+    want = "cannot seed" if slope_fails else "dense output"
+    assert all(want in message for _, message in errors)
 
 
 def test_the_charge_series_hands_out_copies():
