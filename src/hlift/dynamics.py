@@ -60,8 +60,8 @@ __all__ = [
 ]
 
 _BLOWUP_NORM = 1e12
-# samples or steps per numpy pass over a trajectory (sample_blocks): a
-# block pays a pass's fixed cost of numpy calls once, and bounds its
+# samples per numpy pass over a trajectory (sample_blocks): a block
+# pays a pass's fixed cost of numpy calls once, and bounds its
 # arrays (dg, its symmetrized sum and Gamma hold m^3 floats a sample each)
 _BLOCK = 128
 
@@ -641,18 +641,8 @@ def _bracket(grid: list, q: float, outside: str) -> int:
 
 def sample_blocks(count: int) -> list:
     """Consecutive slices of 0..count-1, of at most _BLOCK each: the blocks
-    of samples or steps that numpy passes over a trajectory take."""
+    of samples that numpy passes over a trajectory take."""
     return [slice(k, min(k + _BLOCK, count)) for k in range(0, count, _BLOCK)]
-
-
-def _horner(t0, t1, y0, rows, tq):
-    """Trajectory._dense's floats over queries, each with its step's ends
-    t0, t1, first state y0 (entries) and rows (7 x entries)."""
-    x = ((tq - t0) / (t1 - t0))[:, None]
-    x1 = 1.0 - x
-    r0, r1, r2, r3, r4, r5, r6 = np.moveaxis(rows, 1, 0)
-    return ((((((r6 * x + r5) * x1 + r4) * x + r3) * x1
-              + r2) * x + r1) * x1 + r0) * x + y0
 
 
 def _samples(ts: array, ys: array) -> tuple:
@@ -762,15 +752,15 @@ class ReducedTrajectory:
         return (y[..., :n], y[..., m:m + n] / y[..., m + n, None],
                 self.u[rows], y[..., n + 1])
 
-    def sample_state(self, k: int) -> ReducedState:
-        x, xp, u, w = self.sample_arrays(k)
-        return ReducedState(x.copy(), xp.copy(), float(u), float(w))
-
     def sigma_at(self, u_target: float) -> float:
         """Invert u(sigma) on the geodesic samples (geodesic kind only)."""
         if self.traj.kind != "geodesic":
             raise ValueError("sigma_at applies to geodesic-backed trajectories")
-        k = _bracket(self._u, u_target, "u = {!r} outside covered")
+        return self._sigma_in(
+            _bracket(self._u, u_target, "u = {!r} outside covered"), u_target)
+
+    def _sigma_in(self, k: int, u_target: float) -> float:
+        """sigma_at(u_target) on step k, which holds u_target."""
         traj = self.traj
         dense, cols, tol = traj._dense, self._cols[0], self._SIGMA_TOL
         # _state interpolates the rest of the state on the same step
@@ -807,76 +797,27 @@ class ReducedTrajectory:
         x, xp, w = self._state(u_target)
         return ReducedState(x, xp, float(u_target), w)
 
-    def _state(self, u_target: float) -> tuple:
+    def _state(self, u_target: float, k: Optional[int] = None) -> tuple:
         """(x, x', w) at u_target as float lists and a float, by the dense
         output: of the reduced trajectory (Trajectory.eval), or of the
-        geodesic step that sigma_at finds."""
+        geodesic step that sigma_at finds.  Given the step k that holds
+        u_target, as _bracket assigns steps, the same floats come off it
+        without bracketing; a u_target outside it is bracketed."""
         n = self.n
         traj = self.traj
+        if k is not None and not self._u[k] <= u_target < self._u[k + 1]:
+            k = None
         if traj.kind == "reduced":
-            y = traj.eval(u_target).tolist()
+            y = (traj.eval(u_target).tolist() if k is None else
+                 traj._dense(traj._step(k), u_target, range(2 * n + 1)))
             return y[:n], y[n:2 * n], y[2 * n]
-        s = self.sigma_at(u_target)
+        s = (self.sigma_at(u_target) if k is None
+             else self._sigma_in(k, u_target))
         v = traj._dense(self._last_step, s, self._cols[1])
         ud = v[2 * n]
         if ud <= 0.0:
             raise MonotonicityViolationError("du/dsigma is not positive", s)
         return v[:n], [xd / ud for xd in v[n:2 * n]], v[-1]
-
-    def _states(self, us: list, ks: list) -> tuple:
-        """(x, x', w) at each u of `us` on its step of `ks` (bracketed, as
-        by sigma_at, if outside it) as arrays: _state's floats by its
-        formulas on arrays, sigma_at's Newton iteration retiring each
-        query as it converges.  Steps are built in first-query order, so
-        nfev counts what _state would.  A query _state fails raises."""
-        traj, n = self.traj, self.n
-        slots, at = {}, []
-        for uq, k in zip(us, ks):
-            if not self._u[k] <= uq < self._u[k + 1]:
-                k = _bracket(self._u, uq, "u = {!r} outside covered")
-            if k not in slots:
-                slots[k] = (len(slots), traj._step(k))
-            at.append(slots[k][0])
-        t0, t1, y0, rows = (np.array([st[i] for _, st in slots.values()])[at]
-                            for i in range(4))
-        uq = np.array(us, dtype=float)
-        if traj.kind == "reduced":
-            y = _horner(t0, t1, y0, rows, uq)
-            return y[:, :n], y[:, n:2 * n], y[:, 2 * n]
-        k = np.array(list(slots))[at]
-        s = t0 + (t1 - t0) * ((uq - self.u[k]) / (self.u[k + 1] - self.u[k]))
-        for q in s[~((t0 <= s) & (s <= t1))].tolist():
-            traj._locate(q)     # raises outside the samples, as sigma_at
-        (cu, cv), tol = self._cols, self._SIGMA_TOL
-        lo, hi, live, sigma = t0, t1, np.arange(len(s)), np.empty(len(s))
-        for _ in range(self._SIGMA_ITERS):
-            u, udot = _horner(t0[live], t1[live], y0[live][:, cu],
-                              rows[live][:, :, cu], s).T
-            fval = u - uq[live]
-            above, below = fval > 0, fval < 0
-            hi = np.where(above & (s < hi), s, hi)
-            lo = np.where(below & (s > lo), s, lo)
-            # a Newton step, or where udot <= 0 or it leaves the bracket
-            # (nan does), bisection
-            s_new = s - fval / np.where(udot > 0, udot, np.nan)
-            s_new = np.where((lo <= s_new) & (s_new <= hi), s_new,
-                             0.5 * (lo + hi))
-            hit = ~(above | below)
-            done = hit | (np.abs(s_new - s) <= tol)
-            sigma[live[done]] = np.where(hit, s, s_new)[done]
-            live, s, lo, hi = (a[~done] for a in (live, s_new, lo, hi))
-            if not live.size:
-                break
-        else:
-            raise SigmaInversionError(
-                f"sigma for u = {us[live[0]]!r} not found to {tol:g} in "
-                f"{self._SIGMA_ITERS} iterations (last sigma = {float(s[0])!r})")
-        v = _horner(t0, t1, y0[:, cv], rows[:, :, cv], sigma)
-        bad = np.flatnonzero(v[:, 2 * n] <= 0.0)
-        if bad.size:
-            raise MonotonicityViolationError("du/dsigma is not positive",
-                                             float(sigma[bad[0]]))
-        return v[:, :n], v[:, n:2 * n] / v[:, 2 * n, None], v[:, -1]
 
 
 def reduce_trajectory(traj: Trajectory) -> ReducedTrajectory:

@@ -21,11 +21,11 @@ steps explain.
 Charges: the usual momentum-type charge of a generator, its full-space
 affine counterpart g(K, xdot), and the nonlocally rescaled charge that
 stays exactly constant for action-dependent dynamics (the rescaling
-integrates dL/dw along the trajectory).  Both read a block of samples,
-or of dense-output nodes, at once.  The integrand dL/dw is the system's
-compiled w-slope pipeline (dynamics.lagrangian_w_slope), called on float
-states.  A velocity that is not finite raises NonFiniteError naming it,
-in the plain charge and in the integrand alike.
+integrates dL/dw along the trajectory).  The charge series reads a
+block of samples at once.  The integrand dL/dw is the system's compiled
+w-slope pipeline (dynamics.lagrangian_w_slope), called on float states
+read off the dense output.  A velocity that is not finite raises
+NonFiniteError naming it, in the plain charge and in the integrand alike.
 """
 
 from __future__ import annotations
@@ -369,34 +369,23 @@ def nonlocal_charge(system: HerglotzSystem, gen: SymmetryGenerator,
 
     The integral runs from the first sample; each step contributes a
     3-point Gauss-Legendre rule on the dense output, whose error per step,
-    O(h^7), stays below the flow's own.  The nodes of a block of steps
-    read their states off the dense output at once (_states); each then
-    evaluates dL/dw by the system's compiled w-slope function
-    (lagrangian_w_slope), which raises NonFiniteError where a velocity is
-    not finite.  The first node at fault raises its error.
+    O(h^7), stays below the flow's own.  Each node reads its state off the
+    dense output of its step as floats and evaluates dL/dw by the
+    system's compiled w-slope function (lagrangian_w_slope), which raises
+    NonFiniteError where a velocity is not finite.
     """
     u, qs = charge_series(system, gen, rt)
     grid = u.tolist()
     integral = [0.0]
-    for block in sample_blocks(len(grid) - 1):
-        ks = range(len(grid) - 1)[block]
-        us = [grid[k] + a * (grid[k + 1] - grid[k])
-              for k in ks for a, _ in _GAUSS3]
-        try:
-            x, xp, w = rt._states(us, [k for k in ks for _ in _GAUSS3])
-        except (HliftError, ValueError):
-            # a node at a time finds the first at fault
-            for uq in us:
-                x, xp, w = rt._state(uq)
-                w_slope_at(system, x, uq, w, xp)
-            raise
-        slopes = [w_slope_at(system, *state) for state in
-                  zip(x.tolist(), us, w.tolist(), xp.tolist())]
-        for j, k in enumerate(ks):
-            acc = 0
-            for (_, wt), slope in zip(_GAUSS3, slopes[3 * j:3 * j + 3]):
-                acc += wt * slope
-            integral.append(integral[-1] + (grid[k + 1] - grid[k]) * acc)
+    for k in range(len(grid) - 1):
+        u0 = grid[k]
+        du = grid[k + 1] - u0
+        acc = 0
+        for a, wt in _GAUSS3:
+            uq = u0 + a * du
+            x, xp, w = rt._state(uq, k)
+            acc += wt * w_slope_at(system, x, uq, w, xp)
+        integral.append(integral[-1] + du * acc)
     return u, np.exp(-np.array(integral)) * qs
 
 

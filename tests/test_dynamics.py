@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hlift import dynamics, symmetry
+from hlift import dynamics
 from hlift.cloud import state_cloud
 from hlift.dynamics import (GeodesicState, IntegratorConfig, ReducedState,
                             ReducedTrajectory, Trajectory, herglotz_rhs,
@@ -246,7 +246,7 @@ def test_recorded_w_slope_is_the_reduced_lagrangian(key):
     slopes = [*((r[:, 0] + r[:, 1]) / h),
               (r[-1, 0] - r[-1, 1] - r[-1, 2]) / h[-1]]
     for k in range(len(rt)):
-        lag = reduced_lagrangian(ent.system, rt.sample_state(k))
+        lag = reduced_lagrangian(ent.system, ReducedState(*rt.sample_arrays(k)))
         assert abs(lag - slopes[k]) <= 1e-12 * max(1.0, abs(lag))
 
 
@@ -504,121 +504,6 @@ def test_w_equation_residual_flags_off_cone(damped_run):
     assert w_equation_residual(met, traj) > 1e-4
     # the u equation does not care about the cone
     assert u_equation_residual(met, traj) < 1e-10
-
-
-# ---------------------------------------------------------------- stacked dense reads
-
-def _twin_views(key: str, kind: str, rtol: float) -> tuple:
-    """Two views of the same trajectory of `kind` ("reduced" or
-    "geodesic") from the default start of catalog system `key` over a
-    u-span of 10, at rtol and atol = rtol / 100; no step built."""
-    ent = standard_catalog()[key]
-    rs0 = ent.default_state
-    cfg = IntegratorConfig(rtol=rtol, atol=rtol / 100)
-
-    def view():
-        if kind == "reduced":
-            return integrate_herglotz(ent.system, rs0, (rs0.u, rs0.u + 10.0),
-                                      config=cfg)
-        return reduce_trajectory(integrate_geodesic(
-            BrinkmannMetric(ent.system), lift_state(ent.system, rs0),
-            (0.0, math.inf), config=cfg, stop_at_u=rs0.u + 10.0))
-    return view(), view()
-
-
-def _gauss_nodes(rt, steps) -> tuple:
-    """(us, ks): nonlocal_charge's Gauss nodes of the steps, each with its
-    step."""
-    grid = rt.u.tolist()
-    nodes = [(grid[k] + a * (grid[k + 1] - grid[k]), k)
-             for k in steps for a, _ in symmetry._GAUSS3]
-    return [u for u, _ in nodes], [k for _, k in nodes]
-
-
-def _read_alike(scalar, stacked, us, ks):
-    """Read (us, ks) by _state one at a time on the view `scalar` and at
-    once by _states on the view `stacked`: the same floats, or the same
-    error, which is returned."""
-    try:
-        want = [scalar._state(u) for u in us]
-    except Exception as err:        # noqa: BLE001 - compared below
-        with pytest.raises(type(err)) as info:
-            stacked._states(us, ks)
-        assert str(info.value) == str(err)
-        return err
-    x, xp, w = stacked._states(us, ks)
-    for got, col in ((x, 0), (xp, 1), (w, 2)):
-        want_col = np.array([s[col] for s in want], dtype=float)
-        assert got.tobytes() == want_col.reshape(got.shape).tobytes()
-    assert x.shape == xp.shape == (len(us), scalar.n)
-    return None
-
-
-@pytest.mark.parametrize("rtol", [1e-10, 1e-13])
-@pytest.mark.parametrize("kind", ["reduced", "geodesic"])
-@pytest.mark.parametrize("key", sorted(standard_catalog()))
-def test_a_stacked_read_is_the_reads_one_at_a_time(key, kind, rtol):
-    # at the Gauss nodes of every other step, at the u of every third
-    # sample on the step it starts, at the last sample, at a step's end
-    # given that step and at a node given another step (both bracketed),
-    # in a shuffled order: the floats of _state, and the steps built, as
-    # nfev counts them, of those reads
-    scalar, stacked = _twin_views(key, kind, rtol)
-    grid = scalar.u.tolist()
-    steps = len(grid) - 1
-    us, ks = _gauss_nodes(scalar, range(0, steps, 2))
-    j = steps // 2
-    us += [*grid[:-1:3], grid[-1], grid[j + 1], 0.5 * (grid[-2] + grid[-1])]
-    ks += [*range(0, steps, 3), steps - 1, j, 0]
-    order = np.random.default_rng(steps).permutation(len(us)).tolist()
-    us, ks = [us[i] for i in order], [ks[i] for i in order]
-    assert _read_alike(scalar, stacked, us, ks) is None
-    assert stacked.traj.nfev == scalar.traj.nfev
-    assert ([step is None for step in stacked.traj._built]
-            == [step is None for step in scalar.traj._built])
-
-
-@pytest.mark.parametrize("kind", ["reduced", "geodesic"])
-def test_a_non_finite_dense_stage_fails_a_stacked_read_as_one_read(kind):
-    # a kept stage of step 4 made nan: the stacked read raises the error
-    # of the first node on step 4 read alone
-    views = _twin_views("damped-action", kind, 1e-10)
-    for rt in views:
-        traj = rt.traj
-        width = len(dynamics._KEPT) * traj.y.shape[1]
-        traj._steps[4 * (1 + width) + 1] = math.nan
-    us, ks = _gauss_nodes(views[0], range(8))
-    assert isinstance(_read_alike(*views, us, ks), NonFiniteError)
-
-
-def test_a_falling_udot_fails_a_stacked_read_as_one_read():
-    # step 4's dense udot made to fall below zero inside the step: the
-    # Newton iteration bisects there (udot <= 0), and the stacked read
-    # raises the MonotonicityViolationError of the first node on step 4
-    views = _twin_views("damped-action", "geodesic", 1e-10)
-    col = 2 * views[0].n + 2
-    for rt in views:
-        t0, t1, y0, rows = rt.traj._step(4)
-        rows = [list(row) for row in rows]
-        rows[1][col] = -1e3
-        rt.traj._built[4] = (t0, t1, y0, tuple(map(tuple, rows)))
-    us, ks = _gauss_nodes(views[0], range(8))
-    assert isinstance(_read_alike(*views, us, ks),
-                      MonotonicityViolationError)
-
-
-def test_an_unconverged_or_outside_node_fails_a_stacked_read(monkeypatch):
-    # a node outside the samples raises the bracket's ValueError; one
-    # Newton iteration converges only where the linear seed is exact, at
-    # a sample, so a Gauss node raises SigmaInversionError, as read alone
-    views = _twin_views("damped-action", "geodesic", 1e-10)
-    grid = views[0].u.tolist()
-    us, ks = [grid[0], grid[1], grid[-1] + 1.0], [0, 1, 0]
-    assert isinstance(_read_alike(*views, us, ks), ValueError)
-    monkeypatch.setattr(ReducedTrajectory, "_SIGMA_ITERS", 1)
-    nodes, steps = _gauss_nodes(views[0], [2])
-    error = _read_alike(*views, [grid[0], grid[1], *nodes], [0, 1, *steps])
-    assert isinstance(error, SigmaInversionError)
 
 
 @pytest.fixture

@@ -421,10 +421,10 @@ def test_a_node_outside_its_step_takes_the_bracketed_path(bracket_calls):
                       (len(grid) - 2, grid[-1]),
                       (5, 0.5 * (grid[5] + grid[6]))):
             before = bracket_calls[0]
-            x, xp, w = rt._states([uq], [k])
+            got = rt._state(uq, k)
             outside = not grid[k] <= uq < grid[k + 1]
             assert bracket_calls[0] == before + outside, (k, rt.traj.kind)
-            assert (x[0].tolist(), xp[0].tolist(), w[0]) == rt._state(uq)
+            assert got == rt._state(uq)
 
 
 def _series_generators(key: str) -> dict:
@@ -448,7 +448,7 @@ def test_the_charge_series_is_the_charge_sample_by_sample(key, monkeypatch):
     for block in (128, 7):
         monkeypatch.setattr(dynamics, "_BLOCK", block)
         for rt in _both_views(ent):
-            states = [rt.sample_state(k) for k in range(len(rt))]
+            states = [ReducedState(*rt.sample_arrays(k)) for k in range(len(rt))]
             for name, gen in _series_generators(key).items():
                 _, qs = charge_series(ent.system, gen, rt)
                 want = [noether_charge_numpy(ent.system, gen, rs)
@@ -487,7 +487,7 @@ def test_the_first_sample_at_fault_raises_its_charge_error(edits, message):
     gen = SymmetryGenerator(1, ["0"], "1", "log(x1 + 10)", name="log-w")
     k = min(edits)
     with pytest.raises(HliftError) as want:
-        noether_charge(ent.system, gen, rt.sample_state(k))
+        noether_charge(ent.system, gen, ReducedState(*rt.sample_arrays(k)))
     assert message in str(want.value)
     for block in (128, 2):
         ent, rt = _damped_samples(edits)
@@ -501,9 +501,9 @@ def test_the_first_sample_at_fault_raises_its_charge_error(edits, message):
 
 @pytest.mark.parametrize("slope_fails", [False, True])
 def test_the_first_node_at_fault_raises_its_nonlocal_error(slope_fails):
-    # a kept stage of step 4 made nan fails the stacked read of the block;
+    # a kept stage of step 4 made nan fails the read of a node there;
     # with x also made nan on step 2, the w-slope of a node there fails
-    # first: nonlocal_charge raises what a node at a time raises
+    # first: nonlocal_charge raises what the bracketed reads raise
     ent = standard_catalog()["damped-action"]
     gen = ent.generators["time-shift"]
     errors = []
