@@ -32,10 +32,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .cloud import MAX_DIMENSIONS, point_cloud, state_cloud
-from .dynamics import (IntegratorConfig, ReducedState, ReducedTrajectory,
-                       Trajectory, homogeneity_residual, integrate_geodesic,
-                       integrate_herglotz, lift_state, reduce_trajectory,
-                       sample_blocks, u_equation_residual,
+from .dynamics import (MIN_STEP, IntegratorConfig, ReducedState,
+                       ReducedTrajectory, Trajectory, homogeneity_residual,
+                       integrate_geodesic, integrate_herglotz, lift_state,
+                       reduce_trajectory, sample_blocks, u_equation_residual,
                        w_equation_residual)
 from .errors import HliftError, ScenarioError
 from .geometry import BrinkmannMetric, HerglotzSystem
@@ -180,6 +180,11 @@ def build_context(scn: dict) -> ScenarioContext:
         _need(u_to > u_from, "span.to must exceed span.from")
     else:
         u_from, u_to = rs0.u, rs0.u + 10.0
+    # a step clipped to a span at or below the smallest step underflows
+    least = MIN_STEP * max(1.0, abs(u_from))
+    _need(u_to - u_from > least,
+          f"span.to - span.from = {u_to - u_from!r} must exceed the "
+          f"smallest step, {MIN_STEP:g} * max(1, |span.from|) = {least!r}")
 
     integ = scn.get("integrator", {})
     _need(isinstance(integ, dict), "integrator must be an object")

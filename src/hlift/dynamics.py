@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 _BLOWUP_NORM = 1e12
+# the stepper's smallest step, relative to max(1, |t|): a step (or a
+# span) at or below it is a step size underflow
+MIN_STEP = 1e-14
 # samples per numpy pass over a trajectory (sample_blocks): a block
 # pays a pass's fixed cost of numpy calls once, and bounds its
 # arrays (dg, its symmetrized sum and Gamma hold m^3 floats a sample each)
@@ -310,6 +313,12 @@ def _combo(row: dict, j: int) -> str:
     return " + ".join(f"{a!r} * k{c + 1}_{j}" for c, a in row.items())
 
 
+def _fold(row: dict, k: dict):
+    """_combo over the stage arrays k, term by term from the left."""
+    first, *rest = [a * k[c + 1] for c, a in row.items()]
+    return sum(rest, first)
+
+
 def _call(takes_t: bool, tc: str, state: list, out: list, declined=(),
           via=("fn", "explain")):
     """The call at ([tc,] state) of the function named by via[0],
@@ -424,7 +433,7 @@ def _stepper(size: int, takes_t: bool, n_aux: int, stop: Optional[int]):
             "    h = t_end - t",
             "    clipped = True",
             "_at = abs(t)",
-            "if h <= 1e-14 * (_at if _at > 1.0 else 1.0):",
+            f"if h <= {MIN_STEP!r} * (_at if _at > 1.0 else 1.0):",
             "    raise _BlowUp(f'step size underflow at t = {t!r}')"]
     for i in range(2, 13):
         loop += _stage(i, size, takes_t, reject(i - 1), k(i))
@@ -594,6 +603,11 @@ class Trajectory:
             step = self._built[k] = (t0, self._t[k + 1], y0, rows)
         return step
 
+    def _rewind(self, built: list, nfev: int) -> None:
+        """Forget the steps built since _built was `built`, nfev `nfev`."""
+        self._built[:], self.nfev = built, nfev
+        self.__dict__.pop("dense", None)
+
     def memo(self, key, make):
         """make() on the first request for `key`, kept unless it raises."""
         if key not in self._memo:
@@ -603,10 +617,48 @@ class Trajectory:
     @functools.cached_property
     def dense(self) -> np.ndarray:
         """The rows of every step's dense polynomial, shape (steps, 7,
-        size); builds the steps no query has built."""
-        return np.array([self._step(k)[3] for k in range(len(self._built))],
+        size).  The steps no query has built are built at once (_build),
+        or, where fn declines a dense stage of one, a step at a time in
+        order (_step), so that the first at fault raises its error."""
+        todo = [k for k, step in enumerate(self._built) if step is None]
+        rows = self._build(todo) if todo else None
+        if rows is None:
+            for k in todo:
+                self._step(k)
+        elif len(todo) == len(self._built):
+            return rows
+        return np.array([step[3] for step in self._built],
                         dtype=float).reshape(len(self._built), 7,
-                                              self.y.shape[1])
+                                             self.y.shape[1])
+
+    def _build(self, todo: list) -> Optional[np.ndarray]:
+        """Build the steps `todo` at once with _step's floats and return
+        their rows: the dense stages' inputs and the rows over (steps,
+        size) arrays, term for term as _dense_rows makes them, and each
+        stage by a call of fn per step on floats.  None, building
+        nothing, where fn declines a call."""
+        size = self.y.shape[1]
+        kept = np.frombuffer(self._steps).reshape(len(self._built), -1)[todo]
+        h, t, y0 = kept[:, :1], self.t[todo, None], self.y[todo]
+        k = dict(zip(_KEPT, kept[:, 1:].reshape(len(todo), -1, size)
+                     .swapaxes(0, 1)))
+        with np.errstate(all="ignore"):     # as float arithmetic
+            for i in range(14, 17):
+                args = (y0 + h * _fold(_A[i - 1], k)).tolist()
+                if self.kind == "reduced":      # fn takes the parameter u
+                    args = [(tc, *a) for tc, a in
+                            zip((t + _C[i - 1] * h).ravel().tolist(), args)]
+                out = [self._fn(*a) for a in args]
+                if None in out:
+                    return None
+                k[i] = np.array(out)
+            r0 = self.y[[j + 1 for j in todo]] - y0
+            rows = np.stack([r0, h * k[1] - r0, 2.0 * r0 - h * (k[13] + k[1]),
+                             *[h * _fold(row, k) for row in _D]], axis=1)
+        self.nfev += 3 * len(todo)
+        for j, y, r in zip(todo, y0.tolist(), rows.tolist()):
+            self._built[j] = (self._t[j], self._t[j + 1], y, r)
+        return rows
 
     @staticmethod
     def _dense(step: tuple, tq: float, cols) -> list:
@@ -643,6 +695,16 @@ def sample_blocks(count: int) -> list:
     """Consecutive slices of 0..count-1, of at most _BLOCK each: the blocks
     of samples that numpy passes over a trajectory take."""
     return [slice(k, min(k + _BLOCK, count)) for k in range(0, count, _BLOCK)]
+
+
+def _horner(t0, t1, y0, rows, tq):
+    """Trajectory._dense's floats over queries tq, each on the step with
+    ends t0, t1, first state y0 (entries) and rows (7 x entries)."""
+    x = ((tq - t0) / (t1 - t0))[:, None]
+    x1 = 1.0 - x
+    r0, r1, r2, r3, r4, r5, r6 = rows.swapaxes(0, 1)
+    return ((((((r6 * x + r5) * x1 + r4) * x + r3) * x1
+              + r2) * x + r1) * x1 + r0) * x + y0
 
 
 def _samples(ts: array, ys: array) -> tuple:
@@ -819,6 +881,49 @@ class ReducedTrajectory:
             raise MonotonicityViolationError("du/dsigma is not positive", s)
         return v[:n], [xd / ud for xd in v[n:2 * n]], v[-1]
 
+    def _states(self, uq: np.ndarray) -> Optional[tuple]:
+        """_state(uq) of each query in the samples' range, as arrays (x,
+        x', w), each off the step _bracket assigns it, by the built dense
+        output (Trajectory.dense), with sigma_at's Newton iteration as one
+        lane per query that stops changing once it converges.  None where
+        _state may raise: a seed outside its step, a lane not converged in
+        _SIGMA_ITERS, or du/dsigma <= 0."""
+        traj, n = self.traj, self.n
+        k = np.searchsorted(self.u, uq, "right").clip(1, len(self) - 1) - 1
+        t0, t1, y0, rows = traj.t[k], traj.t[k + 1], traj.y[k], traj.dense[k]
+        with np.errstate(all="ignore"):     # as float arithmetic
+            if traj.kind == "reduced":
+                y = _horner(t0, t1, y0, rows, uq)
+                return y[:, :n], y[:, n:2 * n], y[:, 2 * n]
+            s = t0 + (t1 - t0) * ((uq - self.u[k])
+                                  / (self.u[k + 1] - self.u[k]))
+            if not ((t0 <= s) & (s <= t1)).all():
+                return None
+            (cu, cv), lo, hi = self._cols, t0, t1
+            done = np.zeros(len(s), dtype=bool)
+            for _ in range(self._SIGMA_ITERS):
+                u, udot = _horner(t0, t1, y0[:, cu], rows[:, :, cu], s).T
+                fval = u - uq
+                above, below = fval > 0, fval < 0
+                hi = np.where(above & (s < hi), s, hi)
+                lo = np.where(below & (s > lo), s, lo)
+                s_new = np.where(udot > 0, s - fval / udot, np.nan)
+                s_new = np.where((lo <= s_new) & (s_new <= hi), s_new,
+                                 0.5 * (lo + hi))
+                s_new = np.where(above | below, s_new, s)   # fval == 0
+                converged = np.abs(s_new - s) <= self._SIGMA_TOL
+                s = np.where(done, s, s_new)
+                done |= converged
+                if done.all():
+                    break
+            else:
+                return None
+            v = _horner(t0, t1, y0[:, cv], rows[:, :, cv], s)
+            ud = v[:, 2 * n]
+            if (ud <= 0.0).any():
+                return None
+            return v[:, :n], v[:, n:2 * n] / ud[:, None], v[:, -1]
+
 
 def reduce_trajectory(traj: Trajectory) -> ReducedTrajectory:
     """Reparametrize a geodesic trajectory by u.
@@ -972,7 +1077,8 @@ def _residual_pass(metric: BrinkmannMetric, traj: Trajectory) -> tuple:
         require_finite_velocities(
             f"u/w-equation residual at sigma = {float(traj.t[stop])!r}",
             vel[stop].tolist())
-        raise ZeroUdotError(f"du/dsigma vanished at sigma = {traj.t[stop]!r}")
+        raise ZeroUdotError(
+            f"du/dsigma vanished at sigma = {float(traj.t[stop])!r}")
     return worst_u, worst_w
 
 

@@ -369,23 +369,42 @@ def nonlocal_charge(system: HerglotzSystem, gen: SymmetryGenerator,
 
     The integral runs from the first sample; each step contributes a
     3-point Gauss-Legendre rule on the dense output, whose error per step,
-    O(h^7), stays below the flow's own.  Each node reads its state off the
-    dense output of its step as floats and evaluates dL/dw by the
-    system's compiled w-slope function (lagrangian_w_slope), which raises
-    NonFiniteError where a velocity is not finite.
+    O(h^7), stays below the flow's own.  The nodes' states are read at
+    once off the dense output, built at once (Trajectory.dense), as the
+    floats a read node by node gives; where that read would fail, they
+    are read node by node, and the first at fault raises its error.  Each
+    node evaluates dL/dw by the system's compiled w-slope function
+    (lagrangian_w_slope), which raises NonFiniteError where a velocity is
+    not finite.
     """
     u, qs = charge_series(system, gen, rt)
     grid = u.tolist()
+    uq = [grid[k] + a * (grid[k + 1] - grid[k])
+          for k in range(len(grid) - 1) for a, _ in _GAUSS3]
+    ks = np.arange(len(grid) - 1).repeat(len(_GAUSS3))
+
+    def slopes(states) -> list:
+        return [w_slope_at(system, x, q, w, xp)
+                for q, (x, xp, w) in zip(uq, states)]
+
+    traj = rt.traj
+    built, nfev = traj._built.copy(), traj.nfev
+    try:
+        traj.dense
+        states = rt._states(np.array(uq))
+        got = None if states is None else slopes(
+            zip(*(a.tolist() for a in states)))
+    except HliftError:
+        got = None
+    if got is None:     # from the steps built before, a node at a time
+        traj._rewind(built, nfev)
+        got = slopes(map(rt._state, uq, ks.tolist()))
     integral = [0.0]
     for k in range(len(grid) - 1):
-        u0 = grid[k]
-        du = grid[k + 1] - u0
         acc = 0
-        for a, wt in _GAUSS3:
-            uq = u0 + a * du
-            x, xp, w = rt._state(uq, k)
-            acc += wt * w_slope_at(system, x, uq, w, xp)
-        integral.append(integral[-1] + du * acc)
+        for (_, wt), slope in zip(_GAUSS3, got[3 * k:3 * k + 3]):
+            acc += wt * slope
+        integral.append(integral[-1] + (grid[k + 1] - grid[k]) * acc)
     return u, np.exp(-np.array(integral)) * qs
 
 

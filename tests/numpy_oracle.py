@@ -86,7 +86,8 @@ def equation_residuals_numpy(metric: BrinkmannMetric, traj) -> tuple:
                     f"u/w-equation residual at sigma = {float(traj.t[k])!r} "
                     f"needs finite velocities, got {vel!r}")
         if ud == 0.0:
-            raise ZeroUdotError(f"du/dsigma vanished at sigma = {traj.t[k]!r}")
+            raise ZeroUdotError(
+                f"du/dsigma vanished at sigma = {float(traj.t[k])!r}")
         point = Point(y[:n], y[n], y[n + 1])
         b = metric.system.eval_bundle(point)
         acc = metric.accelerations(point, v, b)

@@ -205,6 +205,37 @@ def test_span_must_match_initial_u(tmp_path, capsys):
     assert "span.from" in capsys.readouterr().err
 
 
+def _span_scenario(tmp_path, u_from: float, u_to: float) -> str:
+    return write_scenario(tmp_path, {
+        "initial": {"x": [1.0], "xp": [0.0], "u": u_from, "w": 0.25},
+        "span": {"from": u_from, "to": u_to}})
+
+
+# a span at or below the stepper's smallest step, 1e-14 * max(1, |from|),
+# loaded and then stopped with "step size underflow" (exit 3)
+@pytest.mark.parametrize("command", [["run"], ["check", "equivalence"]])
+@pytest.mark.parametrize("u_from, u_to", [
+    (0.0, 1e-14), (1e6, 1e6 + 7.5e-9), (-5.0, -4.99999999999995)])
+def test_a_span_below_the_smallest_step_is_rejected_at_load(
+        tmp_path, capsys, no_integration, command, u_from, u_to):
+    path = _span_scenario(tmp_path, u_from, u_to)
+    assert main([command[0], path, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    least = dynamics.MIN_STEP * max(1.0, abs(u_from))
+    assert err == (f"error: span.to - span.from = {u_to - u_from!r} must "
+                   f"exceed the smallest step, 1e-14 * max(1, |span.from|) "
+                   f"= {least!r}\n")
+
+
+@pytest.mark.parametrize("command", [["run"], ["check", "equivalence"]])
+@pytest.mark.parametrize("u_from, u_to", [(0.0, 1.5e-14), (1e6, 1e6 + 1e-8)])
+def test_a_span_above_the_smallest_step_is_integrated(tmp_path, command,
+                                                      u_from, u_to):
+    path = _span_scenario(tmp_path, u_from, u_to)
+    assert main([command[0], path, *command[1:],
+                 "--out-dir", str(tmp_path / "o")]) == 0
+
+
 def test_invalid_json_located(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"system": "free",\n  "params": }\n')

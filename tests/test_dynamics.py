@@ -25,6 +25,7 @@ from hlift.errors import (BlowUpError, MonotonicityViolationError,
                           ZeroUdotError)
 from hlift.geometry import (BrinkmannMetric, HerglotzSystem,
                             NearlySingularKineticWarning, Point)
+from hlift.symmetry import _GAUSS3
 from hlift.systems import (coupled_curved, damped_action_dependent,
                            free_particle, harmonic_oscillator,
                            standard_catalog)
@@ -312,6 +313,130 @@ def test_nearly_singular_kinetic_block_takes_the_compiled_path():
     assert rt.traj.nfev == len(reduced_warned) + 3 * (len(rt) - 1)
 
 
+# ---------------------------------------------------------------- stacked dense output
+
+_TOLS = {"1e-10": TIGHT, "1e-13": IntegratorConfig(rtol=1e-13, atol=1e-15)}
+
+
+def _views(ent, cfg=TIGHT, span=5.0):
+    """The Herglotz trajectory from the default start over `span`, and
+    the geodesic one reduced."""
+    rs = ent.default_state
+    traj = integrate_geodesic(BrinkmannMetric(ent.system),
+                              lift_state(ent.system, rs), (0.0, math.inf),
+                              config=cfg, stop_at_u=rs.u + span)
+    return (integrate_herglotz(ent.system, rs, (rs.u, rs.u + span), config=cfg),
+            reduce_trajectory(traj))
+
+
+def _gauss_nodes(rt) -> tuple:
+    """The nonlocal charge's nodes as floats, three per step, and their
+    steps."""
+    grid = rt.u.tolist()
+    nodes = [grid[k] + a * (grid[k + 1] - grid[k])
+             for k in range(len(grid) - 1) for a, _ in _GAUSS3]
+    return nodes, np.arange(len(grid) - 1).repeat(3)
+
+
+def _stacked_reads(rt, nodes) -> list:
+    """ReducedTrajectory._states at the nodes, as _state's (x, x', w)."""
+    rt.traj.dense
+    return list(zip(*(a.tolist() for a in rt._states(np.array(nodes)))))
+
+
+@pytest.mark.parametrize("tol", sorted(_TOLS))
+@pytest.mark.parametrize("key", sorted(standard_catalog()))
+def test_stacked_node_reads_are_the_reads_node_by_node(key, tol):
+    # every Gauss node of every step, on both views, read at once is read
+    # as _state(uq, k) reads it, to the bit, and the reads make no call
+    for rt in _views(standard_catalog()[key], _TOLS[tol]):
+        nodes, ks = _gauss_nodes(rt)
+        got = _stacked_reads(rt, nodes)
+        nfev = rt.traj.nfev
+        assert got == [rt._state(q, k) for q, k in zip(nodes, ks.tolist())]
+        assert rt.traj.nfev == nfev
+
+
+def test_a_node_on_the_end_of_its_step_is_read_off_the_next():
+    # a node that rounds onto the end of its step is read off the step
+    # _bracket assigns (the next one; the last step for the last sample),
+    # as _state(uq, k) reads it
+    for rt in _views(standard_catalog()["damped-action"]):
+        grid = rt.u.tolist()
+        last = len(grid) - 2
+        nodes = [grid[4], grid[-1], math.nextafter(grid[4], -math.inf),
+                 grid[0]]
+        ks = np.array([3, last, 3, 0])
+        want = [rt._state(q, k) for q, k in zip(nodes, ks.tolist())]
+        assert _stacked_reads(rt, nodes) == want
+        assert want[0] == rt._state(grid[4], 4) != rt._state(nodes[2], 3)
+
+
+@pytest.mark.parametrize("key", ["damped-action", "coupled"])
+def test_a_node_reads_the_same_floats_whatever_shares_its_pass(key):
+    # each node's Newton lane is its own: a subset of the nodes, in
+    # another order, reads each node's floats of the read of all nodes
+    for rt in _views(standard_catalog()[key], _TOLS["1e-13"]):
+        nodes, _ = _gauss_nodes(rt)
+        every = _stacked_reads(rt, nodes)
+        some = list(range(len(nodes)))[::-7] + [1, 2]
+        assert _stacked_reads(rt, [nodes[i] for i in some]) == [
+            every[i] for i in some]
+
+
+def _twin_views(ent):
+    """Two equal copies of _views(ent), so that one can be read at once
+    and the other step by step."""
+    return zip(_views(ent), _views(ent))
+
+
+def _as_lists(step: tuple) -> tuple:
+    """A built step (Trajectory._step) with its states and rows as lists."""
+    t0, t1, y0, rows = step
+    return t0, t1, list(y0), [list(row) for row in rows]
+
+
+def test_the_stacked_build_is_the_build_step_by_step():
+    # with some steps built by queries first, dense builds the rest at
+    # once: every step keeps _step's floats and counts its three calls,
+    # and later queries make no call
+    for stacked, single in _twin_views(standard_catalog()["coupled"]):
+        a, b = stacked.traj, single.traj
+        for k in (0, 3, len(a) - 2):
+            a._step(k)
+        rows = a.dense
+        want = np.array([b._step(k)[3] for k in range(len(b) - 1)])
+        assert rows.tolist() == want.tolist()
+        assert a.nfev == b.nfev
+        assert [_as_lists(step) for step in a._built] == [
+            _as_lists(step) for step in b._built]
+        q = 0.5 * (stacked.u[5] + stacked.u[6])
+        assert stacked._state(q) == single._state(q)
+        assert a.nfev == b.nfev
+
+
+@pytest.mark.parametrize("step", [0, 4])
+def test_a_declined_dense_stage_raises_as_the_build_step_by_step(step):
+    # a kept stage made nan at one step: dense builds the steps one at a
+    # time, the steps before it are built and it raises their error
+    for stacked, single in _twin_views(standard_catalog()["damped-action"]):
+        errors = []
+        for traj in (stacked.traj, single.traj):
+            width = len(dynamics._KEPT) * traj.y.shape[1]
+            traj._steps[step * (1 + width) + 1] = math.nan
+        with pytest.raises(NonFiniteError) as info:
+            stacked.traj.dense
+        errors.append(str(info.value))
+        with pytest.raises(NonFiniteError) as info:
+            for k in range(len(single.traj) - 1):
+                single.traj._step(k)
+        errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert "dense output of the step" in errors[0]
+        assert stacked.traj.nfev == single.traj.nfev
+        assert stacked.traj._built[:step + 1] == single.traj._built[:step + 1]
+
+
 @pytest.mark.parametrize("settings, message", [
     ({"rtol": 0.0, "atol": 0.0}, "rtol and atol must not both be zero"),
     ({"rtol": math.nan}, "rtol must be a finite number, got nan"),
@@ -563,7 +688,8 @@ def test_the_first_sample_at_fault_raises(damped_sample_run, monkeypatch,
         traj.y[k, col] = value
     message = _raised_three_times(met, traj, error)
     if error is ZeroUdotError:
-        assert repr(traj.t[3]) in message
+        assert message == (
+            f"du/dsigma vanished at sigma = {float(traj.t[3])!r}")
 
 
 def test_a_non_finite_velocity_is_no_pass(damped_sample_run):

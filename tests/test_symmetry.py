@@ -14,7 +14,9 @@ from hlift.cloud import point_cloud, state_cloud
 from hlift.dynamics import (IntegratorConfig, ReducedState, integrate_geodesic,
                             integrate_herglotz, lagrangian_w_slope, lift_state,
                             reduce_trajectory, w_slope_at)
-from hlift.errors import HliftError, NonFiniteError, SingularJacobianError
+from hlift.errors import (HliftError, MonotonicityViolationError,
+                          NonFiniteError, SigmaInversionError,
+                          SingularJacobianError)
 from hlift.geometry import BrinkmannMetric, CoordinateMap, HerglotzSystem, Point
 from hlift.symmetry import (_GAUSS3, SymmetryGenerator, affine_charge,
                             charge_series, conformal_killing_residual,
@@ -375,6 +377,93 @@ def nonlocal_charge_bracketed(system, gen, rt):
             acc += wt * w_slope_at(system, x, uq, w, xp)
         integral.append(integral[-1] + du * acc)
     return u, np.exp(-np.array(integral)) * qs
+
+
+def nonlocal_charge_node_by_node(system, gen, rt):
+    """nonlocal_charge as it read the nodes before it read them at once:
+    step by step, each node off its step by rt._state(uq, k), building
+    each step on its first node."""
+    u, qs = charge_series(system, gen, rt)
+    grid = u.tolist()
+    integral = [0.0]
+    for k in range(len(grid) - 1):
+        u0 = grid[k]
+        du = grid[k + 1] - u0
+        acc = 0
+        for a, wt in _GAUSS3:
+            uq = u0 + a * du
+            x, xp, w = rt._state(uq, k)
+            acc += wt * w_slope_at(system, x, uq, w, xp)
+        integral.append(integral[-1] + du * acc)
+    return u, np.exp(-np.array(integral)) * qs
+
+
+def _kept_stage_at(rt, step: int) -> int:
+    """The index in rt.traj._steps of the kept first stage of `step`."""
+    return step * (1 + len(dynamics._KEPT) * rt.traj.y.shape[1]) + 1
+
+
+def _declined_dense_stage(rt, step: int, monkeypatch) -> None:
+    """Make a kept stage of `step` nan, so a dense stage is declined."""
+    rt.traj._steps[_kept_stage_at(rt, step)] = math.nan
+
+
+def _udot_turns_negative(rt, step: int, monkeypatch) -> None:
+    """Make du/dsigma of the geodesic view `rt` negative at the nodes of
+    `step`, u left as it is: the udot entry of its kept first stage
+    becomes -500 / h."""
+    at = _kept_stage_at(rt, step)
+    rt.traj._steps[at + 2 * rt.n + 2] = -500.0 / rt.traj._steps[at - 1]
+
+
+def _iterations_run_out(rt, step: int, monkeypatch) -> None:
+    """Give sigma_at one Newton iteration, which no node converges in."""
+    monkeypatch.setattr(dynamics.ReducedTrajectory, "_SIGMA_ITERS", 1)
+
+
+@pytest.mark.parametrize("fault, views, error", [
+    (_declined_dense_stage, (0, 1), NonFiniteError),
+    (_udot_turns_negative, (1,), MonotonicityViolationError),
+    (_iterations_run_out, (1,), SigmaInversionError)])
+@pytest.mark.parametrize("step", [0, 5])
+def test_a_failed_stacked_read_raises_as_the_read_node_by_node(
+        fault, views, error, step, monkeypatch):
+    # where a dense stage is declined, a node's du/dsigma is not positive
+    # or its sigma does not converge, nonlocal_charge raises the error of
+    # the node-by-node read, with the nfev and built steps that read leaves
+    ent = standard_catalog()["damped-action"]
+    gen = ent.generators["time-shift"]
+    for view in views:
+        raised = []
+        for charge in (nonlocal_charge, nonlocal_charge_node_by_node):
+            rt = _both_views(ent)[view]
+            fault(rt, step, monkeypatch)
+            with pytest.raises(error) as info:
+                charge(ent.system, gen, rt)
+            raised.append((str(info.value), rt.traj.nfev,
+                           [s is None for s in rt.traj._built]))
+        assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize("key", sorted(standard_catalog()))
+def test_a_fault_free_nonlocal_charge_reads_no_node_alone(key, monkeypatch):
+    # without a fault every node comes off the stacked read, with the
+    # bits and nfev of the read node by node, which is never called
+    ent = standard_catalog()[key]
+    gen = next(iter(_series_generators(key).values()))
+    want = []
+    for rt in _both_views(ent):
+        want.append((nonlocal_charge_node_by_node(ent.system, gen, rt)[1]
+                     .tolist(), rt.traj.nfev))
+
+    def alone(*args):
+        raise AssertionError("a node read alone")
+    monkeypatch.setattr(dynamics.ReducedTrajectory, "_state", alone)
+    got = []
+    for rt in _both_views(ent):
+        got.append((nonlocal_charge(ent.system, gen, rt)[1].tolist(),
+                    rt.traj.nfev))
+    assert got == want
 
 
 @pytest.fixture
