@@ -268,7 +268,7 @@ class Check:
     needs_generator: bool = False  # requested as `name:G`
     needs_damped_pair: bool = False  # runs on the damped catalog pair only
     info_if_w_dependent: bool = False  # rows are `info`, without a tolerance
-    column: Optional[Tuple[str, Callable]] = None  # run's (prefix, charge fn)
+    column: Optional[Tuple[str, str]] = None  # run's (prefix, charge fn name)
     cloud: Optional[str] = None  # the Halton cloud it samples, _CLOUD_DIMS
 
 
@@ -369,14 +369,14 @@ def _check_symmetry(ctx, cache, gen):
 # the plain charge legitimately drifts on a w-dependent system
 @_check("noether-charge", 1e-6, "reduced-charge-conservation",
         needs_generator=True, info_if_w_dependent=True,
-        column=("Q_", charge_series))
+        column=("Q_", "charge_series"))
 def _check_noether_charge(ctx, cache, gen):
     _, qs = charge_series(ctx.system, gen, cache.herglotz)
     return [float(np.max(np.abs(qs - qs[0])))]
 
 
 @_check("nonlocal-charge", 1e-6, "nonlocal-charge-conservation",
-        needs_generator=True, column=("Qnl_", nonlocal_charge))
+        needs_generator=True, column=("Qnl_", "nonlocal_charge"))
 def _check_nonlocal_charge(ctx, cache, gen):
     _, qs = nonlocal_charge(ctx.system, gen, cache.herglotz)
     scale = max(1e-30, float(np.max(np.abs(qs))))
@@ -424,7 +424,7 @@ def _find_generator(ctx: ScenarioContext, gen_name: str) -> SymmetryGenerator:
     known = sorted(set(ctx.entry.generators) | set(ctx.entry.conformal))
     raise ScenarioError(
         f"system {ctx.entry.key!r} has no generator {gen_name!r}; "
-        f"known: {', '.join(known)}")
+        f"known: {', '.join(known) or 'none'}")
 
 
 def resolve_checks(ctx: ScenarioContext, names: List[str]) -> List[tuple]:
@@ -485,8 +485,8 @@ def run_check(ctx: ScenarioContext, cache: _RunCache,
 # output helpers
 
 def _trajectory_csv(ctx: ScenarioContext, rt: ReducedTrajectory) -> str:
-    """One trajectory CSV's text: a row per accepted step, plus a column
-    per charge check of the scenario; floats round-trip through %.17g."""
+    """One trajectory CSV's text: a row per accepted step, a column per
+    charge check (called by name); floats round-trip through %.17g."""
     n = ctx.system.n
     header = (["u", "sigma"] + [f"x{i + 1}" for i in range(n)]
               + [f"xp{i + 1}" for i in range(n)] + ["w", "null_residual"])
@@ -495,7 +495,7 @@ def _trajectory_csv(ctx: ScenarioContext, rt: ReducedTrajectory) -> str:
         if check.column is not None:
             prefix, charge = check.column
             header.append(prefix + name.partition(":")[2])
-            charges.append(charge(ctx.system, gen, rt)[1])
+            charges.append(globals()[charge](ctx.system, gen, rt)[1])
     traj = rt.traj
     nulls = traj.diagnostics.get("null_residual", np.zeros(len(rt)))
     lines = [",".join(header)]

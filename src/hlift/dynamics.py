@@ -149,8 +149,12 @@ def w_slope_at(system: HerglotzSystem, x: list, u: float, w: float,
                xp: list) -> float:
     """lagrangian_w_slope at the state (x, x', u, w) given as floats."""
     args = (*x, u, w, *xp)
-    return system._passes.call("w-slope", _w_slope_tail, args,
-                               _w_slope_steps, system, x, u, w, xp)[0]
+    passes = system._passes
+    out = (passes._fns.get(("w-slope",))
+           or passes.pipeline("w-slope", _w_slope_tail))(*args)
+    if out is None:
+        passes.explain("w-slope", args, _w_slope_steps, system, x, u, w, xp)
+    return out[0]
 
 
 def _w_slope_steps(system: HerglotzSystem, x: list, u: float, w: float,
@@ -954,8 +958,11 @@ def herglotz_rhs(system: HerglotzSystem, rs: ReducedState):
     """
     n = system.n
     args = (float(rs.u), *rs.x.tolist(), *rs.xp.tolist(), float(rs.w))
-    out = system._passes.call("reduced", _reduced_tail, args, _rhs_steps,
-                              system, rs.x, rs.u, rs.w)
+    passes = system._passes
+    out = (passes._fns.get(("reduced",))
+           or passes.pipeline("reduced", _reduced_tail))(*args)
+    if out is None:
+        passes.explain("reduced", args, _rhs_steps, system, rs.x, rs.u, rs.w)
     return np.array(out[n:2 * n]), out[2 * n]
 
 
@@ -1123,9 +1130,13 @@ def homogeneity_residual(system: HerglotzSystem, rs: ReducedState,
     ud = float(udot)
     args = (*rs.x.tolist(), float(rs.u), float(rs.w),
             *[v * ud for v in rs.xp.tolist()], ud)
-    return system._passes.call("homogeneity", _homogeneity_tail, args,
-                               _homogeneity_steps, system, rs, args,
-                               derivatives=False)[0]
+    passes = system._passes
+    out = (passes._fns.get(("homogeneity",)) or passes.pipeline(
+        "homogeneity", _homogeneity_tail, derivatives=False))(*args)
+    if out is None:
+        passes.explain("homogeneity", args, _homogeneity_steps, system, rs,
+                       args)
+    return out[0]
 
 
 def _homogeneity_steps(system: HerglotzSystem, rs: ReducedState,

@@ -20,8 +20,8 @@ Gamma.  `covariant_sym_grad` compiles it over a joint pass of the
 system's fields and a generator's components (SymmetryGenerator.joint).
 
 Each check and right-hand side is one compiled pipeline; FieldPasses
-builds, caches, names, calls and, where it declines a call, explains
-them all.
+builds, caches and names them all and explains the calls they decline,
+and each entry point calls its own from that cache.
 """
 
 from __future__ import annotations
@@ -129,9 +129,11 @@ def as_dimension(n) -> int:
 class FieldPasses:
     """The compiled pipelines (expr.compile_forward) over a fixed list of
     field entries, each built on first use (a catalog builds many systems
-    and generators and evaluates few of them), cached under (kind,
-    *systems) and named by `label`.  The bare passes are the tail-less
-    pipelines "values" and "derivatives" (`run`)."""
+    and generators and evaluates few of them) and named by `label`.  An
+    entry point reads its function from `_fns` under (kind, *systems),
+    builds it by `pipeline` on a miss and calls `explain` where it returns
+    None.  The bare passes are the tail-less pipelines "values" and
+    "derivatives" (`run`)."""
 
     def __init__(self, entries: Sequence, n: int, name: str):
         self.entries = list(entries)
@@ -166,19 +168,6 @@ class FieldPasses:
                 tail and functools.partial(tail, *systems))
         return fn
 
-    def call(self, kind: str, tail, args, steps, *context, systems=(),
-             derivatives: bool = True):
-        """The pipeline's outputs at `args`; where it declines the call,
-        the error that its steps explain (`explain`).  `systems` is a
-        tuple."""
-        fn = self._fns.get((kind,) + systems)
-        if fn is None:
-            fn = self.pipeline(kind, tail, *systems, derivatives=derivatives)
-        out = fn(*args)
-        if out is None:
-            self.explain(kind, args, steps, *context, systems=systems)
-        return out
-
     def explain(self, kind: str, args, steps, *context, systems=()):
         """Raise the error of a call with the arguments `args` that the
         pipeline declined.  steps(*systems, *context) reruns, in the
@@ -203,17 +192,20 @@ class FieldPasses:
         axes: the pass runs at each sample in order, and the first sample
         it declines raises."""
         kind = "derivatives" if derivatives else "values"
+        fn = (self._fns.get((kind,))
+              or self.pipeline(kind, None, derivatives=derivatives))
         x = point.x
-        if x.ndim == 1:
-            args = (*x.tolist(), float(point.u), float(point.w))
-            return self.call(kind, None, args, self._interpret, args,
-                             derivatives, derivatives=derivatives)
-        rows = np.column_stack((x.reshape(-1, self.n), np.ravel(point.u),
-                                np.ravel(point.w))).tolist()
-        return np.array([self.call(kind, None, args, self._interpret, args,
-                                   derivatives, derivatives=derivatives)
-                         for args in map(tuple, rows)]).reshape(
-                             x.shape[:-1] + (-1,))
+        rows = ([(*x.tolist(), float(point.u), float(point.w))] if x.ndim == 1
+                else map(tuple, np.column_stack(
+                    (x.reshape(-1, self.n), np.ravel(point.u),
+                     np.ravel(point.w))).tolist()))
+        outs = []
+        for args in rows:
+            outs.append(fn(*args))
+            if outs[-1] is None:
+                self.explain(kind, args, self._interpret, args, derivatives)
+        return (outs[0] if x.ndim == 1
+                else np.array(outs).reshape(x.shape[:-1] + (-1,)))
 
     def _interpret(self, coords: tuple, derivatives: bool) -> None:
         """The steps of a bare pass: NonFiniteError at a non-finite
@@ -629,19 +621,21 @@ def covariant_sym_grad(metric: BrinkmannMetric, gen, point: Point) -> np.ndarray
     the generator's components (SymmetryGenerator.joint) evaluates it;
     where that declines, FieldPasses.explain raises the point's error."""
     args = (*point.x.tolist(), float(point.u), float(point.w))
-    out = gen.joint(metric.system).call(
-        "lie-derivative", _lie_tail, args, joint_steps, metric.system, gen,
-        point.x, point.u, point.w)
+    passes = gen._joints.get(metric.system) or gen.joint(metric.system)
+    out = (passes._fns.get(("lie-derivative",))
+           or passes.pipeline("lie-derivative", _lie_tail))(*args)
+    if out is None:
+        passes.explain("lie-derivative", args, joint_steps, metric.system,
+                       gen, point)
     m = metric.dim
     return np.array(out, dtype=float).reshape(m, m)
 
 
-def joint_steps(system: HerglotzSystem, gen, x, u: float, w: float,
+def joint_steps(system: HerglotzSystem, gen, point: Point,
                 solve: bool = False) -> None:
     """The steps of a joint pipeline that can be at fault, in its order:
-    the system's derivative pass at (x, u, w), the generator's and, with
+    the system's derivative pass at the point, the generator's and, with
     `solve`, the solve with h."""
-    point = Point(x, u, w)
     b = system.eval_bundle(point)
     gen.components_at(point)
     if solve:
@@ -741,8 +735,9 @@ def conformal_pullback_check(metric_a: BrinkmannMetric, metric_b: BrinkmannMetri
     except FieldEvalError:
         out = None
     else:
-        out = cmap._passes.pipeline("pullback", _pullback_tail,
-                                    *systems)(*x, u, w, om)
+        out = (cmap._passes._fns.get(("pullback", *systems))
+               or cmap._passes.pipeline("pullback", _pullback_tail,
+                                        *systems))(*x, u, w, om)
     if out is None:
         cmap._passes.explain("pullback", (*x, u, w), _pullback_steps, cmap,
                              omega_f, point, systems=systems)

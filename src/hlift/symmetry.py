@@ -14,9 +14,9 @@ space.  The same object is checked at three levels:
 
 Each check is one compiled pipeline over a joint pass of a system's
 fields and a generator's components (SymmetryGenerator.joint), or over a
-coordinate map's pass for a pair of systems.  FieldPasses.call runs it,
-and where it declines a call, raises the error that the check's own
-steps explain.
+coordinate map's pass for a pair of systems, cached by that FieldPasses
+(`_fns`); where it declines a call, FieldPasses.explain raises the error
+that the check's own steps find.
 
 Charges: the usual momentum-type charge of a generator, its full-space
 affine counterpart g(K, xdot), and the nonlocally rescaled charge that
@@ -120,9 +120,13 @@ def conformal_killing_residual(metric: BrinkmannMetric, gen: SymmetryGenerator,
     declines, FieldPasses.explain raises the point's error.
     """
     args = (*point.x.tolist(), float(point.u), float(point.w))
-    return gen.joint(metric.system).call(
-        "conformal-killing", _conformal_killing_tail, args, joint_steps,
-        metric.system, gen, point.x, point.u, point.w, True)
+    passes = gen._joints.get(metric.system) or gen.joint(metric.system)
+    out = (passes._fns.get(("conformal-killing",)) or passes.pipeline(
+        "conformal-killing", _conformal_killing_tail))(*args)
+    if out is None:
+        passes.explain("conformal-killing", args, joint_steps, metric.system,
+                       gen, point, True)
+    return out
 
 
 def conformal_factor(metric: BrinkmannMetric, gen: SymmetryGenerator,
@@ -176,9 +180,12 @@ def symmetry_condition_residual(system: HerglotzSystem, gen: SymmetryGenerator,
     FieldPasses.explain raises the state's error.
     """
     args = (*rs.x.tolist(), *rs.xp.tolist(), float(rs.u), float(rs.w))
-    return gen.joint(system).call("symmetry", _symmetry_tail, args,
-                                  joint_steps, system, gen, rs.x, rs.u,
-                                  rs.w)[0]
+    passes = gen._joints.get(system) or gen.joint(system)
+    out = (passes._fns.get(("symmetry",))
+           or passes.pipeline("symmetry", _symmetry_tail))(*args)
+    if out is None:
+        passes.explain("symmetry", args, joint_steps, system, gen, rs.point())
+    return out[0]
 
 
 def _symmetry_tail(em, nodes):
@@ -263,9 +270,12 @@ def degreewise_max_residual(system: HerglotzSystem, gen: SymmetryGenerator,
     FieldPasses.explain raises the point's error.
     """
     args = (*point.x.tolist(), float(point.u), float(point.w))
-    return gen.joint(system).call("degreewise", _degreewise_tail, args,
-                                  joint_steps, system, gen, point.x, point.u,
-                                  point.w)[0]
+    passes = gen._joints.get(system) or gen.joint(system)
+    out = (passes._fns.get(("degreewise",))
+           or passes.pipeline("degreewise", _degreewise_tail))(*args)
+    if out is None:
+        passes.explain("degreewise", args, joint_steps, system, gen, point)
+    return out[0]
 
 
 def _degreewise_tail(em, nodes):
@@ -426,9 +436,13 @@ def transform_rule_check(system_a: HerglotzSystem, system_b: HerglotzSystem,
     SingularJacobianError where |du'/du| < 1e-12.
     """
     args = (*rs.x.tolist(), *rs.xp.tolist(), float(rs.u), float(rs.w))
-    return cmap._passes.call("transform-rule", _transform_rule_tail, args,
-                             _transform_rule_steps, cmap, rs,
-                             systems=(system_a, system_b))[0]
+    passes, systems = cmap._passes, (system_a, system_b)
+    out = (passes._fns.get(("transform-rule", *systems)) or passes.pipeline(
+        "transform-rule", _transform_rule_tail, *systems))(*args)
+    if out is None:
+        passes.explain("transform-rule", args, _transform_rule_steps, cmap,
+                       rs, systems=systems)
+    return out[0]
 
 
 def _transform_rule_steps(system_a: HerglotzSystem, system_b: HerglotzSystem,

@@ -4,9 +4,11 @@ Run from the root of a checkout; hlift is imported from its src/ and the
 benchmark's inputs from its hbench/:
 
     python tests/same_numbers.py --seeds 3 7 > numbers.json
+    python tests/same_numbers.py --compare parent.json numbers.json
 
-Two trees that compute the same bits write the same bytes.  The output
-holds five sections:
+Two trees that compute the same bits write the same bytes.  --compare
+prints how many leaves of two such files differ and the paths of the
+first few, and exits 1 where any does.  The output holds five sections:
 
   * "pairs": the pair-batch-shaped integrations (both pipelines at rtol
     1e-10 over a u-span of 10, the geodesic lifted with udot0 = 1) of
@@ -240,13 +242,51 @@ def charges() -> dict:
     return out
 
 
+def differing_leaves(a, b, path=()):
+    """The paths (section, key, index, ...) at which a and b differ, in
+    order: a leaf of another value or type, or a key or index that one
+    side lacks (its whole subtree one path)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            if key in a and key in b:
+                yield from differing_leaves(a[key], b[key], path + (key,))
+            else:
+                yield path + (key,)
+    elif isinstance(a, list) and isinstance(b, list):
+        for i in range(max(len(a), len(b))):
+            if i < len(a) and i < len(b):
+                yield from differing_leaves(a[i], b[i], path + (i,))
+            else:
+                yield path + (i,)
+    elif type(a) is not type(b) or a != b:
+        yield path
+
+
+def report(paths: list, shown: int = 10) -> str:
+    """What --compare prints: the number of differing leaves, then the
+    first `shown` of their paths, one a line."""
+    lines = [f"{len(paths)} differing leaves"]
+    lines += [" / ".join(map(str, path)) for path in paths[:shown]]
+    if len(paths) > shown:
+        lines.append(f"... and {len(paths) - shown} more")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", type=int, nargs="*", default=[3, 7],
                    help="hbench seeds of the pair starts, the "
                         "cli-scenario invocations and the cloud-sweep "
                         "clouds (default: 3 7)")
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                   help="compare two files this script wrote instead")
     args = p.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(f).read_text(encoding="utf-8"))
+                for f in args.compare)
+        paths = list(differing_leaves(a, b))
+        sys.stdout.write(report(paths))
+        return 1 if paths else 0
     numbers = {"pairs": pairs(args.seeds), "cli": cli(args.seeds),
                "acceptance": acceptance(), "clouds": clouds(args.seeds),
                "charges": charges()}

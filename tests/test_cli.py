@@ -70,6 +70,29 @@ def test_run_csv_header_and_charges(tmp_path):
     assert first[0] == first[1] == "0"
 
 
+def test_run_calls_each_charge_column_through_the_cli_binding(
+        tmp_path, monkeypatch):
+    # run looks its charge functions up in hlift.cli when it calls them, so
+    # a wrapper there (a tracer's, a test's) sees one call per trajectory,
+    # and the CSVs are the bytes of an unwrapped run
+    checks = ["noether-charge:time-shift", "nonlocal-charge:time-shift"]
+    plain, wrapped = tmp_path / "plain", tmp_path / "wrapped"
+    path = write_scenario(tmp_path, {"checks": checks})
+    assert main(["run", path, "--out-dir", str(plain)]) == 0
+    seen = {"charge_series": [], "nonlocal_charge": []}
+    for name, calls in seen.items():
+        def counting(system, gen, rt, fn=getattr(cli, name), calls=calls):
+            calls.append(rt)
+            return fn(system, gen, rt)
+        monkeypatch.setattr(cli, name, counting)
+    assert main(["run", path, "--out-dir", str(wrapped)]) == 0
+    series, nonlocal_ = seen.values()
+    assert len(series) == 2 and series[0] is not series[1]
+    assert nonlocal_ == series
+    for name in ("geodesic.csv", "reduced.csv"):
+        assert (wrapped / name).read_bytes() == (plain / name).read_bytes()
+
+
 def test_run_byte_identical(tmp_path):
     path = write_scenario(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -264,6 +287,17 @@ def test_unknown_generator_listed(tmp_path, capsys):
     assert main(["check", path]) == 2
     err = capsys.readouterr().err
     assert "rotation-99" in err and "time-shift" in err
+
+
+def test_a_system_without_generators_says_so(tmp_path, capsys,
+                                             no_integration):
+    path = write_scenario(tmp_path, {
+        "system": "coupled", "params": {}, "checks": ["killing:rotation-12"],
+        "initial": {"x": [0.1, 0.2], "xp": [0.0, 0.0], "u": 0.0, "w": 0.0}})
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: system 'coupled' has no generator 'rotation-12'; "
+        "known: none\n")
 
 
 # ------------------------------------------------------------------ numerics

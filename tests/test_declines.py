@@ -35,7 +35,10 @@ from hlift.symmetry import (SymmetryGenerator, conformal_factor,
                             degreewise_max_residual, killing_residual,
                             nonlocal_charge, symmetry_condition_residual,
                             transform_rule_check)
-from hlift.systems import conformal_pair, standard_catalog
+from hlift.systems import (conformal_pair, coupled_curved,
+                           damped_action_dependent, damped_conformal_map,
+                           damped_time_dependent, factory_params,
+                           standard_catalog)
 
 from numpy_oracle import conformal_split, herglotz_rhs_numpy
 
@@ -53,20 +56,41 @@ _INLINE_3 = HerglotzSystem(
     name="inline-3")
 
 
-def _subject(kind: str, n: int = 2):
-    """(label, cached functions, key, entry points) of the pipeline
+def _fresh_pair(n: int):
+    """conformal_pair(n=n), built anew: nothing of it is compiled yet."""
+    params = factory_params(damped_time_dependent)
+    return (damped_time_dependent(**params, n=n),
+            damped_action_dependent(**params, n=n),
+            *damped_conformal_map(params["gamma"], n))
+
+
+def _subject(kind: str, n: int = 2, fresh: bool = False):
+    """(label, cached functions, key, entry points, at) of the pipeline
     `kind`: the label its explanation names, the FieldPasses dict that
     caches its function under `key` = (kind, *systems) once an entry
-    point has built it, and the zero-argument calls of every public
-    entry point over it.  The system is `coupled` for n = 2, _INLINE_3
-    for n = 3."""
-    system = standard_catalog()["coupled"].system if n == 2 else _INLINE_3
+    point has built it, the zero-argument calls of every public entry
+    point over it, each called once at a healthy point, and at(x1),
+    which moves them to the point whose first coordinate is x1.  The
+    system is `coupled` for n = 2, _INLINE_3 for n = 3.  With `fresh`
+    (n = 2), the systems and the map are built anew and no entry point
+    is called."""
+    if fresh:
+        system = coupled_curved().system
+        ent_a, ent_b, cmap, factor = _fresh_pair(n)
+    else:
+        system = standard_catalog()["coupled"].system if n == 2 else _INLINE_3
+        ent_a, ent_b, cmap, factor = conformal_pair(n=n)
     metric = BrinkmannMetric(system)
     gen = SymmetryGenerator(n, ["x2", "-x1", *["0"] * (n - 2)], "1", "0.1*w",
                             name="probe")
-    p = Point([0.3, -0.2, 0.1][:n], 0.5, 0.25)
-    rs = ReducedState([0.3, -0.2, 0.1][:n], [0.5, 0.1, -0.3][:n], 0.5, 0.25)
-    ent_a, ent_b, cmap, factor = conformal_pair(n=n)
+    p = rs = None
+
+    def at(x1: float) -> None:
+        nonlocal p, rs
+        p = Point([x1, -0.2, 0.1][:n], 0.5, 0.25)
+        rs = ReducedState([x1, -0.2, 0.1][:n], [0.5, 0.1, -0.3][:n], 0.5,
+                          0.25)
+    at(0.3)
     a, b = ent_a.system, ent_b.system
     if kind in ("geodesic", "geodesic-flow", "reduced", "homogeneity",
                 "w-slope"):
@@ -101,20 +125,20 @@ def _subject(kind: str, n: int = 2):
                     lambda: nonlocal_charge(system, gen, integrate_herglotz(
                         system, rs, (rs.u, rs.u + 1.0), _CFG))],
     }[kind]
-    for entry in entries:
+    for entry in [] if fresh else entries:
         entry()             # healthy: builds the function and returns
-    return label, passes._fns, key, entries
+    return label, passes._fns, key, entries, at
 
 
 def test_the_table_holds_every_pipeline_of_the_source():
-    # the kinds named in the first argument of a .call( or .pipeline(
-    # call, however many lines it spans; run's bare passes excluded
+    # the kinds named in the first argument of a .pipeline( call, however
+    # many lines it spans; run's bare passes excluded
     named = set()
     for path in Path(hlift.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("call", "pipeline") and node.args):
+                    and node.func.attr == "pipeline" and node.args):
                 named.update(c.value for c in ast.walk(node.args[0])
                              if isinstance(c, ast.Constant)
                              and isinstance(c.value, str))
@@ -123,7 +147,7 @@ def test_the_table_holds_every_pipeline_of_the_source():
 
 @pytest.mark.parametrize("kind", _KINDS)
 def test_a_declined_call_raises_naming_its_pipeline(kind, monkeypatch):
-    label, fns, key, entries = _subject(kind)
+    label, fns, key, entries, _ = _subject(kind)
     # the generated code's file is <forward label hash>
     named = re.fullmatch(r"<forward (.+) [0-9a-f]{8}>",
                          fns[key].__code__.co_filename)
@@ -145,7 +169,7 @@ def test_a_compiled_pipeline_declines_every_non_finite_argument(
     # argument (coordinate, velocity or other), the compiled function
     # returns None, raising and warning nothing; the arguments are those
     # of its first call by an entry point at a healthy point
-    _, fns, key, entries = _subject(kind, n)
+    _, fns, key, entries, _ = _subject(kind, n)
     fn = fns[key]
     seen = []
     monkeypatch.setitem(fns, key, lambda *args: seen.append(args) or fn(*args))
@@ -172,6 +196,30 @@ def _raised(fn):
         else:
             raise AssertionError("nothing raised")
     return raised, [(w.category, str(w.message)) for w in warned]
+
+
+# the kinds with an entry point that evaluates them at one point; the
+# integrator alone calls the geodesic ones
+_POINTWISE = [kind for kind in _KINDS if not kind.startswith("geodesic")]
+
+
+@pytest.mark.parametrize("kind", _POINTWISE)
+def test_a_first_call_that_declines_raises_as_a_later_one_does(kind):
+    # the first call on fresh objects builds the pipeline on a cache miss;
+    # where it declines, at a non-finite coordinate, it raises the error,
+    # and warns the warnings, of the same call made after a healthy call
+    # has built the pipeline
+    for k in range(len(_subject(kind, fresh=True)[3])):
+        _, fns, key, entries, at = _subject(kind, fresh=True)
+        at(math.nan)
+        assert key not in fns
+        cold = _raised(entries[k])
+        # each kind's first entry point evaluates the pipeline itself
+        assert key in fns or k > 0, k
+        at(0.3)
+        entries[k]()
+        at(math.nan)
+        assert _raised(entries[k]) == cold, k
 
 
 # (system, x) with det h == 0 at x: n = 1 and 2 solve in closed form, n = 3
