@@ -243,19 +243,30 @@ class _RunCache:
 def _checkpoint_gaps(ctx: ScenarioContext, ta: ReducedTrajectory,
                      *others: ReducedTrajectory, w_rate: float = 0.0):
     """Largest |x_a - x_b|, |exp(-w_rate u) w_a - w_b| and |xp_a - xp_b|
-    over the u checkpoints of trajectory a and each of the others, with
-    each state of a read once, as floats."""
+    over the u checkpoints of trajectory a and each of the others, as
+    floats.  Each view's checkpoints are read at once, building only the
+    steps they land in (ReducedTrajectory._states); where a view's read
+    would fail, every view forgets the steps it built and the checkpoints
+    are read one at a time, a's state then each other's, so that the
+    first at fault raises its error."""
+    views = (ta, *others)
+    uq = np.linspace(ctx.span[0], ctx.span[1], _CHECKPOINTS)
+    marks = [(v.traj._built.copy(), v.traj.nfev) for v in views]
+    states = [v._states(uq) for v in views]
+    if any(st is None for st in states):
+        for v, mark in zip(views, marks):
+            v.traj._rewind(*mark)
+        reads = [[v._state(u) for v in views] for u in uq.tolist()]
+        states = [[np.array(a) for a in zip(*col)] for col in zip(*reads)]
+    (x_a, xp_a, w_a), *rest = states
+    scale = np.array([math.exp(-w_rate * u) for u in uq.tolist()])
     gap_x = gap_w = gap_xp = 0.0
-    for u in np.linspace(ctx.span[0], ctx.span[1], _CHECKPOINTS).tolist():
-        x_a, xp_a, w_a = ta._state(u)
-        for tb in others:
-            x_b, xp_b, w_b = tb._state(u)
-            for a, b in zip(x_a, x_b):
-                gap_x = max(gap_x, abs(a - b))
-            gap_w = max(gap_w, abs(math.exp(-w_rate * u) * w_a - w_b))
-            for a, b in zip(xp_a, xp_b):
-                gap_xp = max(gap_xp, abs(a - b))
-    return gap_x, gap_w, gap_xp
+    for x_b, xp_b, w_b in rest:
+        # fmax, like a running max(), passes over a nan gap
+        gap_x = np.fmax.reduce(np.abs(x_a - x_b), None, initial=gap_x)
+        gap_w = np.fmax.reduce(np.abs(scale * w_a - w_b), initial=gap_w)
+        gap_xp = np.fmax.reduce(np.abs(xp_a - xp_b), None, initial=gap_xp)
+    return float(gap_x), float(gap_w), float(gap_xp)
 
 
 @dataclass(frozen=True)
@@ -499,12 +510,12 @@ def _trajectory_csv(ctx: ScenarioContext, rt: ReducedTrajectory) -> str:
     traj = rt.traj
     nulls = traj.diagnostics.get("null_residual", np.zeros(len(rt)))
     lines = [",".join(header)]
+    fmt = ",".join(["%.17g"] * len(header))
     for block in sample_blocks(len(rt)):
         x, xp, u, w = rt.sample_arrays(block)
         rows = np.column_stack([u, traj.t[block], x, xp, w, nulls[block],
                                 *[q[block] for q in charges]])
-        lines += [",".join(["%.17g" % v for v in row])
-                  for row in rows.tolist()]
+        lines += [fmt % tuple(row) for row in rows.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -317,10 +318,11 @@ def _combo(row: dict, j: int) -> str:
     return " + ".join(f"{a!r} * k{c + 1}_{j}" for c, a in row.items())
 
 
-def _fold(row: dict, k: dict):
-    """_combo over the stage arrays k, term by term from the left."""
-    first, *rest = [a * k[c + 1] for c, a in row.items()]
-    return sum(rest, first)
+def _fold(row: dict, K: np.ndarray) -> np.ndarray:
+    """_combo over the stacked stage arrays K[stage], term by term from
+    the left: one reduction over axis 0, which numpy adds in order."""
+    coefs = np.array(list(row.values()))[:, None, None]
+    return np.add.reduce(coefs * K[[c + 1 for c in row]], axis=0)
 
 
 def _call(takes_t: bool, tc: str, state: list, out: list, declined=(),
@@ -610,7 +612,6 @@ class Trajectory:
     def _rewind(self, built: list, nfev: int) -> None:
         """Forget the steps built since _built was `built`, nfev `nfev`."""
         self._built[:], self.nfev = built, nfev
-        self.__dict__.pop("dense", None)
 
     def memo(self, key, make):
         """make() on the first request for `key`, kept unless it raises."""
@@ -618,22 +619,30 @@ class Trajectory:
             self._memo[key] = make()
         return self._memo[key]
 
-    @functools.cached_property
+    @property
     def dense(self) -> np.ndarray:
         """The rows of every step's dense polynomial, shape (steps, 7,
-        size).  The steps no query has built are built at once (_build),
-        or, where fn declines a dense stage of one, a step at a time in
-        order (_step), so that the first at fault raises its error."""
-        todo = [k for k, step in enumerate(self._built) if step is None]
-        rows = self._build(todo) if todo else None
+        size): _rows of every step, or, where fn declines a dense stage,
+        the steps built a step at a time in order (_step), so that the
+        first at fault raises its error."""
+        every = range(len(self._built))
+        rows = self._rows(every)
         if rows is None:
-            for k in todo:
+            for k in every:
                 self._step(k)
-        elif len(todo) == len(self._built):
+        return self._rows(every) if rows is None else rows
+
+    def _rows(self, steps) -> Optional[np.ndarray]:
+        """The rows of the steps `steps` (distinct, increasing), shape
+        (steps, 7, size), with the steps not built yet built at once
+        (_build); None, building nothing, where fn declines a call."""
+        todo = [k for k in steps if self._built[k] is None]
+        rows = self._build(todo) if todo else None
+        if todo and (rows is None or len(todo) == len(steps)):
             return rows
-        return np.array([step[3] for step in self._built],
-                        dtype=float).reshape(len(self._built), 7,
-                                             self.y.shape[1])
+        flat = itertools.chain.from_iterable
+        return np.fromiter(flat(flat(self._built[k][3] for k in steps)),
+                           float).reshape(len(steps), 7, self.y.shape[1])
 
     def _build(self, todo: list) -> Optional[np.ndarray]:
         """Build the steps `todo` at once with _step's floats and return
@@ -644,21 +653,21 @@ class Trajectory:
         size = self.y.shape[1]
         kept = np.frombuffer(self._steps).reshape(len(self._built), -1)[todo]
         h, t, y0 = kept[:, :1], self.t[todo, None], self.y[todo]
-        k = dict(zip(_KEPT, kept[:, 1:].reshape(len(todo), -1, size)
-                     .swapaxes(0, 1)))
+        K = np.empty((17, len(todo), size))     # K[i]: stage i's derivatives
+        K[_KEPT] = kept[:, 1:].reshape(len(todo), -1, size).swapaxes(0, 1)
         with np.errstate(all="ignore"):     # as float arithmetic
             for i in range(14, 17):
-                args = (y0 + h * _fold(_A[i - 1], k)).tolist()
+                args = (y0 + h * _fold(_A[i - 1], K)).tolist()
                 if self.kind == "reduced":      # fn takes the parameter u
                     args = [(tc, *a) for tc, a in
                             zip((t + _C[i - 1] * h).ravel().tolist(), args)]
                 out = [self._fn(*a) for a in args]
                 if None in out:
                     return None
-                k[i] = np.array(out)
+                K[i] = out
             r0 = self.y[[j + 1 for j in todo]] - y0
-            rows = np.stack([r0, h * k[1] - r0, 2.0 * r0 - h * (k[13] + k[1]),
-                             *[h * _fold(row, k) for row in _D]], axis=1)
+            rows = np.stack([r0, h * K[1] - r0, 2.0 * r0 - h * (K[13] + K[1]),
+                             *[h * _fold(row, K) for row in _D]], axis=1)
         self.nfev += 3 * len(todo)
         for j, y, r in zip(todo, y0.tolist(), rows.tolist()):
             self._built[j] = (self._t[j], self._t[j + 1], y, r)
@@ -688,11 +697,18 @@ def _bracket(grid: list, q: float, outside: str) -> int:
     k = bisect.bisect_right(grid, q) - 1
     if 0 <= k < len(grid) - 1:      # grid[0] <= q < grid[-1]
         return k
-    first, last = grid[0], grid[-1]
-    pad = 1e-9 * max(1.0, abs(first), abs(last))
-    if not (first - pad <= q <= last + pad):      # nan included
-        raise ValueError(f"{outside.format(q)} range [{first!r}, {last!r}]")
+    lo, hi = _reach(grid)
+    if not (lo <= q <= hi):      # nan included
+        raise ValueError(f"{outside.format(q)} range [{grid[0]!r}, "
+                         f"{grid[-1]!r}]")
     return min(max(k, 0), len(grid) - 2)
+
+
+def _reach(grid: list) -> tuple:
+    """The queries _bracket takes on a grid: its ends, padded by 1e-9
+    (relative)."""
+    pad = 1e-9 * max(1.0, abs(grid[0]), abs(grid[-1]))
+    return grid[0] - pad, grid[-1] + pad
 
 
 def sample_blocks(count: int) -> list:
@@ -701,10 +717,10 @@ def sample_blocks(count: int) -> list:
     return [slice(k, min(k + _BLOCK, count)) for k in range(0, count, _BLOCK)]
 
 
-def _horner(t0, t1, y0, rows, tq):
-    """Trajectory._dense's floats over queries tq, each on the step with
-    ends t0, t1, first state y0 (entries) and rows (7 x entries)."""
-    x = ((tq - t0) / (t1 - t0))[:, None]
+def _horner(t0, dt, y0, rows, tq):
+    """Trajectory._dense's floats over queries tq, each on the step from
+    t0 of size dt, first state y0 (entries) and rows (7 x entries)."""
+    x = ((tq - t0) / dt)[:, None]
     x1 = 1.0 - x
     r0, r1, r2, r3, r4, r5, r6 = rows.swapaxes(0, 1)
     return ((((((r6 * x + r5) * x1 + r4) * x + r3) * x1
@@ -886,27 +902,37 @@ class ReducedTrajectory:
         return v[:n], [xd / ud for xd in v[n:2 * n]], v[-1]
 
     def _states(self, uq: np.ndarray) -> Optional[tuple]:
-        """_state(uq) of each query in the samples' range, as arrays (x,
-        x', w), each off the step _bracket assigns it, by the built dense
-        output (Trajectory.dense), with sigma_at's Newton iteration as one
-        lane per query that stops changing once it converges.  None where
-        _state may raise: a seed outside its step, a lane not converged in
+        """_state(uq) of each query, as arrays (x, x', w), each off the
+        step _bracket assigns it, by the dense output of those steps
+        alone, the ones not built yet built at once (Trajectory._rows),
+        with sigma_at's Newton iteration as one lane per query that stops
+        changing once it converges.  None where _state may raise: a query
+        outside the samples, a dense stage fn declines (building
+        nothing), a seed outside its step, a lane not converged in
         _SIGMA_ITERS, or du/dsigma <= 0."""
         traj, n = self.traj, self.n
+        lo, hi = _reach(self._u)
+        if not ((lo <= uq) & (uq <= hi)).all():
+            return None
         k = np.searchsorted(self.u, uq, "right").clip(1, len(self) - 1) - 1
-        t0, t1, y0, rows = traj.t[k], traj.t[k + 1], traj.y[k], traj.dense[k]
+        steps, lane = np.unique(k, return_inverse=True)
+        rows = traj._rows(steps.tolist())
+        if rows is None:
+            return None
+        t0, t1, y0, rows = traj.t[k], traj.t[k + 1], traj.y[k], rows[lane]
+        dt = t1 - t0
         with np.errstate(all="ignore"):     # as float arithmetic
             if traj.kind == "reduced":
-                y = _horner(t0, t1, y0, rows, uq)
+                y = _horner(t0, dt, y0, rows, uq)
                 return y[:, :n], y[:, n:2 * n], y[:, 2 * n]
-            s = t0 + (t1 - t0) * ((uq - self.u[k])
-                                  / (self.u[k + 1] - self.u[k]))
+            s = t0 + dt * ((uq - self.u[k]) / (self.u[k + 1] - self.u[k]))
             if not ((t0 <= s) & (s <= t1)).all():
                 return None
             (cu, cv), lo, hi = self._cols, t0, t1
+            yu, ru = y0[:, cu], rows[:, :, cu]
             done = np.zeros(len(s), dtype=bool)
             for _ in range(self._SIGMA_ITERS):
-                u, udot = _horner(t0, t1, y0[:, cu], rows[:, :, cu], s).T
+                u, udot = _horner(t0, dt, yu, ru, s).T
                 fval = u - uq
                 above, below = fval > 0, fval < 0
                 hi = np.where(above & (s < hi), s, hi)
@@ -922,7 +948,7 @@ class ReducedTrajectory:
                     break
             else:
                 return None
-            v = _horner(t0, t1, y0[:, cv], rows[:, :, cv], s)
+            v = _horner(t0, dt, y0[:, cv], rows[:, :, cv], s)
             ud = v[:, 2 * n]
             if (ud <= 0.0).any():
                 return None

@@ -380,12 +380,12 @@ def nonlocal_charge(system: HerglotzSystem, gen: SymmetryGenerator,
     The integral runs from the first sample; each step contributes a
     3-point Gauss-Legendre rule on the dense output, whose error per step,
     O(h^7), stays below the flow's own.  The nodes' states are read at
-    once off the dense output, built at once (Trajectory.dense), as the
-    floats a read node by node gives; where that read would fail, they
-    are read node by node, and the first at fault raises its error.  Each
-    node evaluates dL/dw by the system's compiled w-slope function
-    (lagrangian_w_slope), which raises NonFiniteError where a velocity is
-    not finite.
+    once (ReducedTrajectory._states), as the floats a read node by node
+    gives; where that read or a node's slope would fail, the steps it
+    built are forgotten and the nodes read node by node, so that the
+    first at fault raises its error.  Each node evaluates dL/dw by the
+    system's compiled w-slope function (lagrangian_w_slope), which raises
+    NonFiniteError where a velocity is not finite.
     """
     u, qs = charge_series(system, gen, rt)
     grid = u.tolist()
@@ -399,9 +399,8 @@ def nonlocal_charge(system: HerglotzSystem, gen: SymmetryGenerator,
 
     traj = rt.traj
     built, nfev = traj._built.copy(), traj.nfev
+    states = rt._states(np.array(uq))
     try:
-        traj.dense
-        states = rt._states(np.array(uq))
         got = None if states is None else slopes(
             zip(*(a.tolist() for a in states)))
     except HliftError:

@@ -24,6 +24,7 @@ built entry.  Calling a factory directly builds afresh.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -331,6 +332,8 @@ CATALOG: Dict[str, Callable[..., CatalogEntry]] = {
 # of them, and with them their compiled code (expr._CODE).
 _BUILT_CACHE = 64
 _BUILT: dict = {}
+# each factory's signature, taken once per process
+_signature = functools.cache(inspect.signature)
 
 
 def _built(factory, *args, **kwargs):
@@ -338,7 +341,7 @@ def _built(factory, *args, **kwargs):
     with defaults applied and equal in type and repr (so 0.0 and -0.0, or
     1 and 1.0, never share) return the first build.  A factory that
     raises stores nothing."""
-    bound = inspect.signature(factory).bind(*args, **kwargs)
+    bound = _signature(factory).bind(*args, **kwargs)
     bound.apply_defaults()
     key = (factory, *((name, type(v), repr(v))
                       for name, v in bound.arguments.items()))
@@ -355,7 +358,7 @@ def factory_params(factory) -> Dict[str, float]:
     """The parameters a catalog factory accepts, with their defaults:
     its keyword defaults apart from the dimension `n`."""
     return {p.name: p.default
-            for p in inspect.signature(factory).parameters.values()
+            for p in _signature(factory).parameters.values()
             if p.name != "n"}
 
 

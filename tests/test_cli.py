@@ -1,5 +1,6 @@
 """Scenario CLI: exit codes, file outputs, and reproducibility."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -17,6 +18,7 @@ import hlift
 from hlift import cli, dynamics, geometry, systems
 from hlift.cli import main
 from hlift.dynamics import integrate_geodesic, lift_state, reduce_trajectory
+from hlift.errors import HliftError, NonFiniteError
 
 BASE = {
     "system": "damped-action",
@@ -91,6 +93,26 @@ def test_run_calls_each_charge_column_through_the_cli_binding(
     assert nonlocal_ == series
     for name in ("geodesic.csv", "reduced.csv"):
         assert (wrapped / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_csv_rows_are_each_float_formatted_alone():
+    # a row's one format string writes what "%.17g" writes of each float
+    # alone, joined by commas: negative zero, the least subnormal, a third
+    # and a large power of ten among them
+    ctx = cli.build_context({"system": "harmonic"})
+    rt = cli._RunCache(ctx).herglotz
+    rt.traj.y[1] = -0.0, 5e-324, 1 / 3
+    rt.traj.y[2] = 1e300, -1e300, -5e-324
+    lines = cli._trajectory_csv(ctx, rt).splitlines()
+    x, xp, u, w = rt.sample_arrays()
+    rows = np.column_stack([u, rt.traj.t, x, xp, w, np.zeros(len(rt))])
+    assert lines[1:] == [",".join(["%.17g" % v for v in row])
+                         for row in rows.tolist()]
+    assert lines[2].split(",")[2:] == [
+        "-0", "4.9406564584124654e-324", "0.33333333333333331", "0"]
+    assert lines[3].split(",")[2:] == [
+        "1.0000000000000001e+300", "-1.0000000000000001e+300",
+        "-4.9406564584124654e-324", "0"]
 
 
 def test_run_byte_identical(tmp_path):
@@ -613,6 +635,108 @@ def test_checkpoint_gaps_are_their_numpy_form(key):
         got = cli._checkpoint_gaps(ctx, *args, w_rate=w_rate)
         assert got == _checkpoint_gaps_numpy(ctx, *args, w_rate=w_rate)
         assert all(type(g) is float for g in got)
+
+
+def _checkpoint_gaps_node_by_node(ctx, ta, *others, w_rate=0.0):
+    """cli._checkpoint_gaps as a loop over the checkpoints that reads a's
+    state, then each other's, by _state and keeps running max()es: the
+    reference its stacked read must reproduce, errors and nfev included."""
+    gap_x = gap_w = gap_xp = 0.0
+    for u in np.linspace(ctx.span[0], ctx.span[1], cli._CHECKPOINTS).tolist():
+        x_a, xp_a, w_a = ta._state(u)
+        for tb in others:
+            x_b, xp_b, w_b = tb._state(u)
+            for a, b in zip(x_a, x_b):
+                gap_x = max(gap_x, abs(a - b))
+            gap_w = max(gap_w, abs(math.exp(-w_rate * u) * w_a - w_b))
+            for a, b in zip(xp_a, xp_b):
+                gap_xp = max(gap_xp, abs(a - b))
+    return gap_x, gap_w, gap_xp
+
+
+_GAP_TOLS = {"1e-10": {}, "1e-13": {"rtol": 1e-13, "atol": 1e-15}}
+
+
+def _gap_shapes(ctx):
+    """The shapes _checkpoint_gaps is called in, on fresh trajectories:
+    run's and equivalence's (the udot0 = 1 geodesic view against the
+    Herglotz flow), reparam's (udot0 0.5, 1 and 2) and the conformal
+    pair's (two Herglotz flows, here at the scenario's tolerances and ten
+    times looser, with a w_rate)."""
+    geo = {udot0: reduce_trajectory(integrate_geodesic(
+        ctx.metric, lift_state(ctx.system, ctx.rs0, udot0), (0.0, math.inf),
+        config=ctx.config, stop_at_u=ctx.span[1])) for udot0 in (0.5, 1.0, 2.0)}
+    cfg = ctx.config
+    loose = dataclasses.replace(cfg, rtol=10 * cfg.rtol, atol=10 * cfg.atol)
+    herglotz, looser = (dynamics.integrate_herglotz(
+        ctx.system, ctx.rs0, ctx.span, config=c) for c in (cfg, loose))
+    return [((geo[1.0], herglotz), 0.0), ((geo[0.5], geo[1.0], geo[2.0]), 0.0),
+            ((herglotz, looser), 0.2)]
+
+
+def _built_lists(view):
+    return [None if step is None else
+            (step[0], step[1], list(step[2]), [list(r) for r in step[3]])
+            for step in view.traj._built]
+
+
+def _both_reads(ctx, spoil=lambda views: None, past=0.0):
+    """(gaps or (error type, message), nfev and built steps of each view)
+    of _checkpoint_gaps and of the node-by-node loop, each in every shape
+    on its own fresh trajectories, spoilt by `spoil` first, with the
+    checkpoints running `past` beyond the span the views cover."""
+    out = []
+    reads = dataclasses.replace(ctx, span=(ctx.span[0], ctx.span[1] + past))
+    for gaps in (cli._checkpoint_gaps, _checkpoint_gaps_node_by_node):
+        for views, w_rate in _gap_shapes(ctx):
+            spoil(views)
+            try:
+                got = [g.hex() for g in gaps(reads, *views, w_rate=w_rate)]
+            except (HliftError, ValueError) as err:
+                got = (type(err), str(err))
+            out.append((got, [(v.traj.nfev, _built_lists(v)) for v in views]))
+    half = len(out) // 2
+    return out[:half], out[half:]
+
+
+@pytest.mark.parametrize("tol", sorted(_GAP_TOLS))
+@pytest.mark.parametrize("key", sorted(systems.CATALOG))
+def test_the_stacked_checkpoint_read_is_the_read_node_by_node(key, tol):
+    # every view's checkpoints read at once give the loop's floats, and
+    # build the steps, with their rows and calls, that the loop builds
+    ctx = cli.build_context({"system": key, "integrator": _GAP_TOLS[tol]})
+    stacked, single = _both_reads(ctx)
+    assert stacked == single
+    assert all(isinstance(got, list) for got, _ in stacked)
+
+
+@pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+def test_a_declined_checkpoint_stage_raises_as_the_read_node_by_node(where):
+    # a kept stage made nan on the step of the last view that holds the
+    # checkpoint `where` along the span: the stacked read declines, and
+    # the loop's error, nfev and built steps follow
+    ctx = cli.build_context({"system": "damped-action"})
+    u0, u1 = ctx.span
+
+    def spoil(views):
+        traj = views[-1].traj
+        step = dynamics._bracket(views[-1]._u, u0 + where * (u1 - u0), "")
+        width = len(dynamics._KEPT) * traj.y.shape[1]
+        traj._steps[step * (1 + width) + 1] = math.nan
+
+    stacked, single = _both_reads(ctx, spoil)
+    assert stacked == single
+    assert all(got[0] is NonFiniteError and "dense output" in got[1]
+               for got, _ in stacked)
+
+
+def test_a_checkpoint_past_the_last_sample_raises_as_the_read_node_by_node():
+    # the views cover the scenario's span; the checkpoints run past it
+    stacked, single = _both_reads(cli.build_context({"system": "coupled"}),
+                                  past=0.5)
+    assert stacked == single
+    assert all(got[0] is ValueError and "outside" in got[1]
+               for got, _ in stacked)
 
 
 # ------------------------------------------------------- one process

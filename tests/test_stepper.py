@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from hlift.dynamics import (_A, _C, _D, _E3, _E5, IntegratorConfig,
-                            Trajectory, _dense_rows, _samples, _stepper,
-                            integrate_geodesic, integrate_herglotz,
+                            Trajectory, _dense_rows, _fold, _samples,
+                            _stepper, integrate_geodesic, integrate_herglotz,
                             lift_state, reduce_trajectory, reduced_function)
 from hlift.errors import BlowUpError, NonFiniteError, StepLimitExceededError
 from hlift.geometry import BrinkmannMetric
@@ -311,6 +311,25 @@ def test_dense_output_is_the_numpy_hermite_bit_for_bit(key, pipeline):
         assert np.array_equal(got.x, y[:n])
         assert np.array_equal(got.xp, y[m:m + n] / y[m + n])
         assert (got.u, got.w) == (uq, y[n + 1])
+
+
+@pytest.mark.parametrize("row", [*_A[13:], *_D],
+                         ids=[*(f"A{i}" for i in (13, 14, 15)),
+                              *(f"D{r}" for r in range(4))])
+def test_the_stacked_fold_adds_as_the_generated_rows(row):
+    # the stacked build's one reduction over the stages is _combo's sum
+    # from the left, bit for bit, over stacks of random size holding
+    # magnitudes from 1e-300 to 1e300 and zeros of either sign
+    rng = np.random.default_rng(29)
+    for _ in range(25):
+        steps, size = int(rng.integers(1, 201)), int(rng.integers(3, 9))
+        K = (rng.choice([-1.0, 1.0], (17, steps, size))
+             * 10.0 ** rng.uniform(-300.0, 300.0, (17, steps, size)))
+        K[rng.random(K.shape) < 0.1] *= 0.0
+        first, *rest = [a * K[c + 1] for c, a in row.items()]
+        want = sum(rest, first)
+        got = _fold(row, K)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("pipeline", ["geodesic", "herglotz"])

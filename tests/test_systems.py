@@ -252,6 +252,21 @@ def test_equal_arguments_share_one_build():
     assert damped_action_dependent() is not entry
 
 
+def test_a_factory_shares_its_build_however_its_arguments_come():
+    # positionally, by keyword, partly and wholly by default: each binds
+    # to one key through the factory's signature, taken once per process
+    entry = systems._built(damped_action_dependent)
+    assert systems._built(damped_action_dependent, 0.2, 1.0, 1) is entry
+    assert systems._built(damped_action_dependent, n=1, omega=1.0,
+                          gamma=0.2) is entry
+    assert systems._built(damped_action_dependent, 0.2, n=1) is entry
+    assert get_entry("damped-action") is entry
+    assert systems._signature(damped_action_dependent) is (
+        systems._signature(damped_action_dependent))
+    assert factory_params(damped_action_dependent) == {
+        "gamma": 0.2, "omega": 1.0}
+
+
 def test_arguments_of_another_type_or_sign_build_apart():
     zero, minus_zero = (get_entry("harmonic", omega=w) for w in (0.0, -0.0))
     assert zero is not minus_zero
